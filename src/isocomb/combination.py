@@ -27,11 +27,12 @@ from .geometry import (
     Angle,
     RigidMotion2,
     Vec2,
+    alignment_margins,
     apply_motion,
     apply_motion_many,
     circ_dist,
-    circ_dist_many,
     compose,
+    merge_positions,
     norm_angle,
 )
 from .planar import (
@@ -82,22 +83,7 @@ def merged_breakpoints(pair: MarkedPair) -> np.ndarray:
     """
     p = pair.F1.perimeter
     pos = np.concatenate([[0.0], pair.F1.vertex_positions(), pair.F2.vertex_positions()])
-    pos = np.sort(pos)
-    tol = BREAKPOINT_MERGE_RTOL * p
-    keep = np.empty(len(pos), dtype=bool)
-    keep[0] = True
-    last = pos[0]
-    for i in range(1, len(pos)):
-        if pos[i] - last > tol:
-            keep[i] = True
-            last = pos[i]
-        else:
-            keep[i] = False
-    out = pos[keep]
-    # a position within tolerance of the full period duplicates the base
-    if len(out) > 1 and p - out[-1] <= tol:
-        out = out[:-1]
-    return out
+    return merge_positions(np.sort(pos), p, BREAKPOINT_MERGE_RTOL * p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,6 +289,12 @@ def align(pair: MarkedPair) -> AlignmentResult:
     sigma0).  The returned motion maps P2(sigma0) onto P1(sigma0) with the
     right semitangents identified.
 
+    The worst gap for a candidate is attained at the scanned g value
+    nearest its antipode g(sigma0) + pi, so sorting the scanned values and
+    binary-searching where each antipode falls among them finds every
+    margin in O(m log m) time and O(m) memory
+    (:func:`geometry.alignment_margins`), with no m x m gap matrix.
+
     Raises:
         AlignmentNotFound: if the best margin is at or below 1e-9 rad.
     """
@@ -313,8 +305,7 @@ def align(pair: MarkedPair) -> AlignmentResult:
         pair.F2, scan, pair.motion.rotation
     )
     g = g_scan[: len(bps)]
-    gaps = circ_dist_many(g_scan[None, :], g[:, None])  # gaps[j, k] = alignment at j, gap at k
-    margins = math.pi - gaps.max(axis=1)
+    margins = alignment_margins(g_scan, g)
     j = int(np.argmax(margins))                     # first max = smallest sigma0
     margin = float(margins[j])
     if margin <= MARGIN_EPS:

@@ -13,7 +13,7 @@ planar alignment problem restricted to rotations about the x0-axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .geometry import (
     E0,
     TAU,
     Angle,
+    RigidMotion2,
+    alignment_margins,
+    merge_positions,
     norm_angle,
     rotate_about_x0_many,
     rotation_matrix_from_to,
@@ -112,14 +115,7 @@ def pogorelov_identity_check(r1, r2, height_eps: float = HEIGHT_EPS) -> float:
 def _merged_link_positions(L1: SphericalPolygon, L2: SphericalPolygon, merge_rtol: float) -> np.ndarray:
     p = L1.perimeter
     pos = np.sort(np.concatenate([[0.0], L1.vertex_positions(), L2.vertex_positions()]))
-    tol = merge_rtol * p
-    out = [pos[0]]
-    for x in pos[1:]:
-        if x - out[-1] > tol:
-            out.append(x)
-    if len(out) > 1 and p - out[-1] <= tol:
-        out.pop()
-    return np.array(out)
+    return merge_positions(pos, p, merge_rtol * p)
 
 
 def _refine(positions: np.ndarray, period: float, max_step: float) -> np.ndarray:
@@ -268,7 +264,7 @@ class PositioningReport:
     combined: ConvexCone3
     cone1: ConvexCone3          # centroid-normalized, rotated by psi
     cone2: ConvexCone3          # centroid-normalized
-    image: PogorelovImage       # transform of the final positioned pair
+    image: PogorelovImage       # transform of the final positioned pair (uncertified)
     candidates_tried: int
 
 
@@ -301,6 +297,14 @@ def position_and_combine(
     the first whose combined link passes the spherical convexity and
     Gauss-Bonnet certificate.
 
+    Every margin comes from :func:`geometry.alignment_margins`: the worst
+    gap for a candidate is at the chord direction nearest its antipode,
+    found by binary search over the sorted directions in O(m log m) time
+    and O(m) memory.  The link pair is transformed once: the reported
+    ``image`` is the search image with ``image1`` and the first cone's
+    projections rotated by psi, since the rotation leaves the positions
+    and height sums unchanged.
+
     Raises:
         PositioningNotFound: if no candidate certifies.
     """
@@ -312,9 +316,7 @@ def position_and_combine(
     th1 = _image_directions(image.image1)
     th2 = _image_directions(image.image2)
     g = th1 - th2
-    d = np.mod(g[None, :] - g[:, None], TAU)
-    gaps = np.pi - np.abs(d - np.pi)
-    margins = math.pi - gaps.max(axis=1)
+    margins = alignment_margins(g, g)
 
     tried = 0
     for j in np.nonzero(margins > margin_eps)[0]:
@@ -328,7 +330,12 @@ def position_and_combine(
             combined = combine_cones(rotated, C2)
         except (NotConvexSpherical, AntipodalCorrespondence, DegenerateEdge, AntipodalEdge):
             continue
-        final_image = transform_link_pair(link1, C2.link, max_step=max_step, certify=False)
+        rot = RigidMotion2(psi).matrix()
+        final_image = replace(
+            image,
+            projections=np.stack([image.projections[:, 0] @ rot.T, image.projections[:, 1]], axis=1),
+            image1=image.image1 @ rot.T,
+        )
         return PositioningReport(
             psi=psi,
             sigma0=float(image.positions[j]),

@@ -60,6 +60,83 @@ def circ_dist_many(a, b) -> np.ndarray:
     return np.pi - np.abs(d - np.pi)
 
 
+def alignment_margins(g_scan, g) -> np.ndarray:
+    """Margin ``pi - max_k circ_dist(g_scan[k], g[j])`` for every ``j``.
+
+    The scan value farthest from ``g[j]`` is the one nearest its antipode
+    ``g[j] + pi``.  Along the sorted scan values x, the computed gap
+    ``circ_dist_many(x, g[j])`` rises to a peak and falls again once per
+    period of ``x - g[j]``, so the largest gap is next to one of the few
+    points where that difference passes an antipode, and only the two
+    values around each such point are scored.  Each point is located by
+    binary search on the rounded antipode and confirmed on the exact
+    floating-point quotient and remainder of ``x - g[j]`` by 2*pi; where
+    rounding leaves that guess wrong, a binary search over all values
+    runs on the exact test.  This takes O(m log m) time and O(m) memory for m values
+    spanning a bounded number of turns (unwrapped tangent differences span
+    fewer than two).  Scoring uses the same :func:`circ_dist_many`
+    expression as the dense m x m scan, so the margins equal the dense
+    ones bit for bit.
+
+    Raises:
+        ValueError: if a value is not finite.
+    """
+    xs = np.sort(np.asarray(g_scan, dtype=float))
+    y = np.asarray(g, dtype=float)[:, None]
+    if not (np.isfinite(xs[[0, -1]]).all() and np.isfinite(y).all()):
+        raise ValueError("alignment values must be finite")
+    m = len(xs)
+
+    def turns(x):
+        # (q, r) with x - y = q * 2pi + r, exactly as circ_dist_many reduces it
+        return np.divmod(x - y, TAU)
+
+    first = turns(xs[0])[0]
+    q = first + np.arange(int(np.max(turns(xs[-1])[0] - first)) + 1)   # one antipode per turn
+
+    def before(i):
+        # xs[i] lies before antipode q; index -1 counts as before, index m as past
+        qi, ri = turns(xs[np.clip(i, 0, m - 1)])
+        return (i < 0) | ((i < m) & ((qi < q) | ((qi == q) & (ri < math.pi))))
+
+    k = np.searchsorted(xs, y + math.pi + TAU * q)     # values before each antipode, up to rounding
+    hi = k.copy()
+    miss = ~(before(k - 1) & ~before(k))
+    k[miss], hi[miss] = 0, m
+    step = (1 << int(np.max(hi - k)).bit_length()) >> 1
+    while step:                                        # binary search of [k, hi] on the exact test
+        probe = np.minimum(k + step, hi)
+        k = np.where(before(probe - 1), probe, k)
+        step //= 2
+    near = np.clip(np.concatenate([k - 1, k], axis=1), 0, m - 1)
+    return math.pi - circ_dist_many(xs[near], y).max(axis=1)
+
+
+def merge_positions(pos: np.ndarray, period: float, tol: float) -> np.ndarray:
+    """Greedily merge sorted arc positions that lie within ``tol``.
+
+    A position is kept when it lies more than ``tol`` past the last kept
+    one, starting from ``pos[0]``; a last kept position within ``tol`` of
+    ``period`` duplicates ``pos[0]`` and is dropped.  A gap wider than
+    ``tol`` always keeps its right end, so only runs of narrower gaps walk
+    back to the last kept position.
+    """
+    keep = np.empty(len(pos), dtype=bool)
+    keep[0] = True
+    keep[1:] = np.diff(pos) > tol
+    last = 0
+    for i in np.flatnonzero(~keep):
+        if keep[i - 1]:
+            last = i - 1
+        if pos[i] - pos[last] > tol:
+            keep[i] = True
+            last = i
+    out = pos[keep]
+    if len(out) > 1 and period - out[-1] <= tol:
+        out = out[:-1]
+    return out
+
+
 def angle_between(u, v) -> Angle:
     """Unsigned angle in [0, pi] between two nonzero vectors (2D or 3D).
 

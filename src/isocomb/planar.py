@@ -35,11 +35,18 @@ SNAP_FACTOR = 32 * np.finfo(float).eps
 
 
 def default_certificate_tolerance() -> float:
-    """Certificate tolerance: 1e-9 unless overridden via ISOCOMB_TOL."""
+    """Certificate tolerance: 1e-9 unless overridden via ISOCOMB_TOL.
+
+    Raises:
+        ValueError: if ISOCOMB_TOL is not a finite non-negative number.
+    """
     raw = os.environ.get("ISOCOMB_TOL")
     if raw is None:
         return 1e-9
-    return float(raw)
+    tol = float(raw)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"ISOCOMB_TOL must be a finite non-negative number; got {raw!r}")
+    return tol
 
 
 def _reduce_mod(t: float, period: float) -> float:

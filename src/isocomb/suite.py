@@ -234,9 +234,16 @@ def run_cone_suite(config: SuiteConfig, report_path: str | None = None) -> dict:
 
 
 def replay_trial(config: SuiteConfig, kind: str, trial_id: int) -> TrialReport:
-    """Re-run a single trial of a suite from its index."""
+    """Re-run a single trial of a suite from its index.
+
+    Raises:
+        ValueError: if ``kind`` is not "planar" or "cone", or the index is
+            outside the configured trials.
+    """
+    trials = {"planar": planar_trial, "cone": cone_trial}
+    if kind not in trials:
+        raise ValueError(f"unknown trial kind {kind!r}; expected 'planar' or 'cone'")
     config.validate()
     if not 0 <= trial_id < config.trials:
         raise ValueError(f"trial_id {trial_id} outside [0, {config.trials})")
-    fn = planar_trial if kind == "planar" else cone_trial
-    return fn(config, trial_id)
+    return trials[kind](config, trial_id)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from isocomb.geometry import circ_dist_many
 from isocomb.planar import build_polygon
 from isocomb.spherical import build_spherical_polygon, gnomonic_inverse
 
@@ -26,6 +29,12 @@ def support_link(n, radius, coeffs):
     """Dense convex spherical polygon: gnomonic lift of a support curve."""
     flat = support_polygon(n, radius, coeffs)
     return build_spherical_polygon(gnomonic_inverse(flat.vertices))
+
+
+def dense_alignment_margins(g_scan, g):
+    """Reference for geometry.alignment_margins: the full m x m gap matrix."""
+    gaps = circ_dist_many(np.asarray(g_scan)[None, :], np.asarray(g)[:, None])
+    return math.pi - gaps.max(axis=1)
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from isocomb import combination
 from isocomb.combination import (
     align,
     apply_alignment,
@@ -22,7 +25,7 @@ from isocomb.geometry import TAU, RigidMotion2, Vec2, apply_motion_many
 from isocomb.planar import build_polygon, dilate_to_perimeter
 from isocomb.suite import random_convex_polygon, trial_rng
 
-from conftest import support_polygon
+from conftest import dense_alignment_margins, support_polygon
 
 
 def rect_0p5_by_1p5(base_s=0.0):
@@ -149,6 +152,43 @@ def test_align_margin_matches_posthoc_condition():
         result = align(pair)
         aligned = apply_alignment(pair, result)
         assert semitangent_condition(aligned) == pytest.approx(result.margin, abs=1e-12)
+
+
+def test_align_matches_dense_oracle_on_acceptance_seed(monkeypatch):
+    # the planar acceptance suite's first trials, aligned with the sort-based
+    # kernel and again with the m x m gap matrix it replaced
+    pairs = []
+    for i in range(60):
+        rng = trial_rng(42, i)
+        f1 = random_convex_polygon(rng, 3, 200)
+        f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 200), f1.perimeter, (0.0, 0.0))
+        pairs.append(make_pair(f1, f2))
+    fast = [align(pair) for pair in pairs]
+    monkeypatch.setattr(combination, "alignment_margins", dense_alignment_margins)
+    for pair, a in zip(pairs, fast):
+        b = align(pair)
+        assert (a.sigma0, a.margin, a.motion) == (b.sigma0, b.margin, b.motion)
+
+
+def test_combine_aligned_dense_pair_is_near_linear():
+    # 4000-vertex support-function pairs: the dense gap matrix needed ~3 GB
+    f1 = support_polygon(4000, 1.0, {2: (0.1, 0.05), 3: (0.02, 0.0)})
+    f2 = support_polygon(4000, 1.0, {3: (0.05, 0.03), 5: (0.01, 0.0)}, base_frac=0.37)
+    pair = make_pair(f1, dilate_to_perimeter(f2, f1.perimeter, (0.0, 0.0)))
+    tracemalloc.start()
+    try:
+        _, combined = combine_aligned(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert combined.certificate.is_convex
+    assert peak < 50e6
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        combine_aligned(pair)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.1
 
 
 def test_align_invariant_under_premotions():

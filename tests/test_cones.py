@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from isocomb import cones
 from isocomb.cones import (
     combine_cones,
     combine_dihedral,
@@ -33,8 +34,9 @@ from isocomb.spherical import (
     rotate_polygon,
     unit_rows,
 )
+from isocomb.suite import trial_rng
 
-from conftest import support_link
+from conftest import dense_alignment_margins, support_link
 
 SQ2 = math.sqrt(2) / 2
 
@@ -268,6 +270,40 @@ def test_positioned_combination_matches_inverse_transform_route():
     direct = (r1 + r2) / np.linalg.norm(r1 + r2, axis=1, keepdims=True)
     via_plane = np.array([pogorelov_inverse(w) for w in image.image1 + image.image2])
     assert np.max(np.abs(direct - via_plane)) <= 1e-12
+
+
+def _cone_suite_pair(seed, index):
+    # the links cone_trial draws at the default suite config
+    rng = trial_rng(seed, index)
+    target = rng.uniform(0.5, TAU - 0.5)
+    l1 = random_convex_link(rng, target, n_points=30)
+    l2 = random_convex_link(rng, target, n_points=30)
+    return cone_from_link(l1), cone_from_link(l2)
+
+
+def test_position_matches_dense_oracle_on_acceptance_seed(monkeypatch):
+    # the cone acceptance suite's first trials, positioned with the sort-based
+    # kernel and again with the m x m gap matrix it replaced
+    pairs = [_cone_suite_pair(7, i) for i in range(12)]
+    fast = [position_and_combine(k1, k2) for k1, k2 in pairs]
+    monkeypatch.setattr(cones, "alignment_margins", dense_alignment_margins)
+    for (k1, k2), a in zip(pairs, fast):
+        b = position_and_combine(k1, k2)
+        assert (a.psi, a.sigma0, a.margin, a.candidates_tried) == (
+            b.psi, b.sigma0, b.margin, b.candidates_tried
+        )
+
+
+def test_position_report_image_equals_recomputed_transform():
+    # the reported image is the search image rotated by psi, not a second transform
+    for i in range(8):
+        report = position_and_combine(*_cone_suite_pair(11, i))
+        image = report.image
+        again = transform_link_pair(report.cone1.link, report.cone2.link, certify=False)
+        assert image.planar1 is None and image.planar2 is None
+        assert image.positions.shape == again.positions.shape
+        for name in ("positions", "x0_sums", "projections", "image1", "image2"):
+            assert np.max(np.abs(getattr(image, name) - getattr(again, name))) <= 1e-13, name
 
 
 # -- digons ---------------------------------------------------------------------------

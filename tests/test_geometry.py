@@ -6,17 +6,22 @@ from hypothesis import given, strategies as st
 
 from isocomb.geometry import (
     IDENTITY_MOTION,
+    TAU,
     RigidMotion2,
     Vec2,
+    alignment_margins,
     angle_between,
     apply_motion,
     apply_motion_many,
     circ_dist,
     compose,
     invert,
+    merge_positions,
     norm_angle,
     rotate_about_x0,
 )
+
+from conftest import dense_alignment_margins
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -137,3 +142,62 @@ def test_norm_angle_range():
     assert norm_angle(math.pi) == pytest.approx(math.pi)
     assert norm_angle(-math.pi) == pytest.approx(math.pi)
     assert norm_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
+
+
+# -- alignment kernel and breakpoint merging --------------------------------------
+
+def _kernel_arrays(kind, rng):
+    m = int(rng.integers(1, 80))
+    if kind == "random":
+        return rng.uniform(-20.0, 20.0, m)
+    if kind == "ties":
+        # a few exact values, repeated, shifted by whole turns and by 1e-16
+        vals = rng.choice(np.arange(-8, 9) * (math.pi / 4), m)
+        return vals + rng.integers(-2, 3, m) * TAU + rng.choice([0.0, 1e-16, -1e-16], m)
+    special = np.array([0.0, -0.0, math.pi, -math.pi, TAU, -TAU, 2 * TAU, -2 * TAU,
+                        3 * math.pi, -3 * math.pi, 1e-16, -1e-16, 1e-300, -1e-300])
+    special = np.concatenate([special, np.nextafter(special, np.inf), np.nextafter(special, -np.inf)])
+    return rng.choice(special, m)
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "wraparound"])
+def test_alignment_margins_bitwise_equal_dense_oracle(kind):
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        g_scan = _kernel_arrays(kind, rng)
+        g = g_scan[: int(rng.integers(1, len(g_scan) + 1))]
+        fast = alignment_margins(g_scan, g)
+        dense = dense_alignment_margins(g_scan, g)
+        assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64)), g_scan
+
+
+def test_alignment_margins_rejects_nonfinite():
+    with pytest.raises(ValueError):
+        alignment_margins(np.array([0.0, np.nan]), np.array([0.0]))
+
+
+def _greedy_merge_loop(pos, period, tol):
+    """The per-element merge loop that merge_positions replaced."""
+    keep = np.empty(len(pos), dtype=bool)
+    keep[0] = True
+    last = pos[0]
+    for i in range(1, len(pos)):
+        keep[i] = pos[i] - last > tol
+        if keep[i]:
+            last = pos[i]
+    out = pos[keep]
+    if len(out) > 1 and period - out[-1] <= tol:
+        out = out[:-1]
+    return out
+
+
+def test_merge_positions_matches_greedy_loop():
+    rng = np.random.default_rng(31)
+    tol = 1e-3
+    for _ in range(2000):
+        n = int(rng.integers(0, 40))
+        # clustered gaps straddle tol, so runs of sub-tolerance gaps are common
+        gaps = rng.choice([0.0, 0.3 * tol, 0.6 * tol, tol, 1.5 * tol, 0.1], n)
+        pos = np.concatenate([[0.0], np.cumsum(gaps)])
+        period = pos[-1] + rng.choice([0.0, 0.5 * tol, tol, 2 * tol, 0.2])
+        assert np.array_equal(merge_positions(pos, period, tol), _greedy_merge_loop(pos, period, tol))

@@ -92,6 +92,11 @@ def test_replay_rejects_bad_index():
         replay_trial(SuiteConfig(trials=2, seed=1), "planar", 5)
 
 
+def test_replay_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        replay_trial(SuiteConfig(trials=2, seed=1), "sphere", 0)
+
+
 # -- svg ---------------------------------------------------------------------------
 
 def test_render_svg_single_square(unit_square):
@@ -300,3 +305,13 @@ def test_tolerance_env_override(monkeypatch, unit_square):
     assert default_certificate_tolerance() == 1e-6
     monkeypatch.delenv("ISOCOMB_TOL")
     assert default_certificate_tolerance() == 1e-9
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "-1e-9"])
+def test_tolerance_env_rejects_bad_values(monkeypatch, raw, square_file, rect_file):
+    from isocomb.planar import default_certificate_tolerance
+
+    monkeypatch.setenv("ISOCOMB_TOL", raw)
+    with pytest.raises(ValueError):
+        default_certificate_tolerance()
+    assert cli.main(["align", "--a", square_file, "--b", rect_file]) == 1
