@@ -30,10 +30,10 @@ from .geometry import (
     alignment_margins,
     apply_motion,
     apply_motion_many,
-    circ_dist,
     compose,
     merge_positions,
     norm_angle,
+    norm_angle_many,
 )
 from .planar import (
     ConvexityCertificate,
@@ -41,7 +41,7 @@ from .planar import (
     PlanarPolygon,
     convexity_certificate,
     default_certificate_tolerance,
-    left_semitangent,
+    locate_many,
     point_at,
     points_at,
     right_semitangent,
@@ -147,20 +147,21 @@ def combine(pair: MarkedPair, tolerance: float | None = None) -> CombinedCurve:
 def semitangent_condition(pair: MarkedPair) -> Angle:
     """Margin pi - max angle between corresponding right semitangents.
 
-    Scanned over all merged breakpoints plus mid-piece samples; positive
-    exactly when the convexity hypothesis of the combination holds.
+    The angle is taken in (-pi, pi] at the base point and followed from
+    there through the real change g(s) - g(0) of the unwrapped tangent gap
+    g = phi1 - phi2, never reduced modulo 2*pi, so a gap that swings
+    through pi makes the margin nonpositive.  Scanned over all merged
+    breakpoints plus mid-piece samples; positive exactly when the
+    convexity hypothesis of the combination holds.
     """
     bps = merged_breakpoints(pair)
-    p = pair.F1.perimeter
-    ends = np.concatenate([bps[1:], [p]])
+    ends = np.concatenate([bps[1:], [pair.F1.perimeter]])
     samples = np.concatenate([bps, 0.5 * (bps + ends)])
-    rot = pair.motion.rotation
-    worst = 0.0
-    for s in samples:
-        t1 = right_semitangent(pair.F1, s)
-        t2 = right_semitangent(pair.F2, s) + rot
-        worst = max(worst, circ_dist(t1, t2))
-    return math.pi - worst
+    g = _unwrapped_direction_values(pair.F1, samples, 0.0) - _unwrapped_direction_values(
+        pair.F2, samples, pair.motion.rotation
+    )
+    angles = g - g[0] + norm_angle(float(g[0]))
+    return math.pi - float(np.max(np.abs(angles)))
 
 
 @dataclass(frozen=True)
@@ -185,25 +186,30 @@ class CombinationVertexEvent:
     gamma: Angle | None = None
 
 
-def _vertex_lookup(poly: PlanarPolygon, tol: float):
-    """Map arc position -> interior angle for positions at a vertex."""
+def _vertex_interior(poly: PlanarPolygon, bps: np.ndarray, tol: float) -> np.ndarray:
+    """Interior angle at the vertex within ``tol`` of each position, NaN if none."""
     pos = poly.vertex_positions()
     order = np.argsort(pos)
     pos_sorted = pos[order]
     interior = (math.pi - poly.exterior_angles())[order]
-    period = poly.perimeter
+    n = len(pos_sorted)
+    i = np.searchsorted(pos_sorted, bps)
+    before, after = np.maximum(i - 1, 0), np.minimum(i, n - 1)
+    at_before = (i > 0) & (np.abs(pos_sorted[before] - bps) <= tol)
+    at_after = (i < n) & (np.abs(pos_sorted[after] - bps) <= tol)
+    # wraparound: position 0 against a vertex at ~period
+    wrap = (bps <= tol) & (abs(pos_sorted[-1] - poly.perimeter) <= tol)
+    j = np.where(at_before, before, np.where(at_after, after, n - 1))
+    return np.where(at_before | at_after | wrap, interior[j], np.nan)
 
-    def query(s: float) -> float | None:
-        i = int(np.searchsorted(pos_sorted, s))
-        for j in (i - 1, i):
-            if 0 <= j < len(pos_sorted) and abs(pos_sorted[j] - s) <= tol:
-                return float(interior[j])
-        # wraparound: position 0 queried against a vertex at ~period
-        if s <= tol and abs(pos_sorted[-1] - period) <= tol:
-            return float(interior[-1])
-        return None
 
-    return query
+def _semitangents(poly: PlanarPolygon, bps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left semitangent directions at each position, as in
+    :func:`right_semitangent` and :func:`left_semitangent`."""
+    idx, u = locate_many(poly, bps)
+    right = norm_angle_many(poly.edge_dirs[idx])
+    left = norm_angle_many(poly.edge_dirs[idx - (u == 0.0)])
+    return right, left
 
 
 def vertex_events(pair: MarkedPair) -> list[CombinationVertexEvent]:
@@ -215,48 +221,29 @@ def vertex_events(pair: MarkedPair) -> list[CombinationVertexEvent]:
     curve = pts1 + pts2
     chords = np.roll(curve, -1, axis=0) - curve
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
-    look1 = _vertex_lookup(pair.F1, tol)
-    look2 = _vertex_lookup(pair.F2, tol)
+    beta = math.pi - norm_angle_many(dirs - np.roll(dirs, 1))
+    b1 = _vertex_interior(pair.F1, bps, tol)
+    b2 = _vertex_interior(pair.F2, bps, tol)
+    at1, at2 = ~np.isnan(b1), ~np.isnan(b2)
+    # vertex-edge: semitangent rays, with the left ray reversed
     rot = pair.motion.rotation
+    r1, l1 = _semitangents(pair.F1, bps)
+    r2, l2 = _semitangents(pair.F2, bps)
+    r2, l2 = r2 + rot, l2 + rot
+    alpha = np.abs(norm_angle_many(r1 - r2))
+    delta = np.abs(norm_angle_many(l1 - l2))
+    gamma = np.abs(norm_angle_many(np.where(at1, r1 - (l2 + math.pi), r2 - (l1 + math.pi))))
 
+    beta1, beta2 = np.where(at1, b1, math.pi), np.where(at2, b2, math.pi)
+    columns = (bps, at1, at2, beta1, beta2, beta, alpha, delta, gamma)
     events = []
-    m = len(bps)
-    for k, s in enumerate(bps):
-        b1 = look1(s)
-        b2 = look2(s)
-        if b1 is None and b2 is None:
-            events.append(CombinationVertexEvent(float(s), "edge-edge", math.pi, math.pi, math.pi))
-            continue
-        turn = norm_angle(float(dirs[k] - dirs[(k - 1) % m]))
-        beta = math.pi - turn
-        if b1 is not None and b2 is not None:
-            events.append(
-                CombinationVertexEvent(float(s), "vertex-vertex", b1, b2, beta)
-            )
-            continue
-        # vertex-edge: semitangent rays, with the left ray reversed
-        r1 = right_semitangent(pair.F1, s)
-        r2 = right_semitangent(pair.F2, s) + rot
-        l1 = left_semitangent(pair.F1, s)
-        l2 = left_semitangent(pair.F2, s) + rot
-        alpha = circ_dist(r1, r2)
-        delta = circ_dist(l1, l2)
-        if b1 is not None:
-            gamma = circ_dist(r1, l2 + math.pi)
+    for s, v1, v2, c1, c2, b, a, d, g in zip(*(c.tolist() for c in columns)):
+        if not (v1 or v2):
+            events.append(CombinationVertexEvent(s, "edge-edge", math.pi, math.pi, math.pi))
+        elif v1 and v2:
+            events.append(CombinationVertexEvent(s, "vertex-vertex", c1, c2, b))
         else:
-            gamma = circ_dist(r2, l1 + math.pi)
-        events.append(
-            CombinationVertexEvent(
-                float(s),
-                "vertex-edge",
-                math.pi if b1 is None else b1,
-                math.pi if b2 is None else b2,
-                beta,
-                alpha=alpha,
-                delta=delta,
-                gamma=gamma,
-            )
-        )
+            events.append(CombinationVertexEvent(s, "vertex-edge", c1, c2, b, alpha=a, delta=d, gamma=g))
     return events
 
 
@@ -284,16 +271,16 @@ def align(pair: MarkedPair) -> AlignmentResult:
     The step function g(s) = phi1(s) - phi2(s) of unwrapped tangent
     directions changes only at breakpoints, so every attained value is
     realized at one; each breakpoint is a candidate base.  Aligning at
-    sigma0 turns the gap at s into circ_dist(g(s), g(sigma0)), and the
-    candidate maximizing the worst-case margin wins (ties: smallest
-    sigma0).  The returned motion maps P2(sigma0) onto P1(sigma0) with the
-    right semitangents identified.
+    sigma0 turns the gap at s into the real difference g(s) - g(sigma0),
+    which must stay inside (-pi, pi), and the candidate maximizing the
+    worst-case margin wins (ties: smallest sigma0).  The returned motion
+    maps P2(sigma0) onto P1(sigma0) with the right semitangents identified.
 
-    The worst gap for a candidate is attained at the scanned g value
-    nearest its antipode g(sigma0) + pi, so sorting the scanned values and
-    binary-searching where each antipode falls among them finds every
-    margin in O(m log m) time and O(m) memory
-    (:func:`geometry.alignment_margins`), with no m x m gap matrix.
+    g is periodic, since both curves turn by 2*pi, so the scanned values
+    are all the gaps any candidate sees, and the worst one is at the
+    largest or the smallest of them: every margin comes from that range in
+    O(m) time and memory (:func:`geometry.alignment_margins`), with no
+    m x m gap matrix.
 
     Raises:
         AlignmentNotFound: if the best margin is at or below 1e-9 rad.

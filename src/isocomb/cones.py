@@ -297,13 +297,14 @@ def position_and_combine(
     the first whose combined link passes the spherical convexity and
     Gauss-Bonnet certificate.
 
-    Every margin comes from :func:`geometry.alignment_margins`: the worst
-    gap for a candidate is at the chord direction nearest its antipode,
-    found by binary search over the sorted directions in O(m log m) time
-    and O(m) memory.  The link pair is transformed once: the reported
-    ``image`` is the search image with ``image1`` and the first cone's
-    projections rotated by psi, since the rotation leaves the positions
-    and height sums unchanged.
+    Every margin comes from :func:`geometry.alignment_margins`: the gap
+    between the unwrapped chord directions of the two images is periodic,
+    so a candidate's worst gap is its real difference from the largest or
+    the smallest gap, found in O(m) time and memory, and a candidate whose
+    gap swings through pi is rejected.  The link pair is transformed once:
+    the reported ``image`` is the search image with ``image1`` and the
+    first cone's projections rotated by psi, since the rotation leaves the
+    positions and height sums unchanged.
 
     Raises:
         PositioningNotFound: if no candidate certifies.

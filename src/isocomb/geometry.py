@@ -48,6 +48,13 @@ def norm_angle(theta: float) -> float:
     return t
 
 
+def norm_angle_many(theta) -> np.ndarray:
+    """Vectorized :func:`norm_angle`, equal to it bit for bit."""
+    t = np.fmod(theta, TAU)
+    t = np.where(t <= -math.pi, t + TAU, t)
+    return np.where(t > math.pi, t - TAU, t)
+
+
 def circ_dist(a: Angle, b: Angle) -> Angle:
     """Minimal absolute difference of two angles modulo 2*pi, in [0, pi]."""
     d = math.fmod(a - b, TAU)
@@ -61,55 +68,29 @@ def circ_dist_many(a, b) -> np.ndarray:
 
 
 def alignment_margins(g_scan, g) -> np.ndarray:
-    """Margin ``pi - max_k circ_dist(g_scan[k], g[j])`` for every ``j``.
+    """Margin of each candidate ``g[j]`` against the real gaps ``g_scan - g[j]``.
 
-    The scan value farthest from ``g[j]`` is the one nearest its antipode
-    ``g[j] + pi``.  Along the sorted scan values x, the computed gap
-    ``circ_dist_many(x, g[j])`` rises to a peak and falls again once per
-    period of ``x - g[j]``, so the largest gap is next to one of the few
-    points where that difference passes an antipode, and only the two
-    values around each such point are scored.  Each point is located by
-    binary search on the rounded antipode and confirmed on the exact
-    floating-point quotient and remainder of ``x - g[j]`` by 2*pi; where
-    rounding leaves that guess wrong, a binary search over all values
-    runs on the exact test.  This takes O(m log m) time and O(m) memory for m values
-    spanning a bounded number of turns (unwrapped tangent differences span
-    fewer than two).  Scoring uses the same :func:`circ_dist_many`
-    expression as the dense m x m scan, so the margins equal the dense
-    ones bit for bit.
+    The scanned values are one period of the periodic unwrapped tangent
+    gap, so they are every gap a candidate sees, and the candidate is valid
+    only while each lies strictly inside (-pi, pi); measured modulo 2*pi, a
+    gap could swing through pi unseen.  With ``reach = max(max(g_scan) -
+    g[j], g[j] - min(g_scan))`` below pi the margin is ``pi - max_k
+    circ_dist(g_scan[k], g[j])``, attained at an extreme because
+    :func:`circ_dist_many` grows with the absolute difference below pi, so
+    it equals the dense m x m scan bit for bit; otherwise the margin is
+    ``pi - reach <= 0``.  Two reductions: O(m) time and memory.
 
     Raises:
         ValueError: if a value is not finite.
     """
-    xs = np.sort(np.asarray(g_scan, dtype=float))
-    y = np.asarray(g, dtype=float)[:, None]
-    if not (np.isfinite(xs[[0, -1]]).all() and np.isfinite(y).all()):
+    g_scan = np.asarray(g_scan, dtype=float)
+    g = np.asarray(g, dtype=float)
+    hi, lo = g_scan.max(), g_scan.min()
+    if not (math.isfinite(hi) and math.isfinite(lo) and np.isfinite(g).all()):
         raise ValueError("alignment values must be finite")
-    m = len(xs)
-
-    def turns(x):
-        # (q, r) with x - y = q * 2pi + r, exactly as circ_dist_many reduces it
-        return np.divmod(x - y, TAU)
-
-    first = turns(xs[0])[0]
-    q = first + np.arange(int(np.max(turns(xs[-1])[0] - first)) + 1)   # one antipode per turn
-
-    def before(i):
-        # xs[i] lies before antipode q; index -1 counts as before, index m as past
-        qi, ri = turns(xs[np.clip(i, 0, m - 1)])
-        return (i < 0) | ((i < m) & ((qi < q) | ((qi == q) & (ri < math.pi))))
-
-    k = np.searchsorted(xs, y + math.pi + TAU * q)     # values before each antipode, up to rounding
-    hi = k.copy()
-    miss = ~(before(k - 1) & ~before(k))
-    k[miss], hi[miss] = 0, m
-    step = (1 << int(np.max(hi - k)).bit_length()) >> 1
-    while step:                                        # binary search of [k, hi] on the exact test
-        probe = np.minimum(k + step, hi)
-        k = np.where(before(probe - 1), probe, k)
-        step //= 2
-    near = np.clip(np.concatenate([k - 1, k], axis=1), 0, m - 1)
-    return math.pi - circ_dist_many(xs[near], y).max(axis=1)
+    reach = np.maximum(hi - g, g - lo)
+    near = np.maximum(circ_dist_many(hi, g), circ_dist_many(lo, g))
+    return np.where(reach < math.pi, math.pi - near, math.pi - reach)
 
 
 def merge_positions(pos: np.ndarray, period: float, tol: float) -> np.ndarray:

@@ -200,10 +200,9 @@ def point_at(poly: PlanarPolygon, s: float) -> Vec2:
     return Vec2(float(v[0] + u * math.cos(d)), float(v[1] + u * math.sin(d)))
 
 
-def points_at(poly: PlanarPolygon, ss: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`point_at` for an array of arc positions."""
-    ss = np.asarray(ss, dtype=float)
-    x = np.mod(poly.base_s + ss, poly.perimeter)
+def locate_many(poly: PlanarPolygon, ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`_locate`: edge indices and offsets along them."""
+    x = np.mod(poly.base_s + np.asarray(ss, dtype=float), poly.perimeter)
     x[x >= poly.perimeter] = 0.0
     idx = np.searchsorted(poly.cum_lengths, x, side="right") - 1
     snap = SNAP_FACTOR * poly.perimeter
@@ -213,6 +212,12 @@ def points_at(poly: PlanarPolygon, ss: np.ndarray) -> np.ndarray:
     u = x - poly.cum_lengths[idx]
     u[bump] = 0.0
     u[u <= snap] = 0.0
+    return idx, u
+
+
+def points_at(poly: PlanarPolygon, ss: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`point_at` for an array of arc positions."""
+    idx, u = locate_many(poly, ss)
     base = poly.vertices[idx]
     d = poly.edge_dirs[idx]
     return base + u[:, None] * np.stack([np.cos(d), np.sin(d)], axis=1)
@@ -237,8 +242,9 @@ class TurningFunction:
     """Right-continuous step function: cumulative turning vs arc length.
 
     ``values[k]`` is the turning at and after ``breakpoints[k]``; the value
-    before the first breakpoint is 0.  A vertex sitting exactly at the base
-    point contributes its jump at arc length ``perimeter``.
+    before the first breakpoint is 0.  A vertex at the base point, or close
+    enough after it that :func:`right_semitangent` already snaps the base
+    onto its outgoing edge, contributes its jump at arc length ``perimeter``.
     """
 
     breakpoints: np.ndarray
@@ -260,7 +266,7 @@ class TurningFunction:
 def turning_function(poly: PlanarPolygon) -> TurningFunction:
     """Cumulative turning of the curve from the base point."""
     pos = poly.vertex_positions()
-    pos = np.where(pos == 0.0, poly.perimeter, pos)
+    pos = np.where(pos <= SNAP_FACTOR * poly.perimeter, poly.perimeter, pos)
     order = np.argsort(pos, kind="stable")
     turns = poly.exterior_angles()[order]
     return TurningFunction(pos[order], np.cumsum(turns), poly.perimeter)

@@ -32,9 +32,22 @@ def support_link(n, radius, coeffs):
 
 
 def dense_alignment_margins(g_scan, g):
-    """Reference for geometry.alignment_margins: the full m x m gap matrix."""
-    gaps = circ_dist_many(np.asarray(g_scan)[None, :], np.asarray(g)[:, None])
+    """Reference for geometry.alignment_margins: the full m x m gap matrix.
+
+    Each gap is the real difference g_scan[k] - g[j], taken as
+    circ_dist_many while it lies inside (-pi, pi) and as its absolute
+    value otherwise, so a gap of pi or more is never wrapped back below pi.
+    """
+    x, y = np.asarray(g_scan)[None, :], np.asarray(g)[:, None]
+    diff = x - y
+    gaps = np.where(np.abs(diff) < math.pi, circ_dist_many(x, y), np.abs(diff))
     return math.pi - gaps.max(axis=1)
+
+
+def circular_alignment_margins(g_scan, g):
+    """The gap matrix measured modulo 2*pi, which wraps gaps of pi or more."""
+    x, y = np.asarray(g_scan)[None, :], np.asarray(g)[:, None]
+    return math.pi - circ_dist_many(x, y).max(axis=1)
 
 
 @pytest.fixture

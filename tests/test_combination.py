@@ -7,6 +7,8 @@ import pytest
 
 from isocomb import combination
 from isocomb.combination import (
+    BREAKPOINT_MERGE_RTOL,
+    CombinationVertexEvent,
     align,
     apply_alignment,
     bending_check,
@@ -20,12 +22,18 @@ from isocomb.combination import (
     vertex_events,
     _dedup_closed,
 )
-from isocomb.errors import PerimeterMismatch
-from isocomb.geometry import TAU, RigidMotion2, Vec2, apply_motion_many
-from isocomb.planar import build_polygon, dilate_to_perimeter
-from isocomb.suite import random_convex_polygon, trial_rng
+from isocomb.errors import AlignmentNotFound, PerimeterMismatch
+from isocomb.geometry import TAU, RigidMotion2, Vec2, apply_motion_many, circ_dist, norm_angle
+from isocomb.planar import (
+    build_polygon,
+    dilate_to_perimeter,
+    left_semitangent,
+    points_at,
+    right_semitangent,
+)
+from isocomb.suite import SuiteConfig, random_convex_polygon, trial_rng
 
-from conftest import dense_alignment_margins, support_polygon
+from conftest import circular_alignment_margins, dense_alignment_margins, support_polygon
 
 
 def rect_0p5_by_1p5(base_s=0.0):
@@ -122,6 +130,101 @@ def test_vertex_events_law_on_random_aligned_pairs():
     assert worst <= 1e-9
 
 
+def _vertex_events_loop(pair):
+    """The per-breakpoint loop that the array version of vertex_events replaced."""
+    def lookup(poly, tol):
+        pos = poly.vertex_positions()
+        order = np.argsort(pos)
+        pos_sorted = pos[order]
+        interior = (math.pi - poly.exterior_angles())[order]
+
+        def query(s):
+            i = int(np.searchsorted(pos_sorted, s))
+            for j in (i - 1, i):
+                if 0 <= j < len(pos_sorted) and abs(pos_sorted[j] - s) <= tol:
+                    return float(interior[j])
+            if s <= tol and abs(pos_sorted[-1] - poly.perimeter) <= tol:
+                return float(interior[-1])
+            return None
+
+        return query
+
+    bps = merged_breakpoints(pair)
+    tol = BREAKPOINT_MERGE_RTOL * pair.F1.perimeter * 4.0
+    curve = points_at(pair.F1, bps) + apply_motion_many(pair.motion, points_at(pair.F2, bps))
+    chords = np.roll(curve, -1, axis=0) - curve
+    dirs = np.arctan2(chords[:, 1], chords[:, 0])
+    look1, look2 = lookup(pair.F1, tol), lookup(pair.F2, tol)
+    rot = pair.motion.rotation
+    events = []
+    for k, s in enumerate(bps):
+        b1, b2 = look1(s), look2(s)
+        if b1 is None and b2 is None:
+            events.append(CombinationVertexEvent(float(s), "edge-edge", math.pi, math.pi, math.pi))
+            continue
+        beta = math.pi - norm_angle(float(dirs[k] - dirs[(k - 1) % len(bps)]))
+        if b1 is not None and b2 is not None:
+            events.append(CombinationVertexEvent(float(s), "vertex-vertex", b1, b2, beta))
+            continue
+        r1 = right_semitangent(pair.F1, s)
+        r2 = right_semitangent(pair.F2, s) + rot
+        l1 = left_semitangent(pair.F1, s)
+        l2 = left_semitangent(pair.F2, s) + rot
+        gamma = circ_dist(r1, l2 + math.pi) if b1 is not None else circ_dist(r2, l1 + math.pi)
+        events.append(CombinationVertexEvent(
+            float(s), "vertex-edge", math.pi if b1 is None else b1, math.pi if b2 is None else b2,
+            beta, alpha=circ_dist(r1, r2), delta=circ_dist(l1, l2), gamma=gamma,
+        ))
+    return events
+
+
+def test_vertex_events_equal_loop_oracle(unit_square):
+    # hulls of 3..200 points, aligned (base on a vertex) and as drawn (base anywhere)
+    pairs = [make_pair(unit_square, rect_0p5_by_1p5(base_s=b)) for b in (0.0, 0.25, 0.5, 1.9)]
+    for k in range(3, 201, 3):
+        rng = trial_rng(4321, k)
+        f1 = random_convex_polygon(rng, k, k)
+        f2 = dilate_to_perimeter(random_convex_polygon(rng, k, k), f1.perimeter, (0, 0))
+        pair = make_pair(f1, f2)
+        pairs += [pair, apply_alignment(pair, align(pair))]
+    for pair in pairs:
+        assert repr(vertex_events(pair)) == repr(_vertex_events_loop(pair))
+
+
+def test_positive_margin_implies_convex_combination():
+    # small hulls are where a gap measured modulo 2*pi used to hide a swing through pi
+    for i in range(600):
+        rng = trial_rng(2025, i)
+        k = 3 + i % 6
+        f1 = random_convex_polygon(rng, 3, k)
+        f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, k), f1.perimeter, (0, 0))
+        pair = make_pair(f1, f2)
+        try:
+            result, combined = combine_aligned(pair)
+        except AlignmentNotFound:
+            continue
+        cert = combined.certificate
+        assert result.margin > 0 and cert.is_convex, i
+        assert abs(cert.exterior_sum - TAU) <= 1e-8, i
+        for e in vertex_events(apply_alignment(pair, result)):
+            if e.case_id != "edge-edge":
+                assert abs(e.beta - 0.5 * (e.beta1 + e.beta2)) <= 1e-9, i
+
+
+def test_semitangent_condition_rejects_gap_swinging_through_pi(monkeypatch):
+    # trial 96 of the triangle suite: the gap measured modulo 2*pi chose an
+    # alignment whose combination is not convex
+    config = SuiteConfig(trials=400, seed=7000003, min_vertices=3, max_vertices=3)
+    rng = trial_rng(config.seed, 96)
+    f1 = random_convex_polygon(rng, 3, 3)
+    f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 3), f1.perimeter, (0, 0))
+    pair = make_pair(f1, f2)
+    monkeypatch.setattr(combination, "alignment_margins", circular_alignment_margins)
+    wrapped = apply_alignment(pair, align(pair))
+    assert not combine(wrapped).certificate.is_convex
+    assert semitangent_condition(wrapped) <= 0.0
+
+
 def test_align_identical_squares(unit_square):
     pair = make_pair(unit_square, unit_square)
     result = align(pair)
@@ -155,8 +258,8 @@ def test_align_margin_matches_posthoc_condition():
 
 
 def test_align_matches_dense_oracle_on_acceptance_seed(monkeypatch):
-    # the planar acceptance suite's first trials, aligned with the sort-based
-    # kernel and again with the m x m gap matrix it replaced
+    # the planar acceptance suite's first trials, aligned with the O(m)
+    # kernel and again with the m x m gap matrix of real differences
     pairs = []
     for i in range(60):
         rng = trial_rng(42, i)

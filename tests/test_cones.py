@@ -282,8 +282,8 @@ def _cone_suite_pair(seed, index):
 
 
 def test_position_matches_dense_oracle_on_acceptance_seed(monkeypatch):
-    # the cone acceptance suite's first trials, positioned with the sort-based
-    # kernel and again with the m x m gap matrix it replaced
+    # the cone acceptance suite's first trials, positioned with the O(m)
+    # kernel and again with the m x m gap matrix of real differences
     pairs = [_cone_suite_pair(7, i) for i in range(12)]
     fast = [position_and_combine(k1, k2) for k1, k2 in pairs]
     monkeypatch.setattr(cones, "alignment_margins", dense_alignment_margins)

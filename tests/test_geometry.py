@@ -21,7 +21,7 @@ from isocomb.geometry import (
     rotate_about_x0,
 )
 
-from conftest import dense_alignment_margins
+from conftest import circular_alignment_margins, dense_alignment_margins
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -154,13 +154,19 @@ def _kernel_arrays(kind, rng):
         # a few exact values, repeated, shifted by whole turns and by 1e-16
         vals = rng.choice(np.arange(-8, 9) * (math.pi / 4), m)
         return vals + rng.integers(-2, 3, m) * TAU + rng.choice([0.0, 1e-16, -1e-16], m)
+    if kind == "narrow":
+        # one window at most pi wide, placed across the points where x mod 2pi wraps
+        shift = rng.choice([0.0, 1e-16, rng.uniform(-1.0, 1.0)])
+        lo = rng.integers(-6, 7) * (math.pi / 2) + shift
+        width = rng.choice([rng.uniform(0.0, math.pi), np.nextafter(math.pi, 0.0), math.pi])
+        return lo + width * np.where(rng.random(m) < 0.2, rng.integers(0, 2, m), rng.random(m))
     special = np.array([0.0, -0.0, math.pi, -math.pi, TAU, -TAU, 2 * TAU, -2 * TAU,
                         3 * math.pi, -3 * math.pi, 1e-16, -1e-16, 1e-300, -1e-300])
     special = np.concatenate([special, np.nextafter(special, np.inf), np.nextafter(special, -np.inf)])
     return rng.choice(special, m)
 
 
-@pytest.mark.parametrize("kind", ["random", "ties", "wraparound"])
+@pytest.mark.parametrize("kind", ["random", "ties", "wraparound", "narrow"])
 def test_alignment_margins_bitwise_equal_dense_oracle(kind):
     rng = np.random.default_rng(2024)
     for _ in range(400):
@@ -169,6 +175,10 @@ def test_alignment_margins_bitwise_equal_dense_oracle(kind):
         fast = alignment_margins(g_scan, g)
         dense = dense_alignment_margins(g_scan, g)
         assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64)), g_scan
+        # where no real gap reaches pi, wrapping changes nothing
+        valid = np.abs(g_scan[None, :] - g[:, None]).max(axis=1) < math.pi
+        circular = circular_alignment_margins(g_scan, g)
+        assert np.array_equal(fast[valid].view(np.uint64), circular[valid].view(np.uint64)), g_scan
 
 
 def test_alignment_margins_rejects_nonfinite():

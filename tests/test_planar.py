@@ -125,6 +125,16 @@ def test_turning_function_vertex_base(unit_square):
     assert tf.total_increase() == pytest.approx(TAU, abs=1e-9)
 
 
+@pytest.mark.parametrize("base", [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+def test_turning_function_agrees_with_snapped_semitangent(unit_square, base):
+    # a base a rounding error before a vertex snaps onto the outgoing edge,
+    # so that vertex's turn must not be counted a second time
+    sq = unit_square.with_base(base)
+    tf = turning_function(sq)
+    assert tf.breakpoints[-1] == sq.perimeter
+    assert right_semitangent(sq, 0.0) + tf.evaluate(0.5) == pytest.approx(math.pi / 2)
+
+
 def test_turning_function_hexagon():
     t = np.arange(6) * (TAU / 6)
     hexagon = build_polygon(np.column_stack([np.cos(t), np.sin(t)]), base_s=0.1)

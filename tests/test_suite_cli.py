@@ -87,6 +87,23 @@ def test_replay_reproduces_trial():
     assert replayed.passed == original.passed
 
 
+SMALL_HULL_SUITES = {
+    7000003: SuiteConfig(trials=400, seed=7000003, min_vertices=3, max_vertices=3),
+    90210: SuiteConfig(trials=5000, seed=90210, min_vertices=3, max_vertices=8),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, trial_id",
+    [(7000003, i) for i in (96, 121, 142, 173, 180, 210)] + [(90210, 1789), (90210, 4047)],
+)
+def test_replay_small_hull_trials_combine_convex(seed, trial_id):
+    # these trials combined into non-convex curves while the gap was measured modulo 2*pi
+    report = replay_trial(SMALL_HULL_SUITES[seed], "planar", trial_id)
+    assert report.passed, report.failure_reason
+    assert report.margin > 0 and report.certificate["is_convex"]
+
+
 def test_replay_rejects_bad_index():
     with pytest.raises(ValueError):
         replay_trial(SuiteConfig(trials=2, seed=1), "planar", 5)
