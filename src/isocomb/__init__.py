@@ -37,7 +37,6 @@ from .cones import (
     pogorelov_identity_check,
     pogorelov_inverse,
     position_and_combine,
-    position_cones,
     transform_link_pair,
     truncate_digons,
 )

@@ -10,24 +10,18 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import serialization as ser
-from .combination import bending_check, combine, combine_aligned, make_pair
+from .combination import apply_alignment, bending_check, combine, combine_aligned, make_pair
 from .cones import (
-    Digon,
     combine_cones,
     combine_dihedral,
     cone_from_link,
+    make_digon,
     position_and_combine,
     transform_link_pair,
 )
-from .errors import (
-    AlignmentNotFound,
-    EmptyInput,
-    GeometryError,
-    PositioningNotFound,
-)
+from .errors import AlignmentNotFound, GeometryError, PositioningNotFound
+from .geometry import apply_motion_many
 from .planar import PlanarPolygon
 from .spherical import SphericalPolygon
 from .suite import SuiteConfig, replay_trial, run_cone_suite, run_planar_suite
@@ -69,11 +63,8 @@ def _planar_pair(args):
 
 def _emit_combination(args, alignment, combined, pair) -> None:
     result = ser.alignment_result_to_dict(alignment, combined, bending_check(combined))
-    _write_text(args.out, ser.dump_json(result, None))
+    _write_text(args.out, ser.dump_json(result))
     if args.svg is not None:
-        from .combination import apply_alignment
-        from .geometry import apply_motion_many
-
         shown = pair if alignment is None else apply_alignment(pair, alignment)
         curves = [
             ("F1", shown.F1.vertices),
@@ -108,39 +99,31 @@ def _cmd_pogorelov(args) -> int:
         "projections": image.projections.tolist(),
         "positions": image.positions.tolist(),
     }
-    _write_text(args.out, ser.dump_json(out, None))
+    _write_text(args.out, ser.dump_json(out))
     return EXIT_OK
 
 
 def _cmd_cone_combine(args) -> int:
     k1 = cone_from_link(_load(args.a, SphericalPolygon))
     k2 = cone_from_link(_load(args.b, SphericalPolygon))
+    positioned = {}
     if args.position:
         report = position_and_combine(k1, k2)
         link = report.combined.link
-        out = {
-            "psi": report.psi,
-            "sigma0": report.sigma0,
-            "margin": report.margin,
-            "combined": ser.spherical_to_dict(link),
-            "min_turning": link.min_turning(),
-            "gauss_bonnet_residual": link.gauss_bonnet_residual,
-        }
+        positioned = {"psi": report.psi, "sigma0": report.sigma0, "margin": report.margin}
     else:
-        combined = combine_cones(k1, k2)
-        link = combined.link
-        out = {
-            "combined": ser.spherical_to_dict(link),
-            "min_turning": link.min_turning(),
-            "gauss_bonnet_residual": link.gauss_bonnet_residual,
-        }
-    _write_text(args.out, ser.dump_json(out, None))
+        link = combine_cones(k1, k2).link
+    out = {
+        "combined": ser.spherical_to_dict(link),
+        "min_turning": link.min_turning(),
+        "gauss_bonnet_residual": link.gauss_bonnet_residual,
+        **positioned,
+    }
+    _write_text(args.out, ser.dump_json(out))
     return EXIT_OK
 
 
 def _cmd_digon(args) -> int:
-    from .cones import make_digon
-
     ladder = [float(x) for x in args.ladder.split(",") if x.strip()]
     report = combine_dihedral(make_digon(args.angle1), make_digon(args.angle2), ladder)
     out = {
@@ -160,7 +143,7 @@ def _cmd_digon(args) -> int:
         ],
         "hausdorff": report.hausdorff,
     }
-    _write_text(args.out, ser.dump_json(out, None))
+    _write_text(args.out, ser.dump_json(out))
     return EXIT_OK
 
 
@@ -245,7 +228,7 @@ def main(argv=None) -> int:
     except (AlignmentNotFound, PositioningNotFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
-    except (GeometryError, ValueError, json.JSONDecodeError, EmptyInput) as exc:
+    except (GeometryError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

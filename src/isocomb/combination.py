@@ -23,7 +23,6 @@ from .errors import (
 )
 from .geometry import (
     IDENTITY_MOTION,
-    TAU,
     Angle,
     RigidMotion2,
     Vec2,
@@ -41,7 +40,6 @@ from .planar import (
     PlanarPolygon,
     convexity_certificate,
     default_certificate_tolerance,
-    locate_many,
     point_at,
     points_at,
     right_semitangent,
@@ -154,12 +152,7 @@ def semitangent_condition(pair: MarkedPair) -> Angle:
     breakpoints plus mid-piece samples; positive exactly when the
     convexity hypothesis of the combination holds.
     """
-    bps = merged_breakpoints(pair)
-    ends = np.concatenate([bps[1:], [pair.F1.perimeter]])
-    samples = np.concatenate([bps, 0.5 * (bps + ends)])
-    g = _unwrapped_direction_values(pair.F1, samples, 0.0) - _unwrapped_direction_values(
-        pair.F2, samples, pair.motion.rotation
-    )
+    _, g = _scanned_gap(pair)
     angles = g - g[0] + norm_angle(float(g[0]))
     return math.pi - float(np.max(np.abs(angles)))
 
@@ -206,7 +199,7 @@ def _vertex_interior(poly: PlanarPolygon, bps: np.ndarray, tol: float) -> np.nda
 def _semitangents(poly: PlanarPolygon, bps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right and left semitangent directions at each position, as in
     :func:`right_semitangent` and :func:`left_semitangent`."""
-    idx, u = locate_many(poly, bps)
+    idx, u = poly.locate(bps)
     right = norm_angle_many(poly.edge_dirs[idx])
     left = norm_angle_many(poly.edge_dirs[idx - (u == 0.0)])
     return right, left
@@ -265,6 +258,19 @@ def _unwrapped_direction_values(poly: PlanarPolygon, bps: np.ndarray, offset: fl
     return right_semitangent(poly, 0.0) + offset + turn
 
 
+def _scanned_gap(pair: MarkedPair) -> tuple[np.ndarray, np.ndarray]:
+    """Merged breakpoints, and the gap g = phi1 - phi2 of unwrapped right
+    semitangents at them followed by mid-piece samples (which close merge
+    gaps)."""
+    bps = merged_breakpoints(pair)
+    ends = np.concatenate([bps[1:], [pair.F1.perimeter]])
+    scan = np.concatenate([bps, 0.5 * (bps + ends)])
+    g_scan = _unwrapped_direction_values(pair.F1, scan, 0.0) - _unwrapped_direction_values(
+        pair.F2, scan, pair.motion.rotation
+    )
+    return bps, g_scan
+
+
 def align(pair: MarkedPair) -> AlignmentResult:
     """Find a base shift sigma0 and a motion giving a positive margin.
 
@@ -285,12 +291,7 @@ def align(pair: MarkedPair) -> AlignmentResult:
     Raises:
         AlignmentNotFound: if the best margin is at or below 1e-9 rad.
     """
-    bps = merged_breakpoints(pair)
-    ends = np.concatenate([bps[1:], [pair.F1.perimeter]])
-    scan = np.concatenate([bps, 0.5 * (bps + ends)])   # mid-piece samples close merge gaps
-    g_scan = _unwrapped_direction_values(pair.F1, scan, 0.0) - _unwrapped_direction_values(
-        pair.F2, scan, pair.motion.rotation
-    )
+    bps, g_scan = _scanned_gap(pair)
     g = g_scan[: len(bps)]
     margins = alignment_margins(g_scan, g)
     j = int(np.argmax(margins))                     # first max = smallest sigma0
@@ -333,19 +334,18 @@ def combine_aligned(pair: MarkedPair, tolerance: float | None = None) -> tuple[A
 RELATIVE_TAU_FLOOR = 1e-3
 
 
-def bending_check(combined: CombinedCurve, floor_eps: float | None = None) -> float:
+def bending_check(combined: CombinedCurve) -> float:
     """Max normalized discrete residual of <dr, dtau> over the segments.
 
     Per segment the inner product equals |dr1|^2 - |dr2|^2, so it vanishes
     identically whenever corresponding chords have equal length.  The
-    normalization divides by |dr| * |dtau| plus a floor, by default
+    normalization divides by |dr| * |dtau| plus a floor of
     RELATIVE_TAU_FLOOR times the largest squared chord.
     """
     dr = np.roll(combined.curve, -1, axis=0) - combined.curve
     dtau = np.roll(combined.tau_segments, -1, axis=0) - combined.tau_segments
     len_r = np.hypot(dr[:, 0], dr[:, 1])
-    if floor_eps is None:
-        floor_eps = RELATIVE_TAU_FLOOR * float(np.max(len_r)) ** 2 + 1e-300
+    floor_eps = RELATIVE_TAU_FLOOR * float(np.max(len_r)) ** 2 + 1e-300
     num = np.abs(np.sum(dr * dtau, axis=1))
     den = len_r * np.hypot(dtau[:, 0], dtau[:, 1]) + floor_eps
     return float(np.max(num / den))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .combination import MARGIN_EPS
 from .errors import (
     AntipodalCorrespondence,
     AntipodalEdge,
@@ -46,14 +47,15 @@ from .spherical import (
     SphericalPolygon,
     build_spherical_polygon,
     centroid_direction,
+    rotate_polygon,
     sph_points_at,
-    unit_rows,
 )
 
 HEIGHT_EPS = 1e-6
 DEFAULT_SUBDIVISIONS = 256          # max_step = perimeter / 256
 IMAGE_COLLINEAR_EPS = 1e-9          # sampling-noise floor for transformed images
 COMBINE_MERGE_RTOL = 1e-9
+ANTIPODAL_EPS = 1e-9                # floor of |r1 + r2| in a cone combination
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,17 +72,17 @@ def cone_from_link(link: SphericalPolygon) -> ConvexCone3:
 
 # -- pairwise Pogorelov transform ------------------------------------------------
 
-def pogorelov_forward(r1, r2, height_eps: float = HEIGHT_EPS):
+def pogorelov_forward(r1, r2):
     """Planar image pair (rbar1, rbar2) / (x0_1 + x0_2) of two unit vectors.
 
     Raises:
-        NonPositiveHeight: if the height sum is at or below ``height_eps``.
+        NonPositiveHeight: if the height sum is at or below ``HEIGHT_EPS``.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     denom = r1[0] + r2[0]
-    if denom <= height_eps:
-        raise NonPositiveHeight(f"x0 sum {denom!r} <= {height_eps}")
+    if denom <= HEIGHT_EPS:
+        raise NonPositiveHeight(f"x0 sum {denom!r} <= {HEIGHT_EPS}")
     return r1[1:] / denom, r2[1:] / denom
 
 
@@ -91,7 +93,7 @@ def pogorelov_inverse(tilde_sum) -> np.ndarray:
     return np.array([x0, w[0] * x0, w[1] * x0])
 
 
-def pogorelov_identity_check(r1, r2, height_eps: float = HEIGHT_EPS) -> float:
+def pogorelov_identity_check(r1, r2) -> float:
     """Max componentwise spread of three routes to the combined direction.
 
     Compares (a) the inverse transform of the summed forward images,
@@ -100,7 +102,7 @@ def pogorelov_identity_check(r1, r2, height_eps: float = HEIGHT_EPS) -> float:
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    w1, w2 = pogorelov_forward(r1, r2, height_eps)
+    w1, w2 = pogorelov_forward(r1, r2)
     a = pogorelov_inverse(w1 + w2)
     s = r1 + r2
     b = np.concatenate([[r1[0] + r2[0]], r1[1:] + r2[1:]]) / math.sqrt(
@@ -119,13 +121,17 @@ def _merged_link_positions(L1: SphericalPolygon, L2: SphericalPolygon, merge_rto
 
 
 def _refine(positions: np.ndarray, period: float, max_step: float) -> np.ndarray:
-    """Subdivide each gap (including the wraparound) to at most max_step."""
-    ends = np.concatenate([positions[1:], [period]])
-    chunks = []
-    for a, b in zip(positions, ends):
-        k = max(1, int(math.ceil((b - a) / max_step)))
-        chunks.append(a + (b - a) * np.arange(k) / k)
-    return np.concatenate(chunks)
+    """Subdivide each gap (including the wraparound) to at most max_step.
+
+    A gap of width w from a is cut into k = max(1, ceil(w / max_step))
+    pieces at a + w * j / k, j = 0..k-1.
+    """
+    gaps = np.append(positions[1:], period) - positions
+    counts = np.maximum(1, np.ceil(gaps / max_step).astype(np.int64))
+    firsts = np.cumsum(counts) - counts
+    k = np.repeat(counts, counts)
+    j = np.arange(len(k)) - np.repeat(firsts, counts)
+    return np.repeat(positions, counts) + np.repeat(gaps, counts) * j / k
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +156,6 @@ def transform_link_pair(
     M1: SphericalPolygon,
     M2: SphericalPolygon,
     max_step: float | None = None,
-    height_eps: float = HEIGHT_EPS,
     include_vertices: bool = True,
     certify: bool = True,
 ) -> PogorelovImage:
@@ -181,7 +186,7 @@ def transform_link_pair(
         positions = np.arange(n) * (p / n)
     r1 = sph_points_at(M1, positions)
     r2 = sph_points_at(M2, positions)
-    if np.min(r1[:, 0]) <= height_eps or np.min(r2[:, 0]) <= height_eps:
+    if np.min(r1[:, 0]) <= HEIGHT_EPS or np.min(r2[:, 0]) <= HEIGHT_EPS:
         raise NonPositiveHeight("a sampled point has x0 at or below the height floor")
     denom = r1[:, 0] + r2[:, 0]
     w1 = r1[:, 1:] / denom[:, None]
@@ -216,13 +221,7 @@ def segment_mismatch(image: PogorelovImage) -> float:
 
 # -- cone combination --------------------------------------------------------------
 
-def combine_cones(
-    K1: ConvexCone3,
-    K2: ConvexCone3,
-    *,
-    collinear_eps: float = IMAGE_COLLINEAR_EPS,
-    antipodal_eps: float = 1e-9,
-) -> ConvexCone3:
+def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
     """Isometric combination: the cone over normalized r1(s) + r2(s).
 
     Between correspondence events the summed generators stay in a fixed
@@ -241,13 +240,13 @@ def combine_cones(
     check = np.concatenate([positions, 0.5 * (positions + ends)])
     sums = sph_points_at(L1, check) + sph_points_at(L2, check)
     norms = np.linalg.norm(sums, axis=1)
-    if np.min(norms) < antipodal_eps:
+    if np.min(norms) < ANTIPODAL_EPS:
         raise AntipodalCorrespondence(
             f"|r1 + r2| = {norms.min():.3e} at arc {check[int(np.argmin(norms))]!r}"
         )
     m = len(positions)
     link = build_spherical_polygon(
-        sums[:m] / norms[:m, None], base_s=0.0, collinear_eps=collinear_eps
+        sums[:m] / norms[:m, None], base_s=0.0, collinear_eps=IMAGE_COLLINEAR_EPS
     )
     return ConvexCone3(link)
 
@@ -271,8 +270,7 @@ class PositioningReport:
 def normalize_cone(K: ConvexCone3) -> tuple[ConvexCone3, np.ndarray]:
     """Rotate a cone so its link's centroid direction is the +x0 axis."""
     rot = rotation_matrix_from_to(centroid_direction(K.link), E0)
-    link = build_spherical_polygon(K.link.vertices @ rot.T, base_s=K.link.base_s)
-    return ConvexCone3(link), rot
+    return ConvexCone3(rotate_polygon(K.link, rot)), rot
 
 
 def _image_directions(samples: np.ndarray) -> np.ndarray:
@@ -285,7 +283,6 @@ def position_and_combine(
     K1: ConvexCone3,
     K2: ConvexCone3,
     max_step: float | None = None,
-    margin_eps: float = 1e-9,
 ) -> PositioningReport:
     """Rotate K1 about the x0-axis until the combination certifies convex.
 
@@ -320,7 +317,7 @@ def position_and_combine(
     margins = alignment_margins(g, g)
 
     tried = 0
-    for j in np.nonzero(margins > margin_eps)[0]:
+    for j in np.nonzero(margins > MARGIN_EPS)[0]:
         tried += 1
         psi = norm_angle(float(th2[j] - th1[j]))
         link1 = build_spherical_polygon(
@@ -348,17 +345,9 @@ def position_and_combine(
             candidates_tried=tried,
         )
     raise PositioningNotFound(
-        f"no certified candidate among {tried} with margin > {margin_eps} "
+        f"no certified candidate among {tried} with margin > {MARGIN_EPS} "
         f"(best margin {margins.max():.3e})"
     )
-
-
-def position_cones(
-    K1: ConvexCone3, K2: ConvexCone3, max_step: float | None = None
-) -> tuple[Angle, float]:
-    """Rotation about x0 and matched arc position; see position_and_combine."""
-    report = position_and_combine(K1, K2, max_step=max_step)
-    return report.psi, report.sigma0
 
 
 # -- digons and dihedral angles ------------------------------------------------------

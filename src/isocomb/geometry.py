@@ -1,4 +1,5 @@
-"""Elementary 2D/3D vector algebra, angles, and planar rigid motions.
+"""Elementary 2D/3D vector algebra, angles, planar rigid motions, and the
+arc-length core shared by planar and spherical polygons.
 
 Conventions used throughout the package:
 
@@ -12,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +21,11 @@ import numpy as np
 TAU = 2.0 * math.pi
 
 E0 = np.array([1.0, 0.0, 0.0])
+
+# Arc positions within SNAP_FACTOR * perimeter of a vertex are treated as
+# the vertex itself: reducing (base + s) mod perimeter costs a few ulps,
+# which must not flip a query onto the wrong side of a semitangent jump.
+SNAP_FACTOR = 32 * np.finfo(float).eps
 
 
 class Vec2(NamedTuple):
@@ -53,6 +59,87 @@ def norm_angle_many(theta) -> np.ndarray:
     t = np.fmod(theta, TAU)
     t = np.where(t <= -math.pi, t + TAU, t)
     return np.where(t > math.pi, t - TAU, t)
+
+
+def reduce_mod(t: float, period: float) -> float:
+    """Reduce ``t`` into [0, period); exact for t already in range."""
+    if 0.0 <= t < period:
+        return t
+    t = math.fmod(t, period)
+    if t < 0.0:
+        t += period
+    if t >= period:
+        t = 0.0
+    return t
+
+
+class ArcPolygon:
+    """Arc-length core shared by planar and spherical polygons.
+
+    Subclasses are frozen dataclasses with ``vertices`` (one row per
+    vertex), ``cum_lengths`` (arc length at each vertex, ``[0] = 0``),
+    ``perimeter`` and ``base_s`` (the marked point, in [0, perimeter)).
+    A query position ``s`` is measured from the marked point: ``base_s +
+    s`` is reduced modulo the perimeter, its edge is found, and a position
+    within ``SNAP_FACTOR * perimeter`` of a vertex is that vertex.
+    """
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertices)
+
+    def vertex_positions(self) -> np.ndarray:
+        """Arc positions of the vertices measured from the base point."""
+        pos = self.cum_lengths - self.base_s
+        return np.where(pos < 0.0, pos + self.perimeter, pos)
+
+    def with_base(self, base_s: float):
+        """Same polygon, base point moved to arc position ``base_s``."""
+        return replace(self, base_s=reduce_mod(base_s, self.perimeter))
+
+    def edge_ends(self) -> np.ndarray:
+        """Arc length at the end of each edge; the last one ends at the perimeter."""
+        return np.append(self.cum_lengths[1:], self.perimeter)
+
+    def locate(self, ss) -> tuple[np.ndarray, np.ndarray]:
+        """Edge index and offset along it for each arc position from the base.
+
+        A position snapped to a vertex gets that vertex's outgoing edge and
+        offset exactly 0.0.
+        """
+        # np.mod may round up to the perimeter itself; that lands on the
+        # last edge and snaps to vertex 0 like any position just short of it
+        x = np.mod(self.base_s + np.asarray(ss, dtype=float), self.perimeter)
+        idx = np.searchsorted(self.cum_lengths, x, side="right") - 1
+        snap = SNAP_FACTOR * self.perimeter
+        bump = self.edge_ends()[idx] - x <= snap
+        idx[bump] = (idx[bump] + 1) % self.n_vertices
+        u = x - self.cum_lengths[idx]
+        u[bump] = 0.0
+        u[u <= snap] = 0.0
+        return idx, u
+
+
+def merge_collinear(turns, lengths, base_s: float, eps: float, error, reflex: str):
+    """One collinear-merge step of a polygon builder: the mask of vertices
+    turning by more than ``eps`` and the base shifted onto the first kept
+    one, or ``(None, base_s)`` when every vertex is kept.
+
+    Raises:
+        error: a turn below ``-eps`` (message ``reflex``), a reversal, or
+            fewer than 3 kept vertices.
+    """
+    if np.any(turns < -eps):
+        raise error(f"{reflex} {turns.min():.3e}")
+    if np.any(turns >= math.pi - 1e-12):
+        raise error("degenerate reversal at a vertex")
+    keep = np.abs(turns) > eps
+    if keep.all():
+        return None, base_s
+    if keep.sum() < 3:
+        raise error("fewer than 3 corners after collinear merge")
+    first_kept = int(np.argmax(keep))
+    return keep, base_s - float(np.sum(lengths[:first_kept]))
 
 
 def circ_dist(a: Angle, b: Angle) -> Angle:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,16 +22,21 @@ from .errors import (
     NotSimple,
     WrongOrientation,
 )
-from .geometry import TAU, Angle, Vec2, norm_angle
+from .geometry import (
+    SNAP_FACTOR,
+    TAU,
+    Angle,
+    ArcPolygon,
+    Vec2,
+    merge_collinear,
+    norm_angle,
+    reduce_mod,
+)
 
 # Edges shorter than LENGTH_EPS_FACTOR * perimeter are rejected; vertices
 # whose exterior angle is below the collinear tolerance are merged away.
 LENGTH_EPS_FACTOR = 1e-12
 COLLINEAR_EPS = 1e-12
-# Arc positions within SNAP_FACTOR * perimeter of a vertex are treated as
-# the vertex itself: reducing (base + s) mod perimeter costs a few ulps,
-# which must not flip a query onto the wrong side of a semitangent jump.
-SNAP_FACTOR = 32 * np.finfo(float).eps
 
 
 def default_certificate_tolerance() -> float:
@@ -47,18 +52,6 @@ def default_certificate_tolerance() -> float:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"ISOCOMB_TOL must be a finite non-negative number; got {raw!r}")
     return tol
-
-
-def _reduce_mod(t: float, period: float) -> float:
-    """Reduce ``t`` into [0, period); exact for t already in range."""
-    if 0.0 <= t < period:
-        return t
-    t = math.fmod(t, period)
-    if t < 0.0:
-        t += period
-    if t >= period:
-        t = 0.0
-    return t
 
 
 def signed_area(vertices: np.ndarray) -> float:
@@ -85,7 +78,7 @@ def _exterior_angles(dirs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PlanarPolygon:
+class PlanarPolygon(ArcPolygon):
     """Validated convex polygon.  Build with :func:`build_polygon`."""
 
     vertices: np.ndarray          # (n, 2), counterclockwise
@@ -94,21 +87,8 @@ class PlanarPolygon:
     base_s: float                 # arc position of the marked point, in [0, perimeter)
     edge_dirs: np.ndarray = field(repr=False, default=None)  # (n,) direction angles
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
     def exterior_angles(self) -> np.ndarray:
         return _exterior_angles(self.edge_dirs)
-
-    def vertex_positions(self) -> np.ndarray:
-        """Arc positions of the vertices measured from the base point."""
-        pos = self.cum_lengths - self.base_s
-        return np.where(pos < 0.0, pos + self.perimeter, pos)
-
-    def with_base(self, base_s: float) -> "PlanarPolygon":
-        """Same polygon, base point moved to arc position ``base_s``."""
-        return replace(self, base_s=_reduce_mod(base_s, self.perimeter))
 
 
 def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLINEAR_EPS) -> PlanarPolygon:
@@ -145,22 +125,15 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
 
     # Merge collinear vertices until stable.
     while True:
-        turns = _exterior_angles(dirs)
-        if np.any(turns < -collinear_eps):
-            raise NotConvex(f"reflex vertex: min exterior angle {turns.min():.3e}")
-        if np.any(turns >= math.pi - 1e-12):
-            raise NotConvex("degenerate reversal at a vertex")
-        keep = np.abs(turns) > collinear_eps
-        if keep.all():
+        keep, base_s = merge_collinear(
+            _exterior_angles(dirs), lengths, base_s, collinear_eps,
+            NotConvex, "reflex vertex: min exterior angle",
+        )
+        if keep is None:
             break
-        if keep.sum() < 3:
-            raise NotConvex("fewer than 3 corners after collinear merge")
-        first_kept = int(np.argmax(keep))
-        offset = float(np.sum(lengths[:first_kept]))  # arc from old v0 to new v0
         verts = verts[keep]
         lengths, dirs = _edge_angles(verts)
         perimeter = float(np.sum(lengths))
-        base_s = base_s - offset
 
     total_turn = float(np.sum(_exterior_angles(dirs)))
     if abs(total_turn - TAU) > 1e-9:
@@ -171,28 +144,14 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
         vertices=verts,
         cum_lengths=cum,
         perimeter=perimeter,
-        base_s=_reduce_mod(base_s, perimeter),
+        base_s=reduce_mod(base_s, perimeter),
         edge_dirs=dirs,
     )
 
 
-def _locate(poly: PlanarPolygon, s: float) -> tuple[int, float]:
-    """Edge index and offset along it for arc position ``s`` from the base."""
-    x = _reduce_mod(poly.base_s + s, poly.perimeter)
-    i = int(np.searchsorted(poly.cum_lengths, x, side="right")) - 1
-    u = x - poly.cum_lengths[i]
-    snap = SNAP_FACTOR * poly.perimeter
-    if u <= snap:
-        return i, 0.0
-    nxt = poly.cum_lengths[i + 1] if i + 1 < poly.n_vertices else poly.perimeter
-    if nxt - x <= snap:
-        return (i + 1) % poly.n_vertices, 0.0
-    return i, u
-
-
 def point_at(poly: PlanarPolygon, s: float) -> Vec2:
     """Point at arc length ``s`` from the marked point (s reduced mod perimeter)."""
-    i, u = _locate(poly, s)
+    (i,), (u,) = poly.locate([s])
     v = poly.vertices[i]
     if u == 0.0:
         return Vec2(float(v[0]), float(v[1]))
@@ -200,24 +159,9 @@ def point_at(poly: PlanarPolygon, s: float) -> Vec2:
     return Vec2(float(v[0] + u * math.cos(d)), float(v[1] + u * math.sin(d)))
 
 
-def locate_many(poly: PlanarPolygon, ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_locate`: edge indices and offsets along them."""
-    x = np.mod(poly.base_s + np.asarray(ss, dtype=float), poly.perimeter)
-    x[x >= poly.perimeter] = 0.0
-    idx = np.searchsorted(poly.cum_lengths, x, side="right") - 1
-    snap = SNAP_FACTOR * poly.perimeter
-    nxt = np.concatenate([poly.cum_lengths[1:], [poly.perimeter]])
-    bump = nxt[idx] - x <= snap
-    idx[bump] = (idx[bump] + 1) % poly.n_vertices
-    u = x - poly.cum_lengths[idx]
-    u[bump] = 0.0
-    u[u <= snap] = 0.0
-    return idx, u
-
-
 def points_at(poly: PlanarPolygon, ss: np.ndarray) -> np.ndarray:
     """Vectorized :func:`point_at` for an array of arc positions."""
-    idx, u = locate_many(poly, ss)
+    idx, u = poly.locate(ss)
     base = poly.vertices[idx]
     d = poly.edge_dirs[idx]
     return base + u[:, None] * np.stack([np.cos(d), np.sin(d)], axis=1)
@@ -225,13 +169,13 @@ def points_at(poly: PlanarPolygon, ss: np.ndarray) -> np.ndarray:
 
 def right_semitangent(poly: PlanarPolygon, s: float) -> Angle:
     """Direction angle of the forward tangent; outgoing edge at a vertex."""
-    i, _ = _locate(poly, s)
+    (i,), _ = poly.locate([s])
     return norm_angle(float(poly.edge_dirs[i]))
 
 
 def left_semitangent(poly: PlanarPolygon, s: float) -> Angle:
     """Direction angle of the incoming edge (left-continuous in ``s``)."""
-    i, u = _locate(poly, s)
+    (i,), (u,) = poly.locate([s])
     if u == 0.0:
         i = (i - 1) % poly.n_vertices
     return norm_angle(float(poly.edge_dirs[i]))
@@ -251,16 +195,8 @@ class TurningFunction:
     values: np.ndarray
     perimeter: float
 
-    def evaluate(self, s: float) -> float:
-        x = _reduce_mod(s, self.perimeter) if s != self.perimeter else self.perimeter
-        i = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        return 0.0 if i < 0 else float(self.values[i])
-
     def total_increase(self) -> float:
         return float(self.values[-1])
-
-    def jumps(self) -> np.ndarray:
-        return np.diff(np.concatenate([[0.0], self.values]))
 
 
 def turning_function(poly: PlanarPolygon) -> TurningFunction:

@@ -74,13 +74,9 @@ def load_object(path: str) -> Any:
         return object_from_dict(json.load(fh))
 
 
-def dump_json(data: dict, path: str | None) -> str:
-    """Serialize with full float precision; write to ``path`` when given."""
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+def dump_json(data: dict) -> str:
+    """Serialize with full float precision and sorted keys."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def alignment_result_to_dict(
@@ -100,13 +96,8 @@ def alignment_result_to_dict(
         },
         "combined": {
             "vertices": np.asarray(combined.curve).tolist(),
-            "certificate": {
-                "interior_angles": np.asarray(cert.interior_angles).tolist(),
-                "exterior_sum": cert.exterior_sum,
-                "min_exterior": cert.min_exterior,
-                "is_convex": bool(cert.is_convex),
-                "tolerance": cert.tolerance,
-            },
+            "certificate": cert.summary()
+            | {"interior_angles": np.asarray(cert.interior_angles).tolist()},
         },
         "bending_residual": bending_residual,
     }

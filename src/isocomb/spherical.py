@@ -10,17 +10,18 @@ the angle excess and, independently, from a signed triangle fan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
-from .geometry import TAU
-from .planar import SNAP_FACTOR, _reduce_mod
+from .geometry import TAU, ArcPolygon, merge_collinear, reduce_mod
 
 UNIT_NORM_TOL = 1e-9
 SPH_COLLINEAR_EPS = 1e-12
 GAUSS_BONNET_TOL = 1e-8
+LINK_CAP_ANGLE = 1.45           # random links sample the polar cap of this radius
+LINK_MAX_ATTEMPTS = 200
 
 
 def unit_rows(v: np.ndarray) -> np.ndarray:
@@ -79,7 +80,7 @@ def fan_area(verts: np.ndarray) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class SphericalPolygon:
+class SphericalPolygon(ArcPolygon):
     """Validated convex geodesic polygon; the link of a convex cone."""
 
     vertices: np.ndarray        # (n, 3) unit rows, counterclockwise from outside
@@ -89,17 +90,6 @@ class SphericalPolygon:
     turning: np.ndarray         # (n,) geodesic turning at each vertex
     area: float                 # angle-excess area
     gauss_bonnet_residual: float
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    def vertex_positions(self) -> np.ndarray:
-        pos = self.cum_lengths - self.base_s
-        return np.where(pos < 0.0, pos + self.perimeter, pos)
-
-    def with_base(self, base_s: float) -> "SphericalPolygon":
-        return replace(self, base_s=_reduce_mod(base_s, self.perimeter))
 
     def min_turning(self) -> float:
         return float(np.min(self.turning))
@@ -136,17 +126,12 @@ def build_spherical_polygon(
         if np.any(lengths < 1e-12 * perimeter):
             raise DegenerateEdge("consecutive vertices coincide within tolerance")
         turns = _signed_turns(verts)
-        if np.any(turns < -collinear_eps):
-            raise NotConvexSpherical(f"negative geodesic turning {turns.min():.3e}")
-        if np.any(turns >= math.pi - 1e-12):
-            raise NotConvexSpherical("degenerate reversal at a vertex")
-        keep = np.abs(turns) > collinear_eps
-        if keep.all():
+        keep, base_s = merge_collinear(
+            turns, lengths, base_s, collinear_eps,
+            NotConvexSpherical, "negative geodesic turning",
+        )
+        if keep is None:
             break
-        if keep.sum() < 3:
-            raise NotConvexSpherical("fewer than 3 corners after collinear merge")
-        first_kept = int(np.argmax(keep))
-        base_s = base_s - float(np.sum(lengths[:first_kept]))
         verts = verts[keep]
 
     if perimeter >= TAU:
@@ -165,7 +150,7 @@ def build_spherical_polygon(
         vertices=verts,
         cum_lengths=cum,
         perimeter=perimeter,
-        base_s=_reduce_mod(base_s, perimeter),
+        base_s=reduce_mod(base_s, perimeter),
         turning=turns,
         area=area,
         gauss_bonnet_residual=residual,
@@ -173,21 +158,15 @@ def build_spherical_polygon(
 
 
 def sph_points_at(poly: SphericalPolygon, ss: np.ndarray) -> np.ndarray:
-    """Vectorized point lookup by geodesic arc length from the base point."""
-    ss = np.asarray(ss, dtype=float)
-    x = np.mod(poly.base_s + ss, poly.perimeter)
-    x[x >= poly.perimeter] = 0.0
-    idx = np.searchsorted(poly.cum_lengths, x, side="right") - 1
-    snap = SNAP_FACTOR * poly.perimeter
-    nxt = np.concatenate([poly.cum_lengths[1:], [poly.perimeter]])
-    bump = nxt[idx] - x <= snap
-    idx[bump] = (idx[bump] + 1) % poly.n_vertices
-    u = x - poly.cum_lengths[idx]
-    u[bump] = 0.0
-    u[u <= snap] = 0.0
+    """Vectorized point lookup by geodesic arc length from the base point.
+
+    The shared locator finds each position's edge; the point is the slerp
+    between the edge's end vertices.
+    """
+    idx, u = poly.locate(ss)
     a = poly.vertices[idx]
     b = poly.vertices[(idx + 1) % poly.n_vertices]
-    theta = np.concatenate([np.diff(poly.cum_lengths), [poly.perimeter - poly.cum_lengths[-1]]])[idx]
+    theta = (poly.edge_ends() - poly.cum_lengths)[idx]
     st = np.sin(theta)
     out = (np.sin(theta - u)[:, None] * a + np.sin(u)[:, None] * b) / st[:, None]
     exact = u == 0.0
@@ -247,8 +226,6 @@ def random_convex_link(
     rng: np.random.Generator,
     target_length: float,
     n_points: int = 24,
-    cap_angle: float = 1.45,
-    max_attempts: int = 200,
 ) -> SphericalPolygon:
     """Random convex spherical polygon with a prescribed perimeter.
 
@@ -261,8 +238,8 @@ def random_convex_link(
 
     if not 0.0 < target_length < TAU:
         raise ValueError("target link length must lie in (0, 2*pi)")
-    for _ in range(max_attempts):
-        pts = _cap_samples(rng, n_points, cap_angle)
+    for _ in range(LINK_MAX_ATTEMPTS):
+        pts = _cap_samples(rng, n_points, LINK_CAP_ANGLE)
         w = gnomonic(pts)
         try:
             hull = ConvexHull(w)
@@ -288,5 +265,5 @@ def random_convex_link(
         return poly.with_base(rng.uniform(0.0, poly.perimeter))
     raise RuntimeError(
         f"could not generate a convex link of length {target_length} "
-        f"after {max_attempts} attempts"
+        f"after {LINK_MAX_ATTEMPTS} attempts"
     )

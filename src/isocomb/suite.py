@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .combination import (
+    apply_alignment,
     bending_check,
     combine_aligned,
     make_pair,
@@ -39,7 +40,6 @@ class SuiteConfig:
     seed: int
     min_vertices: int = 3
     max_vertices: int = 30
-    tolerances: dict = field(default_factory=dict)
     target_link_length: tuple = (0.5, TAU - 0.5)
 
     def validate(self) -> None:
@@ -52,9 +52,6 @@ class SuiteConfig:
         lo, hi = self.target_link_length
         if not (0.0 < lo < hi < TAU):
             raise ValueError("target link length range must lie inside (0, 2*pi)")
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
 
 
 @dataclass(frozen=True)
@@ -70,15 +67,7 @@ class TrialReport:
     failure_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "inputs_digest": self.inputs_digest,
-            "margin": self.margin,
-            "certificate": self.certificate,
-            "bending_residual": self.bending_residual,
-            "passed": self.passed,
-            "failure_reason": self.failure_reason,
-        }
+        return asdict(self)
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -136,19 +125,16 @@ def planar_trial(config: SuiteConfig, index: int) -> TrialReport:
     reasons = []
     if not result.margin > 0.0:
         reasons.append("nonpositive margin")
-    if not cert.min_exterior >= -config.tol("min_exterior", MIN_EXTERIOR_TOL):
+    if not cert.min_exterior >= -MIN_EXTERIOR_TOL:
         reasons.append(f"min exterior {cert.min_exterior:.3e}")
-    if not abs(cert.exterior_sum - TAU) <= config.tol("exterior_sum", EXTERIOR_SUM_TOL):
+    if not abs(cert.exterior_sum - TAU) <= EXTERIOR_SUM_TOL:
         reasons.append(f"exterior sum off by {cert.exterior_sum - TAU:.3e}")
-    law_tol = config.tol("vertex_angle", VERTEX_ANGLE_TOL)
-    from .combination import apply_alignment
-
     events = vertex_events(apply_alignment(pair, result))
     worst_law = max(
         (abs(e.beta - 0.5 * (e.beta1 + e.beta2)) for e in events if e.case_id != "edge-edge"),
         default=0.0,
     )
-    if worst_law > law_tol:
+    if worst_law > VERTEX_ANGLE_TOL:
         reasons.append(f"vertex-angle law off by {worst_law:.3e}")
     return TrialReport(
         trial_id=index,
@@ -176,11 +162,10 @@ def cone_trial(config: SuiteConfig, index: int) -> TrialReport:
         return TrialReport(index, digest, None, None, None, False, f"positioning: {exc}")
 
     link = report.combined.link
-    gb_tol = config.tol("gauss_bonnet", GAUSS_BONNET_TOL)
     reasons = []
-    if not link.min_turning() >= -config.tol("min_turning", MIN_EXTERIOR_TOL):
+    if not link.min_turning() >= -MIN_EXTERIOR_TOL:
         reasons.append(f"min turning {link.min_turning():.3e}")
-    if not link.gauss_bonnet_residual <= gb_tol:
+    if not link.gauss_bonnet_residual <= GAUSS_BONNET_TOL:
         reasons.append(f"Gauss-Bonnet residual {link.gauss_bonnet_residual:.3e}")
     certificate = {
         "target_length": target,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isocomb.geometry import circ_dist_many
+from isocomb.geometry import SNAP_FACTOR, circ_dist_many, reduce_mod
 from isocomb.planar import build_polygon
 from isocomb.spherical import build_spherical_polygon, gnomonic_inverse
 
@@ -48,6 +48,70 @@ def circular_alignment_margins(g_scan, g):
     """The gap matrix measured modulo 2*pi, which wraps gaps of pi or more."""
     x, y = np.asarray(g_scan)[None, :], np.asarray(g)[:, None]
     return math.pi - circ_dist_many(x, y).max(axis=1)
+
+
+def scalar_locate(poly, s):
+    """Reference for the shared arc-length locator: the former scalar
+    ``planar._locate``, edge index and offset for one position."""
+    x = reduce_mod(poly.base_s + s, poly.perimeter)
+    i = int(np.searchsorted(poly.cum_lengths, x, side="right")) - 1
+    u = x - poly.cum_lengths[i]
+    snap = SNAP_FACTOR * poly.perimeter
+    if u <= snap:
+        return i, 0.0
+    nxt = poly.cum_lengths[i + 1] if i + 1 < poly.n_vertices else poly.perimeter
+    if nxt - x <= snap:
+        return (i + 1) % poly.n_vertices, 0.0
+    return i, u
+
+
+def spherical_locate(poly, ss):
+    """Reference for the shared arc-length locator: the locate block that
+    ``spherical.sph_points_at`` carried before it used the shared one."""
+    ss = np.asarray(ss, dtype=float)
+    x = np.mod(poly.base_s + ss, poly.perimeter)
+    x[x >= poly.perimeter] = 0.0
+    idx = np.searchsorted(poly.cum_lengths, x, side="right") - 1
+    snap = SNAP_FACTOR * poly.perimeter
+    nxt = np.concatenate([poly.cum_lengths[1:], [poly.perimeter]])
+    bump = nxt[idx] - x <= snap
+    idx[bump] = (idx[bump] + 1) % poly.n_vertices
+    u = x - poly.cum_lengths[idx]
+    u[bump] = 0.0
+    u[u <= snap] = 0.0
+    return idx, u
+
+
+def loop_refine(positions, period, max_step):
+    """Reference for ``cones._refine``: the per-gap loop it replaced."""
+    ends = np.concatenate([positions[1:], [period]])
+    chunks = []
+    for a, b in zip(positions, ends):
+        k = max(1, int(math.ceil((b - a) / max_step)))
+        chunks.append(a + (b - a) * np.arange(k) / k)
+    return np.concatenate(chunks)
+
+
+def arc_queries(poly, rng, n_random=200):
+    """Arc positions that stress the locator: random ones inside, below 0
+    and past the perimeter, every vertex and one ulp either side of it
+    (from the base and from the raw arc origin), positions inside and
+    outside the snap distance of every vertex, and 0.0 / -0.0."""
+    p = poly.perimeter
+    pos = poly.vertex_positions()
+    marks = np.concatenate([pos, pos + p, pos - p, [p, -p, 2 * p]])
+    snap = SNAP_FACTOR * p
+    return np.concatenate([
+        rng.uniform(-3 * p, 4 * p, size=n_random),
+        *(pos + k * snap for k in (-2.0, -1.5, -0.75, -0.5, 0.5, 0.75, 1.5, 2.0)),
+        marks,
+        np.nextafter(marks, -np.inf),
+        np.nextafter(marks, np.inf),
+        poly.cum_lengths - poly.base_s,
+        np.nextafter(poly.cum_lengths - poly.base_s, -np.inf),
+        np.nextafter(poly.cum_lengths - poly.base_s, np.inf),
+        [0.0, -0.0, 5e-324, -5e-324],
+    ])
 
 
 @pytest.fixture

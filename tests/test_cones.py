@@ -15,7 +15,6 @@ from isocomb.cones import (
     pogorelov_identity_check,
     pogorelov_inverse,
     position_and_combine,
-    position_cones,
     segment_mismatch,
     transform_link_pair,
     truncate_digons,
@@ -36,7 +35,7 @@ from isocomb.spherical import (
 )
 from isocomb.suite import trial_rng
 
-from conftest import dense_alignment_margins, support_link
+from conftest import dense_alignment_margins, loop_refine, support_link
 
 SQ2 = math.sqrt(2) / 2
 
@@ -136,6 +135,21 @@ def test_transform_commutes_with_axis_rotation():
     assert np.max(np.abs(moved.image2 - base.image2)) <= 1e-14
 
 
+def test_refine_equals_per_gap_loop_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for trial in range(3000):
+        period = float(rng.choice([1.0, TAU - 0.5, rng.uniform(0.1, 6.2)]))
+        n = int(rng.integers(1, 40))
+        positions = np.sort(rng.uniform(0.0, period, n))
+        positions[0] = 0.0
+        if trial % 3 == 0:                  # gaps that are exact multiples of the step
+            positions = np.unique(np.floor(positions / period * 8)) * (period / 8)
+        max_step = period / float(rng.choice([1, 7, 256, 1024, rng.uniform(1.0, 300.0)]))
+        want = loop_refine(positions, period, max_step)
+        got = cones._refine(positions, period, max_step)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_transform_exact_discrete_isometry_with_events():
     # with vertex events included in the sample set the image chords of
     # corresponding segments are equal to rounding level
@@ -223,9 +237,9 @@ def test_combine_rotated_circular_cones_closed_form():
 
 def test_position_identical_cones(octant):
     k = cone_from_link(octant)
-    psi, sigma0 = position_cones(k, k)
-    assert psi == 0.0
-    assert sigma0 == 0.0
+    report = position_and_combine(k, k)
+    assert report.psi == 0.0
+    assert report.sigma0 == 0.0
 
 
 def test_position_recovers_axis_rotation():

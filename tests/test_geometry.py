@@ -21,7 +21,19 @@ from isocomb.geometry import (
     rotate_about_x0,
 )
 
-from conftest import circular_alignment_margins, dense_alignment_margins
+from isocomb.planar import build_polygon, left_semitangent, point_at, right_semitangent
+from isocomb.spherical import random_convex_link, sph_points_at
+from isocomb.suite import random_convex_polygon, trial_rng
+
+from conftest import (
+    arc_queries,
+    circular_alignment_margins,
+    dense_alignment_margins,
+    scalar_locate,
+    spherical_locate,
+    support_link,
+    support_polygon,
+)
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -211,3 +223,76 @@ def test_merge_positions_matches_greedy_loop():
         pos = np.concatenate([[0.0], np.cumsum(gaps)])
         period = pos[-1] + rng.choice([0.0, 0.5 * tol, tol, 2 * tol, 0.2])
         assert np.array_equal(merge_positions(pos, period, tol), _greedy_merge_loop(pos, period, tol))
+
+
+# -- shared arc-length locator -------------------------------------------------------
+
+def _rebased(poly):
+    """The polygon with its base at 0, -0.0, mid-edge, the perimeter's last
+    ulp, and exactly at and one ulp either side of every vertex."""
+    cum = poly.cum_lengths
+    bases = np.concatenate([
+        [0.0, -0.0, 0.5 * (cum[0] + cum[1]), np.nextafter(poly.perimeter, 0.0)],
+        cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf),
+    ])
+    return [poly.with_base(float(b)) for b in bases]
+
+
+def _planar_polygons():
+    rng = trial_rng(4, 0)
+    hulls = [random_convex_polygon(rng, k, k) for k in (3, 3, 4, 5, 8, 13)]
+    square = build_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    return hulls + [square, support_polygon(40, 1.0, {2: (0.1, 0.05)}, base_frac=0.3)]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_locate_equals_scalar_oracle_bit_for_bit():
+    rng = np.random.default_rng(57)
+    queries = 0
+    for poly in (q for p in _planar_polygons() for q in _rebased(p)):
+        ss = arc_queries(poly, rng, n_random=20)
+        idx, u = poly.locate(ss)
+        ref = [scalar_locate(poly, float(s)) for s in ss]
+        assert idx.tolist() == [i for i, _ in ref]
+        assert _bits(u) == _bits([v for _, v in ref])
+        for k in range(0, len(ss), 7):        # one-element queries, as scalar callers make
+            (i,), (v,) = poly.locate([ss[k]])
+            assert (int(i), _bits(v)) == (ref[k][0], _bits(ref[k][1]))
+        queries += len(ss)
+    assert queries > 20000
+
+
+def test_scalar_queries_follow_the_oracle_edge(unit_square):
+    rng = np.random.default_rng(58)
+    for poly in _rebased(unit_square):
+        for s in arc_queries(poly, rng, n_random=10):
+            i, u = scalar_locate(poly, float(s))
+            v, d = poly.vertices[i], poly.edge_dirs[i]
+            want = (v[0], v[1]) if u == 0.0 else (v[0] + u * math.cos(d), v[1] + u * math.sin(d))
+            assert _bits(point_at(poly, s)) == _bits(want)
+            assert right_semitangent(poly, s) == norm_angle(float(d))
+            j = (i - 1) % poly.n_vertices if u == 0.0 else i
+            assert left_semitangent(poly, s) == norm_angle(float(poly.edge_dirs[j]))
+
+
+def test_spherical_locate_equals_former_block_bit_for_bit():
+    rng = np.random.default_rng(59)
+    links = [random_convex_link(rng, t, n_points=n) for t, n in ((1.0, 6), (3.0, 12), (5.5, 24))]
+    links.append(support_link(60, 0.6, {3: (0.05, 0.02)}))
+    for poly in (q for link in links for q in _rebased(link)):
+        ss = arc_queries(poly, rng, n_random=40)
+        idx, u = poly.locate(ss)
+        ref_idx, ref_u = spherical_locate(poly, ss)
+        assert np.array_equal(idx, ref_idx)
+        assert _bits(u) == _bits(ref_u)
+        # the slerp the points come from, with the former edge-length table
+        theta = np.concatenate([np.diff(poly.cum_lengths), [poly.perimeter - poly.cum_lengths[-1]]])
+        a = poly.vertices[ref_idx]
+        b = poly.vertices[(ref_idx + 1) % poly.n_vertices]
+        t = theta[ref_idx]
+        want = (np.sin(t - ref_u)[:, None] * a + np.sin(ref_u)[:, None] * b) / np.sin(t)[:, None]
+        want[ref_u == 0.0] = a[ref_u == 0.0]
+        assert _bits(sph_points_at(poly, ss)) == _bits(want)

@@ -111,11 +111,11 @@ def test_turning_function_mid_edge_base():
     sq = build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], base_s=0.5)
     tf = turning_function(sq)
     assert np.allclose(tf.breakpoints, [0.5, 1.5, 2.5, 3.5])
-    assert np.allclose(tf.jumps(), math.pi / 2)
+    assert np.allclose(np.diff(tf.values, prepend=0.0), math.pi / 2)
     assert tf.total_increase() == pytest.approx(TAU, abs=1e-9)
-    assert tf.evaluate(0.0) == 0.0
-    assert tf.evaluate(0.5) == pytest.approx(math.pi / 2)
-    assert tf.evaluate(0.49) == 0.0
+    # right-continuous: 0 before the first breakpoint, one jump at it
+    assert tf.breakpoints[0] == 0.5
+    assert tf.values[0] == pytest.approx(math.pi / 2)
 
 
 def test_turning_function_vertex_base(unit_square):
@@ -132,14 +132,16 @@ def test_turning_function_agrees_with_snapped_semitangent(unit_square, base):
     sq = unit_square.with_base(base)
     tf = turning_function(sq)
     assert tf.breakpoints[-1] == sq.perimeter
-    assert right_semitangent(sq, 0.0) + tf.evaluate(0.5) == pytest.approx(math.pi / 2)
+    # no turn before the next vertex, a full edge after the snapped base
+    assert tf.breakpoints[0] == pytest.approx(1.0)
+    assert right_semitangent(sq, 0.0) == pytest.approx(math.pi / 2)
 
 
 def test_turning_function_hexagon():
     t = np.arange(6) * (TAU / 6)
     hexagon = build_polygon(np.column_stack([np.cos(t), np.sin(t)]), base_s=0.1)
     tf = turning_function(hexagon)
-    assert np.allclose(tf.jumps(), math.pi / 3)
+    assert np.allclose(np.diff(tf.values, prepend=0.0), math.pi / 3)
 
 
 def test_certificate_square(unit_square):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -65,11 +66,21 @@ def test_cone_suite_small_run(tmp_path):
     assert len(path.read_text().splitlines()) == 4
 
 
+# SHA-256 of the 8-trial reports below, recorded before the planar and
+# spherical polygons shared one arc-length core (numpy 2.4, x86-64); a
+# refactor that keeps every output bit keeps them.
+PLANAR_SEED42_REPORT_SHA256 = "9f500493f9fd894c5fedb6cbf168dbc6e62d0abe20083ca1eccf22233a57c71c"
+CONE_SEED7_REPORT_SHA256 = "55bb0b43fa444605229a0e24f7f84845bd75c178a2c39513dab9535cd208cb8e"
+
+
 def test_suite_reports_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a, b, c = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "c.jsonl"
     run_planar_suite(SuiteConfig(trials=8, seed=42), report_path=str(a))
     run_planar_suite(SuiteConfig(trials=8, seed=42), report_path=str(b))
     assert a.read_bytes() == b.read_bytes()
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == PLANAR_SEED42_REPORT_SHA256
+    run_cone_suite(SuiteConfig(trials=8, seed=7), report_path=str(c))
+    assert hashlib.sha256(c.read_bytes()).hexdigest() == CONE_SEED7_REPORT_SHA256
 
 
 def test_trial_rng_stable():
