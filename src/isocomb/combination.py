@@ -240,7 +240,7 @@ def vertex_events(pair: MarkedPair) -> list[CombinationVertexEvent]:
     return events
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentResult:
     """Base shift and motion returned by the alignment search."""
 

@@ -37,8 +37,10 @@ from .geometry import (
     Angle,
     RigidMotion2,
     alignment_margins,
+    dot3,
     merge_positions,
     norm_angle,
+    roll_next,
     rotate_about_x0_many,
     rotation_matrix_from_to,
 )
@@ -214,8 +216,8 @@ def transform_link_pair(
 
 def segment_mismatch(image: PogorelovImage) -> float:
     """Max difference of corresponding image chord lengths (isometry defect)."""
-    d1 = np.roll(image.image1, -1, axis=0) - image.image1
-    d2 = np.roll(image.image2, -1, axis=0) - image.image2
+    d1 = roll_next(image.image1) - image.image1
+    d2 = roll_next(image.image2) - image.image2
     return float(np.max(np.abs(np.hypot(d1[:, 0], d1[:, 1]) - np.hypot(d2[:, 0], d2[:, 1]))))
 
 
@@ -239,7 +241,7 @@ def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
     ends = np.concatenate([positions[1:], [p]])
     check = np.concatenate([positions, 0.5 * (positions + ends)])
     sums = sph_points_at(L1, check) + sph_points_at(L2, check)
-    norms = np.linalg.norm(sums, axis=1)
+    norms = np.sqrt(dot3(sums, sums))
     if np.min(norms) < ANTIPODAL_EPS:
         raise AntipodalCorrespondence(
             f"|r1 + r2| = {norms.min():.3e} at arc {check[int(np.argmin(norms))]!r}"
@@ -275,7 +277,7 @@ def normalize_cone(K: ConvexCone3) -> tuple[ConvexCone3, np.ndarray]:
 
 def _image_directions(samples: np.ndarray) -> np.ndarray:
     """Unwrapped chord direction angles of a closed planar sample loop."""
-    d = np.roll(samples, -1, axis=0) - samples
+    d = roll_next(samples) - samples
     return np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
 
 

@@ -61,6 +61,42 @@ def norm_angle_many(theta) -> np.ndarray:
     return np.where(t > math.pi, t - TAU, t)
 
 
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (n, 3) arrays in column arithmetic.
+
+    Each component is the difference of the same two products that
+    ``np.cross`` forms, in the same order, so the result equals
+    ``np.cross(a, b)`` bit for bit without its axis handling.
+    """
+    out = np.empty(a.shape)
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
+def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (n, 3) or (3,) arrays in column arithmetic.
+
+    Equal bit for bit to ``np.sum(a * b, axis=-1)``, and its square root
+    on ``(a, a)`` to ``np.linalg.norm(a, axis=-1)``: numpy adds the three
+    products in order onto its identity 0.0, which the leading ``0.0 +``
+    repeats (it turns a sum of three -0.0 products into +0.0).
+    """
+    p = a * b
+    return 0.0 + p[..., 0] + p[..., 1] + p[..., 2]
+
+
+def roll_next(a: np.ndarray) -> np.ndarray:
+    """``np.roll(a, -1, axis=0)``: row i holds row i + 1, cyclically."""
+    return np.concatenate([a[1:], a[:1]])
+
+
+def roll_prev(a: np.ndarray) -> np.ndarray:
+    """``np.roll(a, 1, axis=0)``: row i holds row i - 1, cyclically."""
+    return np.concatenate([a[-1:], a[:-1]])
+
+
 def reduce_mod(t: float, period: float) -> float:
     """Reduce ``t`` into [0, period); exact for t already in range."""
     if 0.0 <= t < period:

@@ -77,7 +77,7 @@ def _exterior_angles(dirs: np.ndarray) -> np.ndarray:
     return turns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanarPolygon(ArcPolygon):
     """Validated convex polygon.  Build with :func:`build_polygon`."""
 
@@ -181,7 +181,7 @@ def left_semitangent(poly: PlanarPolygon, s: float) -> Angle:
     return norm_angle(float(poly.edge_dirs[i]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TurningFunction:
     """Right-continuous step function: cumulative turning vs arc length.
 
@@ -208,7 +208,7 @@ def turning_function(poly: PlanarPolygon) -> TurningFunction:
     return TurningFunction(pos[order], np.cumsum(turns), poly.perimeter)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexityCertificate:
     """Numerical convexity witness for a closed vertex chain."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
-from .geometry import TAU, ArcPolygon, merge_collinear, reduce_mod
+from .geometry import TAU, ArcPolygon, cross3, dot3, merge_collinear, reduce_mod, roll_next, roll_prev
 
 UNIT_NORM_TOL = 1e-9
 SPH_COLLINEAR_EPS = 1e-12
@@ -27,8 +27,7 @@ LINK_MAX_ATTEMPTS = 200
 def unit_rows(v: np.ndarray) -> np.ndarray:
     """Rows divided by their norms (a norm of exactly 1.0 keeps the bits)."""
     v = np.asarray(v, dtype=float)
-    n = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-    return v / n
+    return v / np.sqrt(dot3(v, v))[..., None]
 
 
 def geodesic_length(a: np.ndarray, b: np.ndarray) -> float:
@@ -37,45 +36,24 @@ def geodesic_length(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _edge_lengths(verts: np.ndarray) -> np.ndarray:
-    nxt = np.roll(verts, -1, axis=0)
-    cross = np.cross(verts, nxt)
-    s = np.linalg.norm(cross, axis=1)
-    c = np.sum(verts * nxt, axis=1)
-    return np.arctan2(s, c)
+    nxt = roll_next(verts)
+    cross = cross3(verts, nxt)
+    return np.arctan2(np.sqrt(dot3(cross, cross)), dot3(verts, nxt))
 
 
-def _tangent_toward(at: np.ndarray, toward: np.ndarray) -> np.ndarray:
-    """Unit tangent at ``at`` pointing along the geodesic toward ``toward``."""
-    t = toward - np.sum(toward * at, axis=-1, keepdims=True) * at
-    return unit_rows(t)
-
-
-def _signed_turns(verts: np.ndarray) -> np.ndarray:
-    """Geodesic turning angle at each vertex, positive for left turns."""
-    prv = np.roll(verts, 1, axis=0)
-    nxt = np.roll(verts, -1, axis=0)
-    arrive = -_tangent_toward(verts, prv)
-    depart = _tangent_toward(verts, nxt)
-    cross = np.cross(arrive, depart)
-    return np.arctan2(np.sum(verts * cross, axis=1), np.sum(arrive * depart, axis=1))
-
-
-def _interior_angles(verts: np.ndarray) -> np.ndarray:
-    prv = np.roll(verts, 1, axis=0)
-    nxt = np.roll(verts, -1, axis=0)
-    a = _tangent_toward(verts, prv)
-    b = _tangent_toward(verts, nxt)
-    dots = np.clip(np.sum(a * b, axis=1), -1.0, 1.0)
-    return np.arccos(dots)
+def _tangent_toward(at: np.ndarray, toward: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """Unit tangent at ``at`` pointing along the geodesic toward ``toward``;
+    ``cos`` is the row-wise dot product of the two."""
+    return unit_rows(toward - cos[:, None] * at)
 
 
 def fan_area(verts: np.ndarray) -> float:
     """Signed enclosed area from a triangle fan; independent of angle sums."""
     apex = unit_rows(np.mean(verts, axis=0))
     a = verts
-    b = np.roll(verts, -1, axis=0)
-    triple = np.sum(apex * np.cross(a, b), axis=1)
-    denom = 1.0 + a @ apex + np.sum(a * b, axis=1) + b @ apex
+    b = roll_next(verts)
+    triple = dot3(cross3(a, b), apex)
+    denom = 1.0 + a @ apex + dot3(a, b) + b @ apex
     return float(np.sum(2.0 * np.arctan2(triple, denom)))
 
 
@@ -112,20 +90,28 @@ def build_spherical_polygon(
         raise ValueError("expected at least 3 spherical vertices of shape (n, 3)")
     if not np.all(np.isfinite(verts)):
         raise ValueError("vertices must be finite")
-    norms = np.linalg.norm(verts, axis=1)
+    norms = np.sqrt(dot3(verts, verts))
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise NotOnSphere(f"vertex norm off unity by {np.max(np.abs(norms - 1.0)):.3e}")
-    verts = unit_rows(verts)
+    verts = verts / norms[:, None]
 
+    # one frame per pass: the edges to the next vertex and the unit tangents
+    # back to the previous and on to the next one at every vertex
     while True:
-        lengths = _edge_lengths(verts)
+        nxt = roll_next(verts)
+        cross = cross3(verts, nxt)
+        dots = dot3(verts, nxt)
+        lengths = np.arctan2(np.sqrt(dot3(cross, cross)), dots)
         perimeter = float(np.sum(lengths))
-        dots = np.sum(verts * np.roll(verts, -1, axis=0), axis=1)
         if np.any((lengths > math.pi - 1e-9) | (dots <= -1.0 + 1e-12)):
             raise AntipodalEdge("consecutive vertices are antipodal")
         if np.any(lengths < 1e-12 * perimeter):
             raise DegenerateEdge("consecutive vertices coincide within tolerance")
-        turns = _signed_turns(verts)
+        back = _tangent_toward(verts, roll_prev(verts), roll_prev(dots))
+        depart = _tangent_toward(verts, nxt, dots)
+        arrive = -back
+        cos_turn = dot3(arrive, depart)
+        turns = np.arctan2(dot3(verts, cross3(arrive, depart)), cos_turn)
         keep, base_s = merge_collinear(
             turns, lengths, base_s, collinear_eps,
             NotConvexSpherical, "negative geodesic turning",
@@ -136,7 +122,9 @@ def build_spherical_polygon(
 
     if perimeter >= TAU:
         raise NotConvexSpherical(f"link perimeter {perimeter:.12f} is not below 2*pi")
-    area = float(np.sum(_interior_angles(verts))) - (len(verts) - 2) * math.pi
+    # back . depart is -cos_turn up to the sign of a zero, which arccos ignores
+    interior = np.arccos(np.clip(-cos_turn, -1.0, 1.0))
+    area = float(np.sum(interior)) - (len(verts) - 2) * math.pi
     residual = abs(float(np.sum(turns)) + area - TAU)
     if residual > GAUSS_BONNET_TOL:
         raise NotConvexSpherical(f"Gauss-Bonnet residual {residual:.3e}")
@@ -165,7 +153,7 @@ def sph_points_at(poly: SphericalPolygon, ss: np.ndarray) -> np.ndarray:
     """
     idx, u = poly.locate(ss)
     a = poly.vertices[idx]
-    b = poly.vertices[(idx + 1) % poly.n_vertices]
+    b = roll_next(poly.vertices)[idx]
     theta = (poly.edge_ends() - poly.cum_lengths)[idx]
     st = np.sin(theta)
     out = (np.sin(theta - u)[:, None] * a + np.sin(u)[:, None] * b) / st[:, None]
@@ -187,8 +175,7 @@ def centroid_direction(poly: SphericalPolygon) -> np.ndarray:
     edge length times the unit edge normal.
     """
     a = poly.vertices
-    b = np.roll(a, -1, axis=0)
-    normals = unit_rows(np.cross(a, b))
+    normals = unit_rows(cross3(a, roll_next(a)))
     c = 0.5 * np.sum(_edge_lengths(a)[:, None] * normals, axis=0)
     n = np.linalg.norm(c)
     if n < 1e-14:
@@ -210,8 +197,13 @@ def gnomonic(points: np.ndarray) -> np.ndarray:
 def gnomonic_inverse(w: np.ndarray) -> np.ndarray:
     """Unit vectors over gnomonic plane coordinates."""
     w = np.asarray(w, dtype=float)
-    scale = 1.0 / np.sqrt(1.0 + np.sum(w * w, axis=1))
-    return np.column_stack([scale, w[:, 0] * scale, w[:, 1] * scale])
+    w1, w2 = w[:, 0], w[:, 1]
+    scale = 1.0 / np.sqrt(1.0 + (w1 * w1 + w2 * w2))
+    out = np.empty((len(w), 3))
+    out[:, 0] = scale
+    out[:, 1] = w1 * scale
+    out[:, 2] = w2 * scale
+    return out
 
 
 def _cap_samples(rng: np.random.Generator, n: int, cap_angle: float) -> np.ndarray:

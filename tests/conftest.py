@@ -3,9 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from isocomb.geometry import SNAP_FACTOR, circ_dist_many, reduce_mod
+from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
+from isocomb.geometry import SNAP_FACTOR, TAU, circ_dist_many, merge_collinear, reduce_mod
 from isocomb.planar import build_polygon
-from isocomb.spherical import build_spherical_polygon, gnomonic_inverse
+from isocomb.spherical import (
+    GAUSS_BONNET_TOL,
+    LINK_CAP_ANGLE,
+    LINK_MAX_ATTEMPTS,
+    SPH_COLLINEAR_EPS,
+    UNIT_NORM_TOL,
+    SphericalPolygon,
+    _cap_samples,
+    build_spherical_polygon,
+    gnomonic,
+    gnomonic_inverse,
+)
 
 
 def support_polygon(n, radius, coeffs, base_frac=0.0):
@@ -29,6 +41,21 @@ def support_link(n, radius, coeffs):
     """Dense convex spherical polygon: gnomonic lift of a support curve."""
     flat = support_polygon(n, radius, coeffs)
     return build_spherical_polygon(gnomonic_inverse(flat.vertices))
+
+
+def ring_vertices(n, rho, offset=0.0):
+    """n points at colatitude rho around +x0, counterclockwise from outside."""
+    phi = np.arange(n) * (TAU / n) + offset
+    return np.column_stack(
+        [np.full(n, math.cos(rho)), math.sin(rho) * np.cos(phi), math.sin(rho) * np.sin(phi)]
+    )
+
+
+def random_rotation(rng):
+    """Uniformly random 3x3 rotation (determinant +1)."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
 
 
 def dense_alignment_margins(g_scan, g):
@@ -112,6 +139,188 @@ def arc_queries(poly, rng, n_random=200):
         np.nextafter(poly.cum_lengths - poly.base_s, np.inf),
         [0.0, -0.0, 5e-324, -5e-324],
     ])
+
+
+# -- the spherical kernel before its column-arithmetic rewrite ------------------
+# Reference for the rewritten spherical primitives and builder: the former
+# np.cross / np.roll / np.sum / np.linalg.norm code with only the names changed.
+
+def former_unit_rows(v):
+    v = np.asarray(v, dtype=float)
+    n = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    return v / n
+
+
+def former_edge_lengths(verts):
+    nxt = np.roll(verts, -1, axis=0)
+    cross = np.cross(verts, nxt)
+    s = np.linalg.norm(cross, axis=1)
+    c = np.sum(verts * nxt, axis=1)
+    return np.arctan2(s, c)
+
+
+def former_tangent_toward(at, toward):
+    t = toward - np.sum(toward * at, axis=-1, keepdims=True) * at
+    return former_unit_rows(t)
+
+
+def former_signed_turns(verts):
+    prv = np.roll(verts, 1, axis=0)
+    nxt = np.roll(verts, -1, axis=0)
+    arrive = -former_tangent_toward(verts, prv)
+    depart = former_tangent_toward(verts, nxt)
+    cross = np.cross(arrive, depart)
+    return np.arctan2(np.sum(verts * cross, axis=1), np.sum(arrive * depart, axis=1))
+
+
+def former_interior_angles(verts):
+    prv = np.roll(verts, 1, axis=0)
+    nxt = np.roll(verts, -1, axis=0)
+    a = former_tangent_toward(verts, prv)
+    b = former_tangent_toward(verts, nxt)
+    dots = np.clip(np.sum(a * b, axis=1), -1.0, 1.0)
+    return np.arccos(dots)
+
+
+def former_fan_area(verts):
+    apex = former_unit_rows(np.mean(verts, axis=0))
+    a = verts
+    b = np.roll(verts, -1, axis=0)
+    triple = np.sum(apex * np.cross(a, b), axis=1)
+    denom = 1.0 + a @ apex + np.sum(a * b, axis=1) + b @ apex
+    return float(np.sum(2.0 * np.arctan2(triple, denom)))
+
+
+def former_gnomonic_inverse(w):
+    w = np.asarray(w, dtype=float)
+    scale = 1.0 / np.sqrt(1.0 + np.sum(w * w, axis=1))
+    return np.column_stack([scale, w[:, 0] * scale, w[:, 1] * scale])
+
+
+def former_centroid_direction(poly):
+    a = poly.vertices
+    b = np.roll(a, -1, axis=0)
+    normals = former_unit_rows(np.cross(a, b))
+    c = 0.5 * np.sum(former_edge_lengths(a)[:, None] * normals, axis=0)
+    n = np.linalg.norm(c)
+    if n < 1e-14:
+        raise NotConvexSpherical("degenerate centroid direction")
+    return c / n
+
+
+def former_build_spherical_polygon(vertices, base_s=0.0, *, collinear_eps=SPH_COLLINEAR_EPS):
+    verts = np.asarray(vertices, dtype=float)
+    if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 3:
+        raise ValueError("expected at least 3 spherical vertices of shape (n, 3)")
+    if not np.all(np.isfinite(verts)):
+        raise ValueError("vertices must be finite")
+    norms = np.linalg.norm(verts, axis=1)
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        raise NotOnSphere(f"vertex norm off unity by {np.max(np.abs(norms - 1.0)):.3e}")
+    verts = former_unit_rows(verts)
+
+    while True:
+        lengths = former_edge_lengths(verts)
+        perimeter = float(np.sum(lengths))
+        dots = np.sum(verts * np.roll(verts, -1, axis=0), axis=1)
+        if np.any((lengths > math.pi - 1e-9) | (dots <= -1.0 + 1e-12)):
+            raise AntipodalEdge("consecutive vertices are antipodal")
+        if np.any(lengths < 1e-12 * perimeter):
+            raise DegenerateEdge("consecutive vertices coincide within tolerance")
+        turns = former_signed_turns(verts)
+        keep, base_s = merge_collinear(
+            turns, lengths, base_s, collinear_eps,
+            NotConvexSpherical, "negative geodesic turning",
+        )
+        if keep is None:
+            break
+        verts = verts[keep]
+
+    if perimeter >= TAU:
+        raise NotConvexSpherical(f"link perimeter {perimeter:.12f} is not below 2*pi")
+    area = float(np.sum(former_interior_angles(verts))) - (len(verts) - 2) * math.pi
+    residual = abs(float(np.sum(turns)) + area - TAU)
+    if residual > GAUSS_BONNET_TOL:
+        raise NotConvexSpherical(f"Gauss-Bonnet residual {residual:.3e}")
+    if abs(former_fan_area(verts) - area) > GAUSS_BONNET_TOL:
+        raise NotConvexSpherical("fan area disagrees with angle excess (winding?)")
+    if not 0.0 < area < TAU:
+        raise NotConvexSpherical(f"enclosed area {area:.12f} outside (0, 2*pi)")
+
+    cum = np.concatenate([[0.0], np.cumsum(lengths[:-1])])
+    return SphericalPolygon(
+        vertices=verts,
+        cum_lengths=cum,
+        perimeter=perimeter,
+        base_s=reduce_mod(base_s, perimeter),
+        turning=turns,
+        area=area,
+        gauss_bonnet_residual=residual,
+    )
+
+
+def former_random_convex_link(rng, target_length, n_points=24):
+    """``random_convex_link`` on the former kernel: same draws, same search."""
+    from scipy.optimize import brentq
+    from scipy.spatial import ConvexHull, QhullError
+
+    if not 0.0 < target_length < TAU:
+        raise ValueError("target link length must lie in (0, 2*pi)")
+    for _ in range(LINK_MAX_ATTEMPTS):
+        pts = _cap_samples(rng, n_points, LINK_CAP_ANGLE)
+        w = gnomonic(pts)
+        try:
+            hull = ConvexHull(w)
+        except QhullError:
+            continue
+        wh = w[hull.vertices]
+        if len(wh) < 3:
+            continue
+
+        def perim(lam):
+            return float(np.sum(former_edge_lengths(former_gnomonic_inverse(lam * wh))))
+
+        if perim(1.0) <= target_length * 1.0000001:
+            continue
+        lam = brentq(lambda t: perim(t) - target_length, 1e-9, 1.0, xtol=1e-15, rtol=8.9e-16)
+        verts = former_gnomonic_inverse(lam * wh)
+        try:
+            poly = former_build_spherical_polygon(verts)
+        except (NotConvexSpherical, DegenerateEdge, AntipodalEdge):
+            continue
+        if abs(poly.perimeter - target_length) > 1e-10:
+            continue
+        return poly.with_base(rng.uniform(0.0, poly.perimeter))
+    raise RuntimeError("could not generate a convex link")
+
+
+def former_sph_points_at(poly, ss):
+    idx, u = poly.locate(ss)
+    a = poly.vertices[idx]
+    b = poly.vertices[(idx + 1) % poly.n_vertices]
+    theta = (poly.edge_ends() - poly.cum_lengths)[idx]
+    st = np.sin(theta)
+    out = (np.sin(theta - u)[:, None] * a + np.sin(u)[:, None] * b) / st[:, None]
+    exact = u == 0.0
+    out[exact] = a[exact]
+    return out
+
+
+SPHERICAL_POLYGON_FIELDS = (
+    "vertices", "cum_lengths", "perimeter", "base_s", "turning", "area", "gauss_bonnet_residual",
+)
+
+
+def assert_same_bits(a, b, what=""):
+    """Equal shape, dtype and bytes: bit for bit, signed zeros and NaNs included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype, what
+    assert a.tobytes() == b.tobytes(), what
+
+
+def assert_same_spherical_polygon(got, want):
+    for name in SPHERICAL_POLYGON_FIELDS:
+        assert_same_bits(getattr(got, name), getattr(want, name), name)
 
 
 @pytest.fixture

@@ -26,10 +26,12 @@ from isocomb.errors import AlignmentNotFound, PerimeterMismatch
 from isocomb.geometry import TAU, RigidMotion2, Vec2, apply_motion_many, circ_dist, norm_angle
 from isocomb.planar import (
     build_polygon,
+    convexity_certificate,
     dilate_to_perimeter,
     left_semitangent,
     points_at,
     right_semitangent,
+    turning_function,
 )
 from isocomb.suite import SuiteConfig, random_convex_polygon, trial_rng
 
@@ -415,3 +417,20 @@ def test_combined_curve_breakpoints_match_curve_rows(unit_square):
     combined = combine(pair)
     assert len(combined.curve) == len(combined.breakpoints)
     assert len(combined.tau_segments) == len(combined.breakpoints)
+
+
+def test_array_holding_results_compare_by_identity_and_hash():
+    # dataclasses over numpy fields compare by identity: a field-wise ==
+    # would ask numpy arrays for a truth value and raise
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    a, b = build_polygon(square), build_polygon(square)
+    objects = [
+        (a, b),
+        (turning_function(a), turning_function(b)),
+        (convexity_certificate(a.vertices, 1e-9), convexity_certificate(b.vertices, 1e-9)),
+        (align(make_pair(a, a)), align(make_pair(b, b))),
+    ]
+    for x, y in objects:
+        assert x == x and not (x == y) and x != y
+        assert hash(x) == hash(x)
+        assert x in {x} and y not in {x}

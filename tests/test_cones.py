@@ -5,6 +5,7 @@ import pytest
 
 from isocomb import cones
 from isocomb.cones import (
+    HEIGHT_EPS,
     combine_cones,
     combine_dihedral,
     cone_from_link,
@@ -21,6 +22,7 @@ from isocomb.cones import (
 )
 from isocomb.errors import (
     AntipodalCorrespondence,
+    GeometryError,
     NonPositiveHeight,
     NotConvexPlanar,
     PerimeterMismatch,
@@ -35,18 +37,19 @@ from isocomb.spherical import (
 )
 from isocomb.suite import trial_rng
 
-from conftest import dense_alignment_margins, loop_refine, support_link
+from conftest import (
+    dense_alignment_margins,
+    loop_refine,
+    random_rotation,
+    ring_vertices,
+    support_link,
+)
 
 SQ2 = math.sqrt(2) / 2
 
 
-def ring_link(n, rho, x0_axis_offset=0.0):
-    phi = np.arange(n) * (TAU / n) + x0_axis_offset
-    return build_spherical_polygon(
-        np.column_stack(
-            [np.full(n, math.cos(rho)), math.sin(rho) * np.cos(phi), math.sin(rho) * np.sin(phi)]
-        )
-    )
+def ring_link(n, rho):
+    return build_spherical_polygon(ring_vertices(n, rho))
 
 
 # -- pointwise transform -------------------------------------------------------
@@ -400,3 +403,85 @@ def test_link_hausdorff_concentric_rings():
     a = ring_link(64, 0.3)
     b = ring_link(64, 0.4)
     assert link_hausdorff(a, b) == pytest.approx(0.1, abs=2e-3)
+
+
+# -- adversarial inputs and invariants of the positioning -----------------------------
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type of the GeometryError it raised; any other
+    exception propagates and fails the test."""
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return type(exc)
+
+
+def _finite_certified(link):
+    fields = (link.vertices, link.turning, link.perimeter, link.area, link.gauss_bonnet_residual)
+    assert all(np.all(np.isfinite(f)) for f in fields)
+    assert link.min_turning() >= -1e-9 and link.gauss_bonnet_residual <= 1e-8
+
+
+def _low_vertex_links(h):
+    """A ring at height ``h`` around +x0, and a triangle with one vertex at
+    height ``h`` and the rest higher (its lowest point is that vertex)."""
+    ring = ring_link(12, math.acos(h))
+    tri = np.array([[h, math.sqrt(1.0 - h * h), 0.0], [0.6, -0.3, 0.5], [0.6, -0.3, -0.5]])
+    tri[1:] = unit_rows(tri[1:])
+    return ring, build_spherical_polygon(tri)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_links_at_the_height_floor_end_typed_or_pass(side):
+    # a vertex just below HEIGHT_EPS is refused by the transform; just
+    # above it the transform and the positioning run through
+    h = HEIGHT_EPS * (1.0 + side * 1e-3)
+    for link in _low_vertex_links(h):
+        assert np.min(link.vertices[:, 0]) - HEIGHT_EPS == pytest.approx(side * 1e-9, rel=1e-3)
+        for certify in (True, False):
+            image = _outcome(transform_link_pair, link, link, None, True, certify)
+            if side < 0:
+                assert image is NonPositiveHeight
+            else:
+                assert np.all(np.isfinite(image.image1)) and np.all(image.x0_sums > 0)
+        turned = build_spherical_polygon(rotate_about_x0_many(0.3, link.vertices))
+        report = _outcome(position_and_combine, cone_from_link(link), cone_from_link(turned))
+        if isinstance(report, type):
+            assert report is NonPositiveHeight
+        else:
+            assert math.isfinite(report.margin) and report.margin > 0
+            _finite_certified(report.combined.link)
+
+
+@pytest.mark.parametrize("angle", [1e-9, math.pi - 1e-9])
+def test_digons_near_zero_and_pi_end_typed_or_pass(angle):
+    digon = make_digon(angle)
+    assert digon.angle == angle
+    for other in (make_digon(angle), make_digon(math.pi / 3)):
+        report = _outcome(combine_dihedral, digon, other, [0.2, 0.1])
+        if isinstance(report, type):
+            continue
+        assert np.all(np.isfinite(report.hausdorff))
+        for lv in report.levels:
+            assert math.isfinite(lv.psi) and lv.margin > 0
+            _finite_certified(lv.combined_link)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_positioning_invariant_under_common_rotation(seed):
+    # centroid normalization takes a commonly rotated pair to the same pair
+    # up to one rotation about x0 per cone; the tangent gap then shifts by
+    # a constant, which moves neither the margins nor the combined link
+    rng = np.random.default_rng(1000 + seed)
+    target = rng.uniform(0.5, TAU - 0.5)
+    l1, l2 = random_convex_link(rng, target), random_convex_link(rng, target)
+    rot = random_rotation(rng)
+    a = position_and_combine(cone_from_link(l1), cone_from_link(l2))
+    b = position_and_combine(cone_from_link(rotate_polygon(l1, rot)), cone_from_link(rotate_polygon(l2, rot)))
+    la, lb = a.combined.link, b.combined.link
+    assert abs(a.margin - b.margin) <= 1e-9
+    assert abs(la.perimeter - lb.perimeter) <= 1e-12
+    assert la.n_vertices == lb.n_vertices
+    assert np.max(np.abs(np.sort(la.turning) - np.sort(lb.turning))) <= 1e-9
+    _finite_certified(la)
+    _finite_certified(lb)

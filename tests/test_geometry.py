@@ -15,9 +15,13 @@ from isocomb.geometry import (
     apply_motion_many,
     circ_dist,
     compose,
+    cross3,
+    dot3,
     invert,
     merge_positions,
     norm_angle,
+    roll_next,
+    roll_prev,
     rotate_about_x0,
 )
 
@@ -27,6 +31,7 @@ from isocomb.suite import random_convex_polygon, trial_rng
 
 from conftest import (
     arc_queries,
+    assert_same_bits,
     circular_alignment_margins,
     dense_alignment_margins,
     scalar_locate,
@@ -296,3 +301,31 @@ def test_spherical_locate_equals_former_block_bit_for_bit():
         want = (np.sin(t - ref_u)[:, None] * a + np.sin(ref_u)[:, None] * b) / np.sin(t)[:, None]
         want[ref_u == 0.0] = a[ref_u == 0.0]
         assert _bits(sph_points_at(poly, ss)) == _bits(want)
+
+
+@pytest.mark.parametrize("kind", ["normal", "wide", "signed_zeros", "small_integers"])
+def test_column_primitives_equal_numpy_bit_for_bit(kind):
+    # cross3 / dot3 / roll_next / roll_prev against np.cross, np.sum,
+    # np.linalg.norm and np.roll, signed zeros included
+    rng = np.random.default_rng(["normal", "wide", "signed_zeros", "small_integers"].index(kind))
+    for n in (1, 2, 3, 7, 8, 9, 31, 300):
+        a = rng.standard_normal((n, 3))
+        b = rng.standard_normal((n, 3))
+        if kind == "wide":
+            a *= 10.0 ** rng.integers(-150, 150, size=(n, 3))
+        elif kind == "signed_zeros":
+            a[rng.random((n, 3)) < 0.5] = -0.0
+            b[rng.random((n, 3)) < 0.5] = 0.0
+            b *= np.where(rng.random((n, 3)) < 0.5, -1.0, 1.0)
+        elif kind == "small_integers":
+            a = rng.integers(-2, 3, size=(n, 3)) * np.where(rng.random((n, 3)) < 0.5, -0.5, 0.5)
+            b = rng.integers(-2, 3, size=(n, 3)).astype(float)
+        assert_same_bits(cross3(a, b), np.cross(a, b))
+        assert_same_bits(dot3(a, b), np.sum(a * b, axis=1))
+        assert_same_bits(dot3(a[0], b[0]), np.sum(a[0] * b[0]))
+        assert_same_bits(np.sqrt(dot3(a, a)), np.linalg.norm(a, axis=1))
+        assert_same_bits(dot3(a.T.copy().T, b), np.sum(a * b, axis=1))
+        assert_same_bits(roll_next(a), np.roll(a, -1, axis=0))
+        assert_same_bits(roll_prev(a), np.roll(a, 1, axis=0))
+        assert_same_bits(roll_next(a[:, 0]), np.roll(a[:, 0], -1))
+        assert_same_bits(roll_prev(a[:, :2]), np.roll(a[:, :2], 1, axis=0))

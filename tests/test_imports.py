@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used by its module."""
+"""Every module-level import of the package is used by its module, and every
+module-level private function or class is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isocomb"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,3 +49,52 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions and classes that no module reads.
+
+    ``sources`` maps module file names to their text.  A definition counts
+    as read when its name appears in any of the modules as a name, an
+    attribute or an imported name; its own ``def`` or ``class`` line does
+    not count.  Dunder names are exempt.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            f"{module}:{node.name}"
+            for node in tree.body
+            if isinstance(node, DEFINITIONS)
+            and node.name.startswith("_")
+            and not node.name.endswith("__")
+        ]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+    return [d for d in defined if d.split(":")[1] not in read]
+
+
+def test_unused_private_definitions_are_found():
+    sources = {
+        "a.py": (
+            "def _called():\n    return 1\n"
+            "def _dead():\n    return _called()\n"
+            "class _Dead:\n    def _method(self):\n        pass\n"
+            "def _imported():\n    pass\n"
+            "def _by_attribute():\n    pass\n"
+            "def __getattr__(name):\n    pass\n"
+            "def public():\n    pass\n"
+        ),
+        "b.py": "from .a import _imported\nfrom . import a\nx = a._by_attribute\n",
+    }
+    assert unused_private_definitions(sources) == ["a.py:_dead", "a.py:_Dead"]
+
+
+def test_package_has_no_unused_private_definitions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_definitions(sources) == []

@@ -3,16 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from isocomb.errors import AntipodalEdge, NotConvexSpherical, NotOnSphere
+from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
 from isocomb.geometry import TAU
 from isocomb.spherical import (
+    _edge_lengths,
     build_spherical_polygon,
     centroid_direction,
     fan_area,
     geodesic_length,
+    gnomonic_inverse,
     random_convex_link,
     sph_point_at,
     sph_points_at,
+    unit_rows,
+)
+
+from conftest import (
+    assert_same_bits,
+    assert_same_spherical_polygon,
+    former_build_spherical_polygon,
+    former_centroid_direction,
+    former_edge_lengths,
+    former_fan_area,
+    former_gnomonic_inverse,
+    former_interior_angles,
+    former_random_convex_link,
+    former_signed_turns,
+    former_sph_points_at,
+    former_unit_rows,
+    random_rotation,
+    ring_vertices,
 )
 
 
@@ -108,3 +128,122 @@ def test_random_convex_link_rejects_bad_target():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError):
         random_convex_link(rng, TAU + 0.1)
+
+
+# -- the column-arithmetic kernel against the former numpy-call kernel -----------
+
+def _digon_corners(angle, eps):
+    half = angle / 2.0
+    north = np.array([0.0, 0.0, 1.0])
+    ea = np.array([math.cos(half), math.sin(half), 0.0])
+    eb = np.array([math.cos(half), -math.sin(half), 0.0])
+    ce, se = math.cos(eps), math.sin(eps)
+    return np.stack([-ce * north + se * ea, ce * north + se * ea, ce * north + se * eb, -ce * north + se * eb])
+
+
+def _with_edge_midpoints(verts, every):
+    """Insert the geodesic midpoint of every ``every``-th edge: collinear vertices."""
+    rows = []
+    for i, v in enumerate(verts):
+        rows.append(v)
+        if i % every == 0:
+            m = v + verts[(i + 1) % len(verts)]
+            rows.append(m / np.linalg.norm(m))
+    return np.array(rows)
+
+
+def _kernel_inputs():
+    """(vertices, base_s) cases: random links (also rotated and with
+    midpoints to merge), rings, digon quadrilaterals, the octant."""
+    rng = np.random.default_rng(2024)
+    cases = [(np.eye(3), 0.0), (np.eye(3), 0.3), (np.eye(3)[::-1], 0.0)]
+    for k in range(30):
+        link = random_convex_link(rng, rng.uniform(0.3, TAU - 0.3), n_points=int(rng.integers(5, 60)))
+        v = link.vertices
+        cases.append((v, link.base_s))
+        cases.append((v @ random_rotation(rng).T, rng.uniform(0.0, link.perimeter)))
+        cases.append((_with_edge_midpoints(v, 1 + k % 3), link.base_s))
+        cases.append((_with_edge_midpoints(v, 2), rng.uniform(-1.0, 8.0)))
+    for n, rho in ((3, 0.2), (4, 1.0), (16, 0.6), (64, 0.3), (300, 1.2), (12, math.pi / 2 - 1e-3)):
+        cases.append((ring_vertices(n, rho), 0.0))
+        cases.append((ring_vertices(n, rho, 0.37), 0.5))
+        cases.append((_with_edge_midpoints(ring_vertices(n, rho), 1), 0.1))
+    for angle in (1e-3, 0.3, math.pi / 3, math.pi / 2, 2.9, math.pi - 1e-3):
+        for eps in (1e-6, 1e-3, 0.1, 0.7, math.pi / 2 - 1e-3):
+            cases.append((_digon_corners(angle, eps), 0.0))
+            cases.append((_digon_corners(angle, eps) @ random_rotation(rng).T, 0.2))
+    return cases
+
+
+def _outcome(build, verts, base_s):
+    try:
+        return build(verts, base_s=base_s)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+def test_build_spherical_polygon_equals_former_kernel_bit_for_bit():
+    built = 0
+    for verts, base_s in _kernel_inputs():
+        got = _outcome(build_spherical_polygon, verts, base_s)
+        want = _outcome(former_build_spherical_polygon, verts, base_s)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        built += 1
+        assert_same_spherical_polygon(got, want)
+    assert built >= 150
+
+
+def test_build_spherical_polygon_raises_as_former_kernel():
+    c = 1 / math.sqrt(3)
+    tiny = 1e-13
+    cases = {
+        AntipodalEdge: [[(1, 0, 0), (-1, 0, 0), (0, 0, 1)],
+                        [(0, 1, 0), (0, -1, 1e-10), (1, 0, 0)]],
+        DegenerateEdge: [[(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                         [(1, 0, 0), (math.cos(tiny), math.sin(tiny), 0), (0, 1, 0), (0, 0, 1)]],
+        NotConvexSpherical: [[(1, 0, 0), (0, 1, 0), (c, c, c), (0, 0, 1)],
+                             [(0, 1, 0), (0, 0, 1), (0, -1, 0), (0, 0, -1)],
+                             [(1, 0, 0), (0, 0, 1), (0, 1, 0)],
+                             ring_vertices(64, math.pi / 2),
+                             ring_vertices(8, 0.4)[::-1]],
+        NotOnSphere: [[(1, 0, 0), (0, 2, 0), (0, 0, 1)]],
+        ValueError: [[(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, np.nan)],
+                     [(1, 0), (0, 1), (1, 1)]],
+    }
+    for exc, inputs in cases.items():
+        for verts in inputs:
+            assert _outcome(former_build_spherical_polygon, verts, 0.0) is exc
+            assert _outcome(build_spherical_polygon, verts, 0.0) is exc
+
+
+def test_spherical_primitives_equal_former_kernel_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for verts, base_s in _kernel_inputs():
+        verts = np.asarray(verts, dtype=float)
+        assert_same_bits(_edge_lengths(verts), former_edge_lengths(verts))
+        assert_same_bits(unit_rows(verts), former_unit_rows(verts))
+        assert_same_bits(unit_rows(verts[0]), former_unit_rows(verts[0]))
+        assert_same_bits(fan_area(verts), former_fan_area(verts))
+        poly = _outcome(build_spherical_polygon, verts, base_s)
+        if not isinstance(poly, type):
+            assert_same_bits(poly.turning, former_signed_turns(poly.vertices))
+            interior = former_interior_angles(poly.vertices)
+            assert_same_bits(poly.area, float(np.sum(interior)) - (poly.n_vertices - 2) * math.pi)
+            assert_same_bits(centroid_direction(poly), former_centroid_direction(poly))
+            ss = rng.uniform(-poly.perimeter, 2 * poly.perimeter, 50)
+            assert_same_bits(sph_points_at(poly, ss), former_sph_points_at(poly, ss))
+    for n in (1, 3, 40, 500):
+        w = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-6, 4, size=(n, 2))
+        w[rng.random((n, 2)) < 0.2] = -0.0
+        assert_same_bits(gnomonic_inverse(w), former_gnomonic_inverse(w))
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_random_convex_link_equals_former_kernel_bit_for_bit(seed):
+    target = 0.3 + (TAU - 0.6) * ((seed * 0.618034) % 1.0)
+    n_points = (24, 30, 8, 60)[seed % 4]
+    got = random_convex_link(np.random.default_rng(seed), target, n_points=n_points)
+    want = former_random_convex_link(np.random.default_rng(seed), target, n_points=n_points)
+    assert_same_spherical_polygon(got, want)
