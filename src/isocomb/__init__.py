@@ -44,13 +44,9 @@ from .geometry import (
     Angle,
     RigidMotion2,
     Vec2,
-    Vec3,
-    angle_between,
     apply_motion,
-    circ_dist,
     compose,
     norm_angle,
-    rotate_about_x0,
 )
 from .planar import (
     ConvexityCertificate,
@@ -59,7 +55,6 @@ from .planar import (
     build_polygon,
     convexity_certificate,
     dilate_to_perimeter,
-    inscribe,
     left_semitangent,
     point_at,
     right_semitangent,
@@ -70,7 +65,6 @@ from .spherical import (
     build_spherical_polygon,
     centroid_direction,
     random_convex_link,
-    sph_point_at,
 )
 from .suite import SuiteConfig, TrialReport, run_cone_suite, run_planar_suite
 

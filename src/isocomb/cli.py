@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import serialization as ser
-from .combination import apply_alignment, bending_check, combine, combine_aligned, make_pair
+from .combination import bending_check, combine, combine_aligned, make_pair
 from .cones import (
     combine_cones,
     combine_dihedral,
@@ -61,14 +61,14 @@ def _planar_pair(args):
     return make_pair(f1, f2)
 
 
-def _emit_combination(args, alignment, combined, pair) -> None:
+def _emit_combination(args, alignment, combined) -> None:
     result = ser.alignment_result_to_dict(alignment, combined, bending_check(combined))
     _write_text(args.out, ser.dump_json(result))
     if args.svg is not None:
-        shown = pair if alignment is None else apply_alignment(pair, alignment)
+        pair = combined.pair
         curves = [
-            ("F1", shown.F1.vertices),
-            ("F2", apply_motion_many(shown.motion, shown.F2.vertices)),
+            ("F1", pair.F1.vertices),
+            ("F2", apply_motion_many(pair.motion, pair.F2.vertices)),
             ("combined", combined.curve),
         ]
         _write_text(args.svg, render_svg(curves))
@@ -77,14 +77,14 @@ def _emit_combination(args, alignment, combined, pair) -> None:
 def _cmd_align(args) -> int:
     pair = _planar_pair(args)
     alignment, combined = combine_aligned(pair)
-    _emit_combination(args, alignment, combined, pair)
+    _emit_combination(args, alignment, combined)
     return EXIT_OK
 
 
 def _cmd_combine(args) -> int:
     pair = _planar_pair(args)
     combined = combine(pair)
-    _emit_combination(args, None, combined, pair)
+    _emit_combination(args, None, combined)
     return EXIT_OK
 
 

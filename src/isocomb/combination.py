@@ -33,13 +33,14 @@ from .geometry import (
     merge_positions,
     norm_angle,
     norm_angle_many,
+    roll_next,
+    roll_prev,
 )
 from .planar import (
     ConvexityCertificate,
     FAILED_CERTIFICATE,
     PlanarPolygon,
     convexity_certificate,
-    default_certificate_tolerance,
     point_at,
     points_at,
     right_semitangent,
@@ -49,6 +50,7 @@ from .planar import (
 
 PERIMETER_RTOL = 1e-9
 MARGIN_EPS = 1e-9           # alignment margins at or below this are failures
+CERTIFICATE_TOL = 1e-9      # convexity certificate of a combined curve
 BREAKPOINT_MERGE_RTOL = 1e-12
 
 
@@ -92,54 +94,54 @@ class CombinedCurve:
     certificate: ConvexityCertificate
     tau_segments: np.ndarray    # (m, 2) samples of the bending field r1 - r2
     breakpoints: np.ndarray     # (m,) arc positions the rows were evaluated at
+    pair: MarkedPair            # the pair the rows were evaluated on
 
 
 def _dedup_closed(points: np.ndarray) -> np.ndarray:
     """Drop consecutive (and wraparound) near-duplicate points."""
-    diffs = np.roll(points, -1, axis=0) - points
+    diffs = roll_next(points) - points
     seg = np.hypot(diffs[:, 0], diffs[:, 1])
     total = float(np.sum(seg))
     if total == 0.0:
         return points[:1]
     keep = seg > 1e-12 * total
     # row i is kept when the edge leaving it is non-degenerate
-    return points[np.roll(keep, 1)]
+    return points[roll_prev(keep)]
 
 
-def _certify(curve: np.ndarray, tolerance: float) -> ConvexityCertificate:
+def _certify(curve: np.ndarray) -> ConvexityCertificate:
     pts = _dedup_closed(curve)
     if len(pts) < 3:
         return FAILED_CERTIFICATE
     try:
-        return convexity_certificate(pts, tolerance)
+        return convexity_certificate(pts, CERTIFICATE_TOL)
     except DegenerateEdge:
         return FAILED_CERTIFICATE
 
 
-def combine_at(pair: MarkedPair, positions: np.ndarray, tolerance: float | None = None) -> CombinedCurve:
+def combine_at(pair: MarkedPair, positions: np.ndarray) -> CombinedCurve:
     """Evaluate the combination at the given arc positions."""
-    if tolerance is None:
-        tolerance = default_certificate_tolerance()
     positions = np.asarray(positions, dtype=float)
     pts1 = points_at(pair.F1, positions)
     pts2 = apply_motion_many(pair.motion, points_at(pair.F2, positions))
     curve = pts1 + pts2
     return CombinedCurve(
         curve=curve,
-        certificate=_certify(curve, tolerance),
+        certificate=_certify(curve),
         tau_segments=pts1 - pts2,
         breakpoints=positions,
+        pair=pair,
     )
 
 
-def combine(pair: MarkedPair, tolerance: float | None = None) -> CombinedCurve:
+def combine(pair: MarkedPair) -> CombinedCurve:
     """Isometric combination r1(s) + motion(r2(s)) on the merged breakpoints.
 
     Never raises on a non-convex result; the certificate carries the verdict.
     When the semitangent condition holds with positive margin the certificate
     is guaranteed convex.
     """
-    return combine_at(pair, merged_breakpoints(pair), tolerance)
+    return combine_at(pair, merged_breakpoints(pair))
 
 
 def semitangent_condition(pair: MarkedPair) -> Angle:
@@ -205,16 +207,13 @@ def _semitangents(poly: PlanarPolygon, bps: np.ndarray) -> tuple[np.ndarray, np.
     return right, left
 
 
-def vertex_events(pair: MarkedPair) -> list[CombinationVertexEvent]:
-    """Classify every breakpoint and measure the combined interior angle."""
-    bps = merged_breakpoints(pair)
+def vertex_events(combined: CombinedCurve) -> list[CombinationVertexEvent]:
+    """Classify every row of ``combined`` and measure its interior angle there."""
+    pair, bps = combined.pair, combined.breakpoints
     tol = BREAKPOINT_MERGE_RTOL * pair.F1.perimeter * 4.0
-    pts1 = points_at(pair.F1, bps)
-    pts2 = apply_motion_many(pair.motion, points_at(pair.F2, bps))
-    curve = pts1 + pts2
-    chords = np.roll(curve, -1, axis=0) - curve
+    chords = roll_next(combined.curve) - combined.curve
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
-    beta = math.pi - norm_angle_many(dirs - np.roll(dirs, 1))
+    beta = math.pi - norm_angle_many(dirs - roll_prev(dirs))
     b1 = _vertex_interior(pair.F1, bps, tol)
     b2 = _vertex_interior(pair.F2, bps, tol)
     at1, at2 = ~np.isnan(b1), ~np.isnan(b2)
@@ -247,7 +246,6 @@ class AlignmentResult:
     sigma0: float
     motion: RigidMotion2
     margin: Angle
-    g_values: np.ndarray        # attained values of g(s) = phi1(s) - phi2(s)
 
 
 def _unwrapped_direction_values(poly: PlanarPolygon, bps: np.ndarray, offset: float) -> np.ndarray:
@@ -309,7 +307,7 @@ def align(pair: MarkedPair) -> AlignmentResult:
     c, s = math.cos(rho), math.sin(rho)
     t = Vec2(p1.x - (c * p2.x - s * p2.y), p1.y - (s * p2.x + c * p2.y))
     motion = compose(RigidMotion2(rho, t), pair.motion)
-    return AlignmentResult(sigma0=sigma0, motion=motion, margin=margin, g_values=g)
+    return AlignmentResult(sigma0=sigma0, motion=motion, margin=margin)
 
 
 def apply_alignment(pair: MarkedPair, result: AlignmentResult) -> MarkedPair:
@@ -321,10 +319,10 @@ def apply_alignment(pair: MarkedPair, result: AlignmentResult) -> MarkedPair:
     )
 
 
-def combine_aligned(pair: MarkedPair, tolerance: float | None = None) -> tuple[AlignmentResult, CombinedCurve]:
+def combine_aligned(pair: MarkedPair) -> tuple[AlignmentResult, CombinedCurve]:
     """Align, then combine; the certificate is convex on success."""
     result = align(pair)
-    combined = combine(apply_alignment(pair, result), tolerance)
+    combined = combine(apply_alignment(pair, result))
     return result, combined
 
 
@@ -342,8 +340,8 @@ def bending_check(combined: CombinedCurve) -> float:
     normalization divides by |dr| * |dtau| plus a floor of
     RELATIVE_TAU_FLOOR times the largest squared chord.
     """
-    dr = np.roll(combined.curve, -1, axis=0) - combined.curve
-    dtau = np.roll(combined.tau_segments, -1, axis=0) - combined.tau_segments
+    dr = roll_next(combined.curve) - combined.curve
+    dtau = roll_next(combined.tau_segments) - combined.tau_segments
     len_r = np.hypot(dr[:, 0], dr[:, 1])
     floor_eps = RELATIVE_TAU_FLOOR * float(np.max(len_r)) ** 2 + 1e-300
     num = np.abs(np.sum(dr * dtau, axis=1))

@@ -231,7 +231,8 @@ def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
     polygon with vertices exactly at the merged breakpoints.
 
     Raises:
-        PerimeterMismatch, AntipodalCorrespondence, NotConvexSpherical
+        PerimeterMismatch, AntipodalCorrespondence, NotConvexSpherical,
+        DegenerateEdge: fewer than 3 breakpoints survive the merge
     """
     L1, L2 = K1.link, K2.link
     p = L1.perimeter
@@ -247,6 +248,8 @@ def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
             f"|r1 + r2| = {norms.min():.3e} at arc {check[int(np.argmin(norms))]!r}"
         )
     m = len(positions)
+    if m < 3:
+        raise DegenerateEdge(f"only {m} correspondence breakpoints survive the merge")
     link = build_spherical_polygon(
         sums[:m] / norms[:m, None], base_s=0.0, collinear_eps=IMAGE_COLLINEAR_EPS
     )
@@ -397,9 +400,18 @@ def _digon_quadrilateral(digon: Digon, eps: float) -> SphericalPolygon:
     return build_spherical_polygon(corners)
 
 
-def _solve_truncation(
+def truncate_digons(
     digon1: Digon, digon2: Digon, eps: float
 ) -> tuple[SphericalPolygon, SphericalPolygon, float]:
+    """Cut both digons into spherical quadrilaterals of equal perimeter.
+
+    The first digon is cut at depth ``eps``; the second's cut depth ``e2``
+    is solved by bisection so the perimeters match to 1e-12 relative.
+    Returns ``(q1, q2, e2)``.
+
+    Raises:
+        TruncationTooDeep: eps outside (0, pi/4) or no matching depth exists.
+    """
     from scipy.optimize import brentq
 
     if not 0.0 < eps < math.pi / 4:
@@ -411,8 +423,9 @@ def _solve_truncation(
         return _digon_quadrilateral(digon2, e2).perimeter - target
 
     # the perimeter is strictly decreasing in the cut depth, from ~2*pi at
-    # depth 0 down to ~twice the digon angle near pi/2
-    lo, hi = 1e-6, math.pi / 2 - 1e-3
+    # depth 0 down to ~twice the digon angle near pi/2; the shortest edge at
+    # depth lo, ~2 lo sin(angle/2) >= 2e-11, clears the 1e-12 * perimeter floor
+    lo, hi = max(1e-6, 1e-11 / math.sin(digon2.angle / 2.0)), math.pi / 2 - 1e-3
     if f(lo) * f(hi) > 0.0:
         raise TruncationTooDeep(
             f"no cut depth of the second digon matches perimeter {target!r}"
@@ -422,19 +435,6 @@ def _solve_truncation(
     if abs(q2.perimeter - target) > 1e-12 * target:
         raise TruncationTooDeep("perimeter equalization did not converge")
     return q1, q2, e2
-
-
-def truncate_digons(digon1: Digon, digon2: Digon, eps: float) -> tuple[SphericalPolygon, SphericalPolygon]:
-    """Cut both digons into spherical quadrilaterals of equal perimeter.
-
-    The first digon is cut at depth ``eps``; the second's cut depth is
-    solved by bisection so the perimeters match to 1e-12 relative.
-
-    Raises:
-        TruncationTooDeep: eps outside (0, pi/4) or no matching depth exists.
-    """
-    q1, q2, _ = _solve_truncation(digon1, digon2, eps)
-    return q1, q2
 
 
 def link_hausdorff(a: SphericalPolygon, b: SphericalPolygon, n: int = 1024) -> float:
@@ -476,7 +476,7 @@ def combine_dihedral(digon1: Digon, digon2: Digon, eps_ladder) -> DigonCombinati
         raise ValueError("eps ladder must be strictly decreasing")
     levels = []
     for eps in eps_ladder:
-        q1, q2, e2 = _solve_truncation(digon1, digon2, eps)
+        q1, q2, e2 = truncate_digons(digon1, digon2, eps)
         report = position_and_combine(cone_from_link(q1), cone_from_link(q2))
         link = report.combined.link
         levels.append(

@@ -23,10 +23,6 @@ class DegenerateEdge(GeometryError):
     """Two consecutive vertices coincide within the length tolerance."""
 
 
-class DegenerateResult(GeometryError):
-    """An operation produced fewer than three usable vertices."""
-
-
 # -- curve pairing and alignment ----------------------------------------------
 
 class PerimeterMismatch(GeometryError):

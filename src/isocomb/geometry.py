@@ -33,12 +33,6 @@ class Vec2(NamedTuple):
     y: float
 
 
-class Vec3(NamedTuple):
-    x0: float
-    x1: float
-    x2: float
-
-
 # An angle in radians.  Direction angles live in (-pi, pi]; unwrapped
 # turnings are unrestricted.
 Angle = float
@@ -62,16 +56,16 @@ def norm_angle_many(theta) -> np.ndarray:
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of two (n, 3) arrays in column arithmetic.
+    """Row-wise cross product of two (n, 3) or (3,) arrays in column arithmetic.
 
     Each component is the difference of the same two products that
     ``np.cross`` forms, in the same order, so the result equals
     ``np.cross(a, b)`` bit for bit without its axis handling.
     """
     out = np.empty(a.shape)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     return out
 
 
@@ -98,9 +92,11 @@ def roll_prev(a: np.ndarray) -> np.ndarray:
 
 
 def reduce_mod(t: float, period: float) -> float:
-    """Reduce ``t`` into [0, period); exact for t already in range."""
+    """Reduce ``t`` into [0, period), exact for t already in range; ValueError if not finite."""
     if 0.0 <= t < period:
         return t
+    if not math.isfinite(t):
+        raise ValueError(f"base_s must be finite; got {t!r}")
     t = math.fmod(t, period)
     if t < 0.0:
         t += period
@@ -178,14 +174,9 @@ def merge_collinear(turns, lengths, base_s: float, eps: float, error, reflex: st
     return keep, base_s - float(np.sum(lengths[:first_kept]))
 
 
-def circ_dist(a: Angle, b: Angle) -> Angle:
-    """Minimal absolute difference of two angles modulo 2*pi, in [0, pi]."""
-    d = math.fmod(a - b, TAU)
-    return abs(norm_angle(d))
-
-
 def circ_dist_many(a, b) -> np.ndarray:
-    """Vectorized :func:`circ_dist` on arrays (broadcasting)."""
+    """Minimal absolute difference of angles modulo 2*pi, in [0, pi], on
+    arrays (broadcasting)."""
     d = np.mod(np.asarray(a) - np.asarray(b), TAU)
     return np.pi - np.abs(d - np.pi)
 
@@ -198,7 +189,7 @@ def alignment_margins(g_scan, g) -> np.ndarray:
     only while each lies strictly inside (-pi, pi); measured modulo 2*pi, a
     gap could swing through pi unseen.  With ``reach = max(max(g_scan) -
     g[j], g[j] - min(g_scan))`` below pi the margin is ``pi - max_k
-    circ_dist(g_scan[k], g[j])``, attained at an extreme because
+    circ_dist_many(g_scan[k], g[j])``, attained at an extreme because
     :func:`circ_dist_many` grows with the absolute difference below pi, so
     it equals the dense m x m scan bit for bit; otherwise the margin is
     ``pi - reach <= 0``.  Two reductions: O(m) time and memory.
@@ -241,25 +232,6 @@ def merge_positions(pos: np.ndarray, period: float, tol: float) -> np.ndarray:
     return out
 
 
-def angle_between(u, v) -> Angle:
-    """Unsigned angle in [0, pi] between two nonzero vectors (2D or 3D).
-
-    The normalized dot product is clamped to [-1, 1] before the arccos so
-    rounding never produces a domain error.
-
-    Raises:
-        ValueError: if either vector is zero.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("angle_between requires nonzero vectors")
-    c = float(np.dot(u, v)) / (nu * nv)
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
 @dataclass(frozen=True)
 class RigidMotion2:
     """Orientation-preserving isometry of the plane: rotate, then translate."""
@@ -297,20 +269,6 @@ def compose(m1: RigidMotion2, m2: RigidMotion2) -> RigidMotion2:
     return RigidMotion2(norm_angle(m1.rotation + m2.rotation), Vec2(t.x, t.y))
 
 
-def invert(m: RigidMotion2) -> RigidMotion2:
-    """Inverse motion: apply_motion(invert(m), apply_motion(m, p)) == p."""
-    c, s = math.cos(m.rotation), math.sin(m.rotation)
-    tx, ty = m.translation
-    return RigidMotion2(norm_angle(-m.rotation), Vec2(-(c * tx + s * ty), -(-s * tx + c * ty)))
-
-
-def rotate_about_x0(psi: Angle, p) -> Vec3:
-    """Rotate a 3-vector about the x0-axis; the x0 component is untouched."""
-    x0, x1, x2 = float(p[0]), float(p[1]), float(p[2])
-    c, s = math.cos(psi), math.sin(psi)
-    return Vec3(x0, c * x1 - s * x2, s * x1 + c * x2)
-
-
 def rotate_about_x0_many(psi: Angle, pts: np.ndarray) -> np.ndarray:
     """Rotate an (n, 3) array about the x0-axis."""
     pts = np.asarray(pts, dtype=float)
@@ -332,7 +290,7 @@ def rotation_matrix_from_to(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     a = a / np.linalg.norm(a)
     b = b / np.linalg.norm(b)
-    axis = np.cross(a, b)
+    axis = cross3(a, b)
     s = float(np.linalg.norm(axis))
     c = float(np.dot(a, b))
     if s < 1e-15:
@@ -342,7 +300,7 @@ def rotation_matrix_from_to(a, b) -> np.ndarray:
         helper = np.array([1.0, 0.0, 0.0])
         if abs(a[0]) > 0.9:
             helper = np.array([0.0, 1.0, 0.0])
-        axis = np.cross(a, helper)
+        axis = cross3(a, helper)
         axis /= np.linalg.norm(axis)
         return 2.0 * np.outer(axis, axis) - np.eye(3)
     axis /= s

@@ -10,14 +10,12 @@ interior of an edge.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     DegenerateEdge,
-    DegenerateResult,
     NotConvex,
     NotSimple,
     WrongOrientation,
@@ -31,6 +29,8 @@ from .geometry import (
     merge_collinear,
     norm_angle,
     reduce_mod,
+    roll_next,
+    roll_prev,
 )
 
 # Edges shorter than LENGTH_EPS_FACTOR * perimeter are rejected; vertices
@@ -39,31 +39,16 @@ LENGTH_EPS_FACTOR = 1e-12
 COLLINEAR_EPS = 1e-12
 
 
-def default_certificate_tolerance() -> float:
-    """Certificate tolerance: 1e-9 unless overridden via ISOCOMB_TOL.
-
-    Raises:
-        ValueError: if ISOCOMB_TOL is not a finite non-negative number.
-    """
-    raw = os.environ.get("ISOCOMB_TOL")
-    if raw is None:
-        return 1e-9
-    tol = float(raw)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"ISOCOMB_TOL must be a finite non-negative number; got {raw!r}")
-    return tol
-
-
 def signed_area(vertices: np.ndarray) -> float:
     """Signed area of a closed vertex chain (positive = counterclockwise)."""
     x = vertices[:, 0]
     y = vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * roll_next(y) - roll_next(x) * y))
 
 
 def _edge_angles(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge lengths and direction angles; edge i runs v[i] -> v[i+1]."""
-    diffs = np.roll(vertices, -1, axis=0) - vertices
+    diffs = roll_next(vertices) - vertices
     lengths = np.hypot(diffs[:, 0], diffs[:, 1])
     dirs = np.arctan2(diffs[:, 1], diffs[:, 0])
     return lengths, dirs
@@ -71,7 +56,7 @@ def _edge_angles(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _exterior_angles(dirs: np.ndarray) -> np.ndarray:
     """Exterior angle at vertex i: turn from edge i-1 to edge i, in (-pi, pi]."""
-    turns = dirs - np.roll(dirs, 1)
+    turns = dirs - roll_prev(dirs)
     turns = np.mod(turns, TAU)
     turns[turns > math.pi] -= TAU
     return turns
@@ -262,21 +247,6 @@ def convexity_certificate(vertices, tolerance: float) -> ConvexityCertificate:
         is_convex=is_convex,
         tolerance=tolerance,
     )
-
-
-def inscribe(poly: PlanarPolygon, n: int) -> PlanarPolygon:
-    """Polygon through n equally spaced points of the curve, base kept at sample 0.
-
-    Collinear and duplicate samples are merged by the builder; fewer than
-    three surviving corners raises DegenerateResult.
-    """
-    if n < 3:
-        raise ValueError("inscribe requires n >= 3")
-    samples = points_at(poly, np.arange(n) * (poly.perimeter / n))
-    try:
-        return build_polygon(samples, base_s=0.0)
-    except (NotConvex, DegenerateEdge) as exc:
-        raise DegenerateResult(f"inscribed {n}-gon degenerates: {exc}") from exc
 
 
 def dilate_to_perimeter(poly: PlanarPolygon, target: float, center) -> PlanarPolygon:

@@ -49,15 +49,25 @@ def digon_to_dict(digon: Digon) -> dict:
     }
 
 
+def _required(data: dict, key: str) -> Any:
+    if key not in data:
+        raise ValueError(f"{data['type']} object has no {key!r} field")
+    return data[key]
+
+
 def object_from_dict(data: dict) -> Any:
-    """Construct (and fully validate) a geometry object from its JSON dict."""
+    """Construct (and fully validate) a geometry object from its JSON dict.
+
+    Raises:
+        ValueError: a required field is missing (the message names it).
+    """
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("expected an object with a 'type' field")
     kind = data["type"]
     if kind == "planar_polygon":
-        return build_polygon(data["vertices"], base_s=float(data.get("base_s", 0.0)))
+        return build_polygon(_required(data, "vertices"), base_s=float(data.get("base_s", 0.0)))
     if kind == "spherical_polygon":
-        return build_spherical_polygon(data["vertices"], base_s=float(data.get("base_s", 0.0)))
+        return build_spherical_polygon(_required(data, "vertices"), base_s=float(data.get("base_s", 0.0)))
     if kind == "digon":
         from scipy.spatial.transform import Rotation
 
@@ -65,7 +75,7 @@ def object_from_dict(data: dict) -> Any:
         matrix = None
         if placement is not None:
             matrix = Rotation.from_rotvec(np.asarray(placement, dtype=float)).as_matrix()
-        return make_digon(float(data["angle"]), matrix)
+        return make_digon(float(_required(data, "angle")), matrix)
     raise ValueError(f"unknown object type {kind!r}")
 
 

@@ -30,11 +30,6 @@ def unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(dot3(v, v))[..., None]
 
 
-def geodesic_length(a: np.ndarray, b: np.ndarray) -> float:
-    """Great-circle distance between unit vectors, stable near 0 and pi."""
-    return float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
-
-
 def _edge_lengths(verts: np.ndarray) -> np.ndarray:
     nxt = roll_next(verts)
     cross = cross3(verts, nxt)
@@ -47,13 +42,14 @@ def _tangent_toward(at: np.ndarray, toward: np.ndarray, cos: np.ndarray) -> np.n
     return unit_rows(toward - cos[:, None] * at)
 
 
-def fan_area(verts: np.ndarray) -> float:
-    """Signed enclosed area from a triangle fan; independent of angle sums."""
+def fan_area(verts: np.ndarray, nxt: np.ndarray, cross: np.ndarray, dots: np.ndarray) -> float:
+    """Signed enclosed area from a triangle fan; independent of angle sums.
+
+    ``nxt``, ``cross`` and ``dots`` are the builder's edge frame of ``verts``.
+    """
     apex = unit_rows(np.mean(verts, axis=0))
-    a = verts
-    b = roll_next(verts)
-    triple = dot3(cross3(a, b), apex)
-    denom = 1.0 + a @ apex + dot3(a, b) + b @ apex
+    triple = dot3(cross, apex)
+    denom = 1.0 + verts @ apex + dots + nxt @ apex
     return float(np.sum(2.0 * np.arctan2(triple, denom)))
 
 
@@ -128,7 +124,7 @@ def build_spherical_polygon(
     residual = abs(float(np.sum(turns)) + area - TAU)
     if residual > GAUSS_BONNET_TOL:
         raise NotConvexSpherical(f"Gauss-Bonnet residual {residual:.3e}")
-    if abs(fan_area(verts) - area) > GAUSS_BONNET_TOL:
+    if abs(fan_area(verts, nxt, cross, dots) - area) > GAUSS_BONNET_TOL:
         raise NotConvexSpherical("fan area disagrees with angle excess (winding?)")
     if not 0.0 < area < TAU:
         raise NotConvexSpherical(f"enclosed area {area:.12f} outside (0, 2*pi)")
@@ -160,11 +156,6 @@ def sph_points_at(poly: SphericalPolygon, ss: np.ndarray) -> np.ndarray:
     exact = u == 0.0
     out[exact] = a[exact]
     return out
-
-
-def sph_point_at(poly: SphericalPolygon, s: float) -> np.ndarray:
-    """Point at geodesic arc length ``s`` from the base point."""
-    return sph_points_at(poly, np.array([float(s)]))[0]
 
 
 def centroid_direction(poly: SphericalPolygon) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .combination import (
-    apply_alignment,
     bending_check,
     combine_aligned,
     make_pair,
@@ -129,7 +128,7 @@ def planar_trial(config: SuiteConfig, index: int) -> TrialReport:
         reasons.append(f"min exterior {cert.min_exterior:.3e}")
     if not abs(cert.exterior_sum - TAU) <= EXTERIOR_SUM_TOL:
         reasons.append(f"exterior sum off by {cert.exterior_sum - TAU:.3e}")
-    events = vertex_events(apply_alignment(pair, result))
+    events = vertex_events(combined)
     worst_law = max(
         (abs(e.beta - 0.5 * (e.beta1 + e.beta2)) for e in events if e.case_id != "edge-edge"),
         default=0.0,

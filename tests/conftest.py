@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
-from isocomb.geometry import SNAP_FACTOR, TAU, circ_dist_many, merge_collinear, reduce_mod
+from isocomb.geometry import SNAP_FACTOR, TAU, circ_dist_many, merge_collinear, norm_angle, reduce_mod
 from isocomb.planar import build_polygon
 from isocomb.spherical import (
     GAUSS_BONNET_TOL,
@@ -75,6 +75,17 @@ def circular_alignment_margins(g_scan, g):
     """The gap matrix measured modulo 2*pi, which wraps gaps of pi or more."""
     x, y = np.asarray(g_scan)[None, :], np.asarray(g)[:, None]
     return math.pi - circ_dist_many(x, y).max(axis=1)
+
+
+def circ_dist(a, b):
+    """Scalar reference for circ_dist_many: minimal absolute difference of
+    two angles modulo 2*pi, in [0, pi]."""
+    return abs(norm_angle(math.fmod(a - b, TAU)))
+
+
+def geodesic_length(a, b):
+    """Great-circle distance between unit vectors, stable near 0 and pi."""
+    return float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
 
 
 def scalar_locate(poly, s):

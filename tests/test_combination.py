@@ -23,7 +23,7 @@ from isocomb.combination import (
     _dedup_closed,
 )
 from isocomb.errors import AlignmentNotFound, PerimeterMismatch
-from isocomb.geometry import TAU, RigidMotion2, Vec2, apply_motion_many, circ_dist, norm_angle
+from isocomb.geometry import TAU, RigidMotion2, Vec2, apply_motion_many, norm_angle
 from isocomb.planar import (
     build_polygon,
     convexity_certificate,
@@ -35,7 +35,7 @@ from isocomb.planar import (
 )
 from isocomb.suite import SuiteConfig, random_convex_polygon, trial_rng
 
-from conftest import circular_alignment_margins, dense_alignment_margins, support_polygon
+from conftest import circ_dist, circular_alignment_margins, dense_alignment_margins, support_polygon
 
 
 def rect_0p5_by_1p5(base_s=0.0):
@@ -79,6 +79,18 @@ def test_combine_doubles_square(unit_square):
     assert np.array_equal(combined.tau_segments, np.zeros_like(combined.curve))
 
 
+def test_combine_with_itself_doubles_every_vertex():
+    # with the base on vertex k the breakpoints are the vertices from k on,
+    # each located exactly, so the sum is twice the rolled vertex array
+    for i in range(30):
+        f = random_convex_polygon(trial_rng(99, i), 3, 60)
+        k = i % f.n_vertices
+        g = f.with_base(f.cum_lengths[k])
+        combined = combine(make_pair(g, g))
+        assert np.array_equal(combined.curve, 2.0 * np.roll(f.vertices, -k, axis=0)), i
+        assert not combined.tau_segments.any(), i
+
+
 def test_combine_hypothesis_violated_reports_without_raising(unit_square):
     rotated = build_polygon(
         apply_motion_many(RigidMotion2(math.pi, Vec2(0.0, 0.0)), unit_square.vertices)
@@ -90,7 +102,7 @@ def test_combine_hypothesis_violated_reports_without_raising(unit_square):
 
 def test_vertex_events_identical_squares(unit_square):
     pair = make_pair(unit_square, unit_square)
-    events = vertex_events(pair)
+    events = vertex_events(combine(pair))
     assert len(events) == 4
     for e in events:
         assert e.case_id == "vertex-vertex"
@@ -103,7 +115,7 @@ def test_vertex_events_square_vs_offset_rectangle(unit_square):
     pair = make_pair(unit_square, rect_0p5_by_1p5(base_s=0.25))
     result = align(pair)
     aligned = apply_alignment(pair, result)
-    events = vertex_events(aligned)
+    events = vertex_events(combine(aligned))
     cases = {e.case_id for e in events}
     assert "vertex-edge" in cases
     for e in events:
@@ -124,8 +136,8 @@ def test_vertex_events_law_on_random_aligned_pairs():
         f1 = random_convex_polygon(rng, 3, 30)
         f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 30), f1.perimeter, (0, 0))
         pair = make_pair(f1, f2)
-        result = align(pair)
-        for e in vertex_events(apply_alignment(pair, result)):
+        _, combined = combine_aligned(pair)
+        for e in vertex_events(combined):
             if e.case_id != "edge-edge":
                 worst = max(worst, abs(e.beta - 0.5 * (e.beta1 + e.beta2)))
                 assert e.beta < math.pi
@@ -190,7 +202,7 @@ def test_vertex_events_equal_loop_oracle(unit_square):
         pair = make_pair(f1, f2)
         pairs += [pair, apply_alignment(pair, align(pair))]
     for pair in pairs:
-        assert repr(vertex_events(pair)) == repr(_vertex_events_loop(pair))
+        assert repr(vertex_events(combine(pair))) == repr(_vertex_events_loop(pair))
 
 
 def test_positive_margin_implies_convex_combination():
@@ -208,7 +220,7 @@ def test_positive_margin_implies_convex_combination():
         cert = combined.certificate
         assert result.margin > 0 and cert.is_convex, i
         assert abs(cert.exterior_sum - TAU) <= 1e-8, i
-        for e in vertex_events(apply_alignment(pair, result)):
+        for e in vertex_events(combined):
             if e.case_id != "edge-edge":
                 assert abs(e.beta - 0.5 * (e.beta1 + e.beta2)) <= 1e-9, i
 
@@ -303,12 +315,36 @@ def test_align_invariant_under_premotions():
         f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 30), f1.perimeter, (0, 0))
         m = RigidMotion2(rng.uniform(-3, 3), Vec2(*rng.uniform(-1, 1, size=2)))
         f2_moved = build_polygon(apply_motion_many(m, f2.vertices)).with_base(f2.base_s)
-        _, c1 = combine_aligned(make_pair(f1, f2))
-        _, c2 = combine_aligned(make_pair(f1, f2_moved))
+        r1, c1 = combine_aligned(make_pair(f1, f2))
+        r2, c2 = combine_aligned(make_pair(f1, f2_moved))
+        assert abs(r1.margin - r2.margin) <= 1e-12
+        assert c1.certificate.is_convex and c2.certificate.is_convex
         a = _dedup_closed(c1.curve)
         b = _dedup_closed(c2.curve)
         assert len(a) == len(b)
         assert np.max(np.abs(a - b)) <= 1e-9
+
+
+def test_align_invariant_under_common_base_shift_and_scaling():
+    # ties between equal margins may pick another sigma0, so the margin and
+    # the certificate's verdict and turning sum are compared, not the curve
+    for i in range(20):
+        rng = trial_rng(2718, i)
+        f1 = random_convex_polygon(rng, 3, 60)
+        f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 60), f1.perimeter, (0, 0))
+        r0, c0 = combine_aligned(make_pair(f1, f2))
+        t = rng.uniform(0.0, f1.perimeter)
+        pairs = [make_pair(f1.with_base(f1.base_s + t), f2.with_base(f2.base_s + t))]
+        for lam in (1e-8, 1e8):
+            pairs.append(make_pair(
+                build_polygon(lam * f1.vertices, base_s=lam * f1.base_s),
+                build_polygon(lam * f2.vertices, base_s=lam * f2.base_s),
+            ))
+        for pair in pairs:
+            r, c = combine_aligned(pair)
+            assert abs(r.margin - r0.margin) <= 1e-12, i
+            assert c.certificate.is_convex and c0.certificate.is_convex, i
+            assert abs(c.certificate.exterior_sum - c0.certificate.exterior_sum) <= 1e-12, i
 
 
 def test_g_periodicity():

@@ -26,6 +26,7 @@ from isocomb.errors import (
     NonPositiveHeight,
     NotConvexPlanar,
     PerimeterMismatch,
+    PositioningNotFound,
     TruncationTooDeep,
 )
 from isocomb.geometry import TAU, rotate_about_x0_many, rotation_matrix_from_to
@@ -339,14 +340,14 @@ def test_make_digon_validates_angle():
 
 def test_truncate_identical_digons():
     d = make_digon(math.pi / 3)
-    q1, q2 = truncate_digons(d, d, 0.15)
+    q1, q2, _ = truncate_digons(d, d, 0.15)
     assert q1.perimeter == pytest.approx(q2.perimeter, rel=1e-12)
     assert np.allclose(q1.vertices, q2.vertices)
     assert q1.n_vertices == 4
 
 
 def test_truncate_equalizes_perimeters():
-    q1, q2 = truncate_digons(make_digon(math.pi / 3), make_digon(math.pi / 2), 0.1)
+    q1, q2, _ = truncate_digons(make_digon(math.pi / 3), make_digon(math.pi / 2), 0.1)
     assert abs(q1.perimeter - q2.perimeter) <= 1e-12 * q1.perimeter
     assert q1.gauss_bonnet_residual <= 1e-12
     assert q2.gauss_bonnet_residual <= 1e-12
@@ -371,7 +372,7 @@ def test_combine_dihedral_identical():
         assert lv.gauss_bonnet_residual <= 1e-8
         assert lv.min_turning >= -1e-9
         # combining a cone with itself reproduces the input quadrilateral
-        q1, _ = truncate_digons(d, d, lv.eps1)
+        q1, _, _ = truncate_digons(d, d, lv.eps1)
         c1, _ = normalize_cone(cone_from_link(q1))
         assert link_hausdorff(lv.combined_link, c1.link) <= 1e-7
 
@@ -464,6 +465,19 @@ def test_digons_near_zero_and_pi_end_typed_or_pass(angle):
         assert np.all(np.isfinite(report.hausdorff))
         for lv in report.levels:
             assert math.isfinite(lv.psi) and lv.margin > 0
+            _finite_certified(lv.combined_link)
+
+
+def test_thin_digon_ends_in_the_geometry_not_in_the_bracket():
+    # the second digon's cut-depth bracket starts deep enough for a valid
+    # quadrilateral, so a 1e-9 pair reaches the positioning search (whose
+    # combined links collapse) and a 1e-9 digon against pi/3 certifies
+    thin = make_digon(1e-9)
+    assert _outcome(combine_dihedral, thin, thin, [0.2, 0.1]) is PositioningNotFound
+    for a, b in ((thin, make_digon(math.pi / 3)), (make_digon(math.pi / 3), thin)):
+        report = combine_dihedral(a, b, [0.2, 0.1])
+        for lv in report.levels:
+            assert lv.margin > 0
             _finite_certified(lv.combined_link)
 
 

@@ -10,19 +10,17 @@ from isocomb.geometry import (
     RigidMotion2,
     Vec2,
     alignment_margins,
-    angle_between,
     apply_motion,
     apply_motion_many,
-    circ_dist,
+    circ_dist_many,
     compose,
     cross3,
     dot3,
-    invert,
     merge_positions,
     norm_angle,
     roll_next,
     roll_prev,
-    rotate_about_x0,
+    rotate_about_x0_many,
 )
 
 from isocomb.planar import build_polygon, left_semitangent, point_at, right_semitangent
@@ -93,13 +91,6 @@ def test_compose_matches_sequential_application(r1, r2, tx1, ty1, tx2, ty2, px, 
     assert combined.y == pytest.approx(sequential.y, abs=1e-9)
 
 
-def test_invert_roundtrip():
-    m = RigidMotion2(1.1, Vec2(2.0, -3.0))
-    p = apply_motion(invert(m), apply_motion(m, (0.5, 0.25)))
-    assert p.x == pytest.approx(0.5, abs=1e-14)
-    assert p.y == pytest.approx(0.25, abs=1e-14)
-
-
 def test_motion_preserves_distances_bulk():
     rng = np.random.default_rng(0)
     m = RigidMotion2(rng.uniform(-3, 3), Vec2(*rng.uniform(-5, 5, size=2)))
@@ -110,38 +101,26 @@ def test_motion_preserves_distances_bulk():
     assert np.max(np.abs(after - before) / before) < 1e-12
 
 
-def test_angle_between_examples():
-    assert angle_between((1, 0), (1, 0)) == 0.0
-    assert angle_between((1, 0), (0, 1)) == pytest.approx(math.pi / 2)
-    assert angle_between((1, 0), (-1, 0)) == pytest.approx(math.pi)
-    assert angle_between((1, 0, 0), (0, 0, 2)) == pytest.approx(math.pi / 2)
-
-
-def test_angle_between_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        angle_between((0.0, 0.0), (1.0, 0.0))
-
-
 def test_circ_dist_examples():
-    assert circ_dist(0.0, math.pi / 2) == pytest.approx(math.pi / 2)
-    assert circ_dist(0.1, 2 * math.pi - 0.1) == pytest.approx(0.2)
-    assert circ_dist(0.0, math.pi) == pytest.approx(math.pi)
+    assert circ_dist_many(0.0, math.pi / 2) == pytest.approx(math.pi / 2)
+    assert circ_dist_many(0.1, 2 * math.pi - 0.1) == pytest.approx(0.2)
+    assert circ_dist_many(0.0, math.pi) == pytest.approx(math.pi)
 
 
 @given(a=angles, b=angles, c=angles)
 def test_circ_dist_properties(a, b, c):
-    assert circ_dist(a, b) == pytest.approx(circ_dist(b, a), abs=1e-12)
-    assert circ_dist(a, a) == 0.0
-    assert 0.0 <= circ_dist(a, b) <= math.pi + 1e-12
-    assert circ_dist(a, c) <= circ_dist(a, b) + circ_dist(b, c) + 1e-9
+    assert circ_dist_many(a, b) == pytest.approx(circ_dist_many(b, a), abs=1e-12)
+    assert circ_dist_many(a, a) == 0.0
+    assert 0.0 <= circ_dist_many(a, b) <= math.pi + 1e-12
+    assert circ_dist_many(a, c) <= circ_dist_many(a, b) + circ_dist_many(b, c) + 1e-9
 
 
 def test_rotate_about_x0_examples():
-    assert rotate_about_x0(0.37, (1.0, 0.0, 0.0)) == pytest.approx((1.0, 0.0, 0.0))
-    p = rotate_about_x0(math.pi / 2, (0.0, 1.0, 0.0))
+    assert rotate_about_x0_many(0.37, [(1.0, 0.0, 0.0)])[0] == pytest.approx((1.0, 0.0, 0.0))
+    p = rotate_about_x0_many(math.pi / 2, [(0.0, 1.0, 0.0)])[0]
     assert p == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
     c, s = 0.8, 0.6
-    q = rotate_about_x0(math.pi, (c, s, 0.0))
+    q = rotate_about_x0_many(math.pi, [(c, s, 0.0)])[0]
     assert q == pytest.approx((c, -s, 0.0), abs=1e-15)
 
 
@@ -150,7 +129,7 @@ def test_rotate_about_x0_preserves_norm_and_height():
     for _ in range(200):
         p = rng.normal(size=3)
         psi = rng.uniform(-7, 7)
-        q = np.array(rotate_about_x0(psi, p))
+        q = rotate_about_x0_many(psi, [p])[0]
         assert q[0] == p[0]
         assert np.linalg.norm(q) == pytest.approx(np.linalg.norm(p), rel=1e-15)
 
@@ -306,7 +285,7 @@ def test_spherical_locate_equals_former_block_bit_for_bit():
 @pytest.mark.parametrize("kind", ["normal", "wide", "signed_zeros", "small_integers"])
 def test_column_primitives_equal_numpy_bit_for_bit(kind):
     # cross3 / dot3 / roll_next / roll_prev against np.cross, np.sum,
-    # np.linalg.norm and np.roll, signed zeros included
+    # np.linalg.norm and np.roll, signed zeros, 1-D and bool arrays included
     rng = np.random.default_rng(["normal", "wide", "signed_zeros", "small_integers"].index(kind))
     for n in (1, 2, 3, 7, 8, 9, 31, 300):
         a = rng.standard_normal((n, 3))
@@ -321,6 +300,7 @@ def test_column_primitives_equal_numpy_bit_for_bit(kind):
             a = rng.integers(-2, 3, size=(n, 3)) * np.where(rng.random((n, 3)) < 0.5, -0.5, 0.5)
             b = rng.integers(-2, 3, size=(n, 3)).astype(float)
         assert_same_bits(cross3(a, b), np.cross(a, b))
+        assert_same_bits(cross3(a[0], b[0]), np.cross(a[0], b[0]))
         assert_same_bits(dot3(a, b), np.sum(a * b, axis=1))
         assert_same_bits(dot3(a[0], b[0]), np.sum(a[0] * b[0]))
         assert_same_bits(np.sqrt(dot3(a, a)), np.linalg.norm(a, axis=1))
@@ -329,3 +309,4 @@ def test_column_primitives_equal_numpy_bit_for_bit(kind):
         assert_same_bits(roll_prev(a), np.roll(a, 1, axis=0))
         assert_same_bits(roll_next(a[:, 0]), np.roll(a[:, 0], -1))
         assert_same_bits(roll_prev(a[:, :2]), np.roll(a[:, :2], 1, axis=0))
+        assert_same_bits(roll_prev(a[:, 0] > 0), np.roll(a[:, 0] > 0, 1))

@@ -1,5 +1,6 @@
-"""Every module-level import of the package is used by its module, and every
-module-level private function or class is used somewhere in the package."""
+"""Every module-level import of the package is used by its module, every
+module-level private function or class is used somewhere in the package,
+and no module calls the numpy routines that the column helpers replace."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,39 @@ def test_unused_private_definitions_are_found():
 def test_package_has_no_unused_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_definitions(sources) == []
+
+
+# geometry.roll_next / roll_prev and cross3 equal np.roll and np.cross bit
+# for bit without numpy's per-call axis handling
+REPLACED_NUMPY = ("roll", "cross")
+
+
+def replaced_numpy_calls(source: str) -> list[str]:
+    """``np.<name>`` attributes for the names in ``REPLACED_NUMPY``, as
+    ``line:np.name`` in line order."""
+    found = [
+        n for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute)
+        and n.attr in REPLACED_NUMPY
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "np"
+    ]
+    return [f"{n.lineno}:np.{n.attr}" for n in sorted(found, key=lambda n: n.lineno)]
+
+
+def test_replaced_numpy_calls_are_found():
+    source = (
+        "import numpy as np\n"
+        "a = np.roll(x, -1, axis=0)\n"
+        "f = np.cross\n"
+        "b = np.cumsum(x)\n"
+        "c = roll(x)\n"
+        "d = other.roll(x)\n"
+        "s = 'np.roll(x, 1)'\n"
+    )
+    assert replaced_numpy_calls(source) == ["2:np.roll", "3:np.cross"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_calls_no_replaced_numpy_routine(module):
+    assert replaced_numpy_calls((PACKAGE / module).read_text()) == []

@@ -13,7 +13,6 @@ from isocomb.planar import (
     build_polygon,
     convexity_certificate,
     dilate_to_perimeter,
-    inscribe,
     left_semitangent,
     point_at,
     points_at,
@@ -161,30 +160,6 @@ def test_certificate_reflex_chevron():
 def test_certificate_never_raises_on_clockwise():
     cert = convexity_certificate([(0, 0), (0, 1), (1, 1), (1, 0)], 1e-9)
     assert not cert.is_convex
-
-
-def test_inscribe_square_recovers_square(unit_square):
-    poly = inscribe(unit_square, 4)
-    assert np.array_equal(poly.vertices, unit_square.vertices)
-
-
-def test_inscribe_merges_collinear_samples(unit_square):
-    poly = inscribe(unit_square, 8)
-    assert poly.n_vertices == 4
-    assert poly.perimeter == pytest.approx(4.0)
-
-
-def test_inscribe_perimeter_monotone_on_circle():
-    t = np.arange(64) * (TAU / 64)
-    circle = build_polygon(np.column_stack([np.cos(t), np.sin(t)]), base_s=0.013)
-    perims = [inscribe(circle, n).perimeter for n in (4, 8, 16, 32)]
-    assert all(a < b for a, b in zip(perims, perims[1:]))
-    assert all(p <= circle.perimeter for p in perims)
-
-
-def test_inscribe_requires_three_samples(unit_square):
-    with pytest.raises(ValueError):
-        inscribe(unit_square, 2)
 
 
 def test_dilate_square(unit_square):

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
-from isocomb.geometry import TAU
+from isocomb.geometry import TAU, cross3, dot3, roll_next
 from isocomb.spherical import (
     _edge_lengths,
     build_spherical_polygon,
     centroid_direction,
     fan_area,
-    geodesic_length,
     gnomonic_inverse,
     random_convex_link,
-    sph_point_at,
     sph_points_at,
     unit_rows,
 )
@@ -31,6 +29,7 @@ from conftest import (
     former_signed_turns,
     former_sph_points_at,
     former_unit_rows,
+    geodesic_length,
     random_rotation,
     ring_vertices,
 )
@@ -43,8 +42,14 @@ def test_octant_triangle(octant):
     assert octant.gauss_bonnet_residual == pytest.approx(0.0, abs=1e-12)
 
 
+def _fan_area(verts):
+    """fan_area on the edge frame that build_spherical_polygon passes it."""
+    nxt = roll_next(verts)
+    return fan_area(verts, nxt, cross3(verts, nxt), dot3(verts, nxt))
+
+
 def test_octant_fan_area_independent(octant):
-    assert fan_area(octant.vertices) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert _fan_area(octant.vertices) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_small_circle_polygon_turning_vs_area():
@@ -91,10 +96,10 @@ def test_rejects_perimeter_at_least_two_pi():
 
 
 def test_sph_point_at_examples(octant):
-    assert sph_point_at(octant, 0.0) == pytest.approx((1, 0, 0))
-    mid = sph_point_at(octant, math.pi / 4)
+    assert sph_points_at(octant, [0.0])[0] == pytest.approx((1, 0, 0))
+    mid = sph_points_at(octant, [math.pi / 4])[0]
     assert mid == pytest.approx((math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0))
-    assert sph_point_at(octant, octant.perimeter) == pytest.approx((1, 0, 0), abs=1e-12)
+    assert sph_points_at(octant, [octant.perimeter])[0] == pytest.approx((1, 0, 0), abs=1e-12)
 
 
 def test_sph_points_at_unit_norm(octant):
@@ -105,7 +110,7 @@ def test_sph_points_at_unit_norm(octant):
 
 def test_base_inside_edge(octant):
     shifted = octant.with_base(0.2)
-    p = sph_point_at(shifted, 0.0)
+    p = sph_points_at(shifted, [0.0])[0]
     assert geodesic_length(p, np.array([1.0, 0, 0])) == pytest.approx(0.2, abs=1e-12)
 
 
@@ -225,7 +230,7 @@ def test_spherical_primitives_equal_former_kernel_bit_for_bit():
         assert_same_bits(_edge_lengths(verts), former_edge_lengths(verts))
         assert_same_bits(unit_rows(verts), former_unit_rows(verts))
         assert_same_bits(unit_rows(verts[0]), former_unit_rows(verts[0]))
-        assert_same_bits(fan_area(verts), former_fan_area(verts))
+        assert_same_bits(_fan_area(verts), former_fan_area(verts))
         poly = _outcome(build_spherical_polygon, verts, base_s)
         if not isinstance(poly, type):
             assert_same_bits(poly.turning, former_signed_turns(poly.vertices))

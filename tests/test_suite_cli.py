@@ -231,6 +231,28 @@ def test_cli_validate_malformed_json(tmp_path):
     assert cli.main(["validate", str(p)]) == 1
 
 
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+OCTANT = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"type": "planar_polygon", "base_s": 0.0}, "'vertices'"),
+    ({"type": "spherical_polygon"}, "'vertices'"),
+    ({"type": "digon", "placement": [0.0, 0.0, 0.1]}, "'angle'"),
+    ({"type": "planar_polygon", "vertices": SQUARE, "base_s": math.nan}, "base_s"),
+    ({"type": "planar_polygon", "vertices": SQUARE, "base_s": math.inf}, "base_s"),
+    ({"type": "spherical_polygon", "vertices": OCTANT, "base_s": -math.inf}, "base_s"),
+])
+def test_cli_validate_names_the_bad_field(tmp_path, capsys, data, field):
+    # a missing field or a non-finite base point is a validation failure
+    # whose one-line message names the field, never a traceback or exit 0
+    path = write_json(tmp_path / "in.json", data)
+    assert cli.main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_cli_align_writes_schema(square_file, rect_file, tmp_path):
     out = tmp_path / "result.json"
     svg = tmp_path / "plot.svg"
@@ -325,21 +347,3 @@ def test_cli_suite_replay(capsys):
 def test_cli_suite_rejects_bad_config():
     assert cli.main(["suite", "planar", "--trials", "0", "--seed", "1"]) == 1
 
-
-def test_tolerance_env_override(monkeypatch, unit_square):
-    from isocomb.planar import default_certificate_tolerance
-
-    monkeypatch.setenv("ISOCOMB_TOL", "1e-6")
-    assert default_certificate_tolerance() == 1e-6
-    monkeypatch.delenv("ISOCOMB_TOL")
-    assert default_certificate_tolerance() == 1e-9
-
-
-@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "-1e-9"])
-def test_tolerance_env_rejects_bad_values(monkeypatch, raw, square_file, rect_file):
-    from isocomb.planar import default_certificate_tolerance
-
-    monkeypatch.setenv("ISOCOMB_TOL", raw)
-    with pytest.raises(ValueError):
-        default_certificate_tolerance()
-    assert cli.main(["align", "--a", square_file, "--b", rect_file]) == 1
