@@ -9,9 +9,9 @@ position convex cones so their combination is again a convex cone.
 
 from .combination import (
     AlignmentResult,
-    CombinationVertexEvent,
     CombinedCurve,
     MarkedPair,
+    VertexEvents,
     align,
     apply_alignment,
     bending_check,
@@ -51,14 +51,10 @@ from .geometry import (
 from .planar import (
     ConvexityCertificate,
     PlanarPolygon,
-    TurningFunction,
     build_polygon,
     convexity_certificate,
     dilate_to_perimeter,
-    left_semitangent,
     point_at,
-    right_semitangent,
-    turning_function,
 )
 from .spherical import (
     SphericalPolygon,

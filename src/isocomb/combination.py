@@ -30,7 +30,7 @@ from .geometry import (
     apply_motion,
     apply_motion_many,
     compose,
-    merge_positions,
+    merged_vertex_positions,
     norm_angle,
     norm_angle_many,
     roll_next,
@@ -43,9 +43,7 @@ from .planar import (
     convexity_certificate,
     point_at,
     points_at,
-    right_semitangent,
     signed_area,
-    turning_function,
 )
 
 PERIMETER_RTOL = 1e-9
@@ -81,9 +79,7 @@ def merged_breakpoints(pair: MarkedPair) -> np.ndarray:
     combination is evaluated without sampling error.  Positions closer than
     1e-12 of the perimeter are merged.
     """
-    p = pair.F1.perimeter
-    pos = np.concatenate([[0.0], pair.F1.vertex_positions(), pair.F2.vertex_positions()])
-    return merge_positions(np.sort(pos), p, BREAKPOINT_MERGE_RTOL * p)
+    return merged_vertex_positions(pair.F1, pair.F2, BREAKPOINT_MERGE_RTOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,84 +155,70 @@ def semitangent_condition(pair: MarkedPair) -> Angle:
     return math.pi - float(np.max(np.abs(angles)))
 
 
-@dataclass(frozen=True)
-class CombinationVertexEvent:
-    """Classification of one correspondence breakpoint.
+@dataclass(frozen=True, eq=False)
+class VertexEvents:
+    """Classification of every correspondence breakpoint, one row each.
 
-    ``beta`` is the interior angle measured on the combined curve itself;
-    ``beta1``/``beta2`` are the input interior angles (pi on edge interiors).
-    ``alpha``/``delta``/``gamma`` describe vertex-edge events: angles between
-    the right semitangent rays, between the left semitangent rays, and
-    between the vertex's right semitangent ray and the edge point's left
-    semitangent ray.
+    ``case`` counts the curves with a vertex at the row (0 edge-edge, 1
+    vertex-edge, 2 vertex-vertex).  ``beta`` is the combined curve's own
+    interior angle (pi on edge-edge rows), ``beta1``/``beta2`` the inputs'
+    (pi on edge interiors).  Vertex-edge rows hold in ``alpha``/``delta``/
+    ``gamma`` the angles between the right semitangent rays, between the
+    left ones, and between the vertex's right ray and the edge point's
+    left ray; other rows hold NaN.
     """
 
-    s: float
-    case_id: str                # "edge-edge" | "vertex-edge" | "vertex-vertex"
-    beta1: Angle
-    beta2: Angle
-    beta: Angle
-    alpha: Angle | None = None
-    delta: Angle | None = None
-    gamma: Angle | None = None
+    s: np.ndarray
+    case: np.ndarray
+    beta1: np.ndarray
+    beta2: np.ndarray
+    beta: np.ndarray
+    alpha: np.ndarray
+    delta: np.ndarray
+    gamma: np.ndarray
+
+    def law_error(self) -> float:
+        """Largest |beta - (beta1 + beta2) / 2| over the vertex rows; 0 if none."""
+        err = np.abs(self.beta - 0.5 * (self.beta1 + self.beta2))
+        return float(np.max(err[self.case > 0], initial=0.0))
 
 
-def _vertex_interior(poly: PlanarPolygon, bps: np.ndarray, tol: float) -> np.ndarray:
-    """Interior angle at the vertex within ``tol`` of each position, NaN if none."""
-    pos = poly.vertex_positions()
-    order = np.argsort(pos)
-    pos_sorted = pos[order]
-    interior = (math.pi - poly.exterior_angles())[order]
-    n = len(pos_sorted)
-    i = np.searchsorted(pos_sorted, bps)
-    before, after = np.maximum(i - 1, 0), np.minimum(i, n - 1)
-    at_before = (i > 0) & (np.abs(pos_sorted[before] - bps) <= tol)
-    at_after = (i < n) & (np.abs(pos_sorted[after] - bps) <= tol)
-    # wraparound: position 0 against a vertex at ~period
-    wrap = (bps <= tol) & (abs(pos_sorted[-1] - poly.perimeter) <= tol)
-    j = np.where(at_before, before, np.where(at_after, after, n - 1))
-    return np.where(at_before | at_after | wrap, interior[j], np.nan)
+def vertex_events(combined: CombinedCurve) -> VertexEvents:
+    """Classify every row of ``combined`` and measure its interior angle there.
 
-
-def _semitangents(poly: PlanarPolygon, bps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right and left semitangent directions at each position, as in
-    :func:`right_semitangent` and :func:`left_semitangent`."""
-    idx, u = poly.locate(bps)
-    right = norm_angle_many(poly.edge_dirs[idx])
-    left = norm_angle_many(poly.edge_dirs[idx - (u == 0.0)])
-    return right, left
-
-
-def vertex_events(combined: CombinedCurve) -> list[CombinationVertexEvent]:
-    """Classify every row of ``combined`` and measure its interior angle there."""
+    One ``locate`` per curve gives the row's semitangent edges and whether
+    it sits at a vertex: one within 4 * BREAKPOINT_MERGE_RTOL * perimeter
+    of either end of the located edge.  The merge folds every vertex that
+    close into the row, so the combined curve turns there by its angle,
+    even beyond the finer snap of ``locate``.
+    """
     pair, bps = combined.pair, combined.breakpoints
     tol = BREAKPOINT_MERGE_RTOL * pair.F1.perimeter * 4.0
+    located = []
+    for poly in (pair.F1, pair.F2):
+        idx, u = poly.locate(bps)
+        behind = u <= tol
+        at = behind | ((poly.edge_ends() - poly.cum_lengths)[idx] - u <= tol)
+        vertex = np.where(behind, idx, (idx + 1) % poly.n_vertices)
+        located.append((
+            at,
+            np.where(at, math.pi - poly.exterior_angles()[vertex], math.pi),
+            norm_angle_many(poly.edge_dirs[idx]),
+            norm_angle_many(poly.edge_dirs[idx - (u == 0.0)]),
+        ))
+    (at1, beta1, r1, l1), (at2, beta2, r2, l2) = located
+    case = at1.astype(int) + at2
     chords = roll_next(combined.curve) - combined.curve
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
-    beta = math.pi - norm_angle_many(dirs - roll_prev(dirs))
-    b1 = _vertex_interior(pair.F1, bps, tol)
-    b2 = _vertex_interior(pair.F2, bps, tol)
-    at1, at2 = ~np.isnan(b1), ~np.isnan(b2)
+    beta = np.where(case > 0, math.pi - norm_angle_many(dirs - roll_prev(dirs)), math.pi)
     # vertex-edge: semitangent rays, with the left ray reversed
     rot = pair.motion.rotation
-    r1, l1 = _semitangents(pair.F1, bps)
-    r2, l2 = _semitangents(pair.F2, bps)
     r2, l2 = r2 + rot, l2 + rot
-    alpha = np.abs(norm_angle_many(r1 - r2))
-    delta = np.abs(norm_angle_many(l1 - l2))
-    gamma = np.abs(norm_angle_many(np.where(at1, r1 - (l2 + math.pi), r2 - (l1 + math.pi))))
-
-    beta1, beta2 = np.where(at1, b1, math.pi), np.where(at2, b2, math.pi)
-    columns = (bps, at1, at2, beta1, beta2, beta, alpha, delta, gamma)
-    events = []
-    for s, v1, v2, c1, c2, b, a, d, g in zip(*(c.tolist() for c in columns)):
-        if not (v1 or v2):
-            events.append(CombinationVertexEvent(s, "edge-edge", math.pi, math.pi, math.pi))
-        elif v1 and v2:
-            events.append(CombinationVertexEvent(s, "vertex-vertex", c1, c2, b))
-        else:
-            events.append(CombinationVertexEvent(s, "vertex-edge", c1, c2, b, alpha=a, delta=d, gamma=g))
-    return events
+    gamma = np.where(at1, r1 - (l2 + math.pi), r2 - (l1 + math.pi))
+    alpha, delta, gamma = (
+        np.where(case == 1, np.abs(norm_angle_many(d)), np.nan) for d in (r1 - r2, l1 - l2, gamma)
+    )
+    return VertexEvents(bps, case, beta1, beta2, beta, alpha, delta, gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,12 +230,21 @@ class AlignmentResult:
     margin: Angle
 
 
-def _unwrapped_direction_values(poly: PlanarPolygon, bps: np.ndarray, offset: float) -> np.ndarray:
-    """Unwrapped right-semitangent direction at each breakpoint."""
-    tf = turning_function(poly)
-    idx = np.searchsorted(tf.breakpoints, bps, side="right") - 1
-    turn = np.where(idx >= 0, tf.values[np.maximum(idx, 0)], 0.0)
-    return right_semitangent(poly, 0.0) + offset + turn
+def _unwrapped_direction_values(poly: PlanarPolygon, scan: np.ndarray, offset: float) -> np.ndarray:
+    """Unwrapped right-semitangent direction at each scan position.
+
+    ``scan[0]`` is the base point, whose located edge is the base edge.
+    Each value is the base edge's direction plus the exterior turns from
+    the base edge on to the located edge.  A position on the base edge
+    past half the perimeter has come round the curve and counts the full
+    turn, since no edge of a closed convex polygon spans half of it.
+    """
+    idx, _ = poly.locate(scan)
+    k = int(idx[0]) + 1
+    ext = poly.exterior_angles()
+    turns = np.cumsum(np.concatenate([ext[k:], ext[:k]]))   # turns[i - k] on reaching edge i
+    before = (idx == k - 1) & (scan < 0.5 * poly.perimeter)
+    return norm_angle(float(poly.edge_dirs[k - 1])) + offset + np.where(before, 0.0, turns[idx - k])
 
 
 def _scanned_gap(pair: MarkedPair) -> tuple[np.ndarray, np.ndarray]:

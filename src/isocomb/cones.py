@@ -38,7 +38,7 @@ from .geometry import (
     RigidMotion2,
     alignment_margins,
     dot3,
-    merge_positions,
+    merged_vertex_positions,
     norm_angle,
     roll_next,
     rotate_about_x0_many,
@@ -116,12 +116,6 @@ def pogorelov_identity_check(r1, r2) -> float:
     )
 
 
-def _merged_link_positions(L1: SphericalPolygon, L2: SphericalPolygon, merge_rtol: float) -> np.ndarray:
-    p = L1.perimeter
-    pos = np.sort(np.concatenate([[0.0], L1.vertex_positions(), L2.vertex_positions()]))
-    return merge_positions(pos, p, merge_rtol * p)
-
-
 def _refine(positions: np.ndarray, period: float, max_step: float) -> np.ndarray:
     """Subdivide each gap (including the wraparound) to at most max_step.
 
@@ -182,7 +176,7 @@ def transform_link_pair(
     if max_step is None:
         max_step = p / DEFAULT_SUBDIVISIONS
     if include_vertices:
-        positions = _refine(_merged_link_positions(M1, M2, 1e-12), p, max_step)
+        positions = _refine(merged_vertex_positions(M1, M2, 1e-12), p, max_step)
     else:
         n = max(4, int(math.ceil(p / max_step)))
         positions = np.arange(n) * (p / n)
@@ -238,7 +232,7 @@ def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
     p = L1.perimeter
     if abs(p - L2.perimeter) > 1e-9 * p:
         raise PerimeterMismatch(f"link perimeters {p!r} and {L2.perimeter!r} differ")
-    positions = _merged_link_positions(L1, L2, COMBINE_MERGE_RTOL)
+    positions = merged_vertex_positions(L1, L2, COMBINE_MERGE_RTOL)
     ends = np.concatenate([positions[1:], [p]])
     check = np.concatenate([positions, 0.5 * (positions + ends)])
     sums = sph_points_at(L1, check) + sph_points_at(L2, check)
@@ -309,7 +303,8 @@ def position_and_combine(
     positions and height sums unchanged.
 
     Raises:
-        PositioningNotFound: if no candidate certifies.
+        PositioningNotFound: if no candidate certifies, or fewer than 3
+            merged breakpoints leave none to try.
     """
     C1, _ = normalize_cone(K1)
     C2, _ = normalize_cone(K2)
@@ -320,6 +315,11 @@ def position_and_combine(
     th2 = _image_directions(image.image2)
     g = th1 - th2
     margins = alignment_margins(g, g)
+    # arc positions do not move under a rotation about x0, so a merge that
+    # leaves too few breakpoints fails every candidate in combine_cones
+    m = len(merged_vertex_positions(C1.link, C2.link, COMBINE_MERGE_RTOL))
+    if m < 3:
+        raise PositioningNotFound(f"only {m} correspondence breakpoints survive the merge")
 
     tried = 0
     for j in np.nonzero(margins > MARGIN_EPS)[0]:

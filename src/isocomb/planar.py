@@ -2,7 +2,7 @@
 
 A :class:`PlanarPolygon` is a simple closed convex counterclockwise polygon
 together with a marked base point given as an arc-length position.  All
-curve queries (``point_at``, semitangents, turning) measure arc length
+curve queries (``point_at``, ``locate``) measure arc length
 counterclockwise from the base point; the base point itself may sit in the
 interior of an edge.
 """
@@ -21,13 +21,10 @@ from .errors import (
     WrongOrientation,
 )
 from .geometry import (
-    SNAP_FACTOR,
     TAU,
-    Angle,
     ArcPolygon,
     Vec2,
     merge_collinear,
-    norm_angle,
     reduce_mod,
     roll_next,
     roll_prev,
@@ -37,6 +34,9 @@ from .geometry import (
 # whose exterior angle is below the collinear tolerance are merged away.
 LENGTH_EPS_FACTOR = 1e-12
 COLLINEAR_EPS = 1e-12
+# Largest accepted vertex coordinate magnitude: a combination sums two
+# curves, and its squared chord lengths (bending_check) must stay finite.
+MAX_COORDINATE = 1e150
 
 
 def signed_area(vertices: np.ndarray) -> float:
@@ -84,6 +84,7 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
     every stored vertex is a genuine corner.
 
     Raises:
+        ValueError: a coordinate above ``MAX_COORDINATE`` in magnitude.
         DegenerateEdge: consecutive vertices closer than 1e-12 * perimeter.
         WrongOrientation: clockwise input.
         NotConvex: reflex vertex, zero area, or a full reversal.
@@ -94,6 +95,8 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
         raise ValueError("expected at least 3 planar vertices of shape (n, 2)")
     if not np.all(np.isfinite(verts)):
         raise ValueError("vertices must be finite")
+    if np.max(np.abs(verts)) > MAX_COORDINATE:
+        raise ValueError(f"vertex coordinates must not exceed MAX_COORDINATE = {MAX_COORDINATE:g}")
 
     lengths, dirs = _edge_angles(verts)
     perimeter = float(np.sum(lengths))
@@ -150,47 +153,6 @@ def points_at(poly: PlanarPolygon, ss: np.ndarray) -> np.ndarray:
     base = poly.vertices[idx]
     d = poly.edge_dirs[idx]
     return base + u[:, None] * np.stack([np.cos(d), np.sin(d)], axis=1)
-
-
-def right_semitangent(poly: PlanarPolygon, s: float) -> Angle:
-    """Direction angle of the forward tangent; outgoing edge at a vertex."""
-    (i,), _ = poly.locate([s])
-    return norm_angle(float(poly.edge_dirs[i]))
-
-
-def left_semitangent(poly: PlanarPolygon, s: float) -> Angle:
-    """Direction angle of the incoming edge (left-continuous in ``s``)."""
-    (i,), (u,) = poly.locate([s])
-    if u == 0.0:
-        i = (i - 1) % poly.n_vertices
-    return norm_angle(float(poly.edge_dirs[i]))
-
-
-@dataclass(frozen=True, eq=False)
-class TurningFunction:
-    """Right-continuous step function: cumulative turning vs arc length.
-
-    ``values[k]`` is the turning at and after ``breakpoints[k]``; the value
-    before the first breakpoint is 0.  A vertex at the base point, or close
-    enough after it that :func:`right_semitangent` already snaps the base
-    onto its outgoing edge, contributes its jump at arc length ``perimeter``.
-    """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-    perimeter: float
-
-    def total_increase(self) -> float:
-        return float(self.values[-1])
-
-
-def turning_function(poly: PlanarPolygon) -> TurningFunction:
-    """Cumulative turning of the curve from the base point."""
-    pos = poly.vertex_positions()
-    pos = np.where(pos <= SNAP_FACTOR * poly.perimeter, poly.perimeter, pos)
-    order = np.argsort(pos, kind="stable")
-    turns = poly.exterior_angles()[order]
-    return TurningFunction(pos[order], np.cumsum(turns), poly.perimeter)
 
 
 @dataclass(frozen=True, eq=False)

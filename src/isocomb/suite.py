@@ -29,6 +29,9 @@ VERTEX_ANGLE_TOL = 1e-9       # |beta - (beta1 + beta2) / 2|
 MIN_EXTERIOR_TOL = 1e-9
 EXTERIOR_SUM_TOL = 1e-8
 GAUSS_BONNET_TOL = 1e-8
+# Bounds on a suite's size: a run keeps every trial's report in memory.
+MAX_TRIALS = 100_000
+MAX_VERTICES = 10_000
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,12 @@ class SuiteConfig:
     target_link_length: tuple = (0.5, TAU - 0.5)
 
     def validate(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, MAX_TRIALS = {MAX_TRIALS}]")
         if self.min_vertices < 3:
             raise ValueError("min_vertices must be >= 3")
-        if self.max_vertices < self.min_vertices:
-            raise ValueError("max_vertices must be >= min_vertices")
+        if not self.min_vertices <= self.max_vertices <= MAX_VERTICES:
+            raise ValueError(f"max_vertices must lie in [min_vertices, MAX_VERTICES = {MAX_VERTICES}]")
         lo, hi = self.target_link_length
         if not (0.0 < lo < hi < TAU):
             raise ValueError("target link length range must lie inside (0, 2*pi)")
@@ -128,11 +131,7 @@ def planar_trial(config: SuiteConfig, index: int) -> TrialReport:
         reasons.append(f"min exterior {cert.min_exterior:.3e}")
     if not abs(cert.exterior_sum - TAU) <= EXTERIOR_SUM_TOL:
         reasons.append(f"exterior sum off by {cert.exterior_sum - TAU:.3e}")
-    events = vertex_events(combined)
-    worst_law = max(
-        (abs(e.beta - 0.5 * (e.beta1 + e.beta2)) for e in events if e.case_id != "edge-edge"),
-        default=0.0,
-    )
+    worst_law = vertex_events(combined).law_error()
     if worst_law > VERTEX_ANGLE_TOL:
         reasons.append(f"vertex-angle law off by {worst_law:.3e}")
     return TrialReport(

@@ -103,6 +103,23 @@ def scalar_locate(poly, s):
     return i, u
 
 
+def turning_function_directions(poly, ss, offset):
+    """Reference for ``combination._unwrapped_direction_values``: the former
+    turning-function route.  The cumulative turning is a right-continuous
+    step function of the sorted vertex positions; a vertex at the base, or
+    within the snap distance after it, turns at the perimeter.  The value
+    at ``s`` is the right semitangent at the base plus ``offset`` plus the
+    turning at ``s``."""
+    pos = poly.vertex_positions()
+    pos = np.where(pos <= SNAP_FACTOR * poly.perimeter, poly.perimeter, pos)
+    order = np.argsort(pos, kind="stable")
+    breakpoints, values = pos[order], np.cumsum(poly.exterior_angles()[order])
+    idx = np.searchsorted(breakpoints, ss, side="right") - 1
+    turn = np.where(idx >= 0, values[np.maximum(idx, 0)], 0.0)
+    base, _ = scalar_locate(poly, 0.0)
+    return norm_angle(float(poly.edge_dirs[base])) + offset + turn
+
+
 def spherical_locate(poly, ss):
     """Reference for the shared arc-length locator: the locate block that
     ``spherical.sph_points_at`` carried before it used the shared one."""

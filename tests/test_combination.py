@@ -8,7 +8,6 @@ import pytest
 from isocomb import combination
 from isocomb.combination import (
     BREAKPOINT_MERGE_RTOL,
-    CombinationVertexEvent,
     align,
     apply_alignment,
     bending_check,
@@ -21,6 +20,8 @@ from isocomb.combination import (
     uniform_positions,
     vertex_events,
     _dedup_closed,
+    _scanned_gap,
+    _unwrapped_direction_values,
 )
 from isocomb.errors import AlignmentNotFound, PerimeterMismatch
 from isocomb.geometry import TAU, RigidMotion2, Vec2, apply_motion_many, norm_angle
@@ -28,14 +29,19 @@ from isocomb.planar import (
     build_polygon,
     convexity_certificate,
     dilate_to_perimeter,
-    left_semitangent,
     points_at,
-    right_semitangent,
-    turning_function,
 )
 from isocomb.suite import SuiteConfig, random_convex_polygon, trial_rng
 
-from conftest import circ_dist, circular_alignment_margins, dense_alignment_margins, support_polygon
+from conftest import (
+    assert_same_bits,
+    circ_dist,
+    circular_alignment_margins,
+    dense_alignment_margins,
+    scalar_locate,
+    support_polygon,
+    turning_function_directions,
+)
 
 
 def rect_0p5_by_1p5(base_s=0.0):
@@ -103,12 +109,18 @@ def test_combine_hypothesis_violated_reports_without_raising(unit_square):
 def test_vertex_events_identical_squares(unit_square):
     pair = make_pair(unit_square, unit_square)
     events = vertex_events(combine(pair))
-    assert len(events) == 4
-    for e in events:
-        assert e.case_id == "vertex-vertex"
-        assert e.beta1 == pytest.approx(math.pi / 2)
-        assert e.beta2 == pytest.approx(math.pi / 2)
-        assert e.beta == pytest.approx(math.pi / 2, abs=1e-12)
+    assert len(events.s) == 4
+    assert events.case.tolist() == [2, 2, 2, 2]
+    assert np.allclose(events.beta1, math.pi / 2)
+    assert np.allclose(events.beta2, math.pi / 2)
+    assert np.allclose(events.beta, math.pi / 2, rtol=0.0, atol=1e-12)
+    assert np.isnan(events.alpha).all() and np.isnan(events.gamma).all()
+    # a vertex the merge folds into a row is at that row, also when it lies
+    # beyond the snap distance of locate
+    for shift in (1e-15, 1e-13, 3e-12):
+        events = vertex_events(combine(make_pair(unit_square, unit_square.with_base(4.0 - shift))))
+        assert events.case.tolist() == [2, 2, 2, 2], shift
+        assert events.law_error() <= 1e-15, shift
 
 
 def test_vertex_events_square_vs_offset_rectangle(unit_square):
@@ -116,17 +128,17 @@ def test_vertex_events_square_vs_offset_rectangle(unit_square):
     result = align(pair)
     aligned = apply_alignment(pair, result)
     events = vertex_events(combine(aligned))
-    cases = {e.case_id for e in events}
-    assert "vertex-edge" in cases
-    for e in events:
-        if e.case_id == "vertex-edge":
-            # exactly one side is a corner; the other angle is pi
-            assert math.pi in (e.beta1, e.beta2)
-            assert min(e.beta1, e.beta2) < math.pi
-            assert e.beta == pytest.approx(0.5 * (e.beta1 + e.beta2), abs=1e-9)
-            assert e.alpha is not None and e.delta is not None and e.gamma is not None
-        if e.case_id != "edge-edge":
-            assert e.beta < math.pi
+    one, vertex = events.case == 1, events.case > 0
+    assert one.any()
+    # exactly one side is a corner; the other angle is pi
+    b1, b2 = events.beta1[one], events.beta2[one]
+    assert np.all((b1 == math.pi) != (b2 == math.pi))
+    assert np.all(np.minimum(b1, b2) < math.pi)
+    assert events.law_error() <= 1e-9
+    for column in (events.alpha, events.delta, events.gamma):
+        assert not np.isnan(column[one]).any() and np.isnan(column[~one]).all()
+    assert np.all(events.beta[vertex] < math.pi)
+    assert np.all(events.beta[~vertex] == math.pi)
 
 
 def test_vertex_events_law_on_random_aligned_pairs():
@@ -137,15 +149,26 @@ def test_vertex_events_law_on_random_aligned_pairs():
         f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 30), f1.perimeter, (0, 0))
         pair = make_pair(f1, f2)
         _, combined = combine_aligned(pair)
-        for e in vertex_events(combined):
-            if e.case_id != "edge-edge":
-                worst = max(worst, abs(e.beta - 0.5 * (e.beta1 + e.beta2)))
-                assert e.beta < math.pi
+        events = vertex_events(combined)
+        worst = max(worst, events.law_error())
+        assert np.all(events.beta[events.case > 0] < math.pi)
     assert worst <= 1e-9
 
 
+def _scalar_semitangents(poly, s):
+    """Right and left semitangent directions at one position, read from
+    the scalar reference locator as the former scalar helpers did."""
+    i, u = scalar_locate(poly, float(s))
+    j = (i - 1) % poly.n_vertices if u == 0.0 else i
+    return norm_angle(float(poly.edge_dirs[i])), norm_angle(float(poly.edge_dirs[j]))
+
+
 def _vertex_events_loop(pair):
-    """The per-breakpoint loop that the array version of vertex_events replaced."""
+    """The per-breakpoint loop that the array version of vertex_events
+    replaced, one (s, case, beta1, beta2, beta, alpha, delta, gamma) row per
+    breakpoint, None where a row has no alpha/delta/gamma.  A row sits at a
+    vertex when one lies within 4e-12 of the perimeter, as the former
+    tolerance search decided."""
     def lookup(poly, tol):
         pos = poly.vertex_positions()
         order = np.argsort(pos)
@@ -170,31 +193,39 @@ def _vertex_events_loop(pair):
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
     look1, look2 = lookup(pair.F1, tol), lookup(pair.F2, tol)
     rot = pair.motion.rotation
-    events = []
+    rows = []
     for k, s in enumerate(bps):
         b1, b2 = look1(s), look2(s)
         if b1 is None and b2 is None:
-            events.append(CombinationVertexEvent(float(s), "edge-edge", math.pi, math.pi, math.pi))
+            rows.append((float(s), 0, math.pi, math.pi, math.pi, None, None, None))
             continue
         beta = math.pi - norm_angle(float(dirs[k] - dirs[(k - 1) % len(bps)]))
         if b1 is not None and b2 is not None:
-            events.append(CombinationVertexEvent(float(s), "vertex-vertex", b1, b2, beta))
+            rows.append((float(s), 2, b1, b2, beta, None, None, None))
             continue
-        r1 = right_semitangent(pair.F1, s)
-        r2 = right_semitangent(pair.F2, s) + rot
-        l1 = left_semitangent(pair.F1, s)
-        l2 = left_semitangent(pair.F2, s) + rot
+        r1, l1 = _scalar_semitangents(pair.F1, s)
+        r2, l2 = _scalar_semitangents(pair.F2, s)
+        r2, l2 = r2 + rot, l2 + rot
         gamma = circ_dist(r1, l2 + math.pi) if b1 is not None else circ_dist(r2, l1 + math.pi)
-        events.append(CombinationVertexEvent(
-            float(s), "vertex-edge", math.pi if b1 is None else b1, math.pi if b2 is None else b2,
-            beta, alpha=circ_dist(r1, r2), delta=circ_dist(l1, l2), gamma=gamma,
+        rows.append((
+            float(s), 1, math.pi if b1 is None else b1, math.pi if b2 is None else b2,
+            beta, circ_dist(r1, r2), circ_dist(l1, l2), gamma,
         ))
-    return events
+    return rows
+
+
+def _assert_events_equal_loop(events, rows):
+    cols = list(zip(*rows))
+    assert events.case.tolist() == list(cols[1])
+    for name, col in zip(("s", "beta1", "beta2", "beta", "alpha", "delta", "gamma"), cols[:1] + cols[2:]):
+        want = np.array([math.nan if v is None else v for v in col])
+        assert_same_bits(getattr(events, name), want, name)
 
 
 def test_vertex_events_equal_loop_oracle(unit_square):
     # hulls of 3..200 points, aligned (base on a vertex) and as drawn (base anywhere)
     pairs = [make_pair(unit_square, rect_0p5_by_1p5(base_s=b)) for b in (0.0, 0.25, 0.5, 1.9)]
+    pairs += [make_pair(unit_square, unit_square.with_base(4.0 - d)) for d in (1e-15, 1e-13, 3e-12)]
     for k in range(3, 201, 3):
         rng = trial_rng(4321, k)
         f1 = random_convex_polygon(rng, k, k)
@@ -202,7 +233,16 @@ def test_vertex_events_equal_loop_oracle(unit_square):
         pair = make_pair(f1, f2)
         pairs += [pair, apply_alignment(pair, align(pair))]
     for pair in pairs:
-        assert repr(vertex_events(combine(pair))) == repr(_vertex_events_loop(pair))
+        _assert_events_equal_loop(vertex_events(combine(pair)), _vertex_events_loop(pair))
+
+
+def test_vertex_events_equal_loop_oracle_on_dense_pairs():
+    for n, base_frac in ((1000, 0.37), (2000, 0.81)):
+        f1 = support_polygon(n, 1.0, {2: (0.1, 0.05), 3: (0.02, 0.0)})
+        f2 = support_polygon(n + 7, 1.0, {3: (0.05, 0.03), 5: (0.01, 0.0)}, base_frac=base_frac)
+        pair = make_pair(f1, dilate_to_perimeter(f2, f1.perimeter, (0.0, 0.0)))
+        for p in (pair, apply_alignment(pair, align(pair))):
+            _assert_events_equal_loop(vertex_events(combine(p)), _vertex_events_loop(p))
 
 
 def test_positive_margin_implies_convex_combination():
@@ -220,9 +260,7 @@ def test_positive_margin_implies_convex_combination():
         cert = combined.certificate
         assert result.margin > 0 and cert.is_convex, i
         assert abs(cert.exterior_sum - TAU) <= 1e-8, i
-        for e in vertex_events(combined):
-            if e.case_id != "edge-edge":
-                assert abs(e.beta - 0.5 * (e.beta1 + e.beta2)) <= 1e-9, i
+        assert vertex_events(combined).law_error() <= 1e-9, i
 
 
 def test_semitangent_condition_rejects_gap_swinging_through_pi(monkeypatch):
@@ -348,12 +386,13 @@ def test_align_invariant_under_common_base_shift_and_scaling():
 
 
 def test_g_periodicity():
-    from isocomb.planar import turning_function
-
+    # past the last vertex the unwrapped direction has turned once round
     for i in range(10):
         rng = trial_rng(404, i)
         poly = random_convex_polygon(rng, 3, 50)
-        assert turning_function(poly).total_increase() == pytest.approx(TAU, abs=1e-9)
+        end = 0.5 * (poly.vertex_positions().max() + poly.perimeter)
+        first, last = _unwrapped_direction_values(poly, np.array([0.0, end]), 0.0)
+        assert last - first == pytest.approx(TAU, abs=1e-9)
 
 
 def test_combine_aligned_square_rectangle(unit_square):
@@ -462,7 +501,7 @@ def test_array_holding_results_compare_by_identity_and_hash():
     a, b = build_polygon(square), build_polygon(square)
     objects = [
         (a, b),
-        (turning_function(a), turning_function(b)),
+        (vertex_events(combine(make_pair(a, a))), vertex_events(combine(make_pair(b, b)))),
         (convexity_certificate(a.vertices, 1e-9), convexity_certificate(b.vertices, 1e-9)),
         (align(make_pair(a, a)), align(make_pair(b, b))),
     ]
@@ -470,3 +509,48 @@ def test_array_holding_results_compare_by_identity_and_hash():
         assert x == x and not (x == y) and x != y
         assert hash(x) == hash(x)
         assert x in {x} and y not in {x}
+
+
+def _scan_pairs():
+    """Pairs for the gap oracle: hulls of 3..200 points as drawn and
+    aligned, and dense support-function pairs of 1,000 and 2,000 vertices."""
+    pairs = []
+    for i in range(150):
+        rng = trial_rng(606, i)
+        k = 3 + (i * 197) // 149
+        f1 = random_convex_polygon(rng, 3, k)
+        f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, k), f1.perimeter, (0, 0))
+        pair = make_pair(f1, f2)
+        pairs += [pair, apply_alignment(pair, align(pair))]
+    for n, base_frac in ((1000, 0.37), (2000, 0.81)):
+        f1 = support_polygon(n, 1.0, {2: (0.1, 0.05), 3: (0.02, 0.0)})
+        f2 = support_polygon(n, 1.0, {3: (0.05, 0.03), 5: (0.01, 0.0)}, base_frac=base_frac)
+        pair = make_pair(f1, dilate_to_perimeter(f2, f1.perimeter, (0.0, 0.0)))
+        pairs += [pair, apply_alignment(pair, align(pair))]
+    return pairs
+
+
+def test_gap_equals_turning_function_oracle_on_scan_positions():
+    pairs = _scan_pairs()
+    assert len(pairs) >= 300
+    for pair in pairs:
+        bps, g_scan = _scanned_gap(pair)
+        ends = np.concatenate([bps[1:], [pair.F1.perimeter]])
+        scan = np.concatenate([bps, 0.5 * (bps + ends)])
+        want = turning_function_directions(pair.F1, scan, 0.0) - turning_function_directions(
+            pair.F2, scan, pair.motion.rotation
+        )
+        assert_same_bits(g_scan, want)
+
+
+def test_gap_follows_locate_in_the_snap_window_before_a_vertex(unit_square):
+    # a position a rounding error before a vertex is that vertex, on its
+    # outgoing edge, for the gap as for every other arc query; the former
+    # turning function counted the vertex's turn only from its position on
+    s = np.array([0.0, np.nextafter(1.0, 0.0)])
+    (_, edge), (_, u) = unit_square.locate(s)
+    assert (edge, u) == (1, 0.0)
+    got = _unwrapped_direction_values(unit_square, s, 0.0)
+    assert got[1] == pytest.approx(math.pi / 2)
+    assert got[1] == norm_angle(float(unit_square.edge_dirs[edge]))
+    assert turning_function_directions(unit_square, s, 0.0)[1] == 0.0

@@ -481,6 +481,22 @@ def test_thin_digon_ends_in_the_geometry_not_in_the_bracket():
             _finite_certified(lv.combined_link)
 
 
+def test_positioning_stops_before_the_candidates_when_the_merge_collapses(monkeypatch):
+    # the 1e-9 quadrilaterals' merged arc positions leave fewer than 3
+    # breakpoints whatever the rotation, so no candidate is combined
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return combine_cones(*args)
+
+    monkeypatch.setattr(cones, "combine_cones", counted)
+    thin = make_digon(1e-9)
+    with pytest.raises(PositioningNotFound, match="breakpoints survive the merge"):
+        combine_dihedral(thin, thin, [0.2, 0.1])
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_positioning_invariant_under_common_rotation(seed):
     # centroid normalization takes a commonly rotated pair to the same pair

@@ -23,7 +23,7 @@ from isocomb.geometry import (
     rotate_about_x0_many,
 )
 
-from isocomb.planar import build_polygon, left_semitangent, point_at, right_semitangent
+from isocomb.planar import build_polygon, point_at
 from isocomb.spherical import random_convex_link, sph_points_at
 from isocomb.suite import random_convex_polygon, trial_rng
 
@@ -257,9 +257,6 @@ def test_scalar_queries_follow_the_oracle_edge(unit_square):
             v, d = poly.vertices[i], poly.edge_dirs[i]
             want = (v[0], v[1]) if u == 0.0 else (v[0] + u * math.cos(d), v[1] + u * math.sin(d))
             assert _bits(point_at(poly, s)) == _bits(want)
-            assert right_semitangent(poly, s) == norm_angle(float(d))
-            j = (i - 1) % poly.n_vertices if u == 0.0 else i
-            assert left_semitangent(poly, s) == norm_angle(float(poly.edge_dirs[j]))
 
 
 def test_spherical_locate_equals_former_block_bit_for_bit():

@@ -1,6 +1,7 @@
 """Every module-level import of the package is used by its module, every
 module-level private function or class is used somewhere in the package,
-and no module calls the numpy routines that the column helpers replace."""
+no module calls the numpy routines that the column helpers replace, and
+only ``geometry`` reads the snap rule's ``SNAP_FACTOR``."""
 
 import ast
 from pathlib import Path
@@ -135,3 +136,38 @@ def test_replaced_numpy_calls_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_calls_no_replaced_numpy_routine(module):
     assert replaced_numpy_calls((PACKAGE / module).read_text()) == []
+
+
+# geometry.ArcPolygon.locate owns the snap rule: every other module asks it
+# which edge a position is on, and none repeats the rule with SNAP_FACTOR
+SNAP_OWNER = "geometry.py"
+
+
+def snap_factor_readers(sources: dict[str, str]) -> list[str]:
+    """Modules other than ``SNAP_OWNER`` that read ``SNAP_FACTOR`` as a
+    name, an attribute or an imported name, as ``module:line``."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return [
+        f"{module}:{n.lineno}"
+        for module, source in sources.items()
+        if module != SNAP_OWNER
+        for n in ast.walk(ast.parse(source))
+        if type(n) in fields and getattr(n, fields[type(n)]) == "SNAP_FACTOR"
+    ]
+
+
+def test_snap_factor_readers_are_found():
+    sources = {
+        "geometry.py": "SNAP_FACTOR = 1e-15\nsnap = SNAP_FACTOR * 2\n",
+        "a.py": "from .geometry import SNAP_FACTOR as S\n",
+        "b.py": "from . import geometry\nx = geometry.SNAP_FACTOR\n",
+        "c.py": "from .geometry import *\ny = SNAP_FACTOR\n",
+        "d.py": "z = 'SNAP_FACTOR'\nfrom .geometry import TAU\n",
+    }
+    assert snap_factor_readers(sources) == ["a.py:1", "b.py:2", "c.py:2"]
+
+
+def test_only_geometry_reads_snap_factor():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert SNAP_OWNER in sources
+    assert snap_factor_readers(sources) == []

@@ -3,24 +3,43 @@ import math
 import numpy as np
 import pytest
 
+from isocomb.combination import _unwrapped_direction_values
 from isocomb.errors import (
     DegenerateEdge,
     NotConvex,
     NotSimple,
     WrongOrientation,
 )
+from isocomb.geometry import norm_angle
 from isocomb.planar import (
+    MAX_COORDINATE,
     build_polygon,
     convexity_certificate,
     dilate_to_perimeter,
-    left_semitangent,
     point_at,
     points_at,
-    right_semitangent,
-    turning_function,
 )
 
 TAU = 2 * math.pi
+
+
+def right_semitangent(poly, s):
+    """Direction of the edge ``locate`` puts ``s`` on: the outgoing one at a vertex."""
+    (i,), _ = poly.locate([s])
+    return norm_angle(float(poly.edge_dirs[i]))
+
+
+def left_semitangent(poly, s):
+    """Direction of the incoming edge at a vertex, else of the located edge."""
+    (i,), (u,) = poly.locate([s])
+    return norm_angle(float(poly.edge_dirs[i - (u == 0.0)]))
+
+
+def turning(poly, ss):
+    """Cumulative turning at each position: the unwrapped direction of the
+    alignment gap, less its value at the base."""
+    d = _unwrapped_direction_values(poly, np.concatenate([[0.0], ss]), 0.0)
+    return d[1:] - d[0]
 
 
 def test_build_unit_square(unit_square):
@@ -108,20 +127,17 @@ def test_semitangents_agree_on_edge_interiors(unit_square):
 
 def test_turning_function_mid_edge_base():
     sq = build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], base_s=0.5)
-    tf = turning_function(sq)
-    assert np.allclose(tf.breakpoints, [0.5, 1.5, 2.5, 3.5])
-    assert np.allclose(np.diff(tf.values, prepend=0.0), math.pi / 2)
-    assert tf.total_increase() == pytest.approx(TAU, abs=1e-9)
-    # right-continuous: 0 before the first breakpoint, one jump at it
-    assert tf.breakpoints[0] == 0.5
-    assert tf.values[0] == pytest.approx(math.pi / 2)
+    # right-continuous: 0 before the first vertex at 0.5, one jump at each
+    got = turning(sq, np.array([0.25, 0.5, 1.0, 1.5, 2.5, 3.49, 3.5, 3.9]))
+    q = math.pi / 2
+    assert np.allclose(got, [0.0, q, q, 2 * q, 3 * q, 3 * q, TAU, TAU], rtol=0.0, atol=1e-12)
 
 
 def test_turning_function_vertex_base(unit_square):
-    tf = turning_function(unit_square)
     # the vertex at the base contributes its jump at the period end
-    assert np.allclose(tf.breakpoints, [1.0, 2.0, 3.0, 4.0])
-    assert tf.total_increase() == pytest.approx(TAU, abs=1e-9)
+    got = turning(unit_square, np.array([0.5, 1.0, 2.0, 3.0, 3.99, 4.0]))
+    q = math.pi / 2
+    assert np.allclose(got, [0.0, q, 2 * q, 3 * q, 3 * q, TAU], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("base", [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
@@ -129,18 +145,28 @@ def test_turning_function_agrees_with_snapped_semitangent(unit_square, base):
     # a base a rounding error before a vertex snaps onto the outgoing edge,
     # so that vertex's turn must not be counted a second time
     sq = unit_square.with_base(base)
-    tf = turning_function(sq)
-    assert tf.breakpoints[-1] == sq.perimeter
+    got = turning(sq, np.array([0.99, 1.01, 3.99, sq.perimeter]))
+    # its jump comes at the period end
+    assert got[2] == pytest.approx(3 * math.pi / 2) and got[3] == pytest.approx(TAU)
     # no turn before the next vertex, a full edge after the snapped base
-    assert tf.breakpoints[0] == pytest.approx(1.0)
+    assert got[0] == 0.0 and got[1] == pytest.approx(math.pi / 2)
     assert right_semitangent(sq, 0.0) == pytest.approx(math.pi / 2)
+    assert _unwrapped_direction_values(sq, np.array([0.0]), 0.0)[0] == right_semitangent(sq, 0.0)
 
 
 def test_turning_function_hexagon():
     t = np.arange(6) * (TAU / 6)
     hexagon = build_polygon(np.column_stack([np.cos(t), np.sin(t)]), base_s=0.1)
-    tf = turning_function(hexagon)
-    assert np.allclose(np.diff(tf.values, prepend=0.0), math.pi / 3)
+    pos = np.sort(hexagon.vertex_positions())
+    mids = 0.5 * (pos + np.append(pos[1:], hexagon.perimeter))
+    assert np.allclose(np.diff(turning(hexagon, mids), prepend=0.0), math.pi / 3)
+
+
+def test_build_rejects_coordinates_beyond_the_bound():
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    assert build_polygon(MAX_COORDINATE * square).perimeter == pytest.approx(4 * MAX_COORDINATE)
+    with pytest.raises(ValueError, match="MAX_COORDINATE"):
+        build_polygon(np.nextafter(MAX_COORDINATE, math.inf) * square)
 
 
 def test_certificate_square(unit_square):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from isocomb.serialization import (
     spherical_to_dict,
 )
 from isocomb.suite import (
+    MAX_TRIALS,
+    MAX_VERTICES,
     SuiteConfig,
     replay_trial,
     run_cone_suite,
@@ -37,6 +40,15 @@ def test_config_rejects_zero_trials():
 def test_config_rejects_inverted_vertex_range():
     with pytest.raises(ValueError):
         SuiteConfig(trials=1, seed=1, min_vertices=10, max_vertices=4).validate()
+
+
+@pytest.mark.parametrize("field, bound", [("trials", MAX_TRIALS), ("max_vertices", MAX_VERTICES)])
+def test_config_bounds_the_suite_size(field, bound):
+    # validate() alone: a suite of this size is never run
+    config = SuiteConfig(trials=1, seed=1)
+    replace(config, **{field: bound}).validate()
+    with pytest.raises(ValueError, match=("MAX_TRIALS" if field == "trials" else "MAX_VERTICES")):
+        replace(config, **{field: bound + 1}).validate()
 
 
 def test_config_rejects_degenerate_link_range():
@@ -264,6 +276,16 @@ def test_cli_align_writes_schema(square_file, rect_file, tmp_path):
     assert result["alignment"]["margin"] > 0
     assert result["combined"]["certificate"]["is_convex"] is True
     assert svg.read_text().count("<polyline") == 3
+
+
+@pytest.mark.parametrize("scale, code", [(1e150, 0), (1e154, 1)])
+def test_cli_align_bounds_the_coordinates(tmp_path, capsys, scale, code):
+    # squared chord lengths of the combination overflowed past ~1e154
+    square = write_json(tmp_path / "big.json", {"type": "planar_polygon", "vertices": [
+        [0.0, 0.0], [scale, 0.0], [scale, scale], [0.0, scale]]})
+    assert cli.main(["align", "--a", square, "--b", square, "--out", str(tmp_path / "out.json")]) == code
+    err = capsys.readouterr().err
+    assert ("MAX_COORDINATE" in err) == (code == 1)
 
 
 def test_cli_combine_skips_alignment(square_file, tmp_path):
