@@ -37,6 +37,7 @@ from .geometry import (
     Angle,
     RigidMotion2,
     alignment_margins,
+    brent_root,
     dot3,
     merged_vertex_positions,
     norm_angle,
@@ -58,6 +59,7 @@ DEFAULT_SUBDIVISIONS = 256          # max_step = perimeter / 256
 IMAGE_COLLINEAR_EPS = 1e-9          # sampling-noise floor for transformed images
 COMBINE_MERGE_RTOL = 1e-9
 ANTIPODAL_EPS = 1e-9                # floor of |r1 + r2| in a cone combination
+PLACEMENT_TOL = 1e-9                # orthonormality and det of a digon placement
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,12 +377,26 @@ class Digon:
 
 
 def make_digon(angle: float, placement: np.ndarray | None = None) -> Digon:
-    """Digon of the given dihedral angle; the angle must lie strictly in (0, pi)."""
+    """Digon of the given dihedral angle; the angle must lie strictly in (0, pi).
+
+    Raises:
+        ValueError: the angle is out of range, or the placement is not a
+            finite 3x3 rotation (orthonormal with determinant +1 within
+            ``PLACEMENT_TOL``).
+    """
     if not 0.0 < angle < math.pi:
         raise ValueError(f"digon angle must lie strictly in (0, pi); got {angle!r}")
     if placement is None:
         placement = np.eye(3)
-    return Digon(float(angle), np.asarray(placement, dtype=float))
+    placement = np.asarray(placement, dtype=float)
+    if placement.shape != (3, 3) or not np.isfinite(placement).all():
+        raise ValueError(f"digon placement must be a finite 3x3 rotation; got {placement.tolist()!r}")
+    if (
+        np.abs(placement @ placement.T - np.eye(3)).max() > PLACEMENT_TOL
+        or abs(np.linalg.det(placement) - 1.0) > PLACEMENT_TOL
+    ):
+        raise ValueError(f"digon placement is not a rotation; got {placement.tolist()!r}")
+    return Digon(float(angle), placement)
 
 
 def _digon_quadrilateral(digon: Digon, eps: float) -> SphericalPolygon:
@@ -406,14 +422,12 @@ def truncate_digons(
     """Cut both digons into spherical quadrilaterals of equal perimeter.
 
     The first digon is cut at depth ``eps``; the second's cut depth ``e2``
-    is solved by bisection so the perimeters match to 1e-12 relative.
+    is solved by Brent's method so the perimeters match to 1e-12 relative.
     Returns ``(q1, q2, e2)``.
 
     Raises:
         TruncationTooDeep: eps outside (0, pi/4) or no matching depth exists.
     """
-    from scipy.optimize import brentq
-
     if not 0.0 < eps < math.pi / 4:
         raise TruncationTooDeep(f"cut depth {eps!r} outside (0, pi/4)")
     q1 = _digon_quadrilateral(digon1, eps)
@@ -430,7 +444,7 @@ def truncate_digons(
         raise TruncationTooDeep(
             f"no cut depth of the second digon matches perimeter {target!r}"
         )
-    e2 = float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    e2 = brent_root(f, lo, hi)
     q2 = _digon_quadrilateral(digon2, e2)
     if abs(q2.perimeter - target) > 1e-12 * target:
         raise TruncationTooDeep("perimeter equalization did not converge")

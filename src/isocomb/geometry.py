@@ -1,5 +1,6 @@
-"""Elementary 2D/3D vector algebra, angles, planar rigid motions, and the
-arc-length core shared by planar and spherical polygons.
+"""Elementary 2D/3D vector algebra, angles, planar rigid motions and
+rotation vectors, the arc-length core shared by planar and spherical
+polygons, and the 1-D root solver of the perimeter equations.
 
 Conventions used throughout the package:
 
@@ -89,6 +90,87 @@ def roll_next(a: np.ndarray) -> np.ndarray:
 def roll_prev(a: np.ndarray) -> np.ndarray:
     """``np.roll(a, 1, axis=0)``: row i holds row i - 1, cyclically."""
     return np.concatenate([a[-1:], a[:-1]])
+
+
+# Brent's method at full double precision: the tolerances both perimeter
+# solves use (BRENT_RTOL is just above scipy's floor of 4 eps) and
+# scipy's iteration cap
+BRENT_XTOL = 1e-15
+BRENT_RTOL = 8.9e-16
+BRENT_MAXITER = 100
+
+
+def _brent_value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def brent_root(f, a: float, b: float) -> float:
+    """Root of ``f`` in the bracket ``[a, b]`` by Brent's method.
+
+    A line-for-line port of scipy's ``brentq.c`` (same branches, same
+    expression order), so it equals ``scipy.optimize.brentq(f, a, b,
+    xtol=BRENT_XTOL, rtol=BRENT_RTOL)`` bit for bit, in the root and in
+    the calls of ``f``.  A division by zero in the interpolation step,
+    where C gets an inf or a NaN that fails the step test, bisects.
+
+    Raises:
+        ValueError: ``f(a)`` and ``f(b)`` have the same sign, or a value
+            of ``f`` is NaN.
+        RuntimeError: no convergence within ``BRENT_MAXITER`` iterations.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = _brent_value(f, xpre), _brent_value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan
+            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _brent_value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations, value is {xcur}")
 
 
 def reduce_mod(t: float, period: float) -> float:
@@ -322,3 +404,70 @@ def rotation_matrix_from_to(a, b) -> np.ndarray:
         [-axis[1], axis[0], 0.0],
     ])
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+
+
+def rotvec_to_matrix(rotvec) -> np.ndarray:
+    """3x3 rotation matrix of a rotation vector (unit axis times angle).
+
+    The unit-quaternion route of scipy's ``Rotation.from_rotvec(rotvec)
+    .as_matrix()``, its series below angle 1e-3 included, in the same
+    operation order.  A vector whose angle is not finite gives a NaN
+    matrix, as there (C's sin and cos of inf are NaN; ``math``'s raise).
+    """
+    r0, r1, r2 = (float(v) for v in rotvec)
+    angle = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+    if not math.isfinite(angle):
+        return np.full((3, 3), math.nan)
+    if angle <= 1e-3:
+        angle2 = angle * angle
+        scale = 0.5 - angle2 / 48 + angle2 * angle2 / 3840
+    else:
+        scale = math.sin(angle / 2) / angle
+    x, y, z, w = scale * r0, scale * r1, scale * r2, math.cos(angle / 2)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([
+        [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+        [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+        [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+    ])
+
+
+def matrix_to_rotvec(matrix) -> np.ndarray:
+    """Rotation vector of a 3x3 rotation matrix, angle in [0, pi].
+
+    The route of scipy's ``Rotation.from_matrix(matrix).as_rotvec()`` for
+    an orthonormal matrix: the quaternion from the largest of the diagonal
+    and the trace, normalized, turned to w >= 0, and the angle's series
+    below 1e-3.
+    """
+    m = [[float(v) for v in row] for row in np.asarray(matrix, dtype=float)]
+    trace = m[0][0] + m[1][1] + m[2][2]
+    decision = [m[0][0], m[1][1], m[2][2], trace]
+    choice = 0
+    for c in (1, 2, 3):
+        if decision[c] > decision[choice]:
+            choice = c
+    q = [0.0, 0.0, 0.0, 0.0]
+    if choice != 3:
+        i = choice
+        j = (i + 1) % 3
+        k = (j + 1) % 3
+        q[i] = 1 - trace + 2 * m[i][i]
+        q[j] = m[j][i] + m[i][j]
+        q[k] = m[k][i] + m[i][k]
+        q[3] = m[k][j] - m[j][k]
+    else:
+        q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace]
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    q = [v / norm for v in q]
+    # canonical sign: the first nonzero of (w, x, y, z) positive, so w >= 0
+    if next((v for v in (q[3], q[0], q[1], q[2]) if v != 0.0), 0.0) < 0.0:
+        q = [-v for v in q]
+    angle = 2 * math.atan2(math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2]), q[3])
+    if angle <= 1e-3:
+        angle2 = angle * angle
+        scale = 2 + angle2 / 12 + 7 * angle2 * angle2 / 2880
+    else:
+        scale = angle / math.sin(angle / 2)
+    return np.array([scale * q[0], scale * q[1], scale * q[2]])

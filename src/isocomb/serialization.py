@@ -19,6 +19,7 @@ import numpy as np
 
 from .combination import AlignmentResult, CombinedCurve
 from .cones import Digon, make_digon
+from .geometry import matrix_to_rotvec, rotvec_to_matrix
 from .planar import PlanarPolygon, build_polygon
 from .spherical import SphericalPolygon, build_spherical_polygon
 
@@ -40,12 +41,10 @@ def spherical_to_dict(poly: SphericalPolygon) -> dict:
 
 
 def digon_to_dict(digon: Digon) -> dict:
-    from scipy.spatial.transform import Rotation
-
     return {
         "type": "digon",
         "angle": digon.angle,
-        "placement": Rotation.from_matrix(digon.placement).as_rotvec().tolist(),
+        "placement": matrix_to_rotvec(digon.placement).tolist(),
     }
 
 
@@ -69,12 +68,13 @@ def object_from_dict(data: dict) -> Any:
     if kind == "spherical_polygon":
         return build_spherical_polygon(_required(data, "vertices"), base_s=float(data.get("base_s", 0.0)))
     if kind == "digon":
-        from scipy.spatial.transform import Rotation
-
         placement = data.get("placement")
         matrix = None
         if placement is not None:
-            matrix = Rotation.from_rotvec(np.asarray(placement, dtype=float)).as_matrix()
+            rotvec = np.asarray(placement, dtype=float)
+            if rotvec.shape != (3,):
+                raise ValueError(f"digon placement must be a rotation vector [rx, ry, rz]; got {placement!r}")
+            matrix = rotvec_to_matrix(rotvec)
         return make_digon(float(_required(data, "angle")), matrix)
     raise ValueError(f"unknown object type {kind!r}")
 
@@ -85,8 +85,12 @@ def load_object(path: str) -> Any:
 
 
 def dump_json(data: dict) -> str:
-    """Serialize with full float precision and sorted keys."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Serialize with full float precision and sorted keys.
+
+    Raises:
+        ValueError: a value is NaN or infinite, which JSON cannot hold.
+    """
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def alignment_result_to_dict(

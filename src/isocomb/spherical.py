@@ -15,7 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
-from .geometry import TAU, ArcPolygon, cross3, dot3, merge_collinear, reduce_mod, roll_next, roll_prev
+from .geometry import (
+    TAU,
+    ArcPolygon,
+    brent_root,
+    cross3,
+    dot3,
+    merge_collinear,
+    reduce_mod,
+    roll_next,
+    roll_prev,
+)
 
 UNIT_NORM_TOL = 1e-9
 SPH_COLLINEAR_EPS = 1e-12
@@ -216,7 +226,6 @@ def random_convex_link(
     points, then contracts it toward the pole by scaling the gnomonic
     coordinates until the perimeter matches ``target_length`` to 1e-10.
     """
-    from scipy.optimize import brentq
     from scipy.spatial import ConvexHull, QhullError
 
     if not 0.0 < target_length < TAU:
@@ -237,7 +246,7 @@ def random_convex_link(
 
         if perim(1.0) <= target_length * 1.0000001:
             continue
-        lam = brentq(lambda t: perim(t) - target_length, 1e-9, 1.0, xtol=1e-15, rtol=8.9e-16)
+        lam = brent_root(lambda t: perim(t) - target_length, 1e-9, 1.0)
         verts = gnomonic_inverse(lam * wh)
         try:
             poly = build_spherical_polygon(verts)

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
-from isocomb.geometry import SNAP_FACTOR, TAU, circ_dist_many, merge_collinear, norm_angle, reduce_mod
+from isocomb.geometry import (
+    BRENT_RTOL,
+    BRENT_XTOL,
+    SNAP_FACTOR,
+    TAU,
+    brent_root,
+    circ_dist_many,
+    merge_collinear,
+    norm_angle,
+    reduce_mod,
+)
 from isocomb.planar import build_polygon
 from isocomb.spherical import (
     GAUSS_BONNET_TOL,
@@ -285,6 +295,33 @@ def former_build_spherical_polygon(vertices, base_s=0.0, *, collinear_eps=SPH_CO
         area=area,
         gauss_bonnet_residual=residual,
     )
+
+
+def scipy_brentq(f, a, b, maxiter=100):
+    """The oracle of ``geometry.brent_root``: scipy's brentq at its tolerances."""
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=maxiter)
+
+
+def brent_outcomes(f, a, b, maxiter=100):
+    """What ``brent_root`` and the scipy oracle each do on one bracket: the
+    root's bits (or the exception type) and the bits of every argument
+    ``f`` was called with, in order."""
+    outcomes = []
+    for solve in (brent_root, lambda g, lo, hi: scipy_brentq(g, lo, hi, maxiter)):
+        calls = []
+
+        def counted(x):
+            calls.append(float(x).hex())
+            return f(x)
+
+        try:
+            result = float(solve(counted, a, b)).hex()
+        except (ValueError, RuntimeError) as exc:
+            result = type(exc)
+        outcomes.append((result, calls))
+    return outcomes
 
 
 def former_random_convex_link(rng, target_length, n_points=24):

@@ -39,6 +39,7 @@ from isocomb.spherical import (
 from isocomb.suite import trial_rng
 
 from conftest import (
+    brent_outcomes,
     dense_alignment_margins,
     loop_refine,
     random_rotation,
@@ -336,6 +337,48 @@ def test_make_digon_validates_angle():
         make_digon(math.pi)
     with pytest.raises(ValueError):
         make_digon(0.0)
+
+
+@pytest.mark.parametrize("placement", [
+    np.diag([1.0, 1.0, -1.0]),                     # a reflection
+    2.0 * np.eye(3),                               # not orthonormal
+    np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # a shear, det +1
+    np.eye(3) + 1e-6,
+    np.full((3, 3), math.nan),
+    np.eye(2),
+    np.eye(3)[None],
+])
+def test_make_digon_rejects_a_placement_that_is_not_a_rotation(placement):
+    with pytest.raises(ValueError, match="placement"):
+        make_digon(1.0, placement)
+
+
+def test_make_digon_accepts_a_rotation_within_the_tolerance():
+    rot = random_rotation(np.random.default_rng(3))
+    assert np.array_equal(make_digon(1.0, rot + 1e-12).placement, rot + 1e-12)
+
+
+def test_digon_perimeter_solves_equal_scipy_brentq(monkeypatch):
+    # the second digon's cut depth on the CLI's ladder, for the acceptance
+    # pair, the thin digon, and 20 angle pairs drawn as the CLI benchmark draws them
+    outcomes = []
+
+    def both(f, a, b):
+        outcomes.append(brent_outcomes(f, a, b))
+        return float.fromhex(outcomes[-1][0][0])
+
+    monkeypatch.setattr(cones, "brent_root", both)
+    rng = np.random.default_rng(0)
+    pairs = [(math.pi / 3, math.pi / 2), (math.pi / 2, math.pi / 3), (1e-9, math.pi / 3)]
+    pairs += [tuple(rng.uniform(0.6, 2.4, size=2)) for _ in range(20)]
+    for angle1, angle2 in pairs:
+        for eps in (0.2, 0.1, 0.05, 0.025):
+            try:
+                truncate_digons(make_digon(angle1), make_digon(angle2), eps)
+            except GeometryError:
+                pass  # the thin first digon's own quadrilateral fails at depth 0.025
+    assert len(outcomes) == 4 * len(pairs) - 1
+    assert all(ours == theirs for ours, theirs in outcomes)
 
 
 def test_truncate_identical_digons():

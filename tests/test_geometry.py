@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from isocomb import geometry
 from isocomb.geometry import (
     IDENTITY_MOTION,
     TAU,
@@ -16,11 +17,13 @@ from isocomb.geometry import (
     compose,
     cross3,
     dot3,
+    matrix_to_rotvec,
     merge_positions,
     norm_angle,
     roll_next,
     roll_prev,
     rotate_about_x0_many,
+    rotvec_to_matrix,
 )
 
 from isocomb.planar import build_polygon, point_at
@@ -30,6 +33,7 @@ from isocomb.suite import random_convex_polygon, trial_rng
 from conftest import (
     arc_queries,
     assert_same_bits,
+    brent_outcomes,
     circular_alignment_margins,
     dense_alignment_margins,
     scalar_locate,
@@ -307,3 +311,70 @@ def test_column_primitives_equal_numpy_bit_for_bit(kind):
         assert_same_bits(roll_next(a[:, 0]), np.roll(a[:, 0], -1))
         assert_same_bits(roll_prev(a[:, :2]), np.roll(a[:, :2], 1, axis=0))
         assert_same_bits(roll_prev(a[:, 0] > 0), np.roll(a[:, 0] > 0, 1))
+
+
+def test_brent_root_equals_scipy_brentq_on_random_cubics():
+    # the root and every argument f is called with, bit for bit, on 10,000
+    # brackets of cubics spanning ten decades, either orientation; a
+    # same-sign bracket must raise ValueError in both
+    rng = np.random.default_rng(2024)
+    solved = 0
+    for i in range(10_000):
+        c = rng.standard_normal(4) * 10.0 ** rng.integers(-5, 6, size=4)
+        a, b = rng.uniform(-10.0, 10.0, size=2)
+
+        def f(x, c=c):
+            return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+
+        ours, theirs = brent_outcomes(f, a, b)
+        assert ours == theirs, i
+        solved += isinstance(ours[0], str)
+    assert solved >= 3_000
+
+
+def test_brent_root_fails_like_scipy(monkeypatch):
+    def cubic(x):
+        return x ** 3 - 2.0
+
+    def nan_above_half(x):
+        return math.nan if x > 0.5 else x - 0.3
+
+    def tiny(x):
+        return 1e-200  # f(a) * f(b) underflows to 0: the signs decide
+
+    for f, a, b in ((cubic, 3.0, 4.0), (nan_above_half, 0.0, 1.0), (nan_above_half, 0.0, 0.2), (tiny, 0.0, 1.0)):
+        ours, theirs = brent_outcomes(f, a, b)
+        assert ours == theirs and ours[0] is ValueError
+    ours, theirs = brent_outcomes(cubic, 0.0, 10.0)
+    assert ours == theirs and isinstance(ours[0], str)
+    monkeypatch.setattr(geometry, "BRENT_MAXITER", 3)
+    ours, theirs = brent_outcomes(cubic, 0.0, 10.0, maxiter=3)
+    assert ours == theirs and ours[0] is RuntimeError
+    assert len(ours[1]) == 2 + 3
+
+
+def _rotation_vectors():
+    """1,000 random axes times angles: the series edges, the near half turn
+    and uniform angles in [0, pi)."""
+    rng = np.random.default_rng(9)
+    axes = rng.standard_normal((1000, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    special = [0.0, 1e-12, 1e-6, 1e-3, np.nextafter(1e-3, 1.0), math.pi / 2, math.pi - 1e-9]
+    angles = np.concatenate([special, rng.uniform(0.0, math.pi, 1000 - len(special))])
+    return axes * angles[:, None]
+
+
+def test_rotation_vector_conversions_equal_scipy_rotation():
+    from scipy.spatial.transform import Rotation
+
+    worst_matrix = worst_rotvec = 0.0
+    for v in _rotation_vectors():
+        want = Rotation.from_rotvec(v).as_matrix()
+        worst_matrix = max(worst_matrix, np.abs(rotvec_to_matrix(v) - want).max())
+        back = Rotation.from_matrix(want).as_rotvec()
+        worst_rotvec = max(worst_rotvec, np.abs(matrix_to_rotvec(want) - back).max())
+    assert worst_matrix <= 1e-15
+    assert worst_rotvec <= 1e-15
+    for v in ([math.nan, 0.0, 0.0], [1e200, 1e200, 0.0]):
+        assert np.isnan(rotvec_to_matrix(v)).all()
+        assert np.isnan(Rotation.from_rotvec(v).as_matrix()).all()

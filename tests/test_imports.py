@@ -1,11 +1,18 @@
 """Every module-level import of the package is used by its module, every
 module-level private function or class is used somewhere in the package,
-no module calls the numpy routines that the column helpers replace, and
-only ``geometry`` reads the snap rule's ``SNAP_FACTOR``."""
+no module calls the numpy routines that the column helpers replace, only
+``geometry`` reads the snap rule's ``SNAP_FACTOR``, and scipy is imported
+for its convex hull alone, so the subcommands that draw no random hull
+start without it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isocomb"
@@ -171,3 +178,96 @@ def test_only_geometry_reads_snap_factor():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert SNAP_OWNER in sources
     assert snap_factor_readers(sources) == []
+
+
+# scipy.spatial's Qhull picks the start vertex of a 2-D hull, which decides
+# the base point of every generated polygon and link, so it stays; every
+# other scipy routine has an in-package equivalent
+ALLOWED_SCIPY = {("scipy.spatial", "ConvexHull"), ("scipy.spatial", "QhullError")}
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Imports of scipy anywhere in ``source`` other than ``ALLOWED_SCIPY``,
+    as ``line:module`` or ``line:module.name`` in line order."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            found += [(n.lineno, a.name) for a in n.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(n, ast.ImportFrom) and n.level == 0 and n.module.split(".")[0] == "scipy":
+            found += [
+                (n.lineno, f"{n.module}.{a.name}")
+                for a in n.names
+                if (n.module, a.name) not in ALLOWED_SCIPY
+            ]
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+def test_scipy_imports_are_found():
+    source = (
+        "import scipy\n"
+        "from scipy.spatial import ConvexHull, QhullError, Delaunay\n"
+        "def f():\n    from scipy.optimize import brentq\n    import scipy.optimize as so\n"
+        "from scipy.spatial.transform import Rotation\n"
+        "from scipy import spatial\n"
+        "from .scipy import x\n"
+        "import scipyx\n"
+    )
+    assert scipy_imports(source) == [
+        "1:scipy", "2:scipy.spatial.Delaunay", "4:scipy.optimize.brentq", "5:scipy.optimize",
+        "6:scipy.spatial.transform.Rotation", "7:scipy.spatial",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_from_scipy_only_the_hull(module):
+    assert scipy_imports((PACKAGE / module).read_text()) == []
+
+
+# runs cli.main on each argv list and prints the loaded scipy modules
+SCIPY_PROBE = """
+import json, sys
+from isocomb import cli
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        raise SystemExit(f"{argv} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def loaded_scipy_modules(argvs) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def test_cli_loads_scipy_only_to_draw_hulls(tmp_path):
+    from isocomb.cones import make_digon
+    from isocomb.geometry import rotation_matrix_from_to
+    from isocomb.serialization import digon_to_dict, spherical_to_dict
+    from isocomb.spherical import random_convex_link
+
+    rng = np.random.default_rng(17)
+    files = {}
+    for name, data in (
+        ("a", spherical_to_dict(random_convex_link(rng, 3.0))),
+        ("b", spherical_to_dict(random_convex_link(rng, 3.0))),
+        ("digon", digon_to_dict(make_digon(1.1, rotation_matrix_from_to([0, 0, 1.0], [0, 1.0, 0])))),
+    ):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    no_hull = [
+        ["digon", "--angle1", "1.0", "--angle2", "1.5", "--ladder", "0.2,0.1",
+         "--out", str(tmp_path / "digon_out.json")],
+        ["cone-combine", "--a", str(files["a"]), "--b", str(files["b"]), "--position",
+         "--out", str(tmp_path / "cone.json")],
+        ["validate", str(files["digon"])],
+    ]
+    assert loaded_scipy_modules(no_hull) == set()
+    loaded = loaded_scipy_modules([["suite", "planar", "--trials", "2"]])
+    assert "scipy.spatial" in loaded
+    assert "scipy.optimize" not in loaded

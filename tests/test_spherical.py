@@ -5,6 +5,7 @@ import pytest
 
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
 from isocomb.geometry import TAU, cross3, dot3, roll_next
+from isocomb import spherical
 from isocomb.spherical import (
     _edge_lengths,
     build_spherical_polygon,
@@ -18,6 +19,7 @@ from isocomb.spherical import (
 
 from conftest import (
     assert_same_bits,
+    brent_outcomes,
     assert_same_spherical_polygon,
     former_build_spherical_polygon,
     former_centroid_direction,
@@ -252,3 +254,26 @@ def test_random_convex_link_equals_former_kernel_bit_for_bit(seed):
     got = random_convex_link(np.random.default_rng(seed), target, n_points=n_points)
     want = former_random_convex_link(np.random.default_rng(seed), target, n_points=n_points)
     assert_same_spherical_polygon(got, want)
+
+
+def test_link_perimeter_solves_equal_scipy_brentq(monkeypatch):
+    # every perimeter solve of 500 default cone-suite trials (1,000 links)
+    # through both solvers
+    from isocomb.suite import SuiteConfig, trial_rng
+
+    outcomes = []
+
+    def both(f, a, b):
+        outcomes.append(brent_outcomes(f, a, b))
+        return float.fromhex(outcomes[-1][0][0])
+
+    monkeypatch.setattr(spherical, "brent_root", both)
+    config = SuiteConfig(trials=500, seed=7)
+    lo, hi = config.target_link_length
+    for i in range(config.trials):
+        rng = trial_rng(config.seed, i)
+        target = rng.uniform(lo, hi)
+        for _ in range(2):
+            random_convex_link(rng, target, n_points=max(12, config.max_vertices))
+    assert len(outcomes) >= 1000
+    assert all(ours == theirs for ours, theirs in outcomes)

@@ -254,6 +254,9 @@ OCTANT = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ({"type": "planar_polygon", "vertices": SQUARE, "base_s": math.nan}, "base_s"),
     ({"type": "planar_polygon", "vertices": SQUARE, "base_s": math.inf}, "base_s"),
     ({"type": "spherical_polygon", "vertices": OCTANT, "base_s": -math.inf}, "base_s"),
+    ({"type": "digon", "angle": 1.0, "placement": [math.nan, 0.0, 0.0]}, "placement"),
+    ({"type": "digon", "angle": 1.0, "placement": [1e200, 1e200, 0.0]}, "placement"),
+    ({"type": "digon", "angle": 1.0, "placement": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "placement"),
 ])
 def test_cli_validate_names_the_bad_field(tmp_path, capsys, data, field):
     # a missing field or a non-finite base point is a validation failure
@@ -286,6 +289,19 @@ def test_cli_align_bounds_the_coordinates(tmp_path, capsys, scale, code):
     assert cli.main(["align", "--a", square, "--b", square, "--out", str(tmp_path / "out.json")]) == code
     err = capsys.readouterr().err
     assert ("MAX_COORDINATE" in err) == (code == 1)
+
+
+def test_cli_combine_refuses_to_print_nan(tmp_path, capsys):
+    # a square and its point reflection, both based at s = 0, sum to the
+    # origin at every arc position: the exterior angle sum is NaN, which
+    # JSON cannot hold
+    corners = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+    a = write_json(tmp_path / "a.json", {"type": "planar_polygon", "vertices": corners})
+    b = write_json(tmp_path / "b.json", {"type": "planar_polygon", "vertices": corners[2:] + corners[:2]})
+    assert cli.main(["combine", "--a", a, "--b", b]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "JSON" in err
 
 
 def test_cli_combine_skips_alignment(square_file, tmp_path):
