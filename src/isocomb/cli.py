@@ -156,12 +156,12 @@ def _cmd_suite(args) -> int:
     )
     if args.replay is not None:
         report = replay_trial(config, args.kind, args.replay)
-        print(json.dumps(report.to_dict(), sort_keys=True))
+        print(json.dumps(report.to_dict(), sort_keys=True, allow_nan=False))
         return EXIT_OK if report.passed else EXIT_ALGORITHM
     runner = run_planar_suite if args.kind == "planar" else run_cone_suite
     aggregate = runner(config, report_path=args.report)
     summary = {k: v for k, v in aggregate.items() if k != "reports"}
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return EXIT_OK if aggregate["failures"] == 0 else EXIT_ALGORITHM
 
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlignmentNotFound,
-    DegenerateEdge,
-    OrientationMismatch,
-    PerimeterMismatch,
-)
+from .errors import AlignmentNotFound, DegenerateEdge, OrientationMismatch
 from .geometry import (
     IDENTITY_MOTION,
     Angle,
@@ -29,6 +24,7 @@ from .geometry import (
     alignment_margins,
     apply_motion,
     apply_motion_many,
+    common_perimeter,
     compose,
     merged_vertex_positions,
     norm_angle,
@@ -45,11 +41,13 @@ from .planar import (
     points_at,
     signed_area,
 )
-
-PERIMETER_RTOL = 1e-9
-MARGIN_EPS = 1e-9           # alignment margins at or below this are failures
-CERTIFICATE_TOL = 1e-9      # convexity certificate of a combined curve
-BREAKPOINT_MERGE_RTOL = 1e-12
+from .tolerances import (
+    BENDING_DENOM_FLOOR,
+    BREAKPOINT_MERGE_RTOL,
+    LENGTH_EPS_FACTOR,
+    MARGIN_EPS,
+    RELATIVE_TAU_FLOOR,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +61,7 @@ class MarkedPair:
 
 def make_pair(F1: PlanarPolygon, F2: PlanarPolygon) -> MarkedPair:
     """Pair two curves, enforcing equal perimeter and equal orientation."""
-    if abs(F1.perimeter - F2.perimeter) > PERIMETER_RTOL * F1.perimeter:
-        raise PerimeterMismatch(
-            f"perimeters {F1.perimeter!r} and {F2.perimeter!r} differ beyond tolerance"
-        )
+    common_perimeter(F1, F2)
     if signed_area(F1.vertices) <= 0.0 or signed_area(F2.vertices) <= 0.0:
         raise OrientationMismatch("both curves must be counterclockwise")
     return MarkedPair(F1, F2)
@@ -77,7 +72,7 @@ def merged_breakpoints(pair: MarkedPair) -> np.ndarray:
 
     On this set both curves are simultaneously piecewise linear, so the
     combination is evaluated without sampling error.  Positions closer than
-    1e-12 of the perimeter are merged.
+    ``BREAKPOINT_MERGE_RTOL`` times the perimeter are merged.
     """
     return merged_vertex_positions(pair.F1, pair.F2, BREAKPOINT_MERGE_RTOL)
 
@@ -94,13 +89,14 @@ class CombinedCurve:
 
 
 def _dedup_closed(points: np.ndarray) -> np.ndarray:
-    """Drop consecutive (and wraparound) near-duplicate points."""
+    """Drop consecutive (and wraparound) near-duplicate points, whose edge is
+    at most the certificate's ``LENGTH_EPS_FACTOR`` share of the total."""
     diffs = roll_next(points) - points
     seg = np.hypot(diffs[:, 0], diffs[:, 1])
     total = float(np.sum(seg))
     if total == 0.0:
         return points[:1]
-    keep = seg > 1e-12 * total
+    keep = seg > LENGTH_EPS_FACTOR * total
     # row i is kept when the edge leaving it is non-degenerate
     return points[roll_prev(keep)]
 
@@ -110,7 +106,7 @@ def _certify(curve: np.ndarray) -> ConvexityCertificate:
     if len(pts) < 3:
         return FAILED_CERTIFICATE
     try:
-        return convexity_certificate(pts, CERTIFICATE_TOL)
+        return convexity_certificate(pts)
     except DegenerateEdge:
         return FAILED_CERTIFICATE
 
@@ -278,7 +274,7 @@ def align(pair: MarkedPair) -> AlignmentResult:
     m x m gap matrix.
 
     Raises:
-        AlignmentNotFound: if the best margin is at or below 1e-9 rad.
+        AlignmentNotFound: if the best margin is at or below ``MARGIN_EPS`` rad.
     """
     bps, g_scan = _scanned_gap(pair)
     g = g_scan[: len(bps)]
@@ -317,12 +313,6 @@ def combine_aligned(pair: MarkedPair) -> tuple[AlignmentResult, CombinedCurve]:
     return result, combined
 
 
-# A bending increment below this fraction of the chord means the two
-# curves run parallel there and the orthogonality holds trivially; the
-# denominator floor keeps such segments from reporting a 0/0 ratio.
-RELATIVE_TAU_FLOOR = 1e-3
-
-
 def bending_check(combined: CombinedCurve) -> float:
     """Max normalized discrete residual of <dr, dtau> over the segments.
 
@@ -334,7 +324,7 @@ def bending_check(combined: CombinedCurve) -> float:
     dr = roll_next(combined.curve) - combined.curve
     dtau = roll_next(combined.tau_segments) - combined.tau_segments
     len_r = np.hypot(dr[:, 0], dr[:, 1])
-    floor_eps = RELATIVE_TAU_FLOOR * float(np.max(len_r)) ** 2 + 1e-300
+    floor_eps = RELATIVE_TAU_FLOOR * float(np.max(len_r)) ** 2 + BENDING_DENOM_FLOOR
     num = np.abs(np.sum(dr * dtau, axis=1))
     den = len_r * np.hypot(dtau[:, 0], dtau[:, 1]) + floor_eps
     return float(np.max(num / den))

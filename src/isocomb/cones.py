@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .combination import MARGIN_EPS
 from .errors import (
     AntipodalCorrespondence,
     AntipodalEdge,
@@ -27,7 +26,6 @@ from .errors import (
     NotConvexPlanar,
     NotConvexSpherical,
     NotSimple,
-    PerimeterMismatch,
     PositioningNotFound,
     TruncationTooDeep,
 )
@@ -38,6 +36,7 @@ from .geometry import (
     RigidMotion2,
     alignment_margins,
     brent_root,
+    common_perimeter,
     dot3,
     merged_vertex_positions,
     norm_angle,
@@ -53,13 +52,21 @@ from .spherical import (
     rotate_polygon,
     sph_points_at,
 )
+from .tolerances import (
+    ANTIPODAL_EPS,
+    BREAKPOINT_MERGE_RTOL,
+    COMBINE_MERGE_RTOL,
+    DIGON_DEPTH_FLOOR,
+    DIGON_DEPTH_MARGIN,
+    DIGON_EDGE_FLOOR,
+    DIGON_PERIMETER_RTOL,
+    HEIGHT_EPS,
+    IMAGE_COLLINEAR_EPS,
+    MARGIN_EPS,
+    PLACEMENT_TOL,
+)
 
-HEIGHT_EPS = 1e-6
 DEFAULT_SUBDIVISIONS = 256          # max_step = perimeter / 256
-IMAGE_COLLINEAR_EPS = 1e-9          # sampling-noise floor for transformed images
-COMBINE_MERGE_RTOL = 1e-9
-ANTIPODAL_EPS = 1e-9                # floor of |r1 + r2| in a cone combination
-PLACEMENT_TOL = 1e-9                # orthonormality and det of a digon placement
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +179,11 @@ def transform_link_pair(
     Raises:
         PerimeterMismatch, NonPositiveHeight, NotConvexPlanar
     """
-    p = M1.perimeter
-    if abs(p - M2.perimeter) > 1e-9 * p:
-        raise PerimeterMismatch(f"link perimeters {p!r} and {M2.perimeter!r} differ")
+    p = common_perimeter(M1, M2)
     if max_step is None:
         max_step = p / DEFAULT_SUBDIVISIONS
     if include_vertices:
-        positions = _refine(merged_vertex_positions(M1, M2, 1e-12), p, max_step)
+        positions = _refine(merged_vertex_positions(M1, M2, BREAKPOINT_MERGE_RTOL), p, max_step)
     else:
         n = max(4, int(math.ceil(p / max_step)))
         positions = np.arange(n) * (p / n)
@@ -231,9 +236,7 @@ def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
         DegenerateEdge: fewer than 3 breakpoints survive the merge
     """
     L1, L2 = K1.link, K2.link
-    p = L1.perimeter
-    if abs(p - L2.perimeter) > 1e-9 * p:
-        raise PerimeterMismatch(f"link perimeters {p!r} and {L2.perimeter!r} differ")
+    p = common_perimeter(L1, L2)
     positions = merged_vertex_positions(L1, L2, COMBINE_MERGE_RTOL)
     ends = np.concatenate([positions[1:], [p]])
     check = np.concatenate([positions, 0.5 * (positions + ends)])
@@ -268,10 +271,10 @@ class PositioningReport:
     candidates_tried: int
 
 
-def normalize_cone(K: ConvexCone3) -> tuple[ConvexCone3, np.ndarray]:
+def normalize_cone(K: ConvexCone3) -> ConvexCone3:
     """Rotate a cone so its link's centroid direction is the +x0 axis."""
     rot = rotation_matrix_from_to(centroid_direction(K.link), E0)
-    return ConvexCone3(rotate_polygon(K.link, rot)), rot
+    return ConvexCone3(rotate_polygon(K.link, rot))
 
 
 def _image_directions(samples: np.ndarray) -> np.ndarray:
@@ -308,8 +311,8 @@ def position_and_combine(
         PositioningNotFound: if no candidate certifies, or fewer than 3
             merged breakpoints leave none to try.
     """
-    C1, _ = normalize_cone(K1)
-    C2, _ = normalize_cone(K2)
+    C1 = normalize_cone(K1)
+    C2 = normalize_cone(K2)
     # the raw image samples drive the candidate search; image convexity is
     # not required because every candidate is certified on the sphere
     image = transform_link_pair(C1.link, C2.link, max_step=max_step, certify=False)
@@ -413,7 +416,13 @@ def _digon_quadrilateral(digon: Digon, eps: float) -> SphericalPolygon:
     b1 = ce * north + se * eb
     b2 = -ce * north + se * eb
     corners = np.stack([a2, a1, b1, b2]) @ digon.placement.T
-    return build_spherical_polygon(corners)
+    try:
+        return build_spherical_polygon(corners)
+    except (NotConvexSpherical, DegenerateEdge) as exc:
+        raise TruncationTooDeep(
+            f"cut depth {eps!r} leaves no valid quadrilateral of the digon of angle "
+            f"{digon.angle!r}: {exc}"
+        ) from exc
 
 
 def truncate_digons(
@@ -422,11 +431,14 @@ def truncate_digons(
     """Cut both digons into spherical quadrilaterals of equal perimeter.
 
     The first digon is cut at depth ``eps``; the second's cut depth ``e2``
-    is solved by Brent's method so the perimeters match to 1e-12 relative.
+    is solved by Brent's method so the perimeters match to
+    ``DIGON_PERIMETER_RTOL`` relative.
     Returns ``(q1, q2, e2)``.
 
     Raises:
-        TruncationTooDeep: eps outside (0, pi/4) or no matching depth exists.
+        TruncationTooDeep: eps outside (0, pi/4), a cut that leaves no valid
+            quadrilateral (a thin digon's edges too short), or no matching
+            depth exists.
     """
     if not 0.0 < eps < math.pi / 4:
         raise TruncationTooDeep(f"cut depth {eps!r} outside (0, pi/4)")
@@ -438,15 +450,17 @@ def truncate_digons(
 
     # the perimeter is strictly decreasing in the cut depth, from ~2*pi at
     # depth 0 down to ~twice the digon angle near pi/2; the shortest edge at
-    # depth lo, ~2 lo sin(angle/2) >= 2e-11, clears the 1e-12 * perimeter floor
-    lo, hi = max(1e-6, 1e-11 / math.sin(digon2.angle / 2.0)), math.pi / 2 - 1e-3
+    # depth lo, ~2 lo sin(angle/2) >= 2 DIGON_EDGE_FLOOR, clears the
+    # LENGTH_EPS_FACTOR * perimeter floor
+    lo = max(DIGON_DEPTH_FLOOR, DIGON_EDGE_FLOOR / math.sin(digon2.angle / 2.0))
+    hi = math.pi / 2 - DIGON_DEPTH_MARGIN
     if f(lo) * f(hi) > 0.0:
         raise TruncationTooDeep(
             f"no cut depth of the second digon matches perimeter {target!r}"
         )
     e2 = brent_root(f, lo, hi)
     q2 = _digon_quadrilateral(digon2, e2)
-    if abs(q2.perimeter - target) > 1e-12 * target:
+    if abs(q2.perimeter - target) > DIGON_PERIMETER_RTOL * target:
         raise TruncationTooDeep("perimeter equalization did not converge")
     return q1, q2, e2
 

@@ -19,6 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import PerimeterMismatch
+from .tolerances import BRENT_RTOL, BRENT_XTOL, PARALLEL_EPS, PERIMETER_RTOL, REVERSAL_EPS
+
 TAU = 2.0 * math.pi
 
 E0 = np.array([1.0, 0.0, 0.0])
@@ -92,11 +95,7 @@ def roll_prev(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a[-1:], a[:-1]])
 
 
-# Brent's method at full double precision: the tolerances both perimeter
-# solves use (BRENT_RTOL is just above scipy's floor of 4 eps) and
-# scipy's iteration cap
-BRENT_XTOL = 1e-15
-BRENT_RTOL = 8.9e-16
+# scipy's iteration cap of Brent's method
 BRENT_MAXITER = 100
 
 
@@ -187,6 +186,14 @@ def reduce_mod(t: float, period: float) -> float:
     return t
 
 
+def common_perimeter(a, b) -> float:
+    """Perimeter of ``a``; PerimeterMismatch unless ``b``'s agrees to ``PERIMETER_RTOL``."""
+    p = a.perimeter
+    if abs(p - b.perimeter) > PERIMETER_RTOL * p:
+        raise PerimeterMismatch(f"perimeters {p!r} and {b.perimeter!r} differ beyond tolerance")
+    return p
+
+
 class ArcPolygon:
     """Arc-length core shared by planar and spherical polygons.
 
@@ -248,7 +255,7 @@ def merge_collinear(turns, lengths, base_s: float, eps: float, error, reflex: st
     """
     if np.any(turns < -eps):
         raise error(f"{reflex} {turns.min():.3e}")
-    if np.any(turns >= math.pi - 1e-12):
+    if np.any(turns >= math.pi - REVERSAL_EPS):
         raise error("degenerate reversal at a vertex")
     keep = np.abs(turns) > eps
     if keep.all():
@@ -387,7 +394,7 @@ def rotation_matrix_from_to(a, b) -> np.ndarray:
     axis = cross3(a, b)
     s = float(np.linalg.norm(axis))
     c = float(np.dot(a, b))
-    if s < 1e-15:
+    if s < PARALLEL_EPS:
         if c > 0.0:
             return np.eye(3)
         # half turn about an axis orthogonal to a

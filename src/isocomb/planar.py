@@ -29,11 +29,8 @@ from .geometry import (
     roll_next,
     roll_prev,
 )
+from .tolerances import CERTIFICATE_TOL, COLLINEAR_EPS, LENGTH_EPS_FACTOR, TOTAL_TURN_TOL
 
-# Edges shorter than LENGTH_EPS_FACTOR * perimeter are rejected; vertices
-# whose exterior angle is below the collinear tolerance are merged away.
-LENGTH_EPS_FACTOR = 1e-12
-COLLINEAR_EPS = 1e-12
 # Largest accepted vertex coordinate magnitude: a combination sums two
 # curves, and its squared chord lengths (bending_check) must stay finite.
 MAX_COORDINATE = 1e150
@@ -85,7 +82,7 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
 
     Raises:
         ValueError: a coordinate above ``MAX_COORDINATE`` in magnitude.
-        DegenerateEdge: consecutive vertices closer than 1e-12 * perimeter.
+        DegenerateEdge: an edge shorter than ``LENGTH_EPS_FACTOR * perimeter``.
         WrongOrientation: clockwise input.
         NotConvex: reflex vertex, zero area, or a full reversal.
         NotSimple: locally convex chain winding more than once.
@@ -124,7 +121,7 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
         perimeter = float(np.sum(lengths))
 
     total_turn = float(np.sum(_exterior_angles(dirs)))
-    if abs(total_turn - TAU) > 1e-9:
+    if abs(total_turn - TAU) > TOTAL_TURN_TOL:
         raise NotSimple(f"total turning {total_turn:.12f} != 2*pi; chain is not simple")
 
     cum = np.concatenate([[0.0], np.cumsum(lengths[:-1])])
@@ -183,11 +180,11 @@ FAILED_CERTIFICATE = ConvexityCertificate(
 )
 
 
-def convexity_certificate(vertices, tolerance: float) -> ConvexityCertificate:
+def convexity_certificate(vertices) -> ConvexityCertificate:
     """Certify (never enforce) convexity of a closed chain.
 
     Reports interior angles, the exterior-angle sum and minimum, and an
-    ``is_convex`` verdict at the given tolerance.  Non-convex input is a
+    ``is_convex`` verdict at ``CERTIFICATE_TOL``.  Non-convex input is a
     valid query; only coincident consecutive vertices raise.
     """
     verts = np.asarray(vertices, dtype=float)
@@ -200,14 +197,14 @@ def convexity_certificate(vertices, tolerance: float) -> ConvexityCertificate:
     turns = _exterior_angles(dirs)
     exterior_sum = float(np.sum(turns))
     min_exterior = float(np.min(turns))
-    simple_ok = signed_area(verts) > 0.0 and abs(exterior_sum - TAU) <= tolerance
-    is_convex = simple_ok and min_exterior >= -tolerance
+    simple_ok = signed_area(verts) > 0.0 and abs(exterior_sum - TAU) <= CERTIFICATE_TOL
+    is_convex = simple_ok and min_exterior >= -CERTIFICATE_TOL
     return ConvexityCertificate(
         interior_angles=math.pi - turns,
         exterior_sum=exterior_sum,
         min_exterior=min_exterior,
         is_convex=is_convex,
-        tolerance=tolerance,
+        tolerance=CERTIFICATE_TOL,
     )
 
 

@@ -26,10 +26,19 @@ from .geometry import (
     roll_next,
     roll_prev,
 )
+from .tolerances import (
+    ANTIPODAL_DOT_EPS,
+    ANTIPODAL_LENGTH_EPS,
+    CENTROID_NORM_FLOOR,
+    GAUSS_BONNET_TOL,
+    LENGTH_EPS_FACTOR,
+    LINK_BRACKET_RTOL,
+    LINK_LENGTH_TOL,
+    LINK_SCALE_FLOOR,
+    SPH_COLLINEAR_EPS,
+    UNIT_NORM_TOL,
+)
 
-UNIT_NORM_TOL = 1e-9
-SPH_COLLINEAR_EPS = 1e-12
-GAUSS_BONNET_TOL = 1e-8
 LINK_CAP_ANGLE = 1.45           # random links sample the polar cap of this radius
 LINK_MAX_ATTEMPTS = 200
 
@@ -85,7 +94,7 @@ def build_spherical_polygon(
     """Validate vertices and construct a :class:`SphericalPolygon`.
 
     Raises:
-        NotOnSphere: a vertex norm is off unity by more than 1e-9.
+        NotOnSphere: a vertex norm is off unity by more than ``UNIT_NORM_TOL``.
         AntipodalEdge: consecutive vertices (nearly) antipodal.
         DegenerateEdge: consecutive vertices coincide within tolerance.
         NotConvexSpherical: negative turning, winding, Gauss-Bonnet failure,
@@ -109,9 +118,9 @@ def build_spherical_polygon(
         dots = dot3(verts, nxt)
         lengths = np.arctan2(np.sqrt(dot3(cross, cross)), dots)
         perimeter = float(np.sum(lengths))
-        if np.any((lengths > math.pi - 1e-9) | (dots <= -1.0 + 1e-12)):
+        if np.any((lengths > math.pi - ANTIPODAL_LENGTH_EPS) | (dots <= -1.0 + ANTIPODAL_DOT_EPS)):
             raise AntipodalEdge("consecutive vertices are antipodal")
-        if np.any(lengths < 1e-12 * perimeter):
+        if np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
             raise DegenerateEdge("consecutive vertices coincide within tolerance")
         back = _tangent_toward(verts, roll_prev(verts), roll_prev(dots))
         depart = _tangent_toward(verts, nxt, dots)
@@ -179,7 +188,7 @@ def centroid_direction(poly: SphericalPolygon) -> np.ndarray:
     normals = unit_rows(cross3(a, roll_next(a)))
     c = 0.5 * np.sum(_edge_lengths(a)[:, None] * normals, axis=0)
     n = np.linalg.norm(c)
-    if n < 1e-14:
+    if n < CENTROID_NORM_FLOOR:
         raise NotConvexSpherical("degenerate centroid direction")
     return c / n
 
@@ -224,7 +233,8 @@ def random_convex_link(
 
     Takes the geodesic convex hull (via the gnomonic plane) of random cap
     points, then contracts it toward the pole by scaling the gnomonic
-    coordinates until the perimeter matches ``target_length`` to 1e-10.
+    coordinates until the perimeter matches ``target_length`` to
+    ``LINK_LENGTH_TOL``.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -244,15 +254,15 @@ def random_convex_link(
         def perim(lam: float) -> float:
             return float(np.sum(_edge_lengths(gnomonic_inverse(lam * wh))))
 
-        if perim(1.0) <= target_length * 1.0000001:
+        if perim(1.0) <= target_length * (1.0 + LINK_BRACKET_RTOL):
             continue
-        lam = brent_root(lambda t: perim(t) - target_length, 1e-9, 1.0)
+        lam = brent_root(lambda t: perim(t) - target_length, LINK_SCALE_FLOOR, 1.0)
         verts = gnomonic_inverse(lam * wh)
         try:
             poly = build_spherical_polygon(verts)
         except (NotConvexSpherical, DegenerateEdge, AntipodalEdge):
             continue
-        if abs(poly.perimeter - target_length) > 1e-10:
+        if abs(poly.perimeter - target_length) > LINK_LENGTH_TOL:
             continue
         return poly.with_base(rng.uniform(0.0, poly.perimeter))
     raise RuntimeError(

@@ -24,11 +24,8 @@ from .errors import AlignmentNotFound, GeometryError, PositioningNotFound
 from .geometry import TAU
 from .planar import PlanarPolygon, build_polygon, dilate_to_perimeter
 from .spherical import random_convex_link
+from .tolerances import EXTERIOR_SUM_TOL, GAUSS_BONNET_TOL, MIN_EXTERIOR_TOL, VERTEX_ANGLE_TOL
 
-VERTEX_ANGLE_TOL = 1e-9       # |beta - (beta1 + beta2) / 2|
-MIN_EXTERIOR_TOL = 1e-9
-EXTERIOR_SUM_TOL = 1e-8
-GAUSS_BONNET_TOL = 1e-8
 # Bounds on a suite's size: a run keeps every trial's report in memory.
 MAX_TRIALS = 100_000
 MAX_VERTICES = 10_000
@@ -198,10 +195,11 @@ def _run_suite(config: SuiteConfig, trial_fn, kind: str, report_path: str | None
         "failed_trials": [r.trial_id for r in reports if not r.passed],
     }
     if report_path is not None:
+        # JSON has no NaN: a row holding one raises before the file is opened
+        rows = [r.to_dict() for r in reports] + [{"aggregate": aggregate}]
+        text = "".join(json.dumps(row, sort_keys=True, allow_nan=False) + "\n" for row in rows)
         with open(report_path, "w", encoding="utf-8") as fh:
-            for r in reports:
-                fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
-            fh.write(json.dumps({"aggregate": aggregate}, sort_keys=True) + "\n")
+            fh.write(text)
     aggregate["reports"] = reports
     return aggregate
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyInput
+from .tolerances import SVG_SPAN_FLOOR
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 VIEW_W = 640.0
@@ -38,7 +39,7 @@ def render_svg(curves) -> str:
     allpts = np.vstack([v for _, v in flat])
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
+    span = np.maximum(hi - lo, SVG_SPAN_FLOOR)
     pad = MARGIN_FRAC * float(max(span))
     lo = lo - pad
     hi = hi + pad

@@ -5,8 +5,6 @@ import pytest
 
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
 from isocomb.geometry import (
-    BRENT_RTOL,
-    BRENT_XTOL,
     SNAP_FACTOR,
     TAU,
     brent_root,
@@ -17,17 +15,15 @@ from isocomb.geometry import (
 )
 from isocomb.planar import build_polygon
 from isocomb.spherical import (
-    GAUSS_BONNET_TOL,
     LINK_CAP_ANGLE,
     LINK_MAX_ATTEMPTS,
-    SPH_COLLINEAR_EPS,
-    UNIT_NORM_TOL,
     SphericalPolygon,
     _cap_samples,
     build_spherical_polygon,
     gnomonic,
     gnomonic_inverse,
 )
+from isocomb.tolerances import BRENT_RTOL, BRENT_XTOL, GAUSS_BONNET_TOL, SPH_COLLINEAR_EPS, UNIT_NORM_TOL
 
 
 def support_polygon(n, radius, coeffs, base_frac=0.0):

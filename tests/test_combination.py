@@ -7,7 +7,6 @@ import pytest
 
 from isocomb import combination
 from isocomb.combination import (
-    BREAKPOINT_MERGE_RTOL,
     align,
     apply_alignment,
     bending_check,
@@ -32,6 +31,7 @@ from isocomb.planar import (
     points_at,
 )
 from isocomb.suite import SuiteConfig, random_convex_polygon, trial_rng
+from isocomb.tolerances import BREAKPOINT_MERGE_RTOL
 
 from conftest import (
     assert_same_bits,
@@ -483,7 +483,7 @@ def test_combine_matches_bruteforce_summation_oracle(unit_square):
     )
     assert np.allclose(combined.curve, expected, atol=1e-14)
     dense = combine_at(aligned, uniform_positions(aligned, 4096))
-    cert = convexity_certificate(_dedup_closed(dense.curve), 1e-8)
+    cert = convexity_certificate(_dedup_closed(dense.curve))
     assert cert.is_convex
 
 
@@ -502,7 +502,7 @@ def test_array_holding_results_compare_by_identity_and_hash():
     objects = [
         (a, b),
         (vertex_events(combine(make_pair(a, a))), vertex_events(combine(make_pair(b, b)))),
-        (convexity_certificate(a.vertices, 1e-9), convexity_certificate(b.vertices, 1e-9)),
+        (convexity_certificate(a.vertices), convexity_certificate(b.vertices)),
         (align(make_pair(a, a)), align(make_pair(b, b))),
     ]
     for x, y in objects:

@@ -5,7 +5,6 @@ import pytest
 
 from isocomb import cones
 from isocomb.cones import (
-    HEIGHT_EPS,
     combine_cones,
     combine_dihedral,
     cone_from_link,
@@ -37,6 +36,7 @@ from isocomb.spherical import (
     unit_rows,
 )
 from isocomb.suite import trial_rng
+from isocomb.tolerances import HEIGHT_EPS
 
 from conftest import (
     brent_outcomes,
@@ -250,7 +250,7 @@ def test_position_identical_cones(octant):
 def test_position_recovers_axis_rotation():
     rng = np.random.default_rng(12)
     l1 = random_convex_link(rng, 2.8, n_points=14)
-    c1, _ = normalize_cone(cone_from_link(l1))
+    c1 = normalize_cone(cone_from_link(l1))
     link2 = build_spherical_polygon(
         rotate_about_x0_many(1.1, c1.link.vertices),
         base_s=(c1.link.base_s + 0.3 * c1.link.perimeter) % c1.link.perimeter,
@@ -408,6 +408,17 @@ def test_truncate_rejects_out_of_range_depth():
         truncate_digons(make_digon(1.0), make_digon(1.1), 1.0)
 
 
+def test_truncate_names_the_depth_a_thin_first_digon_cannot_take():
+    # the depth-0.025 quadrilateral of a 1e-9 digon has edges of ~2.5e-11,
+    # which the builder rejects; the shallower rungs are valid
+    thin, other = make_digon(1e-9), make_digon(math.pi / 3)
+    with pytest.raises(TruncationTooDeep, match="0.025"):
+        truncate_digons(thin, other, 0.025)
+    for eps in (0.2, 0.1, 0.05):
+        q1, q2, _ = truncate_digons(thin, other, eps)
+        assert abs(q1.perimeter - q2.perimeter) <= 1e-12 * q1.perimeter
+
+
 def test_combine_dihedral_identical():
     d = make_digon(math.pi / 3)
     report = combine_dihedral(d, d, [0.2, 0.1])
@@ -416,7 +427,7 @@ def test_combine_dihedral_identical():
         assert lv.min_turning >= -1e-9
         # combining a cone with itself reproduces the input quadrilateral
         q1, _, _ = truncate_digons(d, d, lv.eps1)
-        c1, _ = normalize_cone(cone_from_link(q1))
+        c1 = normalize_cone(cone_from_link(q1))
         assert link_hausdorff(lv.combined_link, c1.link) <= 1e-7
 
 

@@ -1,9 +1,9 @@
 """Every module-level import of the package is used by its module, every
 module-level private function or class is used somewhere in the package,
 no module calls the numpy routines that the column helpers replace, only
-``geometry`` reads the snap rule's ``SNAP_FACTOR``, and scipy is imported
-for its convex hull alone, so the subcommands that draw no random hull
-start without it."""
+``geometry`` reads the snap rule's ``SNAP_FACTOR``, every tolerance is
+defined once, in ``tolerances``, and scipy is imported for its convex hull
+alone, so the subcommands that draw no random hull start without it."""
 
 import ast
 import json
@@ -178,6 +178,67 @@ def test_only_geometry_reads_snap_factor():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert SNAP_OWNER in sources
     assert snap_factor_readers(sources) == []
+
+
+# tolerances.py is the one table of stated tolerances: no other module
+# writes a small float inline, and no constant is defined in two modules
+LEDGER = "tolerances.py"
+SMALL_FLOAT = 1e-6
+
+
+def small_float_literals(source: str) -> list[str]:
+    """Float literals in (0, SMALL_FLOAT] in ``source``, as ``line:value``
+    in line order; a negated literal counts by its magnitude."""
+    found = [
+        n for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Constant) and type(n.value) is float and 0.0 < n.value <= SMALL_FLOAT
+    ]
+    return [f"{n.lineno}:{n.value!r}" for n in sorted(found, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_small_float_literals_are_found():
+    source = (
+        "TOL = 1e-9\n"
+        "x = y - 1e-12 * p\n"
+        "z = -1.0 + 1e-6\n"
+        "big = 1.5e-6 + 1e-3 + 1 + 0.0\n"
+        "s = '1e-9'\n"
+    )
+    assert small_float_literals(source) == ["1:1e-09", "2:1e-12", "3:1e-06"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != LEDGER])
+def test_module_writes_no_tolerance_inline(module):
+    assert small_float_literals((PACKAGE / module).read_text()) == []
+
+
+def shared_constants(sources: dict[str, str]) -> list[str]:
+    """UPPER_CASE names assigned at module level in more than one module,
+    as ``NAME:module,module`` in name order."""
+    owners = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for n in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(n, ast.Name) and n.id.isupper():
+                        owners.setdefault(n.id, set()).add(module)
+    return [f"{name}:{','.join(sorted(mods))}" for name, mods in sorted(owners.items()) if len(mods) > 1]
+
+
+def test_shared_constants_are_found():
+    sources = {
+        "a.py": "TOL = 1e-9\nPAIR, SHARED = 1, 2\nlocal = 3\ndef f():\n    INNER = 1\n",
+        "b.py": "from .a import TOL\nSHARED: int = 2\nINNER = 4\nlocal = 3\n",
+        "c.py": "TOL = 1e-8\n",
+    }
+    assert shared_constants(sources) == ["SHARED:a.py,b.py", "TOL:a.py,c.py"]
+
+
+def test_no_constant_is_defined_in_two_modules():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert LEDGER in sources
+    assert shared_constants(sources) == []
 
 
 # scipy.spatial's Qhull picks the start vertex of a 2-D hull, which decides

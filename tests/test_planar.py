@@ -170,7 +170,7 @@ def test_build_rejects_coordinates_beyond_the_bound():
 
 
 def test_certificate_square(unit_square):
-    cert = convexity_certificate(unit_square.vertices, 1e-9)
+    cert = convexity_certificate(unit_square.vertices)
     assert cert.is_convex
     assert cert.exterior_sum == pytest.approx(TAU)
     assert cert.min_exterior == pytest.approx(math.pi / 2)
@@ -178,13 +178,13 @@ def test_certificate_square(unit_square):
 
 
 def test_certificate_reflex_chevron():
-    cert = convexity_certificate([(0, 0), (2, 0), (1, 0.4), (0, 1)], 1e-9)
+    cert = convexity_certificate([(0, 0), (2, 0), (1, 0.4), (0, 1)])
     assert not cert.is_convex
     assert cert.min_exterior < 0
 
 
 def test_certificate_never_raises_on_clockwise():
-    cert = convexity_certificate([(0, 0), (0, 1), (1, 1), (1, 0)], 1e-9)
+    cert = convexity_certificate([(0, 0), (0, 1), (1, 1), (1, 0)])
     assert not cert.is_convex
 
 

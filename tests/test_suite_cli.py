@@ -382,6 +382,29 @@ def test_cli_suite_replay(capsys):
     assert json.loads(out)["trial_id"] == 1
 
 
+def test_cli_digon_names_the_depth_too_deep_for_a_thin_digon(capsys):
+    ladder = "0.2,0.1,0.05,0.025"
+    argv = ["digon", "--angle1", "1e-9", "--angle2", str(math.pi / 3), "--ladder", ladder]
+    assert cli.main(argv) == 1
+    assert "cut depth 0.025" in capsys.readouterr().err
+
+
+def test_suite_refuses_to_write_nan(tmp_path, monkeypatch, capsys):
+    from isocomb import suite
+
+    real = suite.planar_trial
+    monkeypatch.setattr(suite, "planar_trial", lambda c, i: replace(real(c, i), margin=math.nan))
+    path = tmp_path / "report.jsonl"
+    with pytest.raises(ValueError):
+        run_planar_suite(SuiteConfig(trials=2, seed=1), report_path=str(path))
+    assert not path.exists()
+    run = ["suite", "planar", "--trials", "2", "--seed", "1"]
+    assert cli.main(run + ["--report", str(path)]) == 1
+    assert cli.main(run + ["--replay", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "JSON" in err
+
+
 def test_cli_suite_rejects_bad_config():
     assert cli.main(["suite", "planar", "--trials", "0", "--seed", "1"]) == 1
 
