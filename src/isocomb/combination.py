@@ -46,6 +46,7 @@ from .tolerances import (
     BREAKPOINT_MERGE_RTOL,
     LENGTH_EPS_FACTOR,
     MARGIN_EPS,
+    MARGIN_TIE_TOL,
     RELATIVE_TAU_FLOOR,
 )
 
@@ -264,8 +265,9 @@ def align(pair: MarkedPair) -> AlignmentResult:
     realized at one; each breakpoint is a candidate base.  Aligning at
     sigma0 turns the gap at s into the real difference g(s) - g(sigma0),
     which must stay inside (-pi, pi), and the candidate maximizing the
-    worst-case margin wins (ties: smallest sigma0).  The returned motion
-    maps P2(sigma0) onto P1(sigma0) with the right semitangents identified.
+    worst-case margin wins (ties, within ``MARGIN_TIE_TOL`` rad: smallest
+    sigma0).  The returned motion maps P2(sigma0) onto P1(sigma0) with the
+    right semitangents identified.
 
     g is periodic, since both curves turn by 2*pi, so the scanned values
     are all the gaps any candidate sees, and the worst one is at the
@@ -279,7 +281,7 @@ def align(pair: MarkedPair) -> AlignmentResult:
     bps, g_scan = _scanned_gap(pair)
     g = g_scan[: len(bps)]
     margins = alignment_margins(g_scan, g)
-    j = int(np.argmax(margins))                     # first max = smallest sigma0
+    j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))   # smallest tied sigma0
     margin = float(margins[j])
     if margin <= MARGIN_EPS:
         raise AlignmentNotFound(

@@ -1,6 +1,6 @@
-"""Elementary 2D/3D vector algebra, angles, planar rigid motions and
-rotation vectors, the arc-length core shared by planar and spherical
-polygons, and the 1-D root solver of the perimeter equations.
+"""Elementary 2D/3D vector algebra, angles, the 2-D convex hull, planar
+rigid motions and rotation vectors, the arc-length core shared by planar
+and spherical polygons, and the 1-D root solver of the perimeter equations.
 
 Conventions used throughout the package:
 
@@ -93,6 +93,47 @@ def roll_next(a: np.ndarray) -> np.ndarray:
 def roll_prev(a: np.ndarray) -> np.ndarray:
     """``np.roll(a, 1, axis=0)``: row i holds row i - 1, cyclically."""
     return np.concatenate([a[-1:], a[:-1]])
+
+
+# the eight axis and diagonal directions, counterclockwise from -y
+OCTAGON_DIRECTIONS = np.array([[0.0, -1.0], [1.0, -1.0], [1.0, 0.0], [1.0, 1.0],
+                               [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]])
+
+
+def convex_hull_2d(points) -> np.ndarray:
+    """Indices of the convex hull vertices of 2-D ``points``, counterclockwise
+    from the lexicographic minimum (least x, then least y).
+
+    Points strictly inside the octagon of the eight axis and diagonal
+    extremes are no vertices and are dropped first (Akl-Toussaint); Andrew's
+    monotone chain runs on the rest in Python floats and keeps strict left
+    turns only, so collinear points drop out, a repeated point keeps its
+    first index, and a set with no interior gives fewer than 3 indices.
+    """
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    keep = np.arange(len(p))
+    if len(p):
+        a = p[np.argmax(OCTAGON_DIRECTIONS @ p.T, axis=1)]
+        e = roll_next(a) - a
+        edge = (e != 0.0).any(axis=1)
+        inside = e[edge, :1] * (p[:, 1] - a[edge, 1:]) > e[edge, 1:] * (p[:, 0] - a[edge, :1])
+        keep = np.flatnonzero(~inside.all(axis=0))
+    keep = keep[np.lexsort((p[keep, 1], p[keep, 0]))]
+    px, py = p[keep, 0].tolist(), p[keep, 1].tolist()
+
+    def chain(ks):
+        out = []
+        for k in ks:
+            while len(out) >= 2:
+                i, j = out[-2], out[-1]
+                if (px[j] - px[i]) * (py[k] - py[i]) - (py[j] - py[i]) * (px[k] - px[i]) > 0.0:
+                    break
+                out.pop()
+            out.append(k)
+        return out[:-1]
+
+    ks = [k for k in range(len(keep)) if k == 0 or (px[k], py[k]) != (px[k - 1], py[k - 1])]
+    return keep[chain(ks) + chain(ks[::-1])]
 
 
 # scipy's iteration cap of Brent's method

@@ -19,6 +19,7 @@ from .geometry import (
     TAU,
     ArcPolygon,
     brent_root,
+    convex_hull_2d,
     cross3,
     dot3,
     merge_collinear,
@@ -231,23 +232,17 @@ def random_convex_link(
 ) -> SphericalPolygon:
     """Random convex spherical polygon with a prescribed perimeter.
 
-    Takes the geodesic convex hull (via the gnomonic plane) of random cap
-    points, then contracts it toward the pole by scaling the gnomonic
-    coordinates until the perimeter matches ``target_length`` to
-    ``LINK_LENGTH_TOL``.
+    Takes the geodesic convex hull (via the gnomonic plane, from the
+    lexicographically least gnomonic vertex) of random cap points, then
+    contracts it toward the pole by scaling the gnomonic coordinates until
+    the perimeter matches ``target_length`` to ``LINK_LENGTH_TOL``.
     """
-    from scipy.spatial import ConvexHull, QhullError
-
     if not 0.0 < target_length < TAU:
         raise ValueError("target link length must lie in (0, 2*pi)")
     for _ in range(LINK_MAX_ATTEMPTS):
         pts = _cap_samples(rng, n_points, LINK_CAP_ANGLE)
         w = gnomonic(pts)
-        try:
-            hull = ConvexHull(w)
-        except QhullError:
-            continue
-        wh = w[hull.vertices]  # counterclockwise
+        wh = w[convex_hull_2d(w)]  # counterclockwise
         if len(wh) < 3:
             continue
 

@@ -21,7 +21,7 @@ from .combination import (
 )
 from .cones import cone_from_link, position_and_combine
 from .errors import AlignmentNotFound, GeometryError, PositioningNotFound
-from .geometry import TAU
+from .geometry import TAU, convex_hull_2d
 from .planar import PlanarPolygon, build_polygon, dilate_to_perimeter
 from .spherical import random_convex_link
 from .tolerances import EXTERIOR_SUM_TOL, GAUSS_BONNET_TOL, MIN_EXTERIOR_TOL, VERTEX_ANGLE_TOL
@@ -85,22 +85,18 @@ def _digest_arrays(*arrays) -> str:
 def random_convex_polygon(
     rng: np.random.Generator, min_vertices: int, max_vertices: int
 ) -> PlanarPolygon:
-    """Convex hull of k uniform points in the unit disk, k in the given range."""
-    from scipy.spatial import ConvexHull, QhullError
-
+    """Convex hull of k uniform points in the unit disk, k in the given range,
+    from its lexicographically least vertex (:func:`geometry.convex_hull_2d`)."""
     while True:
         k = int(rng.integers(min_vertices, max_vertices + 1))
         r = np.sqrt(rng.uniform(0.0, 1.0, size=k))
         phi = rng.uniform(0.0, TAU, size=k)
         pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
-        try:
-            hull = ConvexHull(pts)
-        except QhullError:
-            continue
-        if len(hull.vertices) < 3:
+        hull = convex_hull_2d(pts)
+        if len(hull) < 3:
             continue
         try:
-            poly = build_polygon(pts[hull.vertices])
+            poly = build_polygon(pts[hull])
         except GeometryError:
             continue
         return poly.with_base(rng.uniform(0.0, poly.perimeter))

@@ -42,6 +42,7 @@ LINK_LENGTH_TOL = 1e-10         # rounding: |perimeter - target| of a generated 
 # pairing, alignment and combination
 PERIMETER_RTOL = 1e-9           # rounding: relative perimeter difference of a pair of equal length
 MARGIN_EPS = 1e-9               # rounding: an alignment margin at or below this is a failure
+MARGIN_TIE_TOL = 1e-12          # rounding: margins this close tie; angles, so alike at any scale
 BREAKPOINT_MERGE_RTOL = 1e-12   # rounding: arc positions closer than this times the perimeter merge
 RELATIVE_TAU_FLOOR = 1e-3       # rounding: a bending step below this share of a chord is parallel
 BENDING_DENOM_FLOOR = 1e-300    # rounding: keeps the bending ratio of parallel segments from 0/0

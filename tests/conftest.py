@@ -320,21 +320,33 @@ def brent_outcomes(f, a, b, maxiter=100):
     return outcomes
 
 
-def former_random_convex_link(rng, target_length, n_points=24):
-    """``random_convex_link`` on the former kernel: same draws, same search."""
-    from scipy.optimize import brentq
+def qhull_from_least(points):
+    """The oracle of ``geometry.convex_hull_2d``: Qhull's hull vertices of
+    ``points`` rotated to start at the lexicographically least one, or None
+    where Qhull finds no 2-D hull."""
     from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        v = ConvexHull(points).vertices
+    except QhullError:
+        return None
+    return np.roll(v, -min(range(len(v)), key=lambda i: tuple(points[v[i]])))
+
+
+def former_random_convex_link(rng, target_length, n_points=24):
+    """``random_convex_link`` on the former kernel: same draws, same search,
+    Qhull's hull rotated to start at its lexicographically least vertex."""
+    from scipy.optimize import brentq
 
     if not 0.0 < target_length < TAU:
         raise ValueError("target link length must lie in (0, 2*pi)")
     for _ in range(LINK_MAX_ATTEMPTS):
         pts = _cap_samples(rng, n_points, LINK_CAP_ANGLE)
         w = gnomonic(pts)
-        try:
-            hull = ConvexHull(w)
-        except QhullError:
+        hull = qhull_from_least(w)
+        if hull is None:
             continue
-        wh = w[hull.vertices]
+        wh = w[hull]
         if len(wh) < 3:
             continue
 

@@ -30,7 +30,7 @@ from isocomb.planar import (
     dilate_to_perimeter,
     points_at,
 )
-from isocomb.suite import SuiteConfig, random_convex_polygon, trial_rng
+from isocomb.suite import random_convex_polygon, trial_rng
 from isocomb.tolerances import BREAKPOINT_MERGE_RTOL
 
 from conftest import (
@@ -263,13 +263,32 @@ def test_positive_margin_implies_convex_combination():
         assert vertex_events(combined).law_error() <= 1e-9, i
 
 
+# trial 96 of the triangle suite (seed 7000003, 3 points) as drawn when
+# Qhull chose each hull's start vertex: (vertices, base_s) of F1 and of F2,
+# F2 already dilated to F1's perimeter
+TRIAL_96_TRIANGLES = [
+    (
+        [["0x1.fa626f65de775p-4", "0x1.66ea15d18b2eap-1"],
+         ["-0x1.0dbac7b8ce514p-1", "0x1.ecedf92d8d8a5p-2"],
+         ["-0x1.02c8bc0911389p-1", "-0x1.02ed8a28158d7p-4"]],
+        "0x1.121e593b87defp+1",
+    ),
+    (
+        [["-0x1.08d1aa4ce3cd1p-2", "0x1.2efb7342ae622p-3"],
+         ["0x1.5ce3d0222211ep-3", "-0x1.0bbb17f2bb381p-1"],
+         ["-0x1.2a6b25dca3a68p-3", "0x1.f7ccdd1f476c8p-2"]],
+        "0x1.7ec3cab245143p-1",
+    ),
+]
+
+
 def test_semitangent_condition_rejects_gap_swinging_through_pi(monkeypatch):
-    # trial 96 of the triangle suite: the gap measured modulo 2*pi chose an
-    # alignment whose combination is not convex
-    config = SuiteConfig(trials=400, seed=7000003, min_vertices=3, max_vertices=3)
-    rng = trial_rng(config.seed, 96)
-    f1 = random_convex_polygon(rng, 3, 3)
-    f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 3), f1.perimeter, (0, 0))
+    # the gap measured modulo 2*pi chose an alignment whose combination is
+    # not convex
+    f1, f2 = (
+        build_polygon([[float.fromhex(c) for c in v] for v in verts], base_s=float.fromhex(base))
+        for verts, base in TRIAL_96_TRIANGLES
+    )
     pair = make_pair(f1, f2)
     monkeypatch.setattr(combination, "alignment_margins", circular_alignment_margins)
     wrapped = apply_alignment(pair, align(pair))
@@ -364,25 +383,34 @@ def test_align_invariant_under_premotions():
 
 
 def test_align_invariant_under_common_base_shift_and_scaling():
-    # ties between equal margins may pick another sigma0, so the margin and
-    # the certificate's verdict and turning sum are compared, not the curve
+    # a tie between equal margins goes to the smallest sigma0, which is
+    # measured from the base, so a common base shift may pick another point
+    # of a tied plateau: the shifted pair compares the margin and the
+    # certificate's verdict and turning sum, not the curve.  Margins are
+    # angles, so a scaled pair ties alike: it also compares sigma0 / lam and
+    # the curve scaled back.
     for i in range(20):
         rng = trial_rng(2718, i)
         f1 = random_convex_polygon(rng, 3, 60)
         f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 60), f1.perimeter, (0, 0))
         r0, c0 = combine_aligned(make_pair(f1, f2))
         t = rng.uniform(0.0, f1.perimeter)
-        pairs = [make_pair(f1.with_base(f1.base_s + t), f2.with_base(f2.base_s + t))]
+        pairs = [(None, make_pair(f1.with_base(f1.base_s + t), f2.with_base(f2.base_s + t)))]
         for lam in (1e-8, 1e8):
-            pairs.append(make_pair(
+            pairs.append((lam, make_pair(
                 build_polygon(lam * f1.vertices, base_s=lam * f1.base_s),
                 build_polygon(lam * f2.vertices, base_s=lam * f2.base_s),
-            ))
-        for pair in pairs:
+            )))
+        for lam, pair in pairs:
             r, c = combine_aligned(pair)
             assert abs(r.margin - r0.margin) <= 1e-12, i
             assert c.certificate.is_convex and c0.certificate.is_convex, i
             assert abs(c.certificate.exterior_sum - c0.certificate.exterior_sum) <= 1e-12, i
+            if lam is not None:
+                assert abs(r.sigma0 / lam - r0.sigma0) <= 1e-12 * f1.perimeter, i
+                a, b = _dedup_closed(c.curve / lam), _dedup_closed(c0.curve)
+                assert len(a) == len(b), i
+                assert np.max(np.abs(a - b)) <= 1e-9, i
 
 
 def test_g_periodicity():

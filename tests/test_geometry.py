@@ -15,6 +15,7 @@ from isocomb.geometry import (
     apply_motion_many,
     circ_dist_many,
     compose,
+    convex_hull_2d,
     cross3,
     dot3,
     matrix_to_rotvec,
@@ -27,7 +28,13 @@ from isocomb.geometry import (
 )
 
 from isocomb.planar import build_polygon, point_at
-from isocomb.spherical import random_convex_link, sph_points_at
+from isocomb.spherical import (
+    LINK_CAP_ANGLE,
+    _cap_samples,
+    gnomonic,
+    random_convex_link,
+    sph_points_at,
+)
 from isocomb.suite import random_convex_polygon, trial_rng
 
 from conftest import (
@@ -36,6 +43,7 @@ from conftest import (
     brent_outcomes,
     circular_alignment_margins,
     dense_alignment_margins,
+    qhull_from_least,
     scalar_locate,
     spherical_locate,
     support_link,
@@ -378,3 +386,67 @@ def test_rotation_vector_conversions_equal_scipy_rotation():
     for v in ([math.nan, 0.0, 0.0], [1e200, 1e200, 0.0]):
         assert np.isnan(rotvec_to_matrix(v)).all()
         assert np.isnan(Rotation.from_rotvec(v).as_matrix()).all()
+
+
+def _disk_points(rng, k):
+    r = np.sqrt(rng.uniform(0.0, 1.0, size=k))
+    phi = rng.uniform(0.0, TAU, size=k)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+
+
+def test_convex_hull_2d_equals_qhull_on_disk_and_cap_sets():
+    # the draws of random_convex_polygon and of random_convex_link's
+    # gnomonic cap points: the same cyclic index sequence as Qhull's
+    rng = np.random.default_rng(2024)
+    sets = [_disk_points(rng, int(rng.integers(3, 201))) for _ in range(2000)]
+    sets += [gnomonic(_cap_samples(rng, int(rng.integers(12, 31)), LINK_CAP_ANGLE)) for _ in range(500)]
+    for p in sets:
+        hull = convex_hull_2d(p)
+        assert hull.tolist() == qhull_from_least(p).tolist()
+        assert tuple(p[hull[0]]) == min(map(tuple, p))
+
+
+def _degenerate_sets(rng):
+    """Point sets with collinear points, repeated points, or no interior."""
+    for _ in range(100):
+        k = int(rng.integers(1, 12))
+        # exactly collinear: integer steps along an integer direction
+        d, c = rng.integers(-3, 4, size=2), rng.integers(-5, 6, size=2)
+        yield c + rng.integers(-9, 10, size=(k, 1)) * d
+        # an axis-parallel line of random floats
+        line = np.column_stack([rng.uniform(-1.0, 1.0, k), np.full(k, rng.uniform())])
+        yield line[:, ::-1] if rng.random() < 0.5 else line
+        # a random subset of an integer grid, whose boundary has collinear points
+        grid = np.array([[x, y] for x in range(5) for y in range(4)], dtype=float)
+        yield grid[rng.permutation(len(grid))[: int(rng.integers(3, len(grid) + 1))]]
+        # repeated points, some on the hull, in random order
+        p = _disk_points(rng, int(rng.integers(3, 30)))
+        p = np.vstack([p, p[rng.integers(0, len(p), size=int(rng.integers(1, 10)))]])
+        yield p[rng.permutation(len(p))]
+        yield np.repeat(rng.uniform(-1.0, 1.0, size=(1, 2)), k, axis=0)
+
+
+def test_convex_hull_2d_on_degenerate_sets_agrees_with_qhull():
+    # where Qhull finds no 2-D hull there are fewer than 3 indices; else the
+    # same points in the same cyclic order (Qhull reports a repeated point
+    # by either index, convex_hull_2d by the first)
+    rng = np.random.default_rng(99)
+    for p in _degenerate_sets(rng):
+        p = np.asarray(p, dtype=float)
+        hull, want = convex_hull_2d(p), qhull_from_least(p)
+        if want is None:
+            assert len(hull) < 3, p
+            continue
+        assert p[hull].tolist() == p[want].tolist(), p
+        for i in hull:
+            assert i == np.flatnonzero((p == p[i]).all(axis=1))[0]
+        if len(np.unique(p, axis=0)) == len(p):
+            assert hull.tolist() == want.tolist()
+
+
+def test_convex_hull_2d_small_cases():
+    assert convex_hull_2d(np.zeros((0, 2))).tolist() == []
+    assert convex_hull_2d([[1.0, 2.0]]).tolist() == []
+    assert convex_hull_2d([[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]]).tolist() == [0, 1]
+    square = [[1.0, 1.0], [0.0, 1.0], [0.5, 0.5], [1.0, 0.0], [0.0, 0.0], [1.0, 0.5]]
+    assert convex_hull_2d(square).tolist() == [4, 3, 0, 1]

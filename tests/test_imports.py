@@ -2,8 +2,8 @@
 module-level private function or class is used somewhere in the package,
 no module calls the numpy routines that the column helpers replace, only
 ``geometry`` reads the snap rule's ``SNAP_FACTOR``, every tolerance is
-defined once, in ``tolerances``, and scipy is imported for its convex hull
-alone, so the subcommands that draw no random hull start without it."""
+defined once, in ``tolerances``, and no module imports scipy, so no
+subcommand loads it: scipy is a test-only oracle."""
 
 import ast
 import json
@@ -241,10 +241,10 @@ def test_no_constant_is_defined_in_two_modules():
     assert shared_constants(sources) == []
 
 
-# scipy.spatial's Qhull picks the start vertex of a 2-D hull, which decides
-# the base point of every generated polygon and link, so it stays; every
-# other scipy routine has an in-package equivalent
-ALLOWED_SCIPY = {("scipy.spatial", "ConvexHull"), ("scipy.spatial", "QhullError")}
+# every scipy routine the package once used has an in-package equivalent
+# (the 2-D hull, Brent's method, the rotation-vector conversions), so no
+# scipy import is allowed; scipy is the tests' oracle only
+ALLOWED_SCIPY = set()
 
 
 def scipy_imports(source: str) -> list[str]:
@@ -266,7 +266,7 @@ def scipy_imports(source: str) -> list[str]:
 def test_scipy_imports_are_found():
     source = (
         "import scipy\n"
-        "from scipy.spatial import ConvexHull, QhullError, Delaunay\n"
+        "from scipy.spatial import ConvexHull, QhullError\n"
         "def f():\n    from scipy.optimize import brentq\n    import scipy.optimize as so\n"
         "from scipy.spatial.transform import Rotation\n"
         "from scipy import spatial\n"
@@ -274,13 +274,15 @@ def test_scipy_imports_are_found():
         "import scipyx\n"
     )
     assert scipy_imports(source) == [
-        "1:scipy", "2:scipy.spatial.Delaunay", "4:scipy.optimize.brentq", "5:scipy.optimize",
+        "1:scipy", "2:scipy.spatial.ConvexHull", "2:scipy.spatial.QhullError",
+        "4:scipy.optimize.brentq", "5:scipy.optimize",
         "6:scipy.spatial.transform.Rotation", "7:scipy.spatial",
     ]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_from_scipy_only_the_hull(module):
+    # ALLOWED_SCIPY is empty, so this asserts that the module imports no scipy
     assert scipy_imports((PACKAGE / module).read_text()) == []
 
 
@@ -306,29 +308,34 @@ def loaded_scipy_modules(argvs) -> set[str]:
     return set(json.loads(run.stdout.splitlines()[-1]))
 
 
-def test_cli_loads_scipy_only_to_draw_hulls(tmp_path):
+def test_no_subcommand_loads_scipy(tmp_path):
     from isocomb.cones import make_digon
     from isocomb.geometry import rotation_matrix_from_to
-    from isocomb.serialization import digon_to_dict, spherical_to_dict
+    from isocomb.serialization import digon_to_dict, planar_to_dict, spherical_to_dict
     from isocomb.spherical import random_convex_link
+    from isocomb.suite import random_convex_polygon
 
     rng = np.random.default_rng(17)
     files = {}
     for name, data in (
         ("a", spherical_to_dict(random_convex_link(rng, 3.0))),
         ("b", spherical_to_dict(random_convex_link(rng, 3.0))),
+        ("f1", planar_to_dict(random_convex_polygon(rng, 3, 10))),
         ("digon", digon_to_dict(make_digon(1.1, rotation_matrix_from_to([0, 0, 1.0], [0, 1.0, 0])))),
     ):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(data))
-    no_hull = [
+    argvs = [
         ["digon", "--angle1", "1.0", "--angle2", "1.5", "--ladder", "0.2,0.1",
          "--out", str(tmp_path / "digon_out.json")],
         ["cone-combine", "--a", str(files["a"]), "--b", str(files["b"]), "--position",
          "--out", str(tmp_path / "cone.json")],
+        ["align", "--a", str(files["f1"]), "--b", str(files["f1"]),
+         "--out", str(tmp_path / "align.json")],
         ["validate", str(files["digon"])],
+        ["suite", "planar", "--trials", "2", "--report", str(tmp_path / "planar.jsonl")],
+        ["suite", "cone", "--trials", "2", "--report", str(tmp_path / "cone.jsonl")],
+        ["suite", "planar", "--replay", "1"],
+        ["suite", "cone", "--replay", "1"],
     ]
-    assert loaded_scipy_modules(no_hull) == set()
-    loaded = loaded_scipy_modules([["suite", "planar", "--trials", "2"]])
-    assert "scipy.spatial" in loaded
-    assert "scipy.optimize" not in loaded
+    assert loaded_scipy_modules(argvs) == set()

@@ -78,11 +78,12 @@ def test_cone_suite_small_run(tmp_path):
     assert len(path.read_text().splitlines()) == 4
 
 
-# SHA-256 of the 8-trial reports below, recorded before the planar and
-# spherical polygons shared one arc-length core (numpy 2.4, x86-64); a
-# refactor that keeps every output bit keeps them.
-PLANAR_SEED42_REPORT_SHA256 = "9f500493f9fd894c5fedb6cbf168dbc6e62d0abe20083ca1eccf22233a57c71c"
-CONE_SEED7_REPORT_SHA256 = "55bb0b43fa444605229a0e24f7f84845bd75c178a2c39513dab9535cd208cb8e"
+# SHA-256 of the 8-trial reports below, recorded when every generated hull
+# started at its lexicographically least vertex and tied margins went to the
+# smallest sigma0 within MARGIN_TIE_TOL (numpy 2.4, x86-64); a refactor that
+# keeps every output bit keeps them.
+PLANAR_SEED42_REPORT_SHA256 = "dd8d95d370c830cb4d04d63aefe698e466eb1b9fc1bdcc14ed63ec84c69e4b32"
+CONE_SEED7_REPORT_SHA256 = "1a32daeece6fe0ee40cb0dd3c53f148d78683b78a3cdefc63907b5ee0f81203f"
 
 
 def test_suite_reports_are_byte_identical(tmp_path):
