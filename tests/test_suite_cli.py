@@ -96,6 +96,18 @@ def test_suite_reports_are_byte_identical(tmp_path):
     assert hashlib.sha256(c.read_bytes()).hexdigest() == CONE_SEED7_REPORT_SHA256
 
 
+DIGON_DEFAULT_LADDER_SHA256 = "542dbf6d3f3591e57df8c77ce82944e40c35e4530f29d932e84599bfd89c2023"
+
+
+def test_digon_output_is_byte_identical(tmp_path):
+    # pi/3 against pi/2 on the default ladder
+    out = tmp_path / "digon.json"
+    argv = ["digon", "--angle1", "1.0471975511965976", "--angle2", "1.5707963267948966",
+            "--ladder", "0.2,0.1,0.05,0.025", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGON_DEFAULT_LADDER_SHA256
+
+
 def test_trial_rng_stable():
     assert trial_rng(7, 3).integers(0, 1 << 30) == trial_rng(7, 3).integers(0, 1 << 30)
     assert trial_rng(7, 3).integers(0, 1 << 30) != trial_rng(7, 4).integers(0, 1 << 30)
