@@ -31,7 +31,6 @@ from .errors import (
 )
 from .geometry import (
     E0,
-    TAU,
     Angle,
     RigidMotion2,
     alignment_margins,
@@ -63,7 +62,6 @@ from .tolerances import (
     HEIGHT_EPS,
     IMAGE_COLLINEAR_EPS,
     MARGIN_EPS,
-    PLACEMENT_TOL,
 )
 
 DEFAULT_SUBDIVISIONS = 256          # max_step = perimeter / 256
@@ -364,42 +362,27 @@ def position_and_combine(
 
 @dataclass(frozen=True, eq=False)
 class Digon:
-    """Spherical lune stored symbolically: opening angle plus placement.
+    """Spherical lune stored symbolically by its opening angle.
 
     The standard digon has vertices at (0, 0, +-1) and edges in the half
     planes at azimuth +-angle/2 around the +x0 direction, so digons of
-    increasing angle are nested around the x0-axis.
+    increasing angle are nested around the x0-axis.  No placement is kept:
+    positioning turns each centroid to +x0 and searches rotations about x0,
+    so a rotated digon would move only the rotation ``psi`` found.
     """
 
     angle: float
-    placement: np.ndarray = field(default_factory=lambda: np.eye(3))
-
-    @property
-    def perimeter(self) -> float:
-        return TAU
 
 
-def make_digon(angle: float, placement: np.ndarray | None = None) -> Digon:
+def make_digon(angle: float) -> Digon:
     """Digon of the given dihedral angle; the angle must lie strictly in (0, pi).
 
     Raises:
-        ValueError: the angle is out of range, or the placement is not a
-            finite 3x3 rotation (orthonormal with determinant +1 within
-            ``PLACEMENT_TOL``).
+        ValueError: the angle is out of range.
     """
     if not 0.0 < angle < math.pi:
         raise ValueError(f"digon angle must lie strictly in (0, pi); got {angle!r}")
-    if placement is None:
-        placement = np.eye(3)
-    placement = np.asarray(placement, dtype=float)
-    if placement.shape != (3, 3) or not np.isfinite(placement).all():
-        raise ValueError(f"digon placement must be a finite 3x3 rotation; got {placement.tolist()!r}")
-    if (
-        np.abs(placement @ placement.T - np.eye(3)).max() > PLACEMENT_TOL
-        or abs(np.linalg.det(placement) - 1.0) > PLACEMENT_TOL
-    ):
-        raise ValueError(f"digon placement is not a rotation; got {placement.tolist()!r}")
-    return Digon(float(angle), placement)
+    return Digon(float(angle))
 
 
 def _digon_quadrilateral(digon: Digon, eps: float) -> SphericalPolygon:
@@ -415,9 +398,8 @@ def _digon_quadrilateral(digon: Digon, eps: float) -> SphericalPolygon:
     a2 = -ce * north + se * ea
     b1 = ce * north + se * eb
     b2 = -ce * north + se * eb
-    corners = np.stack([a2, a1, b1, b2]) @ digon.placement.T
     try:
-        return build_spherical_polygon(corners)
+        return build_spherical_polygon(np.stack([a2, a1, b1, b2]))
     except (NotConvexSpherical, DegenerateEdge) as exc:
         raise TruncationTooDeep(
             f"cut depth {eps!r} leaves no valid quadrilateral of the digon of angle "

@@ -1,5 +1,5 @@
 """Elementary 2D/3D vector algebra, angles, the 2-D convex hull, planar
-rigid motions and rotation vectors, the arc-length core shared by planar
+rigid motions and 3-D rotations, the arc-length core shared by planar
 and spherical polygons, and the 1-D root solver of the perimeter equations.
 
 Conventions used throughout the package:
@@ -453,69 +453,3 @@ def rotation_matrix_from_to(a, b) -> np.ndarray:
     ])
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
-
-def rotvec_to_matrix(rotvec) -> np.ndarray:
-    """3x3 rotation matrix of a rotation vector (unit axis times angle).
-
-    The unit-quaternion route of scipy's ``Rotation.from_rotvec(rotvec)
-    .as_matrix()``, its series below angle 1e-3 included, in the same
-    operation order.  A vector whose angle is not finite gives a NaN
-    matrix, as there (C's sin and cos of inf are NaN; ``math``'s raise).
-    """
-    r0, r1, r2 = (float(v) for v in rotvec)
-    angle = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
-    if not math.isfinite(angle):
-        return np.full((3, 3), math.nan)
-    if angle <= 1e-3:
-        angle2 = angle * angle
-        scale = 0.5 - angle2 / 48 + angle2 * angle2 / 3840
-    else:
-        scale = math.sin(angle / 2) / angle
-    x, y, z, w = scale * r0, scale * r1, scale * r2, math.cos(angle / 2)
-    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
-    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
-    return np.array([
-        [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
-        [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
-        [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
-    ])
-
-
-def matrix_to_rotvec(matrix) -> np.ndarray:
-    """Rotation vector of a 3x3 rotation matrix, angle in [0, pi].
-
-    The route of scipy's ``Rotation.from_matrix(matrix).as_rotvec()`` for
-    an orthonormal matrix: the quaternion from the largest of the diagonal
-    and the trace, normalized, turned to w >= 0, and the angle's series
-    below 1e-3.
-    """
-    m = [[float(v) for v in row] for row in np.asarray(matrix, dtype=float)]
-    trace = m[0][0] + m[1][1] + m[2][2]
-    decision = [m[0][0], m[1][1], m[2][2], trace]
-    choice = 0
-    for c in (1, 2, 3):
-        if decision[c] > decision[choice]:
-            choice = c
-    q = [0.0, 0.0, 0.0, 0.0]
-    if choice != 3:
-        i = choice
-        j = (i + 1) % 3
-        k = (j + 1) % 3
-        q[i] = 1 - trace + 2 * m[i][i]
-        q[j] = m[j][i] + m[i][j]
-        q[k] = m[k][i] + m[i][k]
-        q[3] = m[k][j] - m[j][k]
-    else:
-        q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace]
-    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    q = [v / norm for v in q]
-    # canonical sign: the first nonzero of (w, x, y, z) positive, so w >= 0
-    if next((v for v in (q[3], q[0], q[1], q[2]) if v != 0.0), 0.0) < 0.0:
-        q = [-v for v in q]
-    angle = 2 * math.atan2(math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2]), q[3])
-    if angle <= 1e-3:
-        angle2 = angle * angle
-        scale = 2 + angle2 / 12 + 7 * angle2 * angle2 / 2880
-    else:
-        scale = angle / math.sin(angle / 2)
-    return np.array([scale * q[0], scale * q[1], scale * q[2]])

@@ -2,7 +2,7 @@
 
 Planar polygon:   {"type": "planar_polygon", "vertices": [[x, y], ...], "base_s": s}
 Spherical polygon:{"type": "spherical_polygon", "vertices": [[x0, x1, x2], ...], "base_s": s}
-Digon:            {"type": "digon", "angle": a, "placement": [rx, ry, rz]}  (rotation vector)
+Digon:            {"type": "digon", "angle": a}  (an old file's "placement" is refused)
 
 Alignment result:
   {"alignment": {"sigma0": ..., "rotation": ..., "translation": [x, y], "margin": ...} | null,
@@ -18,8 +18,7 @@ from typing import Any
 import numpy as np
 
 from .combination import AlignmentResult, CombinedCurve
-from .cones import Digon, make_digon
-from .geometry import matrix_to_rotvec, rotvec_to_matrix
+from .cones import make_digon
 from .planar import PlanarPolygon, build_polygon
 from .spherical import SphericalPolygon, build_spherical_polygon
 
@@ -40,14 +39,6 @@ def spherical_to_dict(poly: SphericalPolygon) -> dict:
     }
 
 
-def digon_to_dict(digon: Digon) -> dict:
-    return {
-        "type": "digon",
-        "angle": digon.angle,
-        "placement": matrix_to_rotvec(digon.placement).tolist(),
-    }
-
-
 def _required(data: dict, key: str) -> Any:
     if key not in data:
         raise ValueError(f"{data['type']} object has no {key!r} field")
@@ -58,7 +49,7 @@ def object_from_dict(data: dict) -> Any:
     """Construct (and fully validate) a geometry object from its JSON dict.
 
     Raises:
-        ValueError: a required field is missing (the message names it).
+        ValueError: a field is missing, or a digon has a placement (named).
     """
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("expected an object with a 'type' field")
@@ -68,14 +59,10 @@ def object_from_dict(data: dict) -> Any:
     if kind == "spherical_polygon":
         return build_spherical_polygon(_required(data, "vertices"), base_s=float(data.get("base_s", 0.0)))
     if kind == "digon":
-        placement = data.get("placement")
-        matrix = None
-        if placement is not None:
-            rotvec = np.asarray(placement, dtype=float)
-            if rotvec.shape != (3,):
-                raise ValueError(f"digon placement must be a rotation vector [rx, ry, rz]; got {placement!r}")
-            matrix = rotvec_to_matrix(rotvec)
-        return make_digon(float(_required(data, "angle")), matrix)
+        angle = float(_required(data, "angle"))
+        if "placement" in data:
+            raise ValueError("digon 'placement' is not read: a digon file holds its angle alone")
+        return make_digon(angle)
     raise ValueError(f"unknown object type {kind!r}")
 
 

@@ -52,7 +52,6 @@ HEIGHT_EPS = 1e-6               # rounding: x0 floor of a transformed point and 
 IMAGE_COLLINEAR_EPS = 1e-9      # rounding: sampling-noise turn merged away in transformed images
 COMBINE_MERGE_RTOL = 1e-9       # rounding: relative merge of a cone combination's arc positions
 ANTIPODAL_EPS = 1e-9            # rounding: floor of |r1 + r2| in a cone combination
-PLACEMENT_TOL = 1e-9            # rounding: orthonormality and determinant of a digon placement
 DIGON_DEPTH_FLOOR = 1e-6        # rounding: least cut depth tried for the second digon
 DIGON_EDGE_FLOOR = 1e-11        # rounding: half the least edge tried, > LENGTH_EPS_FACTOR * 2*pi
 DIGON_DEPTH_MARGIN = 1e-3       # rounding: the cut-depth bracket ends this far below pi/2

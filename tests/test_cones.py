@@ -327,35 +327,12 @@ def test_position_report_image_equals_recomputed_transform():
 
 # -- digons ---------------------------------------------------------------------------
 
-def test_digon_perimeters_always_equal():
-    assert make_digon(0.3).perimeter == make_digon(2.9).perimeter == TAU
-
-
 def test_make_digon_validates_angle():
     make_digon(math.pi / 2)
     with pytest.raises(ValueError):
         make_digon(math.pi)
     with pytest.raises(ValueError):
         make_digon(0.0)
-
-
-@pytest.mark.parametrize("placement", [
-    np.diag([1.0, 1.0, -1.0]),                     # a reflection
-    2.0 * np.eye(3),                               # not orthonormal
-    np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # a shear, det +1
-    np.eye(3) + 1e-6,
-    np.full((3, 3), math.nan),
-    np.eye(2),
-    np.eye(3)[None],
-])
-def test_make_digon_rejects_a_placement_that_is_not_a_rotation(placement):
-    with pytest.raises(ValueError, match="placement"):
-        make_digon(1.0, placement)
-
-
-def test_make_digon_accepts_a_rotation_within_the_tolerance():
-    rot = random_rotation(np.random.default_rng(3))
-    assert np.array_equal(make_digon(1.0, rot + 1e-12).placement, rot + 1e-12)
 
 
 def test_digon_perimeter_solves_equal_scipy_brentq(monkeypatch):

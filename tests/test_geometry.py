@@ -18,13 +18,11 @@ from isocomb.geometry import (
     convex_hull_2d,
     cross3,
     dot3,
-    matrix_to_rotvec,
     merge_positions,
     norm_angle,
     roll_next,
     roll_prev,
     rotate_about_x0_many,
-    rotvec_to_matrix,
 )
 
 from isocomb.planar import build_polygon, point_at
@@ -359,33 +357,6 @@ def test_brent_root_fails_like_scipy(monkeypatch):
     ours, theirs = brent_outcomes(cubic, 0.0, 10.0, maxiter=3)
     assert ours == theirs and ours[0] is RuntimeError
     assert len(ours[1]) == 2 + 3
-
-
-def _rotation_vectors():
-    """1,000 random axes times angles: the series edges, the near half turn
-    and uniform angles in [0, pi)."""
-    rng = np.random.default_rng(9)
-    axes = rng.standard_normal((1000, 3))
-    axes /= np.linalg.norm(axes, axis=1)[:, None]
-    special = [0.0, 1e-12, 1e-6, 1e-3, np.nextafter(1e-3, 1.0), math.pi / 2, math.pi - 1e-9]
-    angles = np.concatenate([special, rng.uniform(0.0, math.pi, 1000 - len(special))])
-    return axes * angles[:, None]
-
-
-def test_rotation_vector_conversions_equal_scipy_rotation():
-    from scipy.spatial.transform import Rotation
-
-    worst_matrix = worst_rotvec = 0.0
-    for v in _rotation_vectors():
-        want = Rotation.from_rotvec(v).as_matrix()
-        worst_matrix = max(worst_matrix, np.abs(rotvec_to_matrix(v) - want).max())
-        back = Rotation.from_matrix(want).as_rotvec()
-        worst_rotvec = max(worst_rotvec, np.abs(matrix_to_rotvec(want) - back).max())
-    assert worst_matrix <= 1e-15
-    assert worst_rotvec <= 1e-15
-    for v in ([math.nan, 0.0, 0.0], [1e200, 1e200, 0.0]):
-        assert np.isnan(rotvec_to_matrix(v)).all()
-        assert np.isnan(Rotation.from_rotvec(v).as_matrix()).all()
 
 
 def _disk_points(rng, k):

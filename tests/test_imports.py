@@ -309,9 +309,7 @@ def loaded_scipy_modules(argvs) -> set[str]:
 
 
 def test_no_subcommand_loads_scipy(tmp_path):
-    from isocomb.cones import make_digon
-    from isocomb.geometry import rotation_matrix_from_to
-    from isocomb.serialization import digon_to_dict, planar_to_dict, spherical_to_dict
+    from isocomb.serialization import planar_to_dict, spherical_to_dict
     from isocomb.spherical import random_convex_link
     from isocomb.suite import random_convex_polygon
 
@@ -321,7 +319,7 @@ def test_no_subcommand_loads_scipy(tmp_path):
         ("a", spherical_to_dict(random_convex_link(rng, 3.0))),
         ("b", spherical_to_dict(random_convex_link(rng, 3.0))),
         ("f1", planar_to_dict(random_convex_polygon(rng, 3, 10))),
-        ("digon", digon_to_dict(make_digon(1.1, rotation_matrix_from_to([0, 0, 1.0], [0, 1.0, 0])))),
+        ("digon", {"type": "digon", "angle": 1.1}),
     ):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(data))
