@@ -5,6 +5,12 @@ class GeometryError(Exception):
     """Base class for all geometric validation and pipeline failures."""
 
 
+# -- input files ----------------------------------------------------------------
+
+class InvalidInput(GeometryError, ValueError):
+    """A JSON input breaks its schema; a ValueError too, as it was untyped."""
+
+
 # -- planar polygon validation ------------------------------------------------
 
 class NotConvex(GeometryError):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .combination import AlignmentResult, CombinedCurve
 from .cones import make_digon
+from .errors import InvalidInput
 from .planar import PlanarPolygon, build_polygon
 from .spherical import SphericalPolygon, build_spherical_polygon
 
@@ -41,29 +42,49 @@ def spherical_to_dict(poly: SphericalPolygon) -> dict:
 
 def _required(data: dict, key: str) -> Any:
     if key not in data:
-        raise ValueError(f"{data['type']} object has no {key!r} field")
+        raise InvalidInput(f"{data['type']} object has no {key!r} field")
     return data[key]
+
+
+def _number(value: Any, key: str) -> float:
+    """The float of a JSON number; a bool, str, null, list or object is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInput(f"{key} must be a JSON number; got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInput(f"{key} holds an integer too large for a float") from None
+
+
+def _vertices(data: dict) -> list[list[float]]:
+    rows = _required(data, "vertices")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InvalidInput(f"vertices must be a list of coordinate rows; got {rows!r}")
+    if len({len(row) for row in rows}) > 1:
+        raise InvalidInput("vertices rows differ in length")
+    return [[_number(v, "vertices") for v in row] for row in rows]
 
 
 def object_from_dict(data: dict) -> Any:
     """Construct (and fully validate) a geometry object from its JSON dict.
 
     Raises:
-        ValueError: a field is missing, or a digon has a placement (named).
+        InvalidInput: a field is missing or not a JSON number, or a digon
+            has a placement (the message names the field).
     """
     if not isinstance(data, dict) or "type" not in data:
-        raise ValueError("expected an object with a 'type' field")
+        raise InvalidInput("expected an object with a 'type' field")
     kind = data["type"]
     if kind == "planar_polygon":
-        return build_polygon(_required(data, "vertices"), base_s=float(data.get("base_s", 0.0)))
+        return build_polygon(_vertices(data), base_s=_number(data.get("base_s", 0.0), "base_s"))
     if kind == "spherical_polygon":
-        return build_spherical_polygon(_required(data, "vertices"), base_s=float(data.get("base_s", 0.0)))
+        return build_spherical_polygon(_vertices(data), base_s=_number(data.get("base_s", 0.0), "base_s"))
     if kind == "digon":
-        angle = float(_required(data, "angle"))
+        angle = _number(_required(data, "angle"), "angle")
         if "placement" in data:
-            raise ValueError("digon 'placement' is not read: a digon file holds its angle alone")
+            raise InvalidInput("digon 'placement' is not read: a digon file holds its angle alone")
         return make_digon(angle)
-    raise ValueError(f"unknown object type {kind!r}")
+    raise InvalidInput(f"unknown object type {kind!r}")
 
 
 def load_object(path: str) -> Any:

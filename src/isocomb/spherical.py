@@ -121,7 +121,7 @@ def build_spherical_polygon(
         perimeter = float(np.sum(lengths))
         if np.any((lengths > math.pi - ANTIPODAL_LENGTH_EPS) | (dots <= -1.0 + ANTIPODAL_DOT_EPS)):
             raise AntipodalEdge("consecutive vertices are antipodal")
-        if np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
+        if perimeter <= 0.0 or np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
             raise DegenerateEdge("consecutive vertices coincide within tolerance")
         back = _tangent_toward(verts, roll_prev(verts), roll_prev(dots))
         depart = _tangent_toward(verts, nxt, dots)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,14 @@ def test_build_spherical_polygon_raises_as_former_kernel():
         for verts in inputs:
             assert _outcome(former_build_spherical_polygon, verts, 0.0) is exc
             assert _outcome(build_spherical_polygon, verts, 0.0) is exc
+
+
+def test_build_spherical_polygon_of_one_repeated_point_is_degenerate():
+    # zero perimeter: refused before any tangent is divided by a zero norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateEdge):
+            build_spherical_polygon([(1, 0, 0)] * 3)
 
 
 def test_spherical_primitives_equal_former_kernel_bit_for_bit():

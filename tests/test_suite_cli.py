@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from isocomb import cli
-from isocomb.errors import AlignmentNotFound, EmptyInput
+from isocomb.errors import AlignmentNotFound, EmptyInput, GeometryError, InvalidInput
 from isocomb.serialization import (
     dump_json,
     object_from_dict,
@@ -210,6 +210,18 @@ def test_object_from_dict_rejects_unknown_type():
         object_from_dict({"type": "dodecahedron"})
 
 
+@pytest.mark.parametrize("data", [
+    {"type": "dodecahedron"},
+    {"type": "digon"},
+    {"type": "digon", "angle": "1.0"},
+    {"type": "planar_polygon", "vertices": [[0, 0], [1, 0, 0], [0, 1]]},
+])
+def test_object_from_dict_raises_a_typed_error(data):
+    with pytest.raises(InvalidInput) as info:
+        object_from_dict(data)
+    assert isinstance(info.value, ValueError) and isinstance(info.value, GeometryError)
+
+
 # -- command line ----------------------------------------------------------------------
 
 def write_json(path, data):
@@ -263,6 +275,18 @@ OCTANT = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ({"type": "digon", "angle": 1.0, "placement": [math.nan, 0.0, 0.0]}, "placement"),
     ({"type": "digon", "angle": 1.0, "placement": [1e200, 1e200, 0.0]}, "placement"),
     ({"type": "digon", "angle": 1.0, "placement": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "placement"),
+    # a field of the wrong JSON type, which used to end in a traceback or pass
+    ({"type": "planar_polygon", "vertices": SQUARE, "base_s": None}, "base_s"),
+    ({"type": "planar_polygon", "vertices": SQUARE, "base_s": [1]}, "base_s"),
+    ({"type": "spherical_polygon", "vertices": OCTANT, "base_s": {}}, "base_s"),
+    ({"type": "planar_polygon", "vertices": SQUARE, "base_s": "0.5"}, "base_s"),
+    ({"type": "digon", "angle": None}, "angle"),
+    ({"type": "digon", "angle": [1]}, "angle"),
+    ({"type": "planar_polygon", "vertices": {"a": 1}}, "vertices"),
+    ({"type": "planar_polygon", "vertices": [[0, 0], [1, 0], {}, [0, 1]]}, "vertices"),
+    ({"type": "planar_polygon", "vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]}, "vertices"),
+    ({"type": "spherical_polygon", "vertices": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}, "vertices"),
+    ({"type": "planar_polygon", "vertices": [[0, 0], [10**400, 0], [0, 1]]}, "vertices"),
 ])
 def test_cli_validate_names_the_bad_field(tmp_path, capsys, data, field):
     # a missing field or a non-finite base point is a validation failure
