@@ -20,7 +20,7 @@ from .cones import (
     position_and_combine,
     transform_link_pair,
 )
-from .errors import AlignmentNotFound, GeometryError, PositioningNotFound
+from .errors import AlignmentNotFound, GeometryError, InvalidInput, PositioningNotFound
 from .geometry import apply_motion_many
 from .planar import PlanarPolygon
 from .spherical import SphericalPolygon
@@ -36,7 +36,7 @@ EXIT_IO = 3
 def _load(path: str, expected: type | None = None):
     obj = ser.load_object(path)
     if expected is not None and not isinstance(obj, expected):
-        raise ValueError(f"{path}: expected a {expected.__name__}")
+        raise InvalidInput(f"{path}: expected a {expected.__name__}")
     return obj
 
 

@@ -8,7 +8,7 @@ class GeometryError(Exception):
 # -- input files ----------------------------------------------------------------
 
 class InvalidInput(GeometryError, ValueError):
-    """A JSON input breaks its schema; a ValueError too, as it was untyped."""
+    """A JSON input breaks its schema; a ValueError too, so callers catching that still work."""
 
 
 # -- planar polygon validation ------------------------------------------------

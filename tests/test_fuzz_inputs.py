@@ -10,6 +10,7 @@ in what it prints or writes.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -111,11 +112,9 @@ def write(path, data):
 @given(data=st.one_of(planar, spherical, digon, around, json_values))
 def test_fuzzed_input_files_exit_cleanly(data):
     with tempfile.TemporaryDirectory() as d:
-        fuzzed = write(os.path.join(d, "in.json"), data)
-        square = write(os.path.join(d, "square.json"), SQUARE)
-        octant = write(os.path.join(d, "octant.json"), OCTANT)
-        inputs = {fuzzed, square, octant}
-        out = lambda name: os.path.join(d, name)   # noqa: E731
+        out = functools.partial(os.path.join, d)
+        fuzzed, square, octant = write(out("in.json"), data), write(out("square.json"), SQUARE), \
+            write(out("octant.json"), OCTANT)
         runs = [
             ["validate", fuzzed],
             ["align", "--a", fuzzed, "--b", square, "--out", out("align.json"), "--svg", out("align.svg")],
@@ -136,7 +135,7 @@ def test_fuzzed_input_files_exit_cleanly(data):
                 assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
             assert not NON_FINITE.search(stdout.getvalue()), argv
         for name in os.listdir(d):
-            path = os.path.join(d, name)
-            if path not in inputs:
+            path = out(name)
+            if path not in (fuzzed, square, octant):
                 with open(path, encoding="utf-8") as fh:
                     assert not NON_FINITE.search(fh.read()), name

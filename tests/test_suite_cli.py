@@ -201,8 +201,7 @@ def test_spherical_roundtrip(octant):
 
 
 def test_digon_from_dict_is_its_angle():
-    digon = object_from_dict(json.loads(json.dumps({"type": "digon", "angle": 1.1})))
-    assert digon.angle == 1.1
+    assert object_from_dict({"type": "digon", "angle": 1.1}).angle == 1.1
 
 
 def test_object_from_dict_rejects_unknown_type():
