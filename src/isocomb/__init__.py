@@ -31,11 +31,11 @@ from .cones import (
     combine_cones,
     combine_dihedral,
     cone_from_link,
+    image_polygons,
     link_hausdorff,
     make_digon,
     pogorelov_forward,
     pogorelov_identity_check,
-    pogorelov_inverse,
     position_and_combine,
     transform_link_pair,
     truncate_digons,

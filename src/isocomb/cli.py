@@ -16,6 +16,7 @@ from .cones import (
     combine_cones,
     combine_dihedral,
     cone_from_link,
+    image_polygons,
     make_digon,
     position_and_combine,
     transform_link_pair,
@@ -92,9 +93,10 @@ def _cmd_pogorelov(args) -> int:
     m1 = _load(args.a, SphericalPolygon)
     m2 = _load(args.b, SphericalPolygon)
     image = transform_link_pair(m1, m2)
+    planar1, planar2 = image_polygons(image)
     out = {
-        "planar1": ser.planar_to_dict(image.planar1),
-        "planar2": ser.planar_to_dict(image.planar2),
+        "planar1": ser.planar_to_dict(planar1),
+        "planar2": ser.planar_to_dict(planar2),
         "x0_sums": image.x0_sums.tolist(),
         "projections": image.projections.tolist(),
         "positions": image.positions.tolist(),

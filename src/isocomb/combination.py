@@ -102,7 +102,7 @@ def _dedup_closed(points: np.ndarray) -> np.ndarray:
     return points[roll_prev(keep)]
 
 
-def _certify(curve: np.ndarray) -> ConvexityCertificate:
+def _certificate(curve: np.ndarray) -> ConvexityCertificate:
     pts = _dedup_closed(curve)
     if len(pts) < 3:
         return FAILED_CERTIFICATE
@@ -120,7 +120,7 @@ def combine_at(pair: MarkedPair, positions: np.ndarray) -> CombinedCurve:
     curve = pts1 + pts2
     return CombinedCurve(
         curve=curve,
-        certificate=_certify(curve),
+        certificate=_certificate(curve),
         tau_segments=pts1 - pts2,
         breakpoints=positions,
         pair=pair,

@@ -13,7 +13,7 @@ planar alignment problem restricted to rotations about the x0-axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
 from .geometry import (
     E0,
     Angle,
-    RigidMotion2,
     alignment_margins,
     brent_root,
     common_perimeter,
@@ -48,6 +47,7 @@ from .spherical import (
     SphericalPolygon,
     build_spherical_polygon,
     centroid_direction,
+    gnomonic_inverse,
     rotate_polygon,
     sph_points_at,
 )
@@ -82,24 +82,18 @@ def cone_from_link(link: SphericalPolygon) -> ConvexCone3:
 # -- pairwise Pogorelov transform ------------------------------------------------
 
 def pogorelov_forward(r1, r2):
-    """Planar image pair (rbar1, rbar2) / (x0_1 + x0_2) of two unit vectors.
+    """Planar image pair (rbar1, rbar2) / (x0_1 + x0_2) of two unit vectors,
+    or of two (n, 3) arrays of them row by row.
 
     Raises:
-        NonPositiveHeight: if the height sum is at or below ``HEIGHT_EPS``.
+        NonPositiveHeight: if a height x0 is at or below ``HEIGHT_EPS``.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    denom = r1[0] + r2[0]
-    if denom <= HEIGHT_EPS:
-        raise NonPositiveHeight(f"x0 sum {denom!r} <= {HEIGHT_EPS}")
-    return r1[1:] / denom, r2[1:] / denom
-
-
-def pogorelov_inverse(tilde_sum) -> np.ndarray:
-    """Unit vector with gnomonic-style coordinates ``tilde_sum`` over x0."""
-    w = np.asarray(tilde_sum, dtype=float)
-    x0 = 1.0 / math.sqrt(1.0 + float(w @ w))
-    return np.array([x0, w[0] * x0, w[1] * x0])
+    if not (np.min(r1[..., 0]) > HEIGHT_EPS and np.min(r2[..., 0]) > HEIGHT_EPS):  # NaN fails too
+        raise NonPositiveHeight("a sampled point has x0 at or below the height floor")
+    denom = (r1[..., 0] + r2[..., 0])[..., None]
+    return r1[..., 1:] / denom, r2[..., 1:] / denom
 
 
 def pogorelov_identity_check(r1, r2) -> float:
@@ -112,11 +106,9 @@ def pogorelov_identity_check(r1, r2) -> float:
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     w1, w2 = pogorelov_forward(r1, r2)
-    a = pogorelov_inverse(w1 + w2)
+    a = gnomonic_inverse((w1 + w2)[None])[0]
     s = r1 + r2
-    b = np.concatenate([[r1[0] + r2[0]], r1[1:] + r2[1:]]) / math.sqrt(
-        2.0 * (1.0 + float(r1 @ r2))
-    )
+    b = s / math.sqrt(2.0 * (1.0 + float(r1 @ r2)))
     c = s / np.linalg.norm(s)
     return float(
         max(np.max(np.abs(a - b)), np.max(np.abs(b - c)), np.max(np.abs(a - c)))
@@ -139,20 +131,13 @@ def _refine(positions: np.ndarray, period: float, max_step: float) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class PogorelovImage:
-    """Planar image pair of two corresponded spherical curves.
+    """Planar image samples of two corresponded spherical curves."""
 
-    ``planar1``/``planar2`` are the validated convex image polygons; they
-    are None when the transform was run with ``certify=False`` (the raw
-    samples in ``image1``/``image2`` are always present).
-    """
-
-    planar1: PlanarPolygon | None
-    planar2: PlanarPolygon | None
-    x0_sums: np.ndarray         # (m,) height denominators per breakpoint
+    positions: np.ndarray       # (m,) arc positions sampled
+    x0_sums: np.ndarray         # (m,) height denominators per sample
     projections: np.ndarray     # (m, 2, 2) raw (x1, x2) projections of r1, r2
-    positions: np.ndarray = field(default=None)   # (m,) arc positions sampled
-    image1: np.ndarray = field(default=None)      # (m, 2) transformed samples of M1
-    image2: np.ndarray = field(default=None)      # (m, 2) transformed samples of M2
+    image1: np.ndarray          # (m, 2) transformed samples of M1
+    image2: np.ndarray          # (m, 2) transformed samples of M2
 
 
 def transform_link_pair(
@@ -160,57 +145,55 @@ def transform_link_pair(
     M2: SphericalPolygon,
     max_step: float | None = None,
     include_vertices: bool = True,
-    certify: bool = True,
 ) -> PogorelovImage:
-    """Map an equal-length spherical pair to the plane, breakpoint by breakpoint.
+    """Map an equal-length spherical pair to the plane, sample by sample.
 
     The correspondence is by arc length from the base points; the merged
     vertex set is refined so no gap exceeds ``max_step`` (default
     perimeter/256).  On each piece between correspondence events both
     height profiles are trigonometric in the same parameter, so the images
-    of geodesic edges are exactly straight and the built planar polygons
-    recover the true image vertices.  Resolution studies of the pairwise
-    isometry pass ``include_vertices=False`` to sample a plain uniform
-    grid instead (segments then straddle the corners).  Both image
-    polygons are validated convex.
+    of geodesic edges are exactly straight and the polygons built by
+    :func:`image_polygons` recover the true image vertices.  Resolution
+    studies of the pairwise isometry pass ``include_vertices=False`` to
+    refine the base point alone, a plain uniform grid (segments then
+    straddle the corners).
 
     Raises:
-        PerimeterMismatch, NonPositiveHeight, NotConvexPlanar
+        PerimeterMismatch, NonPositiveHeight
     """
     p = common_perimeter(M1, M2)
     if max_step is None:
         max_step = p / DEFAULT_SUBDIVISIONS
+    events = np.zeros(1)
     if include_vertices:
-        positions = _refine(merged_vertex_positions(M1, M2, BREAKPOINT_MERGE_RTOL), p, max_step)
-    else:
-        n = max(4, int(math.ceil(p / max_step)))
-        positions = np.arange(n) * (p / n)
+        events = merged_vertex_positions(M1, M2, BREAKPOINT_MERGE_RTOL)
+    positions = _refine(events, p, max_step)
     r1 = sph_points_at(M1, positions)
     r2 = sph_points_at(M2, positions)
-    if np.min(r1[:, 0]) <= HEIGHT_EPS or np.min(r2[:, 0]) <= HEIGHT_EPS:
-        raise NonPositiveHeight("a sampled point has x0 at or below the height floor")
-    denom = r1[:, 0] + r2[:, 0]
-    w1 = r1[:, 1:] / denom[:, None]
-    w2 = r2[:, 1:] / denom[:, None]
-    planar1 = planar2 = None
-    if certify:
-        try:
-            planar1 = build_polygon(w1, base_s=0.0, collinear_eps=IMAGE_COLLINEAR_EPS)
-            planar2 = build_polygon(w2, base_s=0.0, collinear_eps=IMAGE_COLLINEAR_EPS)
-        except (NotConvex, NotSimple, DegenerateEdge) as exc:
-            raise NotConvexPlanar(
-                f"transformed image failed convex validation ({exc}); "
-                "resolution too coarse or invalid input"
-            ) from exc
+    w1, w2 = pogorelov_forward(r1, r2)
     return PogorelovImage(
-        planar1=planar1,
-        planar2=planar2,
-        x0_sums=denom,
-        projections=np.stack([r1[:, 1:], r2[:, 1:]], axis=1),
         positions=positions,
+        x0_sums=r1[:, 0] + r2[:, 0],
+        projections=np.stack([r1[:, 1:], r2[:, 1:]], axis=1),
         image1=w1,
         image2=w2,
     )
+
+
+def image_polygons(image: PogorelovImage) -> tuple[PlanarPolygon, PlanarPolygon]:
+    """Both image sample loops built as validated convex planar polygons.
+
+    Raises:
+        NotConvexPlanar: an image fails convex validation.
+    """
+    try:
+        return tuple(build_polygon(w, base_s=0.0, collinear_eps=IMAGE_COLLINEAR_EPS)
+                     for w in (image.image1, image.image2))
+    except (NotConvex, NotSimple, DegenerateEdge) as exc:
+        raise NotConvexPlanar(
+            f"transformed image failed convex validation ({exc}); "
+            "resolution too coarse or invalid input"
+        ) from exc
 
 
 def segment_mismatch(image: PogorelovImage) -> float:
@@ -265,7 +248,6 @@ class PositioningReport:
     combined: ConvexCone3
     cone1: ConvexCone3          # centroid-normalized, rotated by psi
     cone2: ConvexCone3          # centroid-normalized
-    image: PogorelovImage       # transform of the final positioned pair (uncertified)
     candidates_tried: int
 
 
@@ -300,10 +282,9 @@ def position_and_combine(
     between the unwrapped chord directions of the two images is periodic,
     so a candidate's worst gap is its real difference from the largest or
     the smallest gap, found in O(m) time and memory, and a candidate whose
-    gap swings through pi is rejected.  The link pair is transformed once:
-    the reported ``image`` is the search image with ``image1`` and the
-    first cone's projections rotated by psi, since the rotation leaves the
-    positions and height sums unchanged.
+    gap swings through pi is rejected.  The image of the positioned pair is
+    ``transform_link_pair(report.cone1.link, report.cone2.link)``: the
+    search image with ``image1`` rotated by psi.
 
     Raises:
         PositioningNotFound: if no candidate certifies, or fewer than 3
@@ -311,9 +292,9 @@ def position_and_combine(
     """
     C1 = normalize_cone(K1)
     C2 = normalize_cone(K2)
-    # the raw image samples drive the candidate search; image convexity is
-    # not required because every candidate is certified on the sphere
-    image = transform_link_pair(C1.link, C2.link, max_step=max_step, certify=False)
+    # the image samples drive the candidate search; image convexity is not
+    # required because every candidate is certified on the sphere
+    image = transform_link_pair(C1.link, C2.link, max_step=max_step)
     th1 = _image_directions(image.image1)
     th2 = _image_directions(image.image2)
     g = th1 - th2
@@ -336,12 +317,6 @@ def position_and_combine(
             combined = combine_cones(rotated, C2)
         except (NotConvexSpherical, AntipodalCorrespondence, DegenerateEdge, AntipodalEdge):
             continue
-        rot = RigidMotion2(psi).matrix()
-        final_image = replace(
-            image,
-            projections=np.stack([image.projections[:, 0] @ rot.T, image.projections[:, 1]], axis=1),
-            image1=image.image1 @ rot.T,
-        )
         return PositioningReport(
             psi=psi,
             sigma0=float(image.positions[j]),
@@ -349,7 +324,6 @@ def position_and_combine(
             combined=combined,
             cone1=rotated,
             cone2=C2,
-            image=final_image,
             candidates_tried=tried,
         )
     raise PositioningNotFound(
@@ -400,7 +374,7 @@ def _digon_quadrilateral(digon: Digon, eps: float) -> SphericalPolygon:
     b2 = -ce * north + se * eb
     try:
         return build_spherical_polygon(np.stack([a2, a1, b1, b2]))
-    except (NotConvexSpherical, DegenerateEdge) as exc:
+    except (NotConvexSpherical, DegenerateEdge, AntipodalEdge) as exc:
         raise TruncationTooDeep(
             f"cut depth {eps!r} leaves no valid quadrilateral of the digon of angle "
             f"{digon.angle!r}: {exc}"
@@ -436,7 +410,14 @@ def truncate_digons(
     # LENGTH_EPS_FACTOR * perimeter floor
     lo = max(DIGON_DEPTH_FLOOR, DIGON_EDGE_FLOOR / math.sin(digon2.angle / 2.0))
     hi = math.pi / 2 - DIGON_DEPTH_MARGIN
-    if f(lo) * f(hi) > 0.0:
+    try:
+        f_lo, f_hi = f(lo), f(hi)
+    except TruncationTooDeep as exc:
+        # a bracket end is an internal depth: name the one the caller gave
+        raise TruncationTooDeep(
+            f"no cut depth of the second digon matches the first digon's cut depth {eps!r}"
+        ) from exc
+    if f_lo * f_hi > 0.0:
         raise TruncationTooDeep(
             f"no cut depth of the second digon matches perimeter {target!r}"
         )
@@ -478,7 +459,8 @@ class DigonCombinationReport:
 
 
 def combine_dihedral(digon1: Digon, digon2: Digon, eps_ladder) -> DigonCombinationReport:
-    """Truncate, position, and combine along a decreasing ladder of cut depths."""
+    """Truncate, position, and combine along a decreasing ladder of cut depths;
+    a failing rung's error names its depth."""
     eps_ladder = [float(e) for e in eps_ladder]
     if not eps_ladder or any(e <= 0 for e in eps_ladder):
         raise ValueError("eps ladder must be positive")
@@ -487,7 +469,10 @@ def combine_dihedral(digon1: Digon, digon2: Digon, eps_ladder) -> DigonCombinati
     levels = []
     for eps in eps_ladder:
         q1, q2, e2 = truncate_digons(digon1, digon2, eps)
-        report = position_and_combine(cone_from_link(q1), cone_from_link(q2))
+        try:
+            report = position_and_combine(cone_from_link(q1), cone_from_link(q2))
+        except (NonPositiveHeight, PositioningNotFound) as exc:
+            raise type(exc)(f"cut depth {eps!r}: {exc}") from exc
         link = report.combined.link
         levels.append(
             DigonLevel(

@@ -139,7 +139,7 @@ def planar_trial(config: SuiteConfig, index: int) -> TrialReport:
 
 
 def cone_trial(config: SuiteConfig, index: int) -> TrialReport:
-    """Generate an isometric cone pair, position, combine, and certify."""
+    """Generate an isometric cone pair, position, combine, and check the certificate."""
     rng = trial_rng(config.seed, index)
     lo, hi = config.target_link_length
     target = rng.uniform(lo, hi)

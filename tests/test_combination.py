@@ -31,7 +31,7 @@ from isocomb.planar import (
     points_at,
 )
 from isocomb.suite import random_convex_polygon, trial_rng
-from isocomb.tolerances import BREAKPOINT_MERGE_RTOL
+from isocomb.tolerances import BREAKPOINT_MERGE_RTOL, VERTEX_ANGLE_TOL
 
 from conftest import (
     assert_same_bits,
@@ -121,6 +121,20 @@ def test_vertex_events_identical_squares(unit_square):
         events = vertex_events(combine(make_pair(unit_square, unit_square.with_base(4.0 - shift))))
         assert events.case.tolist() == [2, 2, 2, 2], shift
         assert events.law_error() <= 1e-15, shift
+
+
+def test_self_pairs_based_at_vertices_and_their_float_neighbours(unit_square):
+    # a base point on a vertex, or one float away on either side of it,
+    # must not split the vertex into two rows or lose the alignment
+    hull = random_convex_polygon(trial_rng(5, 0), 3, 30)
+    for poly in (unit_square, hull):
+        p = poly.perimeter
+        for s in poly.cum_lengths:
+            for base in (s, np.nextafter(s if s > 0.0 else p, 0.0), np.nextafter(s, p)):
+                result, combined = combine_aligned(make_pair(poly, poly.with_base(float(base))))
+                assert result.margin > 0.0, base
+                assert combined.certificate.is_convex, base
+                assert vertex_events(combined).law_error() <= VERTEX_ANGLE_TOL, base
 
 
 def test_vertex_events_square_vs_offset_rectangle(unit_square):

@@ -8,12 +8,12 @@ from isocomb.cones import (
     combine_cones,
     combine_dihedral,
     cone_from_link,
+    image_polygons,
     link_hausdorff,
     make_digon,
     normalize_cone,
     pogorelov_forward,
     pogorelov_identity_check,
-    pogorelov_inverse,
     position_and_combine,
     segment_mismatch,
     transform_link_pair,
@@ -24,19 +24,22 @@ from isocomb.errors import (
     GeometryError,
     NonPositiveHeight,
     NotConvexPlanar,
+    NotConvexSpherical,
     PerimeterMismatch,
     PositioningNotFound,
     TruncationTooDeep,
 )
-from isocomb.geometry import TAU, rotate_about_x0_many, rotation_matrix_from_to
+from isocomb.geometry import TAU, alignment_margins, rotate_about_x0_many, rotation_matrix_from_to
 from isocomb.spherical import (
     build_spherical_polygon,
+    gnomonic_inverse,
     random_convex_link,
     rotate_polygon,
+    sph_points_at,
     unit_rows,
 )
 from isocomb.suite import trial_rng
-from isocomb.tolerances import HEIGHT_EPS
+from isocomb.tolerances import HEIGHT_EPS, MARGIN_EPS
 
 from conftest import (
     brent_outcomes,
@@ -68,13 +71,32 @@ def test_forward_symmetric_pair():
 
 
 def test_forward_rejects_low_height():
+    # every height must clear the floor, not only their sum
     with pytest.raises(NonPositiveHeight):
         pogorelov_forward((1e-7, 1, 0), (-1e-7, 0, 1))
+    with pytest.raises(NonPositiveHeight, match="at or below the height floor"):
+        pogorelov_forward((1, 0, 0), (HEIGHT_EPS, 1, 0))
+    with pytest.raises(NonPositiveHeight):
+        pogorelov_forward((1, 0, 0), (math.nan, 1, 0))
+
+
+def test_forward_maps_rows_as_single_vectors():
+    rng = np.random.default_rng(3)
+    r = unit_rows(rng.normal(size=(2, 40, 3)) + np.array([3.0, 0.0, 0.0]))
+    w1, w2 = pogorelov_forward(r[0], r[1])
+    rows = [pogorelov_forward(a, b) for a, b in zip(r[0], r[1])]
+    assert w1.tobytes() == np.array([a for a, _ in rows]).tobytes()
+    assert w2.tobytes() == np.array([b for _, b in rows]).tobytes()
+    low = r.copy()
+    low[1, 17] = (0.0, 1.0, 0.0)
+    with pytest.raises(NonPositiveHeight):
+        pogorelov_forward(low[0], low[1])
 
 
 def test_inverse_examples():
-    assert pogorelov_inverse((0.0, 0.0)) == pytest.approx((1, 0, 0))
-    assert pogorelov_inverse((1.0, 0.0)) == pytest.approx((SQ2, SQ2, 0.0))
+    got = gnomonic_inverse(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert got[0] == pytest.approx((1, 0, 0))
+    assert got[1] == pytest.approx((SQ2, SQ2, 0.0))
 
 
 def test_identity_check_trivials():
@@ -102,8 +124,9 @@ def test_identity_check_randomized():
 def test_transform_identical_links_identical_images():
     link = ring_link(32, 0.4)
     image = transform_link_pair(link, link)
+    planar1, planar2 = image_polygons(image)
     assert np.array_equal(image.image1, image.image2)
-    assert np.array_equal(image.planar1.vertices, image.planar2.vertices)
+    assert np.array_equal(planar1.vertices, planar2.vertices)
     assert np.all(image.x0_sums > 0)
 
 
@@ -130,9 +153,9 @@ def test_transform_commutes_with_axis_rotation():
     m2 = build_spherical_polygon(gnomonic_inverse(lam * w2))
 
     psi = 0.83
-    base = transform_link_pair(m1, m2, certify=False)
+    base = transform_link_pair(m1, m2)
     rotated = build_spherical_polygon(rotate_about_x0_many(psi, m1.vertices), base_s=m1.base_s)
-    moved = transform_link_pair(rotated, m2, certify=False)
+    moved = transform_link_pair(rotated, m2)
     assert np.max(np.abs(moved.x0_sums - base.x0_sums)) <= 1e-14
     c, s = math.cos(psi), math.sin(psi)
     rot = np.array([[c, -s], [s, c]])
@@ -161,7 +184,7 @@ def test_transform_exact_discrete_isometry_with_events():
     rng = np.random.default_rng(4)
     l1 = random_convex_link(rng, 3.1, n_points=14)
     l2 = random_convex_link(rng, 3.1, n_points=18)
-    image = transform_link_pair(l1, l2, certify=False)
+    image = transform_link_pair(l1, l2)
     assert segment_mismatch(image) <= 1e-12
 
 
@@ -184,18 +207,17 @@ def test_transform_first_order_isometry_uniform_grids():
 
 
 def test_transform_nonconvex_image_detected():
-    # a generic correspondence can produce a non-convex image pair; the
-    # certifying transform reports it instead of building a bad polygon
+    # a generic correspondence can produce a non-convex image pair;
+    # image_polygons reports it instead of building a bad polygon
     rng = np.random.default_rng(5)
     l1 = random_convex_link(rng, 3.4, n_points=16)
     tilt = rotation_matrix_from_to(
         np.array([1.0, 0, 0]), unit_rows(np.array([1.0, 0.25, -0.35]))
     )
     l2 = rotate_polygon(l1, tilt).with_base((l1.base_s + 0.41 * l1.perimeter) % l1.perimeter)
+    image = transform_link_pair(l1, l2)
     with pytest.raises(NotConvexPlanar):
-        transform_link_pair(l1, l2, certify=True)
-    image = transform_link_pair(l1, l2, certify=False)
-    assert image.planar1 is None
+        image_polygons(image)
     assert segment_mismatch(image) <= 1e-12  # the isometry holds regardless
 
 
@@ -280,14 +302,11 @@ def test_positioned_combination_matches_inverse_transform_route():
     l1 = random_convex_link(rng, 3.3)
     l2 = random_convex_link(rng, 3.3)
     report = position_and_combine(cone_from_link(l1), cone_from_link(l2))
-    image = report.image
-    from isocomb.cones import pogorelov_inverse
-    from isocomb.spherical import sph_points_at
-
+    image = transform_link_pair(report.cone1.link, report.cone2.link)
     r1 = sph_points_at(report.cone1.link, image.positions)
     r2 = sph_points_at(report.cone2.link, image.positions)
     direct = (r1 + r2) / np.linalg.norm(r1 + r2, axis=1, keepdims=True)
-    via_plane = np.array([pogorelov_inverse(w) for w in image.image1 + image.image2])
+    via_plane = gnomonic_inverse(image.image1 + image.image2)
     assert np.max(np.abs(direct - via_plane)) <= 1e-12
 
 
@@ -313,16 +332,48 @@ def test_position_matches_dense_oracle_on_acceptance_seed(monkeypatch):
         )
 
 
-def test_position_report_image_equals_recomputed_transform():
-    # the reported image is the search image rotated by psi, not a second transform
-    for i in range(8):
-        report = position_and_combine(*_cone_suite_pair(11, i))
-        image = report.image
-        again = transform_link_pair(report.cone1.link, report.cone2.link, certify=False)
-        assert image.planar1 is None and image.planar2 is None
-        assert image.positions.shape == again.positions.shape
-        for name in ("positions", "x0_sums", "projections", "image1", "image2"):
-            assert np.max(np.abs(getattr(image, name) - getattr(again, name))) <= 1e-13, name
+def _positive_margins(k1, k2):
+    """Number of candidates whose planar margin clears MARGIN_EPS."""
+    image = transform_link_pair(normalize_cone(k1).link, normalize_cone(k2).link)
+    g = cones._image_directions(image.image1) - cones._image_directions(image.image2)
+    return int(np.sum(alignment_margins(g, g) > MARGIN_EPS))
+
+
+def test_positioning_falls_back_to_the_next_candidate(monkeypatch):
+    # no measured positioning rejects its first candidate, so the loop's
+    # fallback is reached by failing the first combination on purpose
+    k1, k2 = _cone_suite_pair(7, 0)
+    first = position_and_combine(k1, k2)
+    assert first.candidates_tried == 1
+    calls = []
+
+    def fail_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise NotConvexSpherical("rejected on purpose")
+        return combine_cones(*args)
+
+    monkeypatch.setattr(cones, "combine_cones", fail_first)
+    report = position_and_combine(k1, k2)
+    assert report.candidates_tried == 2 and len(calls) == 2
+    assert report.sigma0 != first.sigma0
+    assert report.margin > 0
+    _finite_certified(report.combined.link)
+
+
+def test_positioning_not_found_names_every_candidate_tried(monkeypatch):
+    k1, k2 = _cone_suite_pair(7, 0)
+    calls = []
+
+    def fail_all(*args):
+        calls.append(args)
+        raise NotConvexSpherical("rejected on purpose")
+
+    n = _positive_margins(k1, k2)
+    monkeypatch.setattr(cones, "combine_cones", fail_all)
+    with pytest.raises(PositioningNotFound, match=f"among {n} with margin"):
+        position_and_combine(k1, k2)
+    assert n > 1 and len(calls) == n
 
 
 # -- digons ---------------------------------------------------------------------------
@@ -470,12 +521,12 @@ def test_links_at_the_height_floor_end_typed_or_pass(side):
     h = HEIGHT_EPS * (1.0 + side * 1e-3)
     for link in _low_vertex_links(h):
         assert np.min(link.vertices[:, 0]) - HEIGHT_EPS == pytest.approx(side * 1e-9, rel=1e-3)
-        for certify in (True, False):
-            image = _outcome(transform_link_pair, link, link, None, True, certify)
-            if side < 0:
-                assert image is NonPositiveHeight
-            else:
-                assert np.all(np.isfinite(image.image1)) and np.all(image.x0_sums > 0)
+        image = _outcome(transform_link_pair, link, link)
+        if side < 0:
+            assert image is NonPositiveHeight
+        else:
+            assert np.all(np.isfinite(image.image1)) and np.all(image.x0_sums > 0)
+            image_polygons(image)
         turned = build_spherical_polygon(rotate_about_x0_many(0.3, link.vertices))
         report = _outcome(position_and_combine, cone_from_link(link), cone_from_link(turned))
         if isinstance(report, type):

@@ -1,12 +1,15 @@
-"""Bounded fuzz of the JSON inputs of every file-reading subcommand.
+"""Bounded fuzz of the command line: every subcommand's inputs and arguments.
 
-Generated objects sit in and around the three schemas (planar polygon,
+Generated input files sit in and around the three schemas (planar polygon,
 spherical polygon, digon): any JSON value in any field, numbers that are
 NaN, infinite or too large for a float, ragged vertex rows, and shapes
-that are valid or nearly so, at most 12 vertices.  Every run must end in
-an exit code of 0-3, with exactly one ``error:`` line when it fails, no
-warning (the command line would print it), and no NaN or Infinity token
-in what it prints or writes.
+that are valid or nearly so, at most 12 vertices.  Each file is run against
+a fixed partner and, for the link commands, against itself.  The ``digon``
+angles and ladder and the ``suite`` options are fuzzed as argument strings
+in small ranges.  Every run must end in an exit code of 0-3, with exactly
+one ``error:`` line when it fails (a suite's failed trials are reported in
+its printed summary instead), no warning (the command line would print
+it), and no NaN or Infinity token in what it prints or writes.
 """
 
 import contextlib
@@ -47,10 +50,10 @@ def circle_polygons(draw):
 
 
 @st.composite
-def cap_links(draw):
+def cap_links(draw, heights=st.floats(0.0, math.pi)):
     """3-12 points on a circle about +x0 on the sphere, counterclockwise."""
     phis = sorted(math.radians(a) for a in draw(st.lists(st.integers(0, 359), min_size=3, max_size=12, unique=True)))
-    h = draw(st.floats(0.0, math.pi))
+    h = draw(heights)
     return [[math.cos(h), math.sin(h) * math.cos(p), math.sin(h) * math.sin(p)] for p in phis]
 
 
@@ -81,6 +84,7 @@ spherical_vertices = st.one_of(
     st.integers(1, 4).flatmap(rows),
     json_values,
     cap_links(),
+    cap_links(st.floats(0.05, 1.4)),     # convex links inside the upper hemisphere
     st.builds(rotated_octant, st.floats(allow_infinity=False)),
     st.builds(rotated_octant, st.floats(-10.0, 10.0)),
 )
@@ -107,8 +111,38 @@ def write(path, data):
     return path
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def run_cli(argv):
+    """Exit code, stdout and stderr of one in-process CLI run, asserting the
+    exit code is 0-3 and no warning was raised."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert not NON_FINITE.search(stdout.getvalue()), argv
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def assert_clean_failure(argv, code, err):
+    if code != 0:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def assert_finite_files(d, inputs):
+    for name in os.listdir(d):
+        path = os.path.join(d, name)
+        if path not in inputs:
+            with open(path, encoding="utf-8") as fh:
+                assert not NON_FINITE.search(fh.read()), name
+
+
+SETTINGS = dict(derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@settings(max_examples=150, **SETTINGS)
 @given(data=st.one_of(planar, spherical, digon, around, json_values))
 def test_fuzzed_input_files_exit_cleanly(data):
     with tempfile.TemporaryDirectory() as d:
@@ -121,21 +155,59 @@ def test_fuzzed_input_files_exit_cleanly(data):
             ["combine", "--a", fuzzed, "--b", square, "--out", out("combine.json")],
             ["pogorelov", "--a", fuzzed, "--b", octant, "--out", out("pogorelov.json")],
             ["cone-combine", "--a", fuzzed, "--b", octant, "--out", out("cone.json")],
+            # the link paired with itself: the runs that can succeed
+            ["pogorelov", "--a", fuzzed, "--b", fuzzed, "--out", out("pogorelov-self.json")],
+            ["cone-combine", "--a", fuzzed, "--b", fuzzed, "--position", "--out", out("cone-self.json")],
         ]
         for argv in runs:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-                    warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = cli.main(argv)
-            assert code in (0, 1, 2, 3), argv
-            assert not caught, (argv, [str(w.message) for w in caught])
-            err = stderr.getvalue()
-            if code != 0:
-                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-            assert not NON_FINITE.search(stdout.getvalue()), argv
-        for name in os.listdir(d):
-            path = out(name)
-            if path not in (fuzzed, square, octant):
-                with open(path, encoding="utf-8") as fh:
-                    assert not NON_FINITE.search(fh.read()), name
+            code, _, err = run_cli(argv)
+            assert_clean_failure(argv, code, err)
+        assert_finite_files(d, (fuzzed, square, octant))
+
+
+number_texts = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", repr(math.pi), "1e-300", "-1", "1e308"]),
+    st.floats(-4.0, 4.0).map(repr),
+)
+valid_angles = st.floats(0.05, 3.1).map(repr)
+valid_ladders = st.lists(st.floats(1e-3, 0.7), min_size=1, max_size=3, unique=True).map(
+    lambda depths: ",".join(repr(e) for e in sorted(depths, reverse=True)))
+ladders = st.one_of(
+    valid_ladders,
+    valid_ladders,
+    st.sampled_from(["", ",", " ", "abc", "0.2,,0.1", "0.2;0.1", "0.1,0.2", "0.2,0.2"]),
+    st.lists(st.one_of(number_texts, st.floats(1e-300, 0.8).map(repr)), min_size=1, max_size=3).map(",".join),
+)
+angles = st.one_of(valid_angles, valid_angles, number_texts)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(angle1=angles, angle2=angles, ladder=ladders)
+def test_fuzzed_digon_arguments_exit_cleanly(angle1, angle2, ladder):
+    with tempfile.TemporaryDirectory() as d:
+        argv = ["digon", f"--angle1={angle1}", f"--angle2={angle2}", f"--ladder={ladder}",
+                "--out", os.path.join(d, "digon.json")]
+        code, _, err = run_cli(argv)
+        assert_clean_failure(argv, code, err)
+        assert_finite_files(d, ())
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(kind=st.sampled_from(["planar", "cone"]), trials=st.one_of(st.integers(1, 3), st.integers(-1, 0)),
+       seed=st.integers(-1, 50), min_vertices=st.one_of(st.integers(3, 6), st.integers(1, 2)),
+       max_vertices=st.one_of(st.integers(3, 10), st.just(10_001)),
+       replay=st.one_of(st.none(), st.integers(-1, 3)))
+def test_fuzzed_suite_arguments_exit_cleanly(kind, trials, seed, min_vertices, max_vertices, replay):
+    with tempfile.TemporaryDirectory() as d:
+        argv = ["suite", kind, f"--trials={trials}", f"--seed={seed}", f"--min-vertices={min_vertices}",
+                f"--max-vertices={max_vertices}", "--report", os.path.join(d, "report.jsonl")]
+        if replay is not None:
+            argv.append(f"--replay={replay}")
+        code, out, err = run_cli(argv)
+        if code == 2 and not err:
+            # failed trials are a result: the printed report says so
+            report = json.loads(out)
+            assert report["failures"] > 0 if replay is None else not report["passed"], argv
+        else:
+            assert_clean_failure(argv, code, err)
+        assert_finite_files(d, ())

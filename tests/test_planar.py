@@ -13,12 +13,15 @@ from isocomb.errors import (
 from isocomb.geometry import norm_angle
 from isocomb.planar import (
     MAX_COORDINATE,
+    _edge_angles,
+    _exterior_angles,
     build_polygon,
     convexity_certificate,
     dilate_to_perimeter,
     point_at,
     points_at,
 )
+from isocomb.tolerances import COLLINEAR_EPS
 
 TAU = 2 * math.pi
 
@@ -79,6 +82,28 @@ def test_collinear_vertices_merged():
     poly = build_polygon([(0, 0), (0.5, 0.0), (1, 0), (1, 1), (0, 1)])
     assert poly.n_vertices == 4
     assert poly.perimeter == pytest.approx(4.0)
+
+
+def test_collinear_merge_rule_at_the_float_neighbours_of_the_tolerance():
+    # the bottom edge's middle vertex sits h below the chord (a corner, turn
+    # 2h exactly) or above it (a reflex turn, rounded by the mod 2*pi step to
+    # the spacing of 2*pi); the rule reads the builder's own computed turn
+    eps, step = COLLINEAR_EPS, np.spacing(TAU)
+    hs = [np.nextafter(eps, 0.0) / 2, eps / 2, np.nextafter(eps, 1.0) / 2]
+    hs += [-(eps + k * step) / 2 for k in (-2, -1, 0, 1, 2)]
+    turns = []
+    for h in hs:
+        verts = np.array([(0.0, 0.0), (1.0, -h), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)])
+        turn = _exterior_angles(_edge_angles(verts)[1])[1]
+        turns.append(turn)
+        if turn < -eps:
+            with pytest.raises(NotConvex):
+                build_polygon(verts)
+        else:
+            assert build_polygon(verts).n_vertices == (5 if turn > eps else 4), turn
+    assert {np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)} <= set(turns)
+    assert any(-eps - step <= t < -eps for t in turns)
+    assert any(-eps <= t < -eps + step for t in turns)
 
 
 def test_collinear_merge_shifts_base_consistently():

@@ -6,6 +6,7 @@ import pytest
 
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
 from isocomb.geometry import TAU, cross3, dot3, roll_next
+from isocomb.tolerances import SPH_COLLINEAR_EPS
 from isocomb import spherical
 from isocomb.spherical import (
     _edge_lengths,
@@ -286,3 +287,64 @@ def test_link_perimeter_solves_equal_scipy_brentq(monkeypatch):
             random_convex_link(rng, target, n_points=max(12, config.max_vertices))
     assert len(outcomes) >= 1000
     assert all(ours == theirs for ours, theirs in outcomes)
+
+
+def _bent_ring(h):
+    """A square ring with a midpoint inserted on its first edge and moved
+    off the edge's great circle by the angle h: outward (a corner) for
+    h > 0, inward (a reflex vertex) for h < 0."""
+    ring = ring_vertices(4, 0.5)
+    mid = unit_rows(ring[0] + ring[1])
+    out = unit_rows(cross3(ring[1], ring[0]))
+    return np.insert(ring, 1, math.cos(h) * mid + math.sin(h) * out, axis=0)
+
+
+def test_collinear_merge_rule_next_to_the_tolerance(monkeypatch):
+    # h is swept so the inserted vertex's computed turn crosses +-eps; the
+    # turn is resolved to ~4e-16 there, so the sweep reaches the computed
+    # values next to each edge.  The rule reads the builder's own first-pass
+    # turn and decision, and the finished polygon must agree with it
+    eps = SPH_COLLINEAR_EPS
+    seen, merge = [], spherical.merge_collinear
+
+    def spy(turns, *rest):
+        seen.append(turns[1])
+        try:
+            keep, base_s = merge(turns, *rest)
+        except NotConvexSpherical:
+            seen.append("reflex")
+            raise
+        seen.append("kept" if keep is None or keep[1] else "merged")
+        return keep, base_s
+
+    monkeypatch.setattr(spherical, "merge_collinear", spy)
+    build_spherical_polygon(_bent_ring(1e-6))
+    h0 = 1e-6 * eps / seen[0]           # the turn is near linear in h
+    turns = []
+    for sign in (1, -1):
+        for k in range(-100, 101):
+            seen.clear()
+            try:
+                poly = build_spherical_polygon(_bent_ring(sign * h0 * (1.0 + k * 2e-5)))
+            except NotConvexSpherical as exc:
+                poly = exc
+            turn, decision = seen[:2]
+            turns.append(turn)
+            assert decision == ("reflex" if turn < -eps else "kept" if turn > eps else "merged"), turn
+            if decision == "merged":
+                assert poly.n_vertices == 4, turn
+            elif decision == "reflex":
+                assert "negative geodesic turning" in str(poly), turn
+            else:  # a kept vertex can still fail Gauss-Bonnet; see the xfail below
+                assert getattr(poly, "n_vertices", None) == 5 or "Gauss-Bonnet" in str(poly), turn
+    for edge in (eps, -eps):
+        assert any(edge - 1e-15 < t <= edge for t in turns), edge
+        assert any(edge < t < edge + 1e-15 for t in turns), edge
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the angle-excess area takes arccos of the turn's cosine, which resolves "
+    "an interior angle near pi only to ~1.5e-8, above GAUSS_BONNET_TOL"))
+def test_a_kept_near_collinear_vertex_passes_gauss_bonnet():
+    # turn 2.8e-12: kept by the merge rule, then refused by the residual check
+    assert build_spherical_polygon(_bent_ring(5e-13)).n_vertices == 5

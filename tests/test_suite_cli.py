@@ -418,6 +418,21 @@ def test_cli_digon_names_the_depth_too_deep_for_a_thin_digon(capsys):
     assert "cut depth 0.025" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("angles, ladder, depth", [
+    (("1.0", "2.0"), "5e-7", "cut depth 5e-07"),            # an antipodal quadrilateral edge
+    (("1.0", "2.0"), "1e-6", "cut depth 1e-06: "),          # a sample below the height floor
+    (("3.14159", "3.1415926"), "0.2,0.1", "cut depth 0.2"),  # no valid bracket end
+])
+def test_cli_digon_errors_name_the_users_cut_depth(capsys, angles, ladder, depth):
+    argv = ["digon", "--angle1", angles[0], "--angle2", angles[1], "--ladder", ladder]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert depth in err
+    if ladder == "0.2,0.1":
+        assert "1e-06" not in err
+
+
 def test_suite_refuses_to_write_nan(tmp_path, monkeypatch, capsys):
     from isocomb import suite
 
