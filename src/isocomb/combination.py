@@ -159,10 +159,7 @@ class VertexEvents:
     ``case`` counts the curves with a vertex at the row (0 edge-edge, 1
     vertex-edge, 2 vertex-vertex).  ``beta`` is the combined curve's own
     interior angle (pi on edge-edge rows), ``beta1``/``beta2`` the inputs'
-    (pi on edge interiors).  Vertex-edge rows hold in ``alpha``/``delta``/
-    ``gamma`` the angles between the right semitangent rays, between the
-    left ones, and between the vertex's right ray and the edge point's
-    left ray; other rows hold NaN.
+    (pi on edge interiors).
     """
 
     s: np.ndarray
@@ -170,9 +167,6 @@ class VertexEvents:
     beta1: np.ndarray
     beta2: np.ndarray
     beta: np.ndarray
-    alpha: np.ndarray
-    delta: np.ndarray
-    gamma: np.ndarray
 
     def law_error(self) -> float:
         """Largest |beta - (beta1 + beta2) / 2| over the vertex rows; 0 if none."""
@@ -183,11 +177,11 @@ class VertexEvents:
 def vertex_events(combined: CombinedCurve) -> VertexEvents:
     """Classify every row of ``combined`` and measure its interior angle there.
 
-    One ``locate`` per curve gives the row's semitangent edges and whether
-    it sits at a vertex: one within 4 * BREAKPOINT_MERGE_RTOL * perimeter
-    of either end of the located edge.  The merge folds every vertex that
-    close into the row, so the combined curve turns there by its angle,
-    even beyond the finer snap of ``locate``.
+    One ``locate`` per curve gives whether the row sits at a vertex: one
+    within 4 * BREAKPOINT_MERGE_RTOL * perimeter of either end of the
+    located edge.  The merge folds every vertex that close into the row, so
+    the combined curve turns there by its angle, even beyond the finer snap
+    of ``locate``.  ``beta`` is read from the chords of the combined curve.
     """
     pair, bps = combined.pair, combined.breakpoints
     tol = BREAKPOINT_MERGE_RTOL * pair.F1.perimeter * 4.0
@@ -197,25 +191,13 @@ def vertex_events(combined: CombinedCurve) -> VertexEvents:
         behind = u <= tol
         at = behind | ((poly.edge_ends() - poly.cum_lengths)[idx] - u <= tol)
         vertex = np.where(behind, idx, (idx + 1) % poly.n_vertices)
-        located.append((
-            at,
-            np.where(at, math.pi - poly.exterior_angles()[vertex], math.pi),
-            norm_angle_many(poly.edge_dirs[idx]),
-            norm_angle_many(poly.edge_dirs[idx - (u == 0.0)]),
-        ))
-    (at1, beta1, r1, l1), (at2, beta2, r2, l2) = located
+        located.append((at, np.where(at, math.pi - poly.exterior_angles()[vertex], math.pi)))
+    (at1, beta1), (at2, beta2) = located
     case = at1.astype(int) + at2
     chords = roll_next(combined.curve) - combined.curve
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
     beta = np.where(case > 0, math.pi - norm_angle_many(dirs - roll_prev(dirs)), math.pi)
-    # vertex-edge: semitangent rays, with the left ray reversed
-    rot = pair.motion.rotation
-    r2, l2 = r2 + rot, l2 + rot
-    gamma = np.where(at1, r1 - (l2 + math.pi), r2 - (l1 + math.pi))
-    alpha, delta, gamma = (
-        np.where(case == 1, np.abs(norm_angle_many(d)), np.nan) for d in (r1 - r2, l1 - l2, gamma)
-    )
-    return VertexEvents(bps, case, beta1, beta2, beta, alpha, delta, gamma)
+    return VertexEvents(bps, case, beta1, beta2, beta)
 
 
 @dataclass(frozen=True, eq=False)

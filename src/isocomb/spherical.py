@@ -2,9 +2,10 @@
 
 Orientation is counterclockwise as seen from outside the sphere (interior
 on the left of travel).  Convexity is certified by nonnegative geodesic
-turning at every vertex together with a Gauss-Bonnet check: total turning
-plus enclosed area must equal 2*pi, where the area is computed both from
-the angle excess and, independently, from a signed triangle fan.
+turning at every vertex together with one Gauss-Bonnet check: total turning
+plus enclosed area must equal 2*pi, where the area is a signed triangle fan
+from the vertices' mean direction.  The fan shares no angle with the
+turnings, so a chain that winds twice reads a residual of 2*pi.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _tangent_toward(at: np.ndarray, toward: np.ndarray, cos: np.ndarray) -> np.n
 
 
 def fan_area(verts: np.ndarray, nxt: np.ndarray, cross: np.ndarray, dots: np.ndarray) -> float:
-    """Signed enclosed area from a triangle fan; independent of angle sums.
+    """Signed enclosed area from a triangle fan; independent of the turnings.
 
     ``nxt``, ``cross`` and ``dots`` are the builder's edge frame of ``verts``.
     """
@@ -82,7 +83,7 @@ class SphericalPolygon(ArcPolygon):
     perimeter: float
     base_s: float
     turning: np.ndarray         # (n,) geodesic turning at each vertex
-    area: float                 # angle-excess area
+    area: float                 # signed triangle-fan area
     gauss_bonnet_residual: float
 
     def min_turning(self) -> float:
@@ -98,8 +99,9 @@ def build_spherical_polygon(
         NotOnSphere: a vertex norm is off unity by more than ``UNIT_NORM_TOL``.
         AntipodalEdge: consecutive vertices (nearly) antipodal.
         DegenerateEdge: consecutive vertices coincide within tolerance.
-        NotConvexSpherical: negative turning, winding, Gauss-Bonnet failure,
-            or perimeter not below 2*pi.
+        NotConvexSpherical: negative turning, a Gauss-Bonnet residual above
+            ``GAUSS_BONNET_TOL`` (a link that winds twice reads 2*pi), area
+            outside (0, 2*pi), or perimeter not below 2*pi.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 3:
@@ -112,7 +114,7 @@ def build_spherical_polygon(
     verts = verts / norms[:, None]
 
     # one frame per pass: the edges to the next vertex and the unit tangents
-    # back to the previous and on to the next one at every vertex
+    # arriving from the previous and departing to the next one at every vertex
     while True:
         nxt = roll_next(verts)
         cross = cross3(verts, nxt)
@@ -123,11 +125,9 @@ def build_spherical_polygon(
             raise AntipodalEdge("consecutive vertices are antipodal")
         if perimeter <= 0.0 or np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
             raise DegenerateEdge("consecutive vertices coincide within tolerance")
-        back = _tangent_toward(verts, roll_prev(verts), roll_prev(dots))
+        arrive = -_tangent_toward(verts, roll_prev(verts), roll_prev(dots))
         depart = _tangent_toward(verts, nxt, dots)
-        arrive = -back
-        cos_turn = dot3(arrive, depart)
-        turns = np.arctan2(dot3(verts, cross3(arrive, depart)), cos_turn)
+        turns = np.arctan2(dot3(verts, cross3(arrive, depart)), dot3(arrive, depart))
         keep, base_s = merge_collinear(
             turns, lengths, base_s, collinear_eps,
             NotConvexSpherical, "negative geodesic turning",
@@ -138,14 +138,10 @@ def build_spherical_polygon(
 
     if perimeter >= TAU:
         raise NotConvexSpherical(f"link perimeter {perimeter:.12f} is not below 2*pi")
-    # back . depart is -cos_turn up to the sign of a zero, which arccos ignores
-    interior = np.arccos(np.clip(-cos_turn, -1.0, 1.0))
-    area = float(np.sum(interior)) - (len(verts) - 2) * math.pi
+    area = fan_area(verts, nxt, cross, dots)
     residual = abs(float(np.sum(turns)) + area - TAU)
     if residual > GAUSS_BONNET_TOL:
         raise NotConvexSpherical(f"Gauss-Bonnet residual {residual:.3e}")
-    if abs(fan_area(verts, nxt, cross, dots) - area) > GAUSS_BONNET_TOL:
-        raise NotConvexSpherical("fan area disagrees with angle excess (winding?)")
     if not 0.0 < area < TAU:
         raise NotConvexSpherical(f"enclosed area {area:.12f} outside (0, 2*pi)")
 

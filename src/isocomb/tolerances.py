@@ -13,7 +13,7 @@ verdict.  No other module defines a tolerance or writes one inline.
 VERTEX_ANGLE_TOL = 1e-9         # claim: |beta - (beta1 + beta2) / 2| at every vertex row
 MIN_EXTERIOR_TOL = 1e-9         # claim: least exterior angle or turning of a combination
 EXTERIOR_SUM_TOL = 1e-8         # claim: |sum of exterior angles - 2*pi| of a combined curve
-GAUSS_BONNET_TOL = 1e-8         # claim: Gauss-Bonnet residual of a link; fan area vs excess
+GAUSS_BONNET_TOL = 1e-8         # claim: |sum of turnings + fan area - 2*pi| of a link
 CERTIFICATE_TOL = 1e-9          # claim: min exterior and exterior sum of a certificate
 
 # -- floors derived from rounding ------------------------------------------------

@@ -35,10 +35,8 @@ from isocomb.tolerances import BREAKPOINT_MERGE_RTOL, VERTEX_ANGLE_TOL
 
 from conftest import (
     assert_same_bits,
-    circ_dist,
     circular_alignment_margins,
     dense_alignment_margins,
-    scalar_locate,
     support_polygon,
     turning_function_directions,
 )
@@ -114,13 +112,24 @@ def test_vertex_events_identical_squares(unit_square):
     assert np.allclose(events.beta1, math.pi / 2)
     assert np.allclose(events.beta2, math.pi / 2)
     assert np.allclose(events.beta, math.pi / 2, rtol=0.0, atol=1e-12)
-    assert np.isnan(events.alpha).all() and np.isnan(events.gamma).all()
     # a vertex the merge folds into a row is at that row, also when it lies
     # beyond the snap distance of locate
     for shift in (1e-15, 1e-13, 3e-12):
         events = vertex_events(combine(make_pair(unit_square, unit_square.with_base(4.0 - shift))))
         assert events.case.tolist() == [2, 2, 2, 2], shift
         assert events.law_error() <= 1e-15, shift
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a vertex of the other curve between the merge tolerance (1e-12 p) and the "
+    "classification tolerance (4e-12 p) away is counted at two rows"))
+def test_vertex_events_counts_each_vertex_at_one_row(unit_square):
+    # the square against itself based 5e-12 and 1e-11 before a vertex: eight
+    # rows, each at one vertex of one curve; today all read case 2, law error 0.785
+    for d in (5e-12, 1e-11):
+        events = vertex_events(combine(make_pair(unit_square, unit_square.with_base(4.0 - d))))
+        assert len(events.s) == 8, d
+        assert events.case.tolist() == [1] * 8, d
 
 
 def test_self_pairs_based_at_vertices_and_their_float_neighbours(unit_square):
@@ -149,8 +158,6 @@ def test_vertex_events_square_vs_offset_rectangle(unit_square):
     assert np.all((b1 == math.pi) != (b2 == math.pi))
     assert np.all(np.minimum(b1, b2) < math.pi)
     assert events.law_error() <= 1e-9
-    for column in (events.alpha, events.delta, events.gamma):
-        assert not np.isnan(column[one]).any() and np.isnan(column[~one]).all()
     assert np.all(events.beta[vertex] < math.pi)
     assert np.all(events.beta[~vertex] == math.pi)
 
@@ -169,20 +176,11 @@ def test_vertex_events_law_on_random_aligned_pairs():
     assert worst <= 1e-9
 
 
-def _scalar_semitangents(poly, s):
-    """Right and left semitangent directions at one position, read from
-    the scalar reference locator as the former scalar helpers did."""
-    i, u = scalar_locate(poly, float(s))
-    j = (i - 1) % poly.n_vertices if u == 0.0 else i
-    return norm_angle(float(poly.edge_dirs[i])), norm_angle(float(poly.edge_dirs[j]))
-
-
 def _vertex_events_loop(pair):
     """The per-breakpoint loop that the array version of vertex_events
-    replaced, one (s, case, beta1, beta2, beta, alpha, delta, gamma) row per
-    breakpoint, None where a row has no alpha/delta/gamma.  A row sits at a
-    vertex when one lies within 4e-12 of the perimeter, as the former
-    tolerance search decided."""
+    replaced, one (s, case, beta1, beta2, beta) row per breakpoint.  A row
+    sits at a vertex when one lies within 4e-12 of the perimeter, as the
+    former tolerance search decided."""
     def lookup(poly, tol):
         pos = poly.vertex_positions()
         order = np.argsort(pos)
@@ -206,24 +204,16 @@ def _vertex_events_loop(pair):
     chords = np.roll(curve, -1, axis=0) - curve
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
     look1, look2 = lookup(pair.F1, tol), lookup(pair.F2, tol)
-    rot = pair.motion.rotation
     rows = []
     for k, s in enumerate(bps):
         b1, b2 = look1(s), look2(s)
         if b1 is None and b2 is None:
-            rows.append((float(s), 0, math.pi, math.pi, math.pi, None, None, None))
+            rows.append((float(s), 0, math.pi, math.pi, math.pi))
             continue
         beta = math.pi - norm_angle(float(dirs[k] - dirs[(k - 1) % len(bps)]))
-        if b1 is not None and b2 is not None:
-            rows.append((float(s), 2, b1, b2, beta, None, None, None))
-            continue
-        r1, l1 = _scalar_semitangents(pair.F1, s)
-        r2, l2 = _scalar_semitangents(pair.F2, s)
-        r2, l2 = r2 + rot, l2 + rot
-        gamma = circ_dist(r1, l2 + math.pi) if b1 is not None else circ_dist(r2, l1 + math.pi)
         rows.append((
-            float(s), 1, math.pi if b1 is None else b1, math.pi if b2 is None else b2,
-            beta, circ_dist(r1, r2), circ_dist(l1, l2), gamma,
+            float(s), (b1 is not None) + (b2 is not None),
+            math.pi if b1 is None else b1, math.pi if b2 is None else b2, beta,
         ))
     return rows
 
@@ -231,9 +221,8 @@ def _vertex_events_loop(pair):
 def _assert_events_equal_loop(events, rows):
     cols = list(zip(*rows))
     assert events.case.tolist() == list(cols[1])
-    for name, col in zip(("s", "beta1", "beta2", "beta", "alpha", "delta", "gamma"), cols[:1] + cols[2:]):
-        want = np.array([math.nan if v is None else v for v in col])
-        assert_same_bits(getattr(events, name), want, name)
+    for name, col in zip(("s", "beta1", "beta2", "beta"), cols[:1] + cols[2:]):
+        assert_same_bits(getattr(events, name), np.array(col), name)
 
 
 def test_vertex_events_equal_loop_oracle(unit_square):

@@ -21,6 +21,7 @@ from isocomb.spherical import (
 
 from conftest import (
     assert_same_bits,
+    assert_same_gauss_bonnet,
     brent_outcomes,
     assert_same_spherical_polygon,
     former_build_spherical_polygon,
@@ -28,7 +29,6 @@ from conftest import (
     former_edge_lengths,
     former_fan_area,
     former_gnomonic_inverse,
-    former_interior_angles,
     former_random_convex_link,
     former_signed_turns,
     former_sph_points_at,
@@ -246,8 +246,7 @@ def test_spherical_primitives_equal_former_kernel_bit_for_bit():
         poly = _outcome(build_spherical_polygon, verts, base_s)
         if not isinstance(poly, type):
             assert_same_bits(poly.turning, former_signed_turns(poly.vertices))
-            interior = former_interior_angles(poly.vertices)
-            assert_same_bits(poly.area, float(np.sum(interior)) - (poly.n_vertices - 2) * math.pi)
+            assert_same_gauss_bonnet(poly)
             assert_same_bits(centroid_direction(poly), former_centroid_direction(poly))
             ss = rng.uniform(-poly.perimeter, 2 * poly.perimeter, 50)
             assert_same_bits(sph_points_at(poly, ss), former_sph_points_at(poly, ss))
@@ -335,16 +334,26 @@ def test_collinear_merge_rule_next_to_the_tolerance(monkeypatch):
                 assert poly.n_vertices == 4, turn
             elif decision == "reflex":
                 assert "negative geodesic turning" in str(poly), turn
-            else:  # a kept vertex can still fail Gauss-Bonnet; see the xfail below
-                assert getattr(poly, "n_vertices", None) == 5 or "Gauss-Bonnet" in str(poly), turn
+            else:
+                assert getattr(poly, "n_vertices", None) == 5, turn
     for edge in (eps, -eps):
         assert any(edge - 1e-15 < t <= edge for t in turns), edge
         assert any(edge < t < edge + 1e-15 for t in turns), edge
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the angle-excess area takes arccos of the turn's cosine, which resolves "
-    "an interior angle near pi only to ~1.5e-8, above GAUSS_BONNET_TOL"))
 def test_a_kept_near_collinear_vertex_passes_gauss_bonnet():
-    # turn 2.8e-12: kept by the merge rule, then refused by the residual check
-    assert build_spherical_polygon(_bent_ring(5e-13)).n_vertices == 5
+    # offsets 3e-13 .. 1e-8 rad turn the inserted vertex by ~1.7e-12 .. ~5.6e-8
+    # (5e-13 by 2.8e-12): every one is kept by the merge rule, and the fan
+    # area, which shares no cosine with the turn, certifies every link
+    for h in [5e-13, *np.geomspace(3e-13, 1e-8, 400)]:
+        poly = build_spherical_polygon(_bent_ring(h))
+        assert poly.n_vertices == 5, h
+        assert poly.gauss_bonnet_residual <= 1e-12, h
+
+
+def test_a_link_that_winds_twice_fails_gauss_bonnet():
+    # six vertices twice round a cap of colatitude 0.3 (a triangle traced
+    # twice): every turn is positive, and the turnings sum to 4*pi - 2A
+    # while the fan encloses 2A, a residual of 2*pi
+    with pytest.raises(NotConvexSpherical, match="Gauss-Bonnet residual 6.283e"):
+        build_spherical_polygon(np.tile(ring_vertices(3, 0.3), (2, 1)))
