@@ -13,7 +13,7 @@ planar alignment problem restricted to rotations about the x0-axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .spherical import (
     gnomonic_inverse,
     rotate_polygon,
     sph_points_at,
+    unit_rows,
 )
 from .tolerances import (
     ANTIPODAL_EPS,
@@ -63,8 +64,6 @@ from .tolerances import (
     IMAGE_COLLINEAR_EPS,
     MARGIN_EPS,
 )
-
-DEFAULT_SUBDIVISIONS = 256          # max_step = perimeter / 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,27 +142,23 @@ class PogorelovImage:
 def transform_link_pair(
     M1: SphericalPolygon,
     M2: SphericalPolygon,
-    max_step: float | None = None,
+    max_step: float = math.inf,
     include_vertices: bool = True,
 ) -> PogorelovImage:
-    """Map an equal-length spherical pair to the plane, sample by sample.
+    """Map an equal-length spherical pair to the plane at its merged events.
 
-    The correspondence is by arc length from the base points; the merged
-    vertex set is refined so no gap exceeds ``max_step`` (default
-    perimeter/256).  On each piece between correspondence events both
-    height profiles are trigonometric in the same parameter, so the images
-    of geodesic edges are exactly straight and the polygons built by
-    :func:`image_polygons` recover the true image vertices.  Resolution
-    studies of the pairwise isometry pass ``include_vertices=False`` to
-    refine the base point alone, a plain uniform grid (segments then
-    straddle the corners).
+    The correspondence is by arc length from the base points.  Between two
+    merged vertex positions both links are geodesic arcs in one parameter t,
+    and the image (a' + tan(t) b') / (A + tan(t) B) is a central projection
+    of a line: straight, so the events are the image vertices.  A finite
+    ``max_step`` refines the events to gaps of at most it (collinear
+    samples); resolution studies pass ``include_vertices=False`` to refine
+    the base point alone, a uniform grid whose segments straddle the corners.
 
     Raises:
         PerimeterMismatch, NonPositiveHeight
     """
     p = common_perimeter(M1, M2)
-    if max_step is None:
-        max_step = p / DEFAULT_SUBDIVISIONS
     events = np.zeros(1)
     if include_vertices:
         events = merged_vertex_positions(M1, M2, BREAKPOINT_MERGE_RTOL)
@@ -266,25 +261,25 @@ def _image_directions(samples: np.ndarray) -> np.ndarray:
 def position_and_combine(
     K1: ConvexCone3,
     K2: ConvexCone3,
-    max_step: float | None = None,
+    max_step: float = math.inf,
 ) -> PositioningReport:
     """Rotate K1 about the x0-axis until the combination certifies convex.
 
     Pipeline: centroid-normalize both cones; transform the link pair to the
-    plane; enumerate candidate rotations from tangent matching at each
-    breakpoint (rotating the first cone about x0 rotates its image rigidly
-    and leaves the height sums untouched); keep candidates whose planar
-    semitangent margin is positive, in increasing breakpoint order; accept
-    the first whose combined link passes the spherical convexity and
-    Gauss-Bonnet certificate.
+    plane (:func:`transform_link_pair`, passing ``max_step``); enumerate
+    candidate rotations from tangent matching at each sample (rotating the
+    first cone about x0 rotates its image rigidly and leaves the height sums
+    untouched); keep candidates whose planar semitangent margin is positive,
+    in increasing arc order; accept the first whose combined link passes the
+    spherical convexity and Gauss-Bonnet certificate.  Rotations carry a
+    link's validated data, so the combined link is the one built per candidate.
 
     Every margin comes from :func:`geometry.alignment_margins`: the gap
     between the unwrapped chord directions of the two images is periodic,
     so a candidate's worst gap is its real difference from the largest or
     the smallest gap, found in O(m) time and memory, and a candidate whose
-    gap swings through pi is rejected.  The image of the positioned pair is
-    ``transform_link_pair(report.cone1.link, report.cone2.link)``: the
-    search image with ``image1`` rotated by psi.
+    gap swings through pi is rejected.  The image of the positioned pair at
+    the same ``max_step`` is the search image with ``image1`` rotated by psi.
 
     Raises:
         PositioningNotFound: if no candidate certifies, or fewer than 3
@@ -309,10 +304,8 @@ def position_and_combine(
     for j in np.nonzero(margins > MARGIN_EPS)[0]:
         tried += 1
         psi = norm_angle(float(th2[j] - th1[j]))
-        link1 = build_spherical_polygon(
-            rotate_about_x0_many(psi, C1.link.vertices), base_s=C1.link.base_s
-        )
-        rotated = ConvexCone3(link1)
+        turned = unit_rows(rotate_about_x0_many(psi, C1.link.vertices))
+        rotated = ConvexCone3(replace(C1.link, vertices=turned))
         try:
             combined = combine_cones(rotated, C2)
         except (NotConvexSpherical, AntipodalCorrespondence, DegenerateEdge, AntipodalEdge):

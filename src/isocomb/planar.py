@@ -67,7 +67,7 @@ class PlanarPolygon(ArcPolygon):
     cum_lengths: np.ndarray       # (n,), arc length at each vertex, [0]=0
     perimeter: float
     base_s: float                 # arc position of the marked point, in [0, perimeter)
-    edge_dirs: np.ndarray = field(repr=False, default=None)  # (n,) direction angles
+    edge_dirs: np.ndarray = field(repr=False)  # (n,) direction angles
 
     def exterior_angles(self) -> np.ndarray:
         return _exterior_angles(self.edge_dirs)

@@ -11,7 +11,7 @@ turnings, so a chain that winds twice reads a residual of 2*pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,8 +191,9 @@ def centroid_direction(poly: SphericalPolygon) -> np.ndarray:
 
 
 def rotate_polygon(poly: SphericalPolygon, rot: np.ndarray) -> SphericalPolygon:
-    """Apply a 3x3 rotation matrix; intrinsic data is revalidated."""
-    return build_spherical_polygon(poly.vertices @ np.asarray(rot).T, base_s=poly.base_s)
+    """Apply a 3x3 rotation, an isometry of the sphere: the rows are normalized
+    as the builder stores them, and every other field carries over unrevalidated."""
+    return replace(poly, vertices=unit_rows(poly.vertices @ np.asarray(rot).T))
 
 
 def gnomonic(points: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isocomb import combination
 from isocomb.combination import (
@@ -23,7 +24,15 @@ from isocomb.combination import (
     _unwrapped_direction_values,
 )
 from isocomb.errors import AlignmentNotFound, PerimeterMismatch
-from isocomb.geometry import TAU, RigidMotion2, Vec2, apply_motion_many, norm_angle
+from isocomb.geometry import (
+    TAU,
+    RigidMotion2,
+    Vec2,
+    alignment_margins,
+    apply_motion_many,
+    norm_angle,
+    roll_next,
+)
 from isocomb.planar import (
     build_polygon,
     convexity_certificate,
@@ -31,7 +40,7 @@ from isocomb.planar import (
     points_at,
 )
 from isocomb.suite import random_convex_polygon, trial_rng
-from isocomb.tolerances import BREAKPOINT_MERGE_RTOL, VERTEX_ANGLE_TOL
+from isocomb.tolerances import BREAKPOINT_MERGE_RTOL, MARGIN_TIE_TOL, VERTEX_ANGLE_TOL
 
 from conftest import (
     assert_same_bits,
@@ -40,6 +49,8 @@ from conftest import (
     support_polygon,
     turning_function_directions,
 )
+
+EPS = np.finfo(float).eps
 
 
 def rect_0p5_by_1p5(base_s=0.0):
@@ -414,6 +425,45 @@ def test_align_invariant_under_common_base_shift_and_scaling():
                 a, b = _dedup_closed(c.curve / lam), _dedup_closed(c0.curve)
                 assert len(a) == len(b), i
                 assert np.max(np.abs(a - b)) <= 1e-9, i
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(index=st.integers(0, 2**32 - 1), max_points=st.integers(3, 60))
+def test_align_invariant_under_swapping_the_curves(index, max_points):
+    # swapping F1 and F2 negates every tangent gap g, so the verdict, each
+    # margin and the chosen sigma0 stay, and the combination is the old one
+    # moved by the inverse motion.  The margins are the same differences of
+    # angles below 4*pi, so they agree to a few roundings of such an angle,
+    # 4*pi*eps.  Each combined point is a point of one curve plus a moved
+    # point of the other, off by at most 4*eps*R per coordinate for R the
+    # largest coordinate; a chord of length l then turns by 8*eps*R/l, and
+    # an interior angle between two chords by 16*eps*R/l_min.
+    rng = trial_rng(99, index)
+    f1 = random_convex_polygon(rng, 3, max_points)
+    f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, max_points), f1.perimeter, (0, 0))
+    outcomes = []
+    for pair in (make_pair(f1, f2), make_pair(f2, f1)):
+        try:
+            outcomes.append(combine_aligned(pair))
+        except AlignmentNotFound:
+            outcomes.append(None)
+    a, b = outcomes
+    assert (a is None) == (b is None)
+    if a is None:
+        return
+    (ra, ca), (rb, cb) = a, b
+    assert abs(ra.margin - rb.margin) <= 4 * math.pi * EPS
+    if ra.sigma0 != rb.sigma0:
+        # a near-tie may pick another tied candidate: its margin must tie
+        bps, g_scan = _scanned_gap(make_pair(f1, f2))
+        margins = alignment_margins(g_scan, g_scan[: len(bps)])
+        assert margins[np.searchsorted(bps, rb.sigma0)] >= ra.margin - MARGIN_TIE_TOL
+    scale = max(np.max(np.abs(ca.curve)), np.max(np.abs(cb.curve)))
+    chords = [roll_next(q) - q for q in (_dedup_closed(ca.curve), _dedup_closed(cb.curve))]
+    shortest = min(np.min(np.hypot(d[:, 0], d[:, 1])) for d in chords)
+    ia, ib = np.sort(ca.certificate.interior_angles), np.sort(cb.certificate.interior_angles)
+    assert len(ia) == len(ib)
+    assert np.max(np.abs(ia - ib)) <= 16 * EPS * scale / shortest
 
 
 def test_g_periodicity():

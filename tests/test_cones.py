@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isocomb import cones
+from isocomb import cones, spherical
 from isocomb.cones import (
     combine_cones,
     combine_dihedral,
@@ -29,7 +29,13 @@ from isocomb.errors import (
     PositioningNotFound,
     TruncationTooDeep,
 )
-from isocomb.geometry import TAU, alignment_margins, rotate_about_x0_many, rotation_matrix_from_to
+from isocomb.geometry import (
+    TAU,
+    alignment_margins,
+    merged_vertex_positions,
+    rotate_about_x0_many,
+    rotation_matrix_from_to,
+)
 from isocomb.spherical import (
     build_spherical_polygon,
     gnomonic_inverse,
@@ -39,7 +45,7 @@ from isocomb.spherical import (
     unit_rows,
 )
 from isocomb.suite import trial_rng
-from isocomb.tolerances import HEIGHT_EPS, MARGIN_EPS
+from isocomb.tolerances import BREAKPOINT_MERGE_RTOL, HEIGHT_EPS, MARGIN_EPS
 
 from conftest import (
     brent_outcomes,
@@ -180,12 +186,33 @@ def test_refine_equals_per_gap_loop_bit_for_bit():
 
 def test_transform_exact_discrete_isometry_with_events():
     # with vertex events included in the sample set the image chords of
-    # corresponding segments are equal to rounding level
+    # corresponding segments are equal to rounding level, on the events
+    # alone and refined to a perimeter/256 grid
     rng = np.random.default_rng(4)
     l1 = random_convex_link(rng, 3.1, n_points=14)
     l2 = random_convex_link(rng, 3.1, n_points=18)
-    image = transform_link_pair(l1, l2)
-    assert segment_mismatch(image) <= 1e-12
+    for max_step in (math.inf, l1.perimeter / 256):
+        assert segment_mismatch(transform_link_pair(l1, l2, max_step=max_step)) <= 1e-12
+
+
+def test_transform_samples_the_merged_events_unless_refined():
+    # the default samples are the merged events exactly; a perimeter/256
+    # grid adds only collinear samples, so both give the same image
+    # vertices, or the same refusal
+    rng = np.random.default_rng(9)
+    for i in range(40):
+        target = rng.uniform(0.5, TAU - 0.5)
+        l1, l2 = random_convex_link(rng, target), random_convex_link(rng, target)
+        image = transform_link_pair(l1, l2)
+        events = merged_vertex_positions(l1, l2, BREAKPOINT_MERGE_RTOL)
+        assert image.positions.tobytes() == events.tobytes(), i
+        coarse = _outcome(image_polygons, image)
+        fine = _outcome(image_polygons, transform_link_pair(l1, l2, max_step=l1.perimeter / 256))
+        if isinstance(coarse, type):
+            assert coarse is fine, i
+            continue
+        for a, b in zip(coarse, fine):
+            assert a.vertices.tobytes() == b.vertices.tobytes(), i
 
 
 def test_transform_first_order_isometry_uniform_grids():
@@ -297,12 +324,12 @@ def test_position_random_pairs():
 
 def test_positioned_combination_matches_inverse_transform_route():
     # the combined link direction equals the inverse transform of the sum
-    # of the planar images at every sampled position
+    # of the planar images at every sampled position of a perimeter/256 grid
     rng = np.random.default_rng(8)
     l1 = random_convex_link(rng, 3.3)
     l2 = random_convex_link(rng, 3.3)
     report = position_and_combine(cone_from_link(l1), cone_from_link(l2))
-    image = transform_link_pair(report.cone1.link, report.cone2.link)
+    image = transform_link_pair(report.cone1.link, report.cone2.link, max_step=l1.perimeter / 256)
     r1 = sph_points_at(report.cone1.link, image.positions)
     r2 = sph_points_at(report.cone2.link, image.positions)
     direct = (r1 + r2) / np.linalg.norm(r1 + r2, axis=1, keepdims=True)
@@ -376,6 +403,40 @@ def test_positioning_not_found_names_every_candidate_tried(monkeypatch):
     assert n > 1 and len(calls) == n
 
 
+def _count_builds(monkeypatch, rejected):
+    """Record every spherical link build; the first ``rejected`` raise."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) <= rejected:
+            raise NotConvexSpherical("rejected on purpose")
+        return build_spherical_polygon(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "build_spherical_polygon", counted)
+    monkeypatch.setattr(spherical, "build_spherical_polygon", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rejected", [0, 1, 2])
+def test_positioning_builds_one_link_per_candidate_tried(monkeypatch, rejected):
+    # a rotation carries a validated link's data, so each candidate's
+    # combined link is the only link a positioning builds
+    k1, k2 = _cone_suite_pair(7, 0)
+    calls = _count_builds(monkeypatch, rejected)
+    report = position_and_combine(k1, k2)
+    assert report.candidates_tried == rejected + 1 == len(calls)
+
+
+def test_positioning_that_rejects_every_candidate_builds_each_once(monkeypatch):
+    k1, k2 = _cone_suite_pair(7, 0)
+    n = _positive_margins(k1, k2)
+    calls = _count_builds(monkeypatch, n)
+    with pytest.raises(PositioningNotFound, match=f"among {n} with margin"):
+        position_and_combine(k1, k2)
+    assert len(calls) == n
+
+
 # -- digons ---------------------------------------------------------------------------
 
 def test_make_digon_validates_angle():
@@ -438,7 +499,10 @@ def test_truncate_rejects_out_of_range_depth():
 
 def test_truncate_names_the_depth_a_thin_first_digon_cannot_take():
     # the depth-0.025 quadrilateral of a 1e-9 digon has edges of ~2.5e-11,
-    # which the builder rejects; the shallower rungs are valid
+    # above the degenerate-edge floor; the builder refuses it because each
+    # turning's tangent difference cancels on so short an edge, and the
+    # rounding reads as a Gauss-Bonnet residual of 2.2e-7.  The shallower
+    # rungs are valid
     thin, other = make_digon(1e-9), make_digon(math.pi / 3)
     with pytest.raises(TruncationTooDeep, match="0.025"):
         truncate_digons(thin, other, 0.025)

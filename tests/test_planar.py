@@ -13,6 +13,7 @@ from isocomb.errors import (
 from isocomb.geometry import norm_angle
 from isocomb.planar import (
     MAX_COORDINATE,
+    PlanarPolygon,
     _edge_angles,
     _exterior_angles,
     build_polygon,
@@ -49,6 +50,13 @@ def test_build_unit_square(unit_square):
     assert unit_square.perimeter == 4.0
     assert np.allclose(unit_square.exterior_angles(), math.pi / 2)
     assert unit_square.n_vertices == 4
+
+
+def test_planar_polygon_requires_its_edge_directions(unit_square):
+    # every curve query reads edge_dirs, so a polygon cannot be made without it
+    sq = unit_square
+    with pytest.raises(TypeError, match="edge_dirs"):
+        PlanarPolygon(vertices=sq.vertices, cum_lengths=sq.cum_lengths, perimeter=sq.perimeter, base_s=0.0)
 
 
 def test_build_rejects_clockwise():

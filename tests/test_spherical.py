@@ -15,9 +15,11 @@ from isocomb.spherical import (
     fan_area,
     gnomonic_inverse,
     random_convex_link,
+    rotate_polygon,
     sph_points_at,
     unit_rows,
 )
+from isocomb.suite import trial_rng
 
 from conftest import (
     assert_same_bits,
@@ -131,6 +133,37 @@ def test_random_convex_link_hits_target_length():
         assert link.min_turning() > 0
         assert link.gauss_bonnet_residual <= 1e-10
         assert 0.0 <= link.base_s < link.perimeter
+
+
+def test_rotate_polygon_carries_what_a_rebuild_recomputes():
+    # rotate_polygon keeps a link's data and normalizes the rotated rows as
+    # the builder does; a rebuild of the same rows recomputes the data.
+    # Each rotated row is within 4 eps of the exact rotation (three-term
+    # products, a matrix orthogonal to rounding, one normalization).  Edge
+    # lengths and fan-area terms then move by at most 16 eps (their endpoints
+    # and one rounding per route), and a running sum of n of them adds n
+    # roundings of a partial sum below 2*pi.  A turning reads unit tangents
+    # of length-sin(l) differences, so it moves by 16 eps / sin(l) per edge
+    # at the vertex, plus its own rounding.
+    eps = np.finfo(float).eps
+    for i in range(500):
+        rng = trial_rng(31, i)
+        link = random_convex_link(rng, rng.uniform(0.5, TAU - 0.5), n_points=int(rng.integers(3, 61)))
+        rot = random_rotation(rng)
+        carried = rotate_polygon(link, rot)
+        rebuilt = build_spherical_polygon(link.vertices @ rot.T, base_s=link.base_s)
+        n = link.n_vertices
+        assert rebuilt.n_vertices == n and carried.vertices.tobytes() == rebuilt.vertices.tobytes(), i
+        assert carried.base_s == rebuilt.base_s, i
+        sums = n * (16 + TAU) * eps
+        assert np.max(np.abs(carried.cum_lengths - rebuilt.cum_lengths)) <= sums, i
+        assert abs(carried.perimeter - rebuilt.perimeter) <= sums, i
+        assert abs(carried.area - rebuilt.area) <= sums, i
+        sines = np.sin(link.edge_ends() - link.cum_lengths)
+        turning = 16 * eps * (1 / sines + 1 / np.roll(sines, 1)) + 4 * eps
+        assert np.all(np.abs(carried.turning - rebuilt.turning) <= turning), i
+        residual = abs(carried.gauss_bonnet_residual - rebuilt.gauss_bonnet_residual)
+        assert residual <= np.sum(turning) + sums, i
 
 
 def test_random_convex_link_rejects_bad_target():
