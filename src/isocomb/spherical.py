@@ -214,6 +214,24 @@ def gnomonic_inverse(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled_hull_perimeter(wh: np.ndarray):
+    """Perimeter of ``gnomonic_inverse(lam * wh)`` as a function of ``lam``: for
+    u = (1, lam*a), v = (1, lam*b), |u x v|^2 = lam^2 |b - a|^2 + lam^4 (a x b)^2
+    and u.v = 1 + lam^2 a.b, whose norms cancel in atan2.  a x b is taken as
+    a x (b - a), accurate however short the edge."""
+    b = roll_next(wh)
+    d = b - wh
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    c2 = (wh[:, 0] * d[:, 1] - wh[:, 1] * d[:, 0]) ** 2
+    g = wh[:, 0] * b[:, 0] + wh[:, 1] * b[:, 1]
+
+    def perimeter(lam: float) -> float:
+        l2 = lam * lam
+        return float(np.arctan2(lam * np.sqrt(d2 + l2 * c2), 1.0 + l2 * g).sum())
+
+    return perimeter
+
+
 def _cap_samples(rng: np.random.Generator, n: int, cap_angle: float) -> np.ndarray:
     """Uniform-area samples in the polar cap around +x0."""
     c = rng.uniform(math.cos(cap_angle), 1.0, size=n)
@@ -231,8 +249,12 @@ def random_convex_link(
 
     Takes the geodesic convex hull (via the gnomonic plane, from the
     lexicographically least gnomonic vertex) of random cap points, then
-    contracts it toward the pole by scaling the gnomonic coordinates until
-    the perimeter matches ``target_length`` to ``LINK_LENGTH_TOL``.
+    contracts it toward the pole by scaling the gnomonic coordinates: the
+    scale is solved in [``LINK_SCALE_FLOOR``, 1] on the hull's closed-form
+    perimeter, skipping a hull that brackets no root there, and lifted once.
+    The builder's own perimeter must match ``target_length`` to
+    ``LINK_LENGTH_TOL``; raises ``RuntimeError`` if no hull does within
+    ``LINK_MAX_ATTEMPTS``.
     """
     if not 0.0 < target_length < TAU:
         raise ValueError("target link length must lie in (0, 2*pi)")
@@ -242,13 +264,11 @@ def random_convex_link(
         wh = w[convex_hull_2d(w)]  # counterclockwise
         if len(wh) < 3:
             continue
-
-        def perim(lam: float) -> float:
-            return float(np.sum(_edge_lengths(gnomonic_inverse(lam * wh))))
-
-        if perim(1.0) <= target_length * (1.0 + LINK_BRACKET_RTOL):
+        perimeter = _scaled_hull_perimeter(wh)
+        if (perimeter(1.0) <= target_length * (1.0 + LINK_BRACKET_RTOL)
+                or perimeter(LINK_SCALE_FLOOR) > target_length):
             continue
-        lam = brent_root(lambda t: perim(t) - target_length, LINK_SCALE_FLOOR, 1.0)
+        lam = brent_root(lambda t: perimeter(t) - target_length, LINK_SCALE_FLOOR, 1.0)
         verts = gnomonic_inverse(lam * wh)
         try:
             poly = build_spherical_polygon(verts)

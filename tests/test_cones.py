@@ -33,11 +33,13 @@ from isocomb.geometry import (
     TAU,
     alignment_margins,
     merged_vertex_positions,
+    roll_next,
     rotate_about_x0_many,
     rotation_matrix_from_to,
 )
 from isocomb.spherical import (
     build_spherical_polygon,
+    centroid_direction,
     gnomonic_inverse,
     random_convex_link,
     rotate_polygon,
@@ -55,6 +57,8 @@ from conftest import (
     ring_vertices,
     support_link,
 )
+
+EPS = np.finfo(float).eps
 
 SQ2 = math.sqrt(2) / 2
 
@@ -661,3 +665,50 @@ def test_positioning_invariant_under_common_rotation(seed):
     assert np.max(np.abs(np.sort(la.turning) - np.sort(lb.turning))) <= 1e-9
     _finite_certified(la)
     _finite_certified(lb)
+
+
+def test_positioning_invariant_under_independent_rotations():
+    # Centroid normalization takes each independently rotated link to the
+    # same link up to a rotation about x0; the tangent gap then shifts by a
+    # constant, so the verdict, the vertex count, the margin, the combined
+    # perimeter and the sorted turnings stay, up to rounding:
+    # - Each normalized vertex moves by at most dv = 8 kappa eps.  The
+    #   Rodrigues rotation to +x0 rounds by eps (1 + tan(theta / 2)) for a
+    #   centroid at the angle theta from +x0, so kappa is the largest
+    #   1 + tan(theta / 2) of the four normalizations; 8 covers that, the
+    #   rotation and the row renormalizations.
+    # - An image point rbar / H then moves by at most
+    #   d_image = dv (1 + 2 |image|) / H, and a chord's direction by
+    #   2 d_image / (its length).  The margin reads four chord directions;
+    #   psi reads the two at the matched sample j.
+    # - A combined vertex, the normalized sum of r1 turned by psi and r2
+    #   (|r1 + r2| >= H), moves by at most dc = 2 (2 dv + d_psi) / H.  An
+    #   edge then moves by 2 dc, the perimeter by 2 n dc, and a turning,
+    #   which reads two edge directions, by 4 dc / l_min.
+    for seed in range(300):
+        rng = np.random.default_rng(5000 + seed)
+        target = rng.uniform(0.5, TAU - 0.5)
+        l1, l2 = random_convex_link(rng, target), random_convex_link(rng, target)
+        m1, m2 = rotate_polygon(l1, random_rotation(rng)), rotate_polygon(l2, random_rotation(rng))
+        a = _outcome(position_and_combine, cone_from_link(l1), cone_from_link(l2))
+        b = _outcome(position_and_combine, cone_from_link(m1), cone_from_link(m2))
+        if isinstance(a, type) or isinstance(b, type):
+            assert a is b, seed
+            continue
+        cos = np.array([centroid_direction(link)[0] for link in (l1, l2, m1, m2)])
+        dv = 8.0 * EPS * (1.0 + float(np.max(np.sqrt((1.0 - cos) / (1.0 + cos)))))
+        image = transform_link_pair(a.cone1.link, a.cone2.link)
+        samples = (image.image1, image.image2)
+        h = float(np.min(image.x0_sums))
+        d_image = dv * (1.0 + 2.0 * max(float(np.max(np.hypot(*w.T))) for w in samples)) / h
+        chords = np.minimum(*(np.hypot(*(roll_next(w) - w).T) for w in samples))
+        assert abs(a.margin - b.margin) <= 8.0 * d_image / float(np.min(chords)), seed
+        assert a.sigma0 == b.sigma0, seed
+        j = int(np.flatnonzero(image.positions == a.sigma0)[0])
+        d_psi = 4.0 * d_image / chords[j]
+        dc = 2.0 * (2.0 * dv + d_psi) / h
+        la, lb = a.combined.link, b.combined.link
+        assert la.n_vertices == lb.n_vertices, seed
+        assert abs(la.perimeter - lb.perimeter) <= 2 * la.n_vertices * dc, seed
+        l_min = float(np.min(la.edge_ends() - la.cum_lengths))
+        assert np.max(np.abs(np.sort(la.turning) - np.sort(lb.turning))) <= 4 * dc / l_min, seed

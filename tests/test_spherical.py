@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
-from isocomb.geometry import TAU, cross3, dot3, roll_next
-from isocomb.tolerances import SPH_COLLINEAR_EPS
+from isocomb.geometry import TAU, convex_hull_2d, cross3, dot3, roll_next, roll_prev
+from isocomb.tolerances import BRENT_RTOL, BRENT_XTOL, LINK_SCALE_FLOOR, SPH_COLLINEAR_EPS
 from isocomb import spherical
 from isocomb.spherical import (
+    LINK_CAP_ANGLE,
+    _cap_samples,
     _edge_lengths,
+    _scaled_hull_perimeter,
     build_spherical_polygon,
     centroid_direction,
     fan_area,
+    gnomonic,
     gnomonic_inverse,
     random_convex_link,
     rotate_polygon,
@@ -39,6 +43,8 @@ from conftest import (
     random_rotation,
     ring_vertices,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_octant_triangle(octant):
@@ -289,13 +295,119 @@ def test_spherical_primitives_equal_former_kernel_bit_for_bit():
         assert_same_bits(gnomonic_inverse(w), former_gnomonic_inverse(w))
 
 
+def _objective_rounding(wh, lam, perimeter):
+    """Bound on |closed form - lifted perimeter| of the hull ``wh`` at ``lam``.
+
+    Each edge angle is atan2(|u x v|, u.v), a well-conditioned angle: both
+    forms round it by a few eps of itself.  The lift also rounds each unit
+    vector off its exact point by a few eps of its tangential part
+    sin(rho), where tan(rho) = lam*|w|, and both edges at the vertex feel
+    that.  Allowing 4 eps per form for each gives 8 eps (P + 2 sum sin(rho)).
+    """
+    r2 = wh[:, 0] ** 2 + wh[:, 1] ** 2
+    sin_rho = lam * np.sqrt(r2 / (1.0 + lam * lam * r2))
+    return 8.0 * EPS * (perimeter + 2.0 * float(np.sum(sin_rho)))
+
+
+def test_scaled_hull_perimeter_equals_the_lifted_perimeter():
+    # 1,000 seeded hulls of 3-200 cap points, each at ten scales log-spaced
+    # over the solve's bracket; the worst seen is 0.9 of the bound's eps term
+    # (2.3 eps relative)
+    rng = np.random.default_rng(17)
+    for k in range(1000):
+        w = gnomonic(_cap_samples(rng, 3 + k % 198, LINK_CAP_ANGLE))
+        wh = w[convex_hull_2d(w)]
+        perimeter = _scaled_hull_perimeter(wh)
+        for lam in np.geomspace(LINK_SCALE_FLOOR, 1.0, 10):
+            lifted = float(np.sum(_edge_lengths(gnomonic_inverse(lam * wh))))
+            assert abs(perimeter(lam) - lifted) <= _objective_rounding(wh, lam, lifted), (k, lam)
+
+
+def _spy(monkeypatch, name, record):
+    """Replace ``spherical.<name>`` by a pass-through that appends its
+    arguments and result to ``record``."""
+    inner = getattr(spherical, name)
+
+    def spy(*args):
+        out = inner(*args)
+        record.append((args, out))
+        return out
+
+    monkeypatch.setattr(spherical, name, spy)
+
+
 @pytest.mark.parametrize("seed", range(36))
-def test_random_convex_link_equals_former_kernel_bit_for_bit(seed):
+def test_random_convex_link_equals_former_kernel_bit_for_bit(seed, monkeypatch):
+    # The solve runs on the closed-form perimeter, which rounds differently
+    # from the former lifted one.  The same hull is accepted, so the vertex
+    # count and the generator's next draw are equal bit for bit; every other
+    # field moves by rounding within these bounds:
+    # - Each Brent run stops inside a bracket of width XTOL + RTOL*lam about
+    #   a sign change of its own objective.  The objectives differ by at
+    #   most B (_objective_rounding), which moves a sign change by at most
+    #   B / P'(lam).  So dlam <= 2 (XTOL + RTOL*lam) + B / P'.
+    # - The vertex over w sits at the polar angle rho, tan(rho) = lam*|w|,
+    #   and moves with lam at the speed |w| cos(rho)^2 = sin(2 rho) / (2 lam);
+    #   each lift rounds it by 2 eps.  So dv <= dlam max sin(2 rho) / (2 lam) + 4 eps.
+    # - An edge length moves by at most 2 dv and the builder's rounding of
+    #   4 eps: a cumulative length and the perimeter by n (2 dv + 4 eps), and
+    #   base_s = u * perimeter by that and 2 eps of the perimeter.
+    # - A turning reads its two edges' directions, and each edge turns by at
+    #   most (2 dv + 4 eps) / (its length).
+    hulls, solves = [], []
+    _spy(monkeypatch, "_scaled_hull_perimeter", hulls)
+    _spy(monkeypatch, "brent_root", solves)
     target = 0.3 + (TAU - 0.6) * ((seed * 0.618034) % 1.0)
     n_points = (24, 30, 8, 60)[seed % 4]
-    got = random_convex_link(np.random.default_rng(seed), target, n_points=n_points)
-    want = former_random_convex_link(np.random.default_rng(seed), target, n_points=n_points)
-    assert_same_spherical_polygon(got, want)
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_convex_link(rng_got, target, n_points=n_points)
+    want = former_random_convex_link(rng_want, target, n_points=n_points)
+    assert got.n_vertices == want.n_vertices
+    assert_same_bits(rng_got.random(), rng_want.random(), "next draw")
+    assert_same_gauss_bonnet(got)
+
+    (wh,), perimeter = hulls[-1]
+    lam = solves[-1][1]
+    slope = (perimeter(lam * (1.0 + 1e-6)) - perimeter(lam * (1.0 - 1e-6))) / (2e-6 * lam)
+    bound = _objective_rounding(wh, lam, perimeter(lam))
+    dlam = 2.0 * (BRENT_XTOL + BRENT_RTOL * lam) + bound / slope
+    rho = np.arccos(np.clip(want.vertices[:, 0], -1.0, 1.0))
+    dv = dlam * float(np.max(np.sin(2.0 * rho))) / (2.0 * lam) + 4.0 * EPS
+    dl = 2.0 * dv + 4.0 * EPS
+    lengths = want.edge_ends() - want.cum_lengths
+    n = want.n_vertices
+    assert np.max(np.abs(got.vertices - want.vertices)) <= dv
+    assert np.max(np.abs(got.cum_lengths - want.cum_lengths)) <= n * dl
+    assert abs(got.perimeter - want.perimeter) <= n * dl
+    assert abs(got.base_s - want.base_s) <= n * dl + 2.0 * EPS * want.perimeter
+    turn_bound = dl / roll_prev(lengths) + dl / lengths
+    assert np.all(np.abs(got.turning - want.turning) <= turn_bound)
+
+
+def test_random_convex_link_lifts_each_solved_hull_once(monkeypatch):
+    # the objective works on the gnomonic hull alone: the one lift per
+    # solve is the accepted scale's, which the builder then validates
+    lifts, solves = [], []
+    _spy(monkeypatch, "gnomonic_inverse", lifts)
+    _spy(monkeypatch, "brent_root", solves)
+    rng = np.random.default_rng(3)
+    for k in range(60):
+        random_convex_link(rng, rng.uniform(0.3, TAU - 0.3), n_points=(8, 24, 200)[k % 3])
+    assert len(solves) >= 60
+    assert len(lifts) == len(solves)
+
+
+@pytest.mark.parametrize("target", [1e-8, 1e-10, 1e-12])
+def test_a_target_every_hull_overshoots_at_the_scale_floor_is_refused(target, monkeypatch):
+    # at lam = LINK_SCALE_FLOOR every hull of 24 cap points is already longer
+    # than the target, so none brackets a root: each is skipped before the
+    # solve, as a hull too short at lam = 1 is, and the generator's own
+    # error names the target
+    solves = []
+    _spy(monkeypatch, "brent_root", solves)
+    with pytest.raises(RuntimeError, match=f"convex link of length {target} after"):
+        random_convex_link(np.random.default_rng(0), target)
+    assert solves == []
 
 
 def test_link_perimeter_solves_equal_scipy_brentq(monkeypatch):
