@@ -20,16 +20,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PerimeterMismatch
-from .tolerances import BRENT_RTOL, BRENT_XTOL, PARALLEL_EPS, PERIMETER_RTOL, REVERSAL_EPS
+from .tolerances import (
+    BRENT_RTOL,
+    BRENT_XTOL,
+    PARALLEL_EPS,
+    PERIMETER_RTOL,
+    REVERSAL_EPS,
+    SNAP_FACTOR,
+)
 
 TAU = 2.0 * math.pi
 
 E0 = np.array([1.0, 0.0, 0.0])
-
-# Arc positions within SNAP_FACTOR * perimeter of a vertex are treated as
-# the vertex itself: reducing (base + s) mod perimeter costs a few ulps,
-# which must not flip a query onto the wrong side of a semitangent jump.
-SNAP_FACTOR = 32 * np.finfo(float).eps
 
 
 class Vec2(NamedTuple):

@@ -43,6 +43,11 @@ from .tolerances import (
 
 LINK_CAP_ANGLE = 1.45           # random links sample the polar cap of this radius
 LINK_MAX_ATTEMPTS = 200
+# Least target length every hull brackets: a cap point's gnomonic radius is
+# at most tan(LINK_CAP_ANGLE), so a hull's gnomonic perimeter is at most
+# 2*pi*tan(LINK_CAP_ANGLE), and the gnomonic map only lengthens, so its
+# lifted perimeter at scale LINK_SCALE_FLOOR is at most that times the floor.
+LINK_TARGET_FLOOR = LINK_SCALE_FLOOR * TAU * math.tan(LINK_CAP_ANGLE)
 
 
 def unit_rows(v: np.ndarray) -> np.ndarray:

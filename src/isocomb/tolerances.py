@@ -8,6 +8,8 @@ above the float64 noise of what it guards that rounding cannot flip its
 verdict.  No other module defines a tolerance or writes one inline.
 """
 
+import sys
+
 # -- claim bounds, pinned by tests/test_acceptance.py ----------------------------
 
 VERTEX_ANGLE_TOL = 1e-9         # claim: |beta - (beta1 + beta2) / 2| at every vertex row
@@ -23,6 +25,9 @@ BRENT_XTOL = 1e-15              # rounding: Brent's absolute step, full double p
 BRENT_RTOL = 8.9e-16            # rounding: Brent's relative step, just above scipy's floor of 4 eps
 PARALLEL_EPS = 1e-15            # rounding: |a x b| of unit vectors below this is (anti)parallel
 REVERSAL_EPS = 1e-12            # rounding: a turn within this of pi is a reversal
+
+# arc-length queries, read by geometry.ArcPolygon.locate alone
+SNAP_FACTOR = 32 * sys.float_info.epsilon  # rounding: (base + s) mod p is off by a few ulps
 
 # polygon validation (planar and spherical)
 LENGTH_EPS_FACTOR = 1e-12       # rounding: an edge below this times the perimeter is degenerate

@@ -5,7 +5,6 @@ import pytest
 
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
 from isocomb.geometry import (
-    SNAP_FACTOR,
     TAU,
     brent_root,
     circ_dist_many,
@@ -22,8 +21,16 @@ from isocomb.spherical import (
     build_spherical_polygon,
     gnomonic,
     gnomonic_inverse,
+    sph_points_at,
 )
-from isocomb.tolerances import BRENT_RTOL, BRENT_XTOL, GAUSS_BONNET_TOL, SPH_COLLINEAR_EPS, UNIT_NORM_TOL
+from isocomb.tolerances import (
+    BRENT_RTOL,
+    BRENT_XTOL,
+    GAUSS_BONNET_TOL,
+    SNAP_FACTOR,
+    SPH_COLLINEAR_EPS,
+    UNIT_NORM_TOL,
+)
 
 
 def support_polygon(n, radius, coeffs, base_frac=0.0):
@@ -371,6 +378,41 @@ def former_sph_points_at(poly, ss):
     exact = u == 0.0
     out[exact] = a[exact]
     return out
+
+
+# -- the digon ladder's distance: the matrix route it replaced, and its oracle ------
+
+def former_link_hausdorff(a, b, n=1024):
+    """``cones.link_hausdorff`` before it measured to edges: the arccos of
+    every pair of the two links' n samples, an (n, n) matrix."""
+    sa = sph_points_at(a, np.arange(n) * (a.perimeter / n))
+    sb = sph_points_at(b, np.arange(n) * (b.perimeter / n))
+    dots = np.clip(sa @ sb.T, -1.0, 1.0)
+    dist = np.arccos(dots)
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+
+
+def edge_distance_hausdorff(a, b, n):
+    """The edge distance of ``cones.link_hausdorff`` written out from its
+    definition, one edge at a time: the foot of the perpendicular
+    q = p - h nrm is on the edge (v, w) when (v x q) . nrm >= 0 and
+    (q x w) . nrm >= 0, and the distance is then atan2(|h|, |q|); otherwise
+    it is the distance to the nearer end."""
+    far = 0.0
+    for src, dst in ((a, b), (b, a)):
+        p = np.concatenate([sph_points_at(src, np.arange(n) * (src.perimeter / n)), src.vertices])
+        dist = np.full(len(p), np.inf)
+        for v, w in zip(dst.vertices, np.roll(dst.vertices, -1, axis=0)):
+            nrm = np.cross(v, w)
+            nrm /= np.linalg.norm(nrm)
+            h = p @ nrm
+            q = p - h[:, None] * nrm
+            on = (np.cross(v, q) @ nrm >= 0.0) & (np.cross(q, w) @ nrm >= 0.0)
+            ends = [np.arctan2(np.linalg.norm(np.cross(p, e), axis=1), p @ e) for e in (v, w)]
+            to_foot = np.arctan2(np.abs(h), np.linalg.norm(q, axis=1))
+            dist = np.minimum(dist, np.where(on, to_foot, np.minimum(*ends)))
+        far = max(far, float(dist.max()))
+    return far
 
 
 SPHERICAL_POLYGON_FIELDS = ("vertices", "cum_lengths", "perimeter", "base_s", "turning")

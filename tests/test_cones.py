@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +54,8 @@ from isocomb.tolerances import BREAKPOINT_MERGE_RTOL, HEIGHT_EPS, MARGIN_EPS
 from conftest import (
     brent_outcomes,
     dense_alignment_margins,
+    edge_distance_hausdorff,
+    former_link_hausdorff,
     loop_refine,
     random_rotation,
     ring_vertices,
@@ -546,14 +550,66 @@ def test_combine_dihedral_validates_ladder():
 
 
 def test_link_hausdorff_identity(octant):
-    # arccos of a clipped dot has a ~1e-8 noise floor near zero
-    assert link_hausdorff(octant, octant) <= 1e-7
+    assert link_hausdorff(octant, octant) <= 1e-12
 
 
 def test_link_hausdorff_concentric_rings():
     a = ring_link(64, 0.3)
     b = ring_link(64, 0.4)
     assert link_hausdorff(a, b) == pytest.approx(0.1, abs=2e-3)
+
+
+DEFAULT_LADDER = (0.2, 0.1, 0.05, 0.025)
+# digon angle pairs drawn as the cli-cold benchmark workload draws its own
+_draws = np.random.default_rng(0)
+DRAWN_ANGLE_PAIRS = [tuple(float(a) for a in _draws.uniform(0.6, 2.4, size=2)) for _ in range(20)]
+# a few ulps of a distance below pi, in two routes' different operation orders
+HAUSDORFF_ROUNDING = 1e-14
+
+
+def _successive_rungs(angles):
+    """Successive combined links of the default ladder for a pair of digon
+    angles, or the 64-vertex rings of colatitude 0.3 and 0.4 for None."""
+    if angles is None:
+        return [(ring_link(64, 0.3), ring_link(64, 0.4))]
+    report = combine_dihedral(make_digon(angles[0]), make_digon(angles[1]), DEFAULT_LADDER)
+    links = [lv.combined_link for lv in report.levels]
+    return list(zip(links, links[1:]))
+
+
+@pytest.mark.parametrize(
+    "angles", [(math.pi / 3, math.pi / 2), *DRAWN_ANGLE_PAIRS, None],
+    ids=["default", *(f"drawn{i}" for i in range(len(DRAWN_ANGLE_PAIRS))), "rings"],
+)
+def test_link_hausdorff_is_within_half_a_sample_of_the_edge_oracle(angles):
+    # the distance to a fixed link is 1-Lipschitz in arc length, so a supremum
+    # over n samples (and the vertices) is at most p/(2n) below the exact one
+    # and never above it: the oracle at 16n samples lies within p/(32n) of it
+    n = 1024
+    for a, b in _successive_rungs(angles):
+        new = link_hausdorff(a, b, n)
+        half = max(a.perimeter, b.perimeter) / (2 * n)
+        # the same samples through the edge distance written from its definition
+        assert abs(new - edge_distance_hausdorff(a, b, n)) <= HAUSDORFF_ROUNDING
+        dense = edge_distance_hausdorff(a, b, 16 * n)
+        assert -half - HAUSDORFF_ROUNDING <= new - dense <= half / 16 + HAUSDORFF_ROUNDING
+        # sample to sample, the matrix route measured no nearer than the edges
+        # do, but it missed the vertices, each within half a sample of one
+        assert former_link_hausdorff(a, b, n) - new >= -half - HAUSDORFF_ROUNDING
+
+
+@pytest.mark.parametrize("angles", [(math.pi / 3, math.pi / 2), None], ids=["default", "rings"])
+def test_link_hausdorff_allocates_no_sample_matrix(angles):
+    # the 1024 x 1024 float matrices took 16 MiB; (samples, edges) arrays
+    # of the 64-vertex rings take 0.53 MiB each, three at a time
+    a, b = _successive_rungs(angles)[0]
+    tracemalloc.start()
+    try:
+        link_hausdorff(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 # -- adversarial inputs and invariants of the positioning -----------------------------
@@ -606,13 +662,18 @@ def test_links_at_the_height_floor_end_typed_or_pass(side):
 
 @pytest.mark.parametrize("angle", [1e-9, math.pi - 1e-9])
 def test_digons_near_zero_and_pi_end_typed_or_pass(angle):
+    # a validated link's edges are >= LENGTH_EPS_FACTOR * p, so every edge
+    # normal of link_hausdorff has |v x w| > 0 and no distance is NaN
     digon = make_digon(angle)
     assert digon.angle == angle
-    for other in (make_digon(angle), make_digon(math.pi / 3)):
-        report = _outcome(combine_dihedral, digon, other, [0.2, 0.1])
+    others = (make_digon(angle), make_digon(math.pi / 3))
+    pairs = [(digon, other) for other in others] + [(others[1], digon)]
+    for (d1, d2), ladder in itertools.product(pairs, (DEFAULT_LADDER[:3], DEFAULT_LADDER)):
+        report = _outcome(combine_dihedral, d1, d2, ladder)
         if isinstance(report, type):
             continue
-        assert np.all(np.isfinite(report.hausdorff))
+        assert len(report.hausdorff) == len(ladder) - 1
+        assert all(math.isfinite(h) and h >= 0.0 for h in report.hausdorff)
         for lv in report.levels:
             assert math.isfinite(lv.psi) and lv.margin > 0
             _finite_certified(lv.combined_link)

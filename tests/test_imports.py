@@ -146,13 +146,16 @@ def test_module_calls_no_replaced_numpy_routine(module):
 
 
 # geometry.ArcPolygon.locate owns the snap rule: every other module asks it
-# which edge a position is on, and none repeats the rule with SNAP_FACTOR
+# which edge a position is on, and none repeats the rule with SNAP_FACTOR;
+# the tolerance ledger defines it, and reads it no more than any other module
 SNAP_OWNER = "geometry.py"
+LEDGER = "tolerances.py"
 
 
 def snap_factor_readers(sources: dict[str, str]) -> list[str]:
     """Modules other than ``SNAP_OWNER`` that read ``SNAP_FACTOR`` as a
-    name, an attribute or an imported name, as ``module:line``."""
+    name, an attribute or an imported name, as ``module:line``; the
+    ``LEDGER``'s assignment to it is its definition, not a read."""
     fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
     return [
         f"{module}:{n.lineno}"
@@ -160,29 +163,34 @@ def snap_factor_readers(sources: dict[str, str]) -> list[str]:
         if module != SNAP_OWNER
         for n in ast.walk(ast.parse(source))
         if type(n) in fields and getattr(n, fields[type(n)]) == "SNAP_FACTOR"
+        and not (module == LEDGER and isinstance(getattr(n, "ctx", None), ast.Store))
     ]
 
 
 def test_snap_factor_readers_are_found():
     sources = {
-        "geometry.py": "SNAP_FACTOR = 1e-15\nsnap = SNAP_FACTOR * 2\n",
+        "geometry.py": "from .tolerances import SNAP_FACTOR\nsnap = SNAP_FACTOR * 2\n",
+        "tolerances.py": "SNAP_FACTOR = 1e-15\nTWICE = 2 * SNAP_FACTOR\n",
         "a.py": "from .geometry import SNAP_FACTOR as S\n",
         "b.py": "from . import geometry\nx = geometry.SNAP_FACTOR\n",
         "c.py": "from .geometry import *\ny = SNAP_FACTOR\n",
         "d.py": "z = 'SNAP_FACTOR'\nfrom .geometry import TAU\n",
+        "e.py": "from . import tolerances\nSNAP_FACTOR = tolerances.SNAP_FACTOR\n",
     }
-    assert snap_factor_readers(sources) == ["a.py:1", "b.py:2", "c.py:2"]
+    assert snap_factor_readers(sources) == [
+        "tolerances.py:2", "a.py:1", "b.py:2", "c.py:2", "e.py:2", "e.py:2",
+    ]
 
 
 def test_only_geometry_reads_snap_factor():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert SNAP_OWNER in sources
+    assert SNAP_OWNER in sources and LEDGER in sources
+    assert "SNAP_FACTOR = " in sources[LEDGER]
     assert snap_factor_readers(sources) == []
 
 
 # tolerances.py is the one table of stated tolerances: no other module
 # writes a small float inline, and no constant is defined in two modules
-LEDGER = "tolerances.py"
 SMALL_FLOAT = 1e-6
 
 
