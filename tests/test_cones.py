@@ -55,6 +55,7 @@ from conftest import (
     brent_outcomes,
     dense_alignment_margins,
     edge_distance_hausdorff,
+    ellipse_link_vertices,
     former_link_hausdorff,
     loop_refine,
     random_rotation,
@@ -330,6 +331,20 @@ def test_position_random_pairs():
         assert report.combined.link.min_turning() >= -1e-9
 
 
+def test_position_dense_ellipse_pair():
+    # 16k-vertex links of ellipses with crossed axes: the turnings of the
+    # links and of their combination read edges of ~2e-4 on average and
+    # down to 2.6e-11, whose normals are accurate to eps of themselves
+    rng = np.random.default_rng(0)
+    l1 = build_spherical_polygon(ellipse_link_vertices(rng, 16000, 1.0, 0.6))
+    l2 = build_spherical_polygon(ellipse_link_vertices(rng, 16000, 0.8, 1.0))
+    report = position_and_combine(cone_from_link(l1), cone_from_link(l2))
+    link = report.combined.link
+    assert report.margin > 0
+    assert link.min_turning() >= -1e-9
+    assert link.gauss_bonnet_residual <= 1e-13
+
+
 def test_positioned_combination_matches_inverse_transform_route():
     # the combined link direction equals the inverse transform of the sum
     # of the planar images at every sampled position of a perimeter/256 grid
@@ -470,11 +485,8 @@ def test_digon_perimeter_solves_equal_scipy_brentq(monkeypatch):
     pairs += [tuple(rng.uniform(0.6, 2.4, size=2)) for _ in range(20)]
     for angle1, angle2 in pairs:
         for eps in (0.2, 0.1, 0.05, 0.025):
-            try:
-                truncate_digons(make_digon(angle1), make_digon(angle2), eps)
-            except GeometryError:
-                pass  # the thin first digon's own quadrilateral fails at depth 0.025
-    assert len(outcomes) == 4 * len(pairs) - 1
+            truncate_digons(make_digon(angle1), make_digon(angle2), eps)
+    assert len(outcomes) == 4 * len(pairs)
     assert all(ours == theirs for ours, theirs in outcomes)
 
 
@@ -506,15 +518,14 @@ def test_truncate_rejects_out_of_range_depth():
 
 
 def test_truncate_names_the_depth_a_thin_first_digon_cannot_take():
-    # the depth-0.025 quadrilateral of a 1e-9 digon has edges of ~2.5e-11,
-    # above the degenerate-edge floor; the builder refuses it because each
-    # turning's tangent difference cancels on so short an edge, and the
-    # rounding reads as a Gauss-Bonnet residual of 2.2e-7.  The shallower
-    # rungs are valid
+    # the depth-0.005 quadrilateral of a 1e-9 digon has two edges of
+    # 2 sin(0.005) sin(5e-10) ~ 5e-12, below LENGTH_EPS_FACTOR times its
+    # perimeter (~6.3e-12): the geometry leaves no valid quadrilateral.  The
+    # rungs down to 0.025, with edges of ~2.5e-11, are valid
     thin, other = make_digon(1e-9), make_digon(math.pi / 3)
-    with pytest.raises(TruncationTooDeep, match="0.025"):
-        truncate_digons(thin, other, 0.025)
-    for eps in (0.2, 0.1, 0.05):
+    with pytest.raises(TruncationTooDeep, match="0.005 .*coincide"):
+        truncate_digons(thin, other, 0.005)
+    for eps in (0.2, 0.1, 0.05, 0.025):
         q1, q2, _ = truncate_digons(thin, other, eps)
         assert abs(q1.perimeter - q2.perimeter) <= 1e-12 * q1.perimeter
 
@@ -532,13 +543,15 @@ def test_combine_dihedral_identical():
 
 
 def test_combine_dihedral_ladder_converges():
-    report = combine_dihedral(
-        make_digon(math.pi / 3), make_digon(math.pi / 2), [0.2, 0.1, 0.05, 0.025]
-    )
-    for lv in report.levels:
-        assert lv.min_turning >= -1e-9
-        assert lv.gauss_bonnet_residual <= 1e-8
-    assert all(a > b for a, b in zip(report.hausdorff, report.hausdorff[1:]))
+    # the 1e-9 digon's depth-0.025 quadrilateral has two edges of ~2.5e-11,
+    # so each of its turnings reads the normal of an edge that short
+    for angle1, angle2 in ((math.pi / 3, math.pi / 2), (1e-9, math.pi / 3)):
+        report = combine_dihedral(make_digon(angle1), make_digon(angle2), [0.2, 0.1, 0.05, 0.025])
+        for lv in report.levels:
+            assert lv.min_turning >= -1e-9
+            assert lv.gauss_bonnet_residual <= 1e-8
+        assert len(report.hausdorff) == 3
+        assert all(a > b for a, b in zip(report.hausdorff, report.hausdorff[1:])), angle1
 
 
 def test_combine_dihedral_validates_ladder():
