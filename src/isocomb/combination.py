@@ -75,7 +75,7 @@ def merged_breakpoints(pair: MarkedPair) -> np.ndarray:
     combination is evaluated without sampling error.  Positions closer than
     ``BREAKPOINT_MERGE_RTOL`` times the perimeter are merged.
     """
-    return merged_vertex_positions(pair.F1, pair.F2, BREAKPOINT_MERGE_RTOL)
+    return merged_vertex_positions(pair.F1, pair.F2, BREAKPOINT_MERGE_RTOL)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,23 +177,22 @@ class VertexEvents:
 def vertex_events(combined: CombinedCurve) -> VertexEvents:
     """Classify every row of ``combined`` and measure its interior angle there.
 
-    One ``locate`` per curve gives whether the row sits at a vertex: one
-    within 4 * BREAKPOINT_MERGE_RTOL * perimeter of either end of the
-    located edge.  The merge folds every vertex that close into the row, so
-    the combined curve turns there by its angle, even beyond the finer snap
-    of ``locate``.  ``beta`` is read from the chords of the combined curve.
+    A row is at a vertex of a curve exactly when the breakpoint merge folded
+    one of that curve's vertices into it (:func:`geometry.merged_vertex_positions`),
+    so the combined curve turns there by its angle.  ``beta`` is read from
+    the chords of the combined curve.
+
+    Raises:
+        ValueError: ``combined`` was not evaluated on the merged breakpoints.
     """
     pair, bps = combined.pair, combined.breakpoints
-    tol = BREAKPOINT_MERGE_RTOL * pair.F1.perimeter * 4.0
-    located = []
-    for poly in (pair.F1, pair.F2):
-        idx, u = poly.locate(bps)
-        behind = u <= tol
-        at = behind | ((poly.edge_ends() - poly.cum_lengths)[idx] - u <= tol)
-        vertex = np.where(behind, idx, (idx + 1) % poly.n_vertices)
-        located.append((at, np.where(at, math.pi - poly.exterior_angles()[vertex], math.pi)))
-    (at1, beta1), (at2, beta2) = located
-    case = at1.astype(int) + at2
+    merged, rows1, rows2 = merged_vertex_positions(pair.F1, pair.F2, BREAKPOINT_MERGE_RTOL)
+    if not np.array_equal(merged, bps):
+        raise ValueError("vertex_events needs a combination on the merged breakpoints")
+    m = len(bps)
+    case = (np.bincount(rows1, minlength=m) > 0).astype(int) + (np.bincount(rows2, minlength=m) > 0)
+    beta1 = math.pi - np.bincount(rows1, weights=pair.F1.exterior_angles(), minlength=m)
+    beta2 = math.pi - np.bincount(rows2, weights=pair.F2.exterior_angles(), minlength=m)
     chords = roll_next(combined.curve) - combined.curve
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
     beta = np.where(case > 0, math.pi - norm_angle_many(dirs - roll_prev(dirs)), math.pi)

@@ -157,12 +157,15 @@ def transform_link_pair(
     the base point alone, a uniform grid whose segments straddle the corners.
 
     Raises:
-        PerimeterMismatch, NonPositiveHeight
+        PerimeterMismatch, NonPositiveHeight,
+        ValueError: ``max_step`` is not positive (NaN included).
     """
+    if not max_step > 0.0:
+        raise ValueError(f"max_step must be positive, got {max_step!r}")
     p = common_perimeter(M1, M2)
     events = np.zeros(1)
     if include_vertices:
-        events = merged_vertex_positions(M1, M2, BREAKPOINT_MERGE_RTOL)
+        events = merged_vertex_positions(M1, M2, BREAKPOINT_MERGE_RTOL)[0]
     positions = _refine(events, p, max_step)
     r1 = sph_points_at(M1, positions)
     r2 = sph_points_at(M2, positions)
@@ -214,7 +217,7 @@ def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
     """
     L1, L2 = K1.link, K2.link
     p = common_perimeter(L1, L2)
-    positions = merged_vertex_positions(L1, L2, COMBINE_MERGE_RTOL)
+    positions = merged_vertex_positions(L1, L2, COMBINE_MERGE_RTOL)[0]
     ends = np.concatenate([positions[1:], [p]])
     check = np.concatenate([positions, 0.5 * (positions + ends)])
     sums = sph_points_at(L1, check) + sph_points_at(L2, check)
@@ -285,6 +288,7 @@ def position_and_combine(
     Raises:
         PositioningNotFound: if no candidate certifies, or fewer than 3
             merged breakpoints leave none to try.
+        ValueError: ``max_step`` is not positive (NaN included).
     """
     C1 = normalize_cone(K1)
     C2 = normalize_cone(K2)
@@ -297,7 +301,7 @@ def position_and_combine(
     margins = alignment_margins(g, g)
     # arc positions do not move under a rotation about x0, so a merge that
     # leaves too few breakpoints fails every candidate in combine_cones
-    m = len(merged_vertex_positions(C1.link, C2.link, COMBINE_MERGE_RTOL))
+    m = len(merged_vertex_positions(C1.link, C2.link, COMBINE_MERGE_RTOL)[0])
     if m < 3:
         raise PositioningNotFound(f"only {m} correspondence breakpoints survive the merge")
 
@@ -439,6 +443,9 @@ def link_hausdorff(a: SphericalPolygon, b: SphericalPolygon, n: int = 1024) -> f
     fixed set is 1-Lipschitz along a link, so the sampled value is at most
     ``perimeter / (2 n)`` below the exact one, and never above it.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+
     def farthest(src: SphericalPolygon, dst: SphericalPolygon) -> float:
         p = np.concatenate([sph_points_at(src, np.arange(n) * (src.perimeter / n)), src.vertices])
         v = dst.vertices

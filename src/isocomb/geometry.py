@@ -342,14 +342,16 @@ def alignment_margins(g_scan, g) -> np.ndarray:
     return np.where(reach < math.pi, math.pi - near, math.pi - reach)
 
 
-def merge_positions(pos: np.ndarray, period: float, tol: float) -> np.ndarray:
+def merge_positions(pos: np.ndarray, period: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedily merge sorted arc positions that lie within ``tol``.
 
     A position is kept when it lies more than ``tol`` past the last kept
     one, starting from ``pos[0]``; a last kept position within ``tol`` of
     ``period`` duplicates ``pos[0]`` and is dropped.  A gap wider than
     ``tol`` always keeps its right end, so only runs of narrower gaps walk
-    back to the last kept position.
+    back to the last kept position.  Returns the kept positions and, for
+    each input position, the row it merged into (a dropped last row's
+    members go to row 0).
     """
     keep = np.empty(len(pos), dtype=bool)
     keep[0] = True
@@ -362,18 +364,24 @@ def merge_positions(pos: np.ndarray, period: float, tol: float) -> np.ndarray:
             keep[i] = True
             last = i
     out = pos[keep]
+    rows = np.cumsum(keep) - 1
     if len(out) > 1 and period - out[-1] <= tol:
         out = out[:-1]
-    return out
+        rows[rows == len(out)] = 0
+    return out, rows
 
 
-def merged_vertex_positions(a: ArcPolygon, b: ArcPolygon, rtol: float) -> np.ndarray:
+def merged_vertex_positions(a: ArcPolygon, b: ArcPolygon, rtol: float) -> tuple[np.ndarray, ...]:
     """Sorted union of both polygons' vertex arc positions plus the base
     point 0, merged by :func:`merge_positions` at ``rtol`` times the first
-    perimeter."""
+    perimeter, and the row each vertex of ``a`` and of ``b`` merged into."""
     p = a.perimeter
     pos = np.concatenate([[0.0], a.vertex_positions(), b.vertex_positions()])
-    return merge_positions(np.sort(pos), p, rtol * p)
+    order = np.argsort(pos, kind="stable")
+    out, sorted_rows = merge_positions(pos[order], p, rtol * p)
+    rows = np.empty_like(sorted_rows)
+    rows[order] = sorted_rows
+    return out, rows[1:1 + a.n_vertices], rows[1 + a.n_vertices:]
 
 
 @dataclass(frozen=True)

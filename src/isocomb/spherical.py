@@ -48,6 +48,9 @@ LINK_MAX_ATTEMPTS = 200
 # 2*pi*tan(LINK_CAP_ANGLE), and the gnomonic map only lengthens, so its
 # lifted perimeter at scale LINK_SCALE_FLOOR is at most that times the floor.
 LINK_TARGET_FLOOR = LINK_SCALE_FLOOR * TAU * math.tan(LINK_CAP_ANGLE)
+# Bound every hull stays below: the cap is convex, so a convex link inside it
+# is no longer than its boundary circle.
+LINK_TARGET_CEILING = TAU * math.sin(LINK_CAP_ANGLE)
 
 
 def unit_rows(v: np.ndarray) -> np.ndarray:
@@ -259,8 +262,8 @@ def random_convex_link(
     ``LINK_LENGTH_TOL``; raises ``RuntimeError`` if no hull does within
     ``LINK_MAX_ATTEMPTS``.
     """
-    if not 0.0 < target_length < TAU:
-        raise ValueError("target link length must lie in (0, 2*pi)")
+    if not 0.0 < target_length < LINK_TARGET_CEILING:
+        raise ValueError(f"target link length must lie in (0, {LINK_TARGET_CEILING!r})")
     for _ in range(LINK_MAX_ATTEMPTS):
         pts = _cap_samples(rng, n_points, LINK_CAP_ANGLE)
         w = gnomonic(pts)

@@ -23,7 +23,7 @@ from .cones import cone_from_link, position_and_combine
 from .errors import AlignmentNotFound, GeometryError, PositioningNotFound
 from .geometry import TAU, convex_hull_2d
 from .planar import PlanarPolygon, build_polygon, dilate_to_perimeter
-from .spherical import LINK_TARGET_FLOOR, random_convex_link
+from .spherical import LINK_TARGET_CEILING, LINK_TARGET_FLOOR, random_convex_link
 from .tolerances import EXTERIOR_SUM_TOL, GAUSS_BONNET_TOL, MIN_EXTERIOR_TOL, VERTEX_ANGLE_TOL
 
 # Bounds on a suite's size: a run keeps every trial's report in memory.
@@ -49,10 +49,10 @@ class SuiteConfig:
         if not self.min_vertices <= self.max_vertices <= MAX_VERTICES:
             raise ValueError(f"max_vertices must lie in [min_vertices, MAX_VERTICES = {MAX_VERTICES}]")
         lo, hi = self.target_link_length
-        if not (LINK_TARGET_FLOOR <= lo < hi < TAU):
+        if not (LINK_TARGET_FLOOR <= lo < hi < LINK_TARGET_CEILING):
             raise ValueError(
-                "target_link_length must lie inside "
-                f"[LINK_TARGET_FLOOR = {LINK_TARGET_FLOOR:.3g}, 2*pi)"
+                "target_link_length must lie inside [LINK_TARGET_FLOOR = "
+                f"{LINK_TARGET_FLOOR:.3g}, LINK_TARGET_CEILING = {LINK_TARGET_CEILING:.6g})"
             )
 
 

@@ -131,16 +131,24 @@ def test_vertex_events_identical_squares(unit_square):
         assert events.law_error() <= 1e-15, shift
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a vertex of the other curve between the merge tolerance (1e-12 p) and the "
-    "classification tolerance (4e-12 p) away is counted at two rows"))
 def test_vertex_events_counts_each_vertex_at_one_row(unit_square):
-    # the square against itself based 5e-12 and 1e-11 before a vertex: eight
-    # rows, each at one vertex of one curve; today all read case 2, law error 0.785
+    # the square against itself based 5e-12 and 1e-11 before a vertex, past
+    # the merge tolerance: eight rows, each at one vertex of one curve, and
+    # the curve with no vertex there reads pi
     for d in (5e-12, 1e-11):
         events = vertex_events(combine(make_pair(unit_square, unit_square.with_base(4.0 - d))))
         assert len(events.s) == 8, d
         assert events.case.tolist() == [1] * 8, d
+        assert events.beta1[1::2].tolist() == [math.pi] * 4, d
+        assert events.beta2[::2].tolist() == [math.pi] * 4, d
+        assert np.all(events.beta1[::2] < math.pi) and np.all(events.beta2[1::2] < math.pi), d
+
+
+def test_vertex_events_refuses_rows_off_the_merged_breakpoints(unit_square):
+    pair = make_pair(unit_square, rect_0p5_by_1p5(base_s=0.25))
+    for positions in (uniform_positions(pair, 16), merged_breakpoints(pair)[:-1]):
+        with pytest.raises(ValueError, match="merged breakpoints"):
+            vertex_events(combine_at(pair, positions))
 
 
 def test_self_pairs_based_at_vertices_and_their_float_neighbours(unit_square):
@@ -189,44 +197,44 @@ def test_vertex_events_law_on_random_aligned_pairs():
 
 def _vertex_events_loop(pair):
     """The per-breakpoint loop that the array version of vertex_events
-    replaced, one (s, case, beta1, beta2, beta) row per breakpoint.  A row
-    sits at a vertex when one lies within 4e-12 of the perimeter, as the
-    former tolerance search decided."""
-    def lookup(poly, tol):
-        pos = poly.vertex_positions()
-        order = np.argsort(pos)
-        pos_sorted = pos[order]
-        interior = (math.pi - poly.exterior_angles())[order]
+    replaced, one (s, case, beta1, beta2, beta) row per breakpoint.  Rows
+    come from walking the greedy merge over the sorted base point and
+    vertex positions: a position more than the merge tolerance past the
+    last row starts a row, any other joins it, and a last row within the
+    tolerance of the perimeter joins row 0.  A row sits at a vertex of a
+    curve when one of that curve's vertices joined it."""
+    p = pair.F1.perimeter
+    tol = BREAKPOINT_MERGE_RTOL * p
+    tagged = [(0.0, None, math.pi)]
+    for c, poly in enumerate((pair.F1, pair.F2)):
+        interior = math.pi - poly.exterior_angles()
+        tagged += [(float(s), c, float(b)) for s, b in zip(poly.vertex_positions(), interior)]
+    rows = []   # [s, interior angle of each curve's vertex at the row, or None]
+    for s, c, b in sorted(tagged, key=lambda t: t[0]):
+        if not rows or s - rows[-1][0] > tol:
+            rows.append([s, None, None])
+        if c is not None:
+            rows[-1][1 + c] = b
+    if len(rows) > 1 and p - rows[-1][0] <= tol:
+        _, b1, b2 = rows.pop()
+        rows[0][1] = rows[0][1] if b1 is None else b1
+        rows[0][2] = rows[0][2] if b2 is None else b2
 
-        def query(s):
-            i = int(np.searchsorted(pos_sorted, s))
-            for j in (i - 1, i):
-                if 0 <= j < len(pos_sorted) and abs(pos_sorted[j] - s) <= tol:
-                    return float(interior[j])
-            if s <= tol and abs(pos_sorted[-1] - poly.perimeter) <= tol:
-                return float(interior[-1])
-            return None
-
-        return query
-
-    bps = merged_breakpoints(pair)
-    tol = BREAKPOINT_MERGE_RTOL * pair.F1.perimeter * 4.0
+    bps = np.array([row[0] for row in rows])
     curve = points_at(pair.F1, bps) + apply_motion_many(pair.motion, points_at(pair.F2, bps))
     chords = np.roll(curve, -1, axis=0) - curve
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
-    look1, look2 = lookup(pair.F1, tol), lookup(pair.F2, tol)
-    rows = []
-    for k, s in enumerate(bps):
-        b1, b2 = look1(s), look2(s)
+    out = []
+    for k, (s, b1, b2) in enumerate(rows):
         if b1 is None and b2 is None:
-            rows.append((float(s), 0, math.pi, math.pi, math.pi))
+            out.append((s, 0, math.pi, math.pi, math.pi))
             continue
         beta = math.pi - norm_angle(float(dirs[k] - dirs[(k - 1) % len(bps)]))
-        rows.append((
-            float(s), (b1 is not None) + (b2 is not None),
+        out.append((
+            s, (b1 is not None) + (b2 is not None),
             math.pi if b1 is None else b1, math.pi if b2 is None else b2, beta,
         ))
-    return rows
+    return out
 
 
 def _assert_events_equal_loop(events, rows):
@@ -239,7 +247,10 @@ def _assert_events_equal_loop(events, rows):
 def test_vertex_events_equal_loop_oracle(unit_square):
     # hulls of 3..200 points, aligned (base on a vertex) and as drawn (base anywhere)
     pairs = [make_pair(unit_square, rect_0p5_by_1p5(base_s=b)) for b in (0.0, 0.25, 0.5, 1.9)]
-    pairs += [make_pair(unit_square, unit_square.with_base(4.0 - d)) for d in (1e-15, 1e-13, 3e-12)]
+    # the square against itself based just before or after a vertex: one row
+    # per vertex pair (d < 4e-12, wrapping to row 0 when after) or two
+    pairs += [make_pair(unit_square, unit_square.with_base(base))
+              for d in (1e-15, 1e-13, 3e-12, 5e-12, 1e-11) for base in (4.0 - d, d)]
     for k in range(3, 201, 3):
         rng = trial_rng(4321, k)
         f1 = random_convex_polygon(rng, k, k)

@@ -150,6 +150,17 @@ def test_transform_perimeter_mismatch():
         transform_link_pair(ring_link(32, 0.4), ring_link(32, 0.6))
 
 
+def test_transform_and_positioning_refuse_a_step_that_is_not_positive():
+    # a zero, negative or NaN step once sampled the events alone, after two
+    # RuntimeWarnings from casting inf/NaN sample counts to integers
+    link = ring_link(32, 0.4)
+    for max_step in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="max_step"):
+            transform_link_pair(link, link, max_step=max_step)
+        with pytest.raises(ValueError, match="max_step"):
+            position_and_combine(cone_from_link(link), cone_from_link(link), max_step=max_step)
+
+
 def test_transform_commutes_with_axis_rotation():
     # rotating the first link about x0 rotates its image by the same angle
     # and leaves the height sums untouched
@@ -213,7 +224,7 @@ def test_transform_samples_the_merged_events_unless_refined():
         target = rng.uniform(0.5, TAU - 0.5)
         l1, l2 = random_convex_link(rng, target), random_convex_link(rng, target)
         image = transform_link_pair(l1, l2)
-        events = merged_vertex_positions(l1, l2, BREAKPOINT_MERGE_RTOL)
+        events = merged_vertex_positions(l1, l2, BREAKPOINT_MERGE_RTOL)[0]
         assert image.positions.tobytes() == events.tobytes(), i
         coarse = _outcome(image_polygons, image)
         fine = _outcome(image_polygons, transform_link_pair(l1, l2, max_step=l1.perimeter / 256))
@@ -564,6 +575,14 @@ def test_combine_dihedral_validates_ladder():
 
 def test_link_hausdorff_identity(octant):
     assert link_hausdorff(octant, octant) <= 1e-12
+
+
+def test_link_hausdorff_refuses_fewer_than_one_sample(octant):
+    # n = 0 divided by zero, and a negative n scored the vertices alone
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            link_hausdorff(octant, octant, n=n)
+    assert link_hausdorff(octant, octant, n=1) <= 1e-12
 
 
 def test_link_hausdorff_concentric_rings():

@@ -193,30 +193,41 @@ def test_alignment_margins_rejects_nonfinite():
 
 
 def _greedy_merge_loop(pos, period, tol):
-    """The per-element merge loop that merge_positions replaced."""
+    """The per-element merge loop that merge_positions replaced, and the
+    row each position joined (a dropped last row joins row 0)."""
     keep = np.empty(len(pos), dtype=bool)
+    rows = np.empty(len(pos), dtype=int)
     keep[0] = True
+    rows[0] = 0
     last = pos[0]
     for i in range(1, len(pos)):
         keep[i] = pos[i] - last > tol
+        rows[i] = rows[i - 1] + keep[i]
         if keep[i]:
             last = pos[i]
     out = pos[keep]
     if len(out) > 1 and period - out[-1] <= tol:
         out = out[:-1]
-    return out
+        rows[rows == len(out)] = 0
+    return out, rows
 
 
 def test_merge_positions_matches_greedy_loop():
     rng = np.random.default_rng(31)
     tol = 1e-3
+    wrapped = 0
     for _ in range(2000):
         n = int(rng.integers(0, 40))
         # clustered gaps straddle tol, so runs of sub-tolerance gaps are common
         gaps = rng.choice([0.0, 0.3 * tol, 0.6 * tol, tol, 1.5 * tol, 0.1], n)
         pos = np.concatenate([[0.0], np.cumsum(gaps)])
         period = pos[-1] + rng.choice([0.0, 0.5 * tol, tol, 2 * tol, 0.2])
-        assert np.array_equal(merge_positions(pos, period, tol), _greedy_merge_loop(pos, period, tol))
+        out, rows = merge_positions(pos, period, tol)
+        loop_out, loop_rows = _greedy_merge_loop(pos, period, tol)
+        assert np.array_equal(out, loop_out)
+        assert np.array_equal(rows, loop_rows)
+        wrapped += len(out) > 1 and rows[-1] == 0
+    assert wrapped > 100
 
 
 # -- shared arc-length locator -------------------------------------------------------

@@ -10,6 +10,7 @@ from isocomb.tolerances import BRENT_RTOL, BRENT_XTOL, LINK_SCALE_FLOOR, SPH_COL
 from isocomb import spherical
 from isocomb.spherical import (
     LINK_CAP_ANGLE,
+    LINK_TARGET_CEILING,
     _cap_samples,
     _edge_lengths,
     _scaled_hull_perimeter,
@@ -176,8 +177,9 @@ def test_rotate_polygon_carries_what_a_rebuild_recomputes():
 
 def test_random_convex_link_rejects_bad_target():
     rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        random_convex_link(rng, TAU + 0.1)
+    for target in (0.0, TAU + 0.1, LINK_TARGET_CEILING, 6.25):
+        with pytest.raises(ValueError):
+            random_convex_link(rng, target)
 
 
 # -- the column-arithmetic kernel against the former numpy-call kernel -----------

@@ -15,7 +15,7 @@ from isocomb.serialization import (
     planar_to_dict,
     spherical_to_dict,
 )
-from isocomb.spherical import LINK_TARGET_FLOOR
+from isocomb.spherical import LINK_TARGET_CEILING, LINK_TARGET_FLOOR
 from isocomb.suite import (
     MAX_TRIALS,
     MAX_VERTICES,
@@ -87,6 +87,20 @@ def test_cone_suite_refuses_targets_below_every_hull_at_validation():
     below = SuiteConfig(trials=2, seed=1, target_link_length=(LINK_TARGET_FLOOR * (1 - 1e-9), 1.0))
     with pytest.raises(ValueError, match="target_link_length"):
         below.validate()
+
+
+def test_cone_suite_refuses_targets_above_every_hull_at_validation():
+    # every link of cap points is at most the cap circle long, so link
+    # generation would spend LINK_MAX_ATTEMPTS hulls and raise its own error
+    config = SuiteConfig(trials=6, seed=1, target_link_length=(6.2, 6.28))
+    with pytest.raises(ValueError, match="target_link_length"):
+        config.validate()
+    with pytest.raises(ValueError, match="target_link_length"):
+        run_cone_suite(config)
+    at = SuiteConfig(trials=2, seed=1, target_link_length=(1.0, LINK_TARGET_CEILING))
+    with pytest.raises(ValueError, match="target_link_length"):
+        at.validate()
+    SuiteConfig(trials=2, seed=1, target_link_length=(1.0, 6.2)).validate()
 
 
 def test_cone_suite_runs_from_the_least_target_every_hull_brackets():
