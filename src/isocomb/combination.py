@@ -11,7 +11,7 @@ certifies convexity of the combination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .planar import (
 )
 from .tolerances import (
     BENDING_DENOM_FLOOR,
-    BREAKPOINT_MERGE_RTOL,
     LENGTH_EPS_FACTOR,
     MARGIN_EPS,
     MARGIN_TIE_TOL,
@@ -75,7 +74,7 @@ def merged_breakpoints(pair: MarkedPair) -> np.ndarray:
     combination is evaluated without sampling error.  Positions closer than
     ``BREAKPOINT_MERGE_RTOL`` times the perimeter are merged.
     """
-    return merged_vertex_positions(pair.F1, pair.F2, BREAKPOINT_MERGE_RTOL)[0]
+    return merged_vertex_positions(pair.F1, pair.F2)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +86,7 @@ class CombinedCurve:
     tau_segments: np.ndarray    # (m, 2) samples of the bending field r1 - r2
     breakpoints: np.ndarray     # (m,) arc positions the rows were evaluated at
     pair: MarkedPair            # the pair the rows were evaluated on
+    vertex_rows: tuple[np.ndarray, np.ndarray] | None = None  # row of each vertex of F1, F2
 
 
 def _dedup_closed(points: np.ndarray) -> np.ndarray:
@@ -132,9 +132,10 @@ def combine(pair: MarkedPair) -> CombinedCurve:
 
     Never raises on a non-convex result; the certificate carries the verdict.
     When the semitangent condition holds with positive margin the certificate
-    is guaranteed convex.
+    is guaranteed convex.  The merge's vertex rows are kept for :func:`vertex_events`.
     """
-    return combine_at(pair, merged_breakpoints(pair))
+    positions, rows1, rows2 = merged_vertex_positions(pair.F1, pair.F2)
+    return replace(combine_at(pair, positions), vertex_rows=(rows1, rows2))
 
 
 def semitangent_condition(pair: MarkedPair) -> Angle:
@@ -179,16 +180,16 @@ def vertex_events(combined: CombinedCurve) -> VertexEvents:
 
     A row is at a vertex of a curve exactly when the breakpoint merge folded
     one of that curve's vertices into it (:func:`geometry.merged_vertex_positions`),
-    so the combined curve turns there by its angle.  ``beta`` is read from
-    the chords of the combined curve.
+    so the combined curve turns there by its angle; :func:`combine` keeps
+    the merge's rows.  ``beta`` is read from the chords of the combined curve.
 
     Raises:
-        ValueError: ``combined`` was not evaluated on the merged breakpoints.
+        ValueError: ``combined`` is off the merged breakpoints (from :func:`combine_at`).
     """
-    pair, bps = combined.pair, combined.breakpoints
-    merged, rows1, rows2 = merged_vertex_positions(pair.F1, pair.F2, BREAKPOINT_MERGE_RTOL)
-    if not np.array_equal(merged, bps):
+    if combined.vertex_rows is None:
         raise ValueError("vertex_events needs a combination on the merged breakpoints")
+    pair, bps = combined.pair, combined.breakpoints
+    rows1, rows2 = combined.vertex_rows
     m = len(bps)
     case = (np.bincount(rows1, minlength=m) > 0).astype(int) + (np.bincount(rows2, minlength=m) > 0)
     beta1 = math.pi - np.bincount(rows1, weights=pair.F1.exterior_angles(), minlength=m)

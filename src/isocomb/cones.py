@@ -55,8 +55,6 @@ from .spherical import (
 )
 from .tolerances import (
     ANTIPODAL_EPS,
-    BREAKPOINT_MERGE_RTOL,
-    COMBINE_MERGE_RTOL,
     DIGON_DEPTH_FLOOR,
     DIGON_DEPTH_MARGIN,
     DIGON_EDGE_FLOOR,
@@ -133,6 +131,7 @@ def _refine(positions: np.ndarray, period: float, max_step: float) -> np.ndarray
 class PogorelovImage:
     """Planar image samples of two corresponded spherical curves."""
 
+    events: np.ndarray          # (e,) merged vertex positions the samples refine
     positions: np.ndarray       # (m,) arc positions sampled
     x0_sums: np.ndarray         # (m,) height denominators per sample
     projections: np.ndarray     # (m, 2, 2) raw (x1, x2) projections of r1, r2
@@ -165,12 +164,13 @@ def transform_link_pair(
     p = common_perimeter(M1, M2)
     events = np.zeros(1)
     if include_vertices:
-        events = merged_vertex_positions(M1, M2, BREAKPOINT_MERGE_RTOL)[0]
+        events = merged_vertex_positions(M1, M2)[0]
     positions = _refine(events, p, max_step)
     r1 = sph_points_at(M1, positions)
     r2 = sph_points_at(M2, positions)
     w1, w2 = pogorelov_forward(r1, r2)
     return PogorelovImage(
+        events=events,
         positions=positions,
         x0_sums=r1[:, 0] + r2[:, 0],
         projections=np.stack([r1[:, 1:], r2[:, 1:]], axis=1),
@@ -217,7 +217,7 @@ def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
     """
     L1, L2 = K1.link, K2.link
     p = common_perimeter(L1, L2)
-    positions = merged_vertex_positions(L1, L2, COMBINE_MERGE_RTOL)[0]
+    positions = merged_vertex_positions(L1, L2)[0]
     ends = np.concatenate([positions[1:], [p]])
     check = np.concatenate([positions, 0.5 * (positions + ends)])
     sums = sph_points_at(L1, check) + sph_points_at(L2, check)
@@ -295,15 +295,15 @@ def position_and_combine(
     # the image samples drive the candidate search; image convexity is not
     # required because every candidate is certified on the sphere
     image = transform_link_pair(C1.link, C2.link, max_step=max_step)
+    # a rotation about x0 keeps arc positions, so the image's events are every
+    # candidate's merge in combine_cones, and too few of them fail them all
+    m = len(image.events)
+    if m < 3:
+        raise PositioningNotFound(f"only {m} correspondence breakpoints survive the merge")
     th1 = _image_directions(image.image1)
     th2 = _image_directions(image.image2)
     g = th1 - th2
     margins = alignment_margins(g, g)
-    # arc positions do not move under a rotation about x0, so a merge that
-    # leaves too few breakpoints fails every candidate in combine_cones
-    m = len(merged_vertex_positions(C1.link, C2.link, COMBINE_MERGE_RTOL)[0])
-    if m < 3:
-        raise PositioningNotFound(f"only {m} correspondence breakpoints survive the merge")
 
     tried = 0
     for j in np.nonzero(margins > MARGIN_EPS)[0]:

@@ -69,6 +69,10 @@ class AntipodalCorrespondence(GeometryError):
     """Corresponding spherical points are (nearly) antipodal; sum vanishes."""
 
 
+class LinkNotGenerated(GeometryError, RuntimeError):
+    """No random hull reaches the target link length within the attempt cap; a RuntimeError too."""
+
+
 class PositioningNotFound(GeometryError):
     """No rotation candidate yields a certified convex combined cone."""
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import PerimeterMismatch
 from .tolerances import (
+    BREAKPOINT_MERGE_RTOL,
     BRENT_RTOL,
     BRENT_XTOL,
     PARALLEL_EPS,
@@ -371,14 +372,14 @@ def merge_positions(pos: np.ndarray, period: float, tol: float) -> tuple[np.ndar
     return out, rows
 
 
-def merged_vertex_positions(a: ArcPolygon, b: ArcPolygon, rtol: float) -> tuple[np.ndarray, ...]:
+def merged_vertex_positions(a: ArcPolygon, b: ArcPolygon) -> tuple[np.ndarray, ...]:
     """Sorted union of both polygons' vertex arc positions plus the base
-    point 0, merged by :func:`merge_positions` at ``rtol`` times the first
-    perimeter, and the row each vertex of ``a`` and of ``b`` merged into."""
+    point 0, merged by :func:`merge_positions` at ``BREAKPOINT_MERGE_RTOL``
+    times the first perimeter, and the row each vertex of ``a`` and ``b`` merged into."""
     p = a.perimeter
     pos = np.concatenate([[0.0], a.vertex_positions(), b.vertex_positions()])
     order = np.argsort(pos, kind="stable")
-    out, sorted_rows = merge_positions(pos[order], p, rtol * p)
+    out, sorted_rows = merge_positions(pos[order], p, BREAKPOINT_MERGE_RTOL * p)
     rows = np.empty_like(sorted_rows)
     rows[order] = sorted_rows
     return out, rows[1:1 + a.n_vertices], rows[1 + a.n_vertices:]

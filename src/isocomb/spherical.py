@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
+from .errors import AntipodalEdge, DegenerateEdge, LinkNotGenerated, NotConvexSpherical, NotOnSphere
 from .geometry import (
     TAU,
     ArcPolygon,
@@ -209,14 +209,12 @@ def gnomonic(points: np.ndarray) -> np.ndarray:
 
 
 def gnomonic_inverse(w: np.ndarray) -> np.ndarray:
-    """Unit vectors over gnomonic plane coordinates."""
+    """Unit vectors (1, w) / |(1, w)| over gnomonic coordinates w, in any dimension."""
     w = np.asarray(w, dtype=float)
-    w1, w2 = w[:, 0], w[:, 1]
-    scale = 1.0 / np.sqrt(1.0 + (w1 * w1 + w2 * w2))
-    out = np.empty((len(w), 3))
+    scale = 1.0 / np.sqrt(1.0 + np.sum(w * w, axis=1))
+    out = np.empty((len(w), w.shape[1] + 1))
     out[:, 0] = scale
-    out[:, 1] = w1 * scale
-    out[:, 2] = w2 * scale
+    out[:, 1:] = w * scale[:, None]
     return out
 
 
@@ -259,7 +257,7 @@ def random_convex_link(
     scale is solved in [``LINK_SCALE_FLOOR``, 1] on the hull's closed-form
     perimeter, skipping a hull that brackets no root there, and lifted once.
     The builder's own perimeter must match ``target_length`` to
-    ``LINK_LENGTH_TOL``; raises ``RuntimeError`` if no hull does within
+    ``LINK_LENGTH_TOL``; raises ``LinkNotGenerated`` if no hull does within
     ``LINK_MAX_ATTEMPTS``.
     """
     if not 0.0 < target_length < LINK_TARGET_CEILING:
@@ -283,7 +281,7 @@ def random_convex_link(
         if abs(poly.perimeter - target_length) > LINK_LENGTH_TOL:
             continue
         return poly.with_base(rng.uniform(0.0, poly.perimeter))
-    raise RuntimeError(
+    raise LinkNotGenerated(
         f"could not generate a convex link of length {target_length} "
         f"after {LINK_MAX_ATTEMPTS} attempts"
     )

@@ -49,14 +49,14 @@ LINK_LENGTH_TOL = 1e-10         # rounding: |perimeter - target| of a generated 
 PERIMETER_RTOL = 1e-9           # rounding: relative perimeter difference of a pair of equal length
 MARGIN_EPS = 1e-9               # rounding: an alignment margin at or below this is a failure
 MARGIN_TIE_TOL = 1e-12          # rounding: margins this close tie; angles, so alike at any scale
-BREAKPOINT_MERGE_RTOL = 1e-12   # rounding: arc positions closer than this times the perimeter merge
+BREAKPOINT_MERGE_RTOL = 1e-12   # rounding: the one arc-position merge, plane and cone; = LENGTH_EPS_FACTOR,
+                                # so a polygon's own vertices merge only across an edge within rounding of it
 RELATIVE_TAU_FLOOR = 1e-3       # rounding: a bending step below this share of a chord is parallel
 BENDING_DENOM_FLOOR = 1e-300    # rounding: keeps the bending ratio of parallel segments from 0/0
 
 # cones and digons
 HEIGHT_EPS = 1e-6               # rounding: x0 floor of a transformed point and of a height sum
 IMAGE_COLLINEAR_EPS = 1e-9      # rounding: sampling-noise turn merged away in transformed images
-COMBINE_MERGE_RTOL = 1e-9       # rounding: relative merge of a cone combination's arc positions
 ANTIPODAL_EPS = 1e-9            # rounding: floor of |r1 + r2| in a cone combination
 DIGON_DEPTH_FLOOR = 1e-6        # rounding: least cut depth tried for the second digon
 DIGON_EDGE_FLOOR = 1e-11        # rounding: half the least edge tried, > LENGTH_EPS_FACTOR * 2*pi

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from isocomb.combination import VertexEvents
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
 from isocomb.geometry import (
     TAU,
     brent_root,
     circ_dist_many,
     merge_collinear,
+    merged_vertex_positions,
     norm_angle,
+    norm_angle_many,
     reduce_mod,
+    roll_next,
+    roll_prev,
 )
 from isocomb.planar import build_polygon
 from isocomb.spherical import (
@@ -343,6 +348,24 @@ def qhull_from_least(points):
     except QhullError:
         return None
     return np.roll(v, -min(range(len(v)), key=lambda i: tuple(points[v[i]])))
+
+
+def former_vertex_events(combined):
+    """vertex_events as it was before combine carried the merge's rows: it
+    merged the pair's vertex positions again and refused a combination
+    whose breakpoints differ from that merge."""
+    pair, bps = combined.pair, combined.breakpoints
+    merged, rows1, rows2 = merged_vertex_positions(pair.F1, pair.F2)
+    if not np.array_equal(merged, bps):
+        raise ValueError("vertex_events needs a combination on the merged breakpoints")
+    m = len(bps)
+    case = (np.bincount(rows1, minlength=m) > 0).astype(int) + (np.bincount(rows2, minlength=m) > 0)
+    beta1 = math.pi - np.bincount(rows1, weights=pair.F1.exterior_angles(), minlength=m)
+    beta2 = math.pi - np.bincount(rows2, weights=pair.F2.exterior_angles(), minlength=m)
+    chords = roll_next(combined.curve) - combined.curve
+    dirs = np.arctan2(chords[:, 1], chords[:, 0])
+    beta = np.where(case > 0, math.pi - norm_angle_many(dirs - roll_prev(dirs)), math.pi)
+    return VertexEvents(bps, case, beta1, beta2, beta)
 
 
 def former_random_convex_link(rng, target_length, n_points=24):

@@ -30,6 +30,7 @@ from isocomb.geometry import (
     Vec2,
     alignment_margins,
     apply_motion_many,
+    merged_vertex_positions,
     norm_angle,
     roll_next,
 )
@@ -46,6 +47,7 @@ from conftest import (
     assert_same_bits,
     circular_alignment_margins,
     dense_alignment_margins,
+    former_vertex_events,
     support_polygon,
     turning_function_directions,
 )
@@ -165,6 +167,52 @@ def test_self_pairs_based_at_vertices_and_their_float_neighbours(unit_square):
                 assert vertex_events(combined).law_error() <= VERTEX_ANGLE_TOL, base
 
 
+def _dense_pairs():
+    """Two 1000- and 2000-vertex support-function pairs, as drawn and aligned."""
+    for n, base_frac in ((1000, 0.37), (2000, 0.81)):
+        f1 = support_polygon(n, 1.0, {2: (0.1, 0.05), 3: (0.02, 0.0)})
+        f2 = support_polygon(n + 7, 1.0, {3: (0.05, 0.03), 5: (0.01, 0.0)}, base_frac=base_frac)
+        pair = make_pair(f1, dilate_to_perimeter(f2, f1.perimeter, (0.0, 0.0)))
+        yield from (pair, apply_alignment(pair, align(pair)))
+
+
+def test_vertex_events_on_the_carried_rows_equal_the_former_remerge(unit_square):
+    # combine keeps its merge's rows, and vertex_events reads them in place
+    # of merging the pair again: dense pairs, and self-pairs based at each
+    # vertex and one float to either side of it
+    pairs = list(_dense_pairs())
+    hull = random_convex_polygon(trial_rng(5, 0), 3, 30)
+    for poly in (unit_square, hull):
+        p = poly.perimeter
+        for s in poly.cum_lengths:
+            for base in (s, np.nextafter(s if s > 0.0 else p, 0.0), np.nextafter(s, p)):
+                pair = make_pair(poly, poly.with_base(float(base)))
+                pairs += [pair, apply_alignment(pair, align(pair))]
+    for pair in pairs:
+        combined = combine(pair)
+        got, want = vertex_events(combined), former_vertex_events(combined)
+        for name in ("s", "case", "beta1", "beta2", "beta"):
+            assert_same_bits(getattr(got, name), getattr(want, name), name)
+
+
+def test_a_planar_trial_merges_twice(monkeypatch):
+    # align merges the pair once, combine merges the aligned pair once and
+    # keeps the rows, and vertex_events merges nothing
+    merges = []
+
+    def counted(*args):
+        merges.append(args)
+        return merged_vertex_positions(*args)
+
+    monkeypatch.setattr(combination, "merged_vertex_positions", counted)
+    rng = trial_rng(7, 0)
+    f1 = random_convex_polygon(rng, 3, 30)
+    f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 30), f1.perimeter, (0, 0))
+    _, combined = combine_aligned(make_pair(f1, f2))
+    vertex_events(combined)
+    assert len(merges) == 2
+
+
 def test_vertex_events_square_vs_offset_rectangle(unit_square):
     pair = make_pair(unit_square, rect_0p5_by_1p5(base_s=0.25))
     result = align(pair)
@@ -262,12 +310,8 @@ def test_vertex_events_equal_loop_oracle(unit_square):
 
 
 def test_vertex_events_equal_loop_oracle_on_dense_pairs():
-    for n, base_frac in ((1000, 0.37), (2000, 0.81)):
-        f1 = support_polygon(n, 1.0, {2: (0.1, 0.05), 3: (0.02, 0.0)})
-        f2 = support_polygon(n + 7, 1.0, {3: (0.05, 0.03), 5: (0.01, 0.0)}, base_frac=base_frac)
-        pair = make_pair(f1, dilate_to_perimeter(f2, f1.perimeter, (0.0, 0.0)))
-        for p in (pair, apply_alignment(pair, align(pair))):
-            _assert_events_equal_loop(vertex_events(combine(p)), _vertex_events_loop(p))
+    for p in _dense_pairs():
+        _assert_events_equal_loop(vertex_events(combine(p)), _vertex_events_loop(p))
 
 
 def test_positive_margin_implies_convex_combination():

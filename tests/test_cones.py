@@ -49,7 +49,7 @@ from isocomb.spherical import (
     unit_rows,
 )
 from isocomb.suite import trial_rng
-from isocomb.tolerances import BREAKPOINT_MERGE_RTOL, HEIGHT_EPS, MARGIN_EPS
+from isocomb.tolerances import HEIGHT_EPS, MARGIN_EPS
 
 from conftest import (
     brent_outcomes,
@@ -134,6 +134,47 @@ def test_identity_check_randomized():
     assert worst <= 1e-12
 
 
+def _congruent_pairs(rng, n, count, floor=0.05):
+    """``count`` point pairs (a1, b1) of S^n and their images (a2, b2) under
+    random orthogonal maps of R^(n + 1), every height above ``floor``, as the
+    four (count, n + 1) arrays a1, b1, a2, b2.  A map whose first row meets
+    both points on its negative side is negated in that row."""
+    ab1 = rng.standard_normal((4 * count, 2, n + 1))
+    ab1 /= np.linalg.norm(ab1, axis=2, keepdims=True)
+    ab1[..., 0] = np.abs(ab1[..., 0])
+    ab2 = ab1 @ np.swapaxes(np.linalg.qr(rng.standard_normal((4 * count, n + 1, n + 1)))[0], 1, 2)
+    ab2[..., 0] *= np.sign(ab2[:, :1, 0])
+    keep = np.flatnonzero(np.minimum(ab1[..., 0], ab2[..., 0]).min(axis=1) > floor)[:count]
+    assert len(keep) == count
+    return np.concatenate([ab1[keep], ab2[keep]], axis=1).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_forward_keeps_the_chords_of_congruent_pairs_in_any_dimension(n):
+    # Pogorelov's identity in S^n: the squared image chords of a1, b1 and of
+    # a2, b2 differ by 2 (<a2, b2> - <a1, b1>) / (D_a D_b), with D the height
+    # sums, so congruent pairs map to equal chords.  The rotated pair carries
+    # the rotation's rounding, ~(n + 1) eps per coordinate, and the map
+    # divides by D, so a chord moves by a few (n + 1) eps / D
+    a1, b1, a2, b2 = _congruent_pairs(np.random.default_rng(n), n, 2000)
+    wa1, wa2 = pogorelov_forward(a1, a2)
+    wb1, wb2 = pogorelov_forward(b1, b2)
+    gap = np.abs(np.linalg.norm(wa1 - wb1, axis=1) - np.linalg.norm(wa2 - wb2, axis=1))
+    heights = np.minimum(a1[:, 0] + a2[:, 0], b1[:, 0] + b2[:, 0])
+    assert np.all(gap <= 8 * (n + 1) * EPS / heights)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_identity_check_holds_in_any_dimension(n):
+    # the inverse gnomonic route lifts the n-column image sum to S^n; the
+    # closed form divides by sqrt(2 (1 + <r1, r2>)) = |r1 + r2|, whose square
+    # is rounded by ~(n + 1) eps, so the routes part by ~(n + 1) eps / |r1 + r2|^2
+    a1, b1, a2, b2 = _congruent_pairs(np.random.default_rng(10 + n), n, 1000)
+    for r1, r2 in zip(np.concatenate([a1, b1]), np.concatenate([a2, b2])):
+        s2 = float(np.sum((r1 + r2) ** 2))
+        assert pogorelov_identity_check(r1, r2) <= 8 * (n + 1) * EPS / s2
+
+
 # -- link pair transform ---------------------------------------------------------
 
 def test_transform_identical_links_identical_images():
@@ -216,16 +257,17 @@ def test_transform_exact_discrete_isometry_with_events():
 
 
 def test_transform_samples_the_merged_events_unless_refined():
-    # the default samples are the merged events exactly; a perimeter/256
-    # grid adds only collinear samples, so both give the same image
-    # vertices, or the same refusal
+    # the default samples are the merged events exactly, and the image
+    # carries them; a perimeter/256 grid adds only collinear samples, so
+    # both give the same image vertices, or the same refusal
     rng = np.random.default_rng(9)
     for i in range(40):
         target = rng.uniform(0.5, TAU - 0.5)
         l1, l2 = random_convex_link(rng, target), random_convex_link(rng, target)
         image = transform_link_pair(l1, l2)
-        events = merged_vertex_positions(l1, l2, BREAKPOINT_MERGE_RTOL)[0]
+        events = merged_vertex_positions(l1, l2)[0]
         assert image.positions.tobytes() == events.tobytes(), i
+        assert image.events.tobytes() == events.tobytes(), i
         coarse = _outcome(image_polygons, image)
         fine = _outcome(image_polygons, transform_link_pair(l1, l2, max_step=l1.perimeter / 256))
         if isinstance(coarse, type):
@@ -713,31 +755,66 @@ def test_digons_near_zero_and_pi_end_typed_or_pass(angle):
 
 def test_thin_digon_ends_in_the_geometry_not_in_the_bracket():
     # the second digon's cut-depth bracket starts deep enough for a valid
-    # quadrilateral, so a 1e-9 pair reaches the positioning search (whose
-    # combined links collapse) and a 1e-9 digon against pi/3 certifies
+    # quadrilateral, so a 1e-9 pair reaches the positioning search; a digon
+    # combined with itself is that digon, so the self-pair certifies with
+    # no rotation and full margin, and each rung's combined link is its
+    # quadrilateral's perimeter and turnings; a 1e-9 digon against pi/3
+    # certifies too
     thin = make_digon(1e-9)
-    assert _outcome(combine_dihedral, thin, thin, [0.2, 0.1]) is PositioningNotFound
+    ladder = [0.2, 0.1]
+    report = combine_dihedral(thin, thin, ladder)
+    for eps, lv in zip(ladder, report.levels):
+        quad = truncate_digons(thin, thin, eps)[0]
+        assert lv.psi == 0.0 and lv.margin == math.pi, eps
+        assert lv.combined_link.perimeter == quad.perimeter, eps
+        assert np.sort(lv.combined_link.turning).tobytes() == np.sort(quad.turning).tobytes(), eps
+        _finite_certified(lv.combined_link)
     for a, b in ((thin, make_digon(math.pi / 3)), (make_digon(math.pi / 3), thin)):
-        report = combine_dihedral(a, b, [0.2, 0.1])
+        report = combine_dihedral(a, b, ladder)
         for lv in report.levels:
             assert lv.margin > 0
             _finite_certified(lv.combined_link)
 
 
 def test_positioning_stops_before_the_candidates_when_the_merge_collapses(monkeypatch):
-    # the 1e-9 quadrilaterals' merged arc positions leave fewer than 3
-    # breakpoints whatever the rotation, so no candidate is combined
+    # a merge that leaves fewer than 3 breakpoints does so whatever the
+    # rotation, so no candidate is combined; no validated pair at hand
+    # collapses at the one merge tolerance, so the merge is made to
     calls = []
 
     def counted(*args):
         calls.append(args)
         return combine_cones(*args)
 
+    def collapsed(a, b):
+        positions, rows_a, rows_b = merged_vertex_positions(a, b)
+        return positions[:2], np.minimum(rows_a, 1), np.minimum(rows_b, 1)
+
     monkeypatch.setattr(cones, "combine_cones", counted)
+    monkeypatch.setattr(cones, "merged_vertex_positions", collapsed)
     thin = make_digon(1e-9)
     with pytest.raises(PositioningNotFound, match="breakpoints survive the merge"):
         combine_dihedral(thin, thin, [0.2, 0.1])
     assert calls == []
+
+
+def test_positioning_merges_twice_for_one_candidate(monkeypatch):
+    # the transform merges once and carries its events; the pre-check
+    # reads them, and the one candidate's combine_cones merges once more
+    merges = []
+
+    def counted(*args):
+        merges.append(args)
+        return merged_vertex_positions(*args)
+
+    monkeypatch.setattr(cones, "merged_vertex_positions", counted)
+    # trial 0 of the default cone suite at seed 7
+    rng = trial_rng(7, 0)
+    target = rng.uniform(0.5, TAU - 0.5)
+    l1, l2 = (random_convex_link(rng, target, n_points=30) for _ in range(2))
+    report = position_and_combine(cone_from_link(l1), cone_from_link(l2))
+    assert report.candidates_tried == 1
+    assert len(merges) == 2
 
 
 @pytest.mark.parametrize("seed", range(12))

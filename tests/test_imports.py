@@ -1,7 +1,8 @@
 """Every module-level import of the package is used by its module, every
 module-level private function or class is used somewhere in the package,
 no module calls the numpy routines that the column helpers replace, only
-``geometry`` reads the snap rule's ``SNAP_FACTOR``, every tolerance is
+``geometry`` reads the snap rule's ``SNAP_FACTOR`` and the breakpoint
+merge's ``BREAKPOINT_MERGE_RTOL``, every tolerance is
 defined once, in ``tolerances``, and no module imports scipy, so no
 subcommand loads it: scipy is a test-only oracle."""
 
@@ -145,24 +146,27 @@ def test_module_calls_no_replaced_numpy_routine(module):
     assert replaced_numpy_calls((PACKAGE / module).read_text()) == []
 
 
-# geometry.ArcPolygon.locate owns the snap rule: every other module asks it
-# which edge a position is on, and none repeats the rule with SNAP_FACTOR;
-# the tolerance ledger defines it, and reads it no more than any other module
+# geometry owns the snap rule and the breakpoint merge: ArcPolygon.locate
+# is the one reader of SNAP_FACTOR, every other module asking it which edge
+# a position is on, and merged_vertex_positions the one reader of
+# BREAKPOINT_MERGE_RTOL, so plane and cone merge at one tolerance; the
+# tolerance ledger defines both, and reads them no more than any other module
 SNAP_OWNER = "geometry.py"
+OWNED_TOLERANCES = ("SNAP_FACTOR", "BREAKPOINT_MERGE_RTOL")
 LEDGER = "tolerances.py"
 
 
-def snap_factor_readers(sources: dict[str, str]) -> list[str]:
-    """Modules other than ``SNAP_OWNER`` that read ``SNAP_FACTOR`` as a
-    name, an attribute or an imported name, as ``module:line``; the
-    ``LEDGER``'s assignment to it is its definition, not a read."""
+def owned_name_readers(sources: dict[str, str], name: str) -> list[str]:
+    """Modules other than ``SNAP_OWNER`` that read ``name`` as a name, an
+    attribute or an imported name, as ``module:line``; the ``LEDGER``'s
+    assignment to it is its definition, not a read."""
     fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
     return [
         f"{module}:{n.lineno}"
         for module, source in sources.items()
         if module != SNAP_OWNER
         for n in ast.walk(ast.parse(source))
-        if type(n) in fields and getattr(n, fields[type(n)]) == "SNAP_FACTOR"
+        if type(n) in fields and getattr(n, fields[type(n)]) == name
         and not (module == LEDGER and isinstance(getattr(n, "ctx", None), ast.Store))
     ]
 
@@ -177,7 +181,7 @@ def test_snap_factor_readers_are_found():
         "d.py": "z = 'SNAP_FACTOR'\nfrom .geometry import TAU\n",
         "e.py": "from . import tolerances\nSNAP_FACTOR = tolerances.SNAP_FACTOR\n",
     }
-    assert snap_factor_readers(sources) == [
+    assert owned_name_readers(sources, "SNAP_FACTOR") == [
         "tolerances.py:2", "a.py:1", "b.py:2", "c.py:2", "e.py:2", "e.py:2",
     ]
 
@@ -185,8 +189,9 @@ def test_snap_factor_readers_are_found():
 def test_only_geometry_reads_snap_factor():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert SNAP_OWNER in sources and LEDGER in sources
-    assert "SNAP_FACTOR = " in sources[LEDGER]
-    assert snap_factor_readers(sources) == []
+    for name in OWNED_TOLERANCES:
+        assert f"{name} = " in sources[LEDGER], name
+        assert owned_name_readers(sources, name) == [], name
 
 
 # tolerances.py is the one table of stated tolerances: no other module

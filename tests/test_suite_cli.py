@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from isocomb import cli
-from isocomb.errors import AlignmentNotFound, EmptyInput, GeometryError, InvalidInput
+from isocomb.errors import AlignmentNotFound, EmptyInput, GeometryError, InvalidInput, LinkNotGenerated
 from isocomb.serialization import (
     dump_json,
     object_from_dict,
@@ -101,6 +101,17 @@ def test_cone_suite_refuses_targets_above_every_hull_at_validation():
     with pytest.raises(ValueError, match="target_link_length"):
         at.validate()
     SuiteConfig(trials=2, seed=1, target_link_length=(1.0, 6.2)).validate()
+
+
+def test_cone_suite_names_a_target_no_hull_of_its_points_reaches():
+    # below the cap circle, yet longer than any hull of 30 cap points the
+    # first 200 draws give: validation passes, and link generation raises
+    # its typed error, a GeometryError that is still a RuntimeError
+    config = SuiteConfig(trials=2, seed=1, target_link_length=(6.2, 6.23))
+    config.validate()
+    with pytest.raises(LinkNotGenerated, match="could not generate a convex link") as info:
+        run_cone_suite(config)
+    assert isinstance(info.value, GeometryError) and isinstance(info.value, RuntimeError)
 
 
 def test_cone_suite_runs_from_the_least_target_every_hull_brackets():
