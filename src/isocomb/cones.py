@@ -113,18 +113,21 @@ def pogorelov_identity_check(r1, r2) -> float:
     )
 
 
-def _refine(positions: np.ndarray, period: float, max_step: float) -> np.ndarray:
-    """Subdivide each gap (including the wraparound) to at most max_step.
+def _refine(positions: np.ndarray, period: float, max_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Subdivide each gap (including the wraparound) to at most max_step,
+    and give the row where each gap starts, which holds its start exactly.
 
     A gap of width w from a is cut into k = max(1, ceil(w / max_step))
-    pieces at a + w * j / k, j = 0..k-1.
+    pieces at a + w * j / k, j = 0..k-1.  An infinite step cuts nothing.
     """
+    if max_step == math.inf:
+        return positions, np.arange(len(positions))
     gaps = np.append(positions[1:], period) - positions
     counts = np.maximum(1, np.ceil(gaps / max_step).astype(np.int64))
     firsts = np.cumsum(counts) - counts
     k = np.repeat(counts, counts)
     j = np.arange(len(k)) - np.repeat(firsts, counts)
-    return np.repeat(positions, counts) + np.repeat(gaps, counts) * j / k
+    return np.repeat(positions, counts) + np.repeat(gaps, counts) * j / k, firsts
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +168,7 @@ def transform_link_pair(
     events = np.zeros(1)
     if include_vertices:
         events = merged_vertex_positions(M1, M2)[0]
-    positions = _refine(events, p, max_step)
+    positions = _refine(events, p, max_step)[0]
     r1 = sph_points_at(M1, positions)
     r2 = sph_points_at(M2, positions)
     w1, w2 = pogorelov_forward(r1, r2)
@@ -204,12 +207,39 @@ def segment_mismatch(image: PogorelovImage) -> float:
 
 # -- cone combination --------------------------------------------------------------
 
+def _combined_cone(r1: np.ndarray, r2: np.ndarray, at: np.ndarray) -> ConvexCone3:
+    """The cone over normalized r1 + r2, given both links' points at the m
+    merged events and then at the m midpoints between them (``at``)."""
+    sums = r1 + r2
+    norms = np.sqrt(dot3(sums, sums))
+    if norms.min() < ANTIPODAL_EPS:
+        raise AntipodalCorrespondence(
+            f"|r1 + r2| = {norms.min():.3e} at arc {at[int(np.argmin(norms))]!r}"
+        )
+    m = len(at) // 2
+    if m < 3:
+        raise DegenerateEdge(f"only {m} correspondence breakpoints survive the merge")
+    link = build_spherical_polygon(
+        sums[:m] / norms[:m, None], base_s=0.0, collinear_eps=IMAGE_COLLINEAR_EPS
+    )
+    return ConvexCone3(link)
+
+
+def _event_checks(events: np.ndarray, period: float) -> np.ndarray:
+    """The merged events followed by the midpoint of each gap after them;
+    the midpoints are checked for antipodal sums between events."""
+    ends = np.append(events[1:], period)
+    return np.concatenate([events, 0.5 * (events + ends)])
+
+
 def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
     """Isometric combination: the cone over normalized r1(s) + r2(s).
 
     Between correspondence events the summed generators stay in a fixed
     plane through the origin, so the combined link is again a geodesic
-    polygon with vertices exactly at the merged breakpoints.
+    polygon with vertices exactly at the merged breakpoints.  Merges the
+    links and evaluates both once; :func:`position_and_combine` builds its
+    candidates through the same private helper from points it already has.
 
     Raises:
         PerimeterMismatch, AntipodalCorrespondence, NotConvexSpherical,
@@ -217,22 +247,8 @@ def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
     """
     L1, L2 = K1.link, K2.link
     p = common_perimeter(L1, L2)
-    positions = merged_vertex_positions(L1, L2)[0]
-    ends = np.concatenate([positions[1:], [p]])
-    check = np.concatenate([positions, 0.5 * (positions + ends)])
-    sums = sph_points_at(L1, check) + sph_points_at(L2, check)
-    norms = np.sqrt(dot3(sums, sums))
-    if np.min(norms) < ANTIPODAL_EPS:
-        raise AntipodalCorrespondence(
-            f"|r1 + r2| = {norms.min():.3e} at arc {check[int(np.argmin(norms))]!r}"
-        )
-    m = len(positions)
-    if m < 3:
-        raise DegenerateEdge(f"only {m} correspondence breakpoints survive the merge")
-    link = build_spherical_polygon(
-        sums[:m] / norms[:m, None], base_s=0.0, collinear_eps=IMAGE_COLLINEAR_EPS
-    )
-    return ConvexCone3(link)
+    at = _event_checks(merged_vertex_positions(L1, L2)[0], p)
+    return _combined_cone(sph_points_at(L1, at), sph_points_at(L2, at), at)
 
 
 # -- positioning pipeline -----------------------------------------------------------
@@ -269,14 +285,20 @@ def position_and_combine(
 ) -> PositioningReport:
     """Rotate K1 about the x0-axis until the combination certifies convex.
 
-    Pipeline: centroid-normalize both cones; transform the link pair to the
-    plane (:func:`transform_link_pair`, passing ``max_step``); enumerate
-    candidate rotations from tangent matching at each sample (rotating the
-    first cone about x0 rotates its image rigidly and leaves the height sums
-    untouched); keep candidates whose planar semitangent margin is positive,
-    in increasing arc order; accept the first whose combined link passes the
-    spherical convexity and Gauss-Bonnet certificate.  Rotations carry a
-    link's validated data, so the combined link is the one built per candidate.
+    Pipeline: centroid-normalize both cones; merge their links' vertex
+    positions once, refine the events to gaps of at most ``max_step`` as
+    :func:`transform_link_pair` does, and evaluate each link once, at the
+    refined positions and the midpoints between events; map the rows at the
+    positions to the plane, the search image; enumerate candidate rotations
+    from tangent matching at each sample (rotating the first cone about x0
+    rotates its image rigidly and leaves the height sums untouched); keep
+    candidates whose planar semitangent margin is positive, in increasing
+    arc order; accept the first whose combined link passes the spherical
+    convexity and Gauss-Bonnet certificate.  A rotation about x0 commutes
+    with evaluation and keeps every arc position, so a candidate's combined
+    link is the first link's rows at the events and midpoints turned by psi
+    plus the second's, the rows :func:`combine_cones` would evaluate on the
+    rotated pair, and the rotated first link is built for the accepted one.
 
     Every margin comes from :func:`geometry.alignment_margins`: the gap
     between the unwrapped chord directions of the two images is periodic,
@@ -286,22 +308,37 @@ def position_and_combine(
     the same ``max_step`` is the search image with ``image1`` rotated by psi.
 
     Raises:
+        ValueError: ``max_step`` is not positive (NaN included).
+        NonPositiveHeight: a sampled point is at or below the height floor.
         PositioningNotFound: if no candidate certifies, or fewer than 3
             merged breakpoints leave none to try.
-        ValueError: ``max_step`` is not positive (NaN included).
     """
     C1 = normalize_cone(K1)
     C2 = normalize_cone(K2)
+    if not max_step > 0.0:
+        raise ValueError(f"max_step must be positive, got {max_step!r}")
+    p = common_perimeter(C1.link, C2.link)
+    events = merged_vertex_positions(C1.link, C2.link)[0]
+    m = len(events)
+    positions, firsts = _refine(events, p, max_step)
+    n = len(positions)
+    checks = _event_checks(events, p)
+    at = np.concatenate([positions, checks[m:]])
+    r1 = sph_points_at(C1.link, at)
+    r2 = sph_points_at(C2.link, at)
     # the image samples drive the candidate search; image convexity is not
     # required because every candidate is certified on the sphere
-    image = transform_link_pair(C1.link, C2.link, max_step=max_step)
-    # a rotation about x0 keeps arc positions, so the image's events are every
-    # candidate's merge in combine_cones, and too few of them fail them all
-    m = len(image.events)
+    w1, w2 = pogorelov_forward(r1[:n], r2[:n])
+    # a rotation about x0 keeps arc positions, so the events are every
+    # candidate's merge, and too few of them fail them all
     if m < 3:
         raise PositioningNotFound(f"only {m} correspondence breakpoints survive the merge")
-    th1 = _image_directions(image.image1)
-    th2 = _image_directions(image.image2)
+    # each candidate reads the rows at the checks: the first sample of each
+    # gap, which is its event, then the midpoints
+    rows = np.concatenate([firsts, np.arange(n, n + m)])
+    r1, r2 = r1[rows], r2[rows]
+    th1 = _image_directions(w1)
+    th2 = _image_directions(w2)
     g = th1 - th2
     margins = alignment_margins(g, g)
 
@@ -309,18 +346,17 @@ def position_and_combine(
     for j in np.nonzero(margins > MARGIN_EPS)[0]:
         tried += 1
         psi = norm_angle(float(th2[j] - th1[j]))
-        turned = unit_rows(rotate_about_x0_many(psi, C1.link.vertices))
-        rotated = ConvexCone3(replace(C1.link, vertices=turned))
         try:
-            combined = combine_cones(rotated, C2)
+            combined = _combined_cone(rotate_about_x0_many(psi, r1), r2, checks)
         except (NotConvexSpherical, AntipodalCorrespondence, DegenerateEdge, AntipodalEdge):
             continue
+        turned = unit_rows(rotate_about_x0_many(psi, C1.link.vertices))
         return PositioningReport(
             psi=psi,
-            sigma0=float(image.positions[j]),
+            sigma0=float(positions[j]),
             margin=float(margins[j]),
             combined=combined,
-            cone1=rotated,
+            cone1=ConvexCone3(replace(C1.link, vertices=turned)),
             cone2=C2,
             candidates_tried=tried,
         )

@@ -297,9 +297,9 @@ def merge_collinear(turns, lengths, base_s: float, eps: float, error, reflex: st
         error: a turn below ``-eps`` (message ``reflex``), a reversal, or
             fewer than 3 kept vertices.
     """
-    if np.any(turns < -eps):
+    if (turns < -eps).any():
         raise error(f"{reflex} {turns.min():.3e}")
-    if np.any(turns >= math.pi - REVERSAL_EPS):
+    if (turns >= math.pi - REVERSAL_EPS).any():
         raise error("degenerate reversal at a vertex")
     keep = np.abs(turns) > eps
     if keep.all():
@@ -307,7 +307,7 @@ def merge_collinear(turns, lengths, base_s: float, eps: float, error, reflex: st
     if keep.sum() < 3:
         raise error("fewer than 3 corners after collinear merge")
     first_kept = int(np.argmax(keep))
-    return keep, base_s - float(np.sum(lengths[:first_kept]))
+    return keep, base_s - float(lengths[:first_kept].sum())
 
 
 def circ_dist_many(a, b) -> np.ndarray:

@@ -59,9 +59,11 @@ def unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(dot3(v, v))[..., None]
 
 
-def _edge_lengths(verts: np.ndarray) -> np.ndarray:
+def _edge_lengths(verts: np.ndarray, cross: np.ndarray | None = None) -> np.ndarray:
+    """Geodesic length of each edge, from its v x w (``cross``) when given."""
     nxt = roll_next(verts)
-    cross = cross3(verts, nxt)
+    if cross is None:
+        cross = cross3(verts, nxt)
     return np.arctan2(np.sqrt(dot3(cross, cross)), dot3(verts, nxt))
 
 
@@ -70,10 +72,10 @@ def fan_area(verts: np.ndarray, nxt: np.ndarray, cross: np.ndarray, dots: np.nda
 
     ``nxt``, ``cross`` and ``dots`` are the builder's edge frame of ``verts``.
     """
-    apex = unit_rows(np.mean(verts, axis=0))
+    apex = unit_rows(verts.sum(axis=0) / len(verts))     # np.mean, bit for bit
     triple = dot3(cross, apex)
     denom = 1.0 + verts @ apex + dots + nxt @ apex
-    return float(np.sum(2.0 * np.arctan2(triple, denom)))
+    return float((2.0 * np.arctan2(triple, denom)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +110,12 @@ def build_spherical_polygon(
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 3:
         raise ValueError("expected at least 3 spherical vertices of shape (n, 3)")
-    if not np.all(np.isfinite(verts)):
+    if not np.isfinite(verts).all():
         raise ValueError("vertices must be finite")
     norms = np.sqrt(dot3(verts, verts))
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-        raise NotOnSphere(f"vertex norm off unity by {np.max(np.abs(norms - 1.0)):.3e}")
+    off = np.abs(norms - 1.0)
+    if (off > UNIT_NORM_TOL).any():
+        raise NotOnSphere(f"vertex norm off unity by {off.max():.3e}")
     verts = verts / norms[:, None]
 
     # one frame per pass: the edges to the next vertex, and each edge's normal
@@ -124,10 +127,10 @@ def build_spherical_polygon(
         cross = cross3(verts, nxt)
         dots = dot3(verts, nxt)
         lengths = np.arctan2(np.sqrt(dot3(cross, cross)), dots)
-        perimeter = float(np.sum(lengths))
-        if np.any((lengths > math.pi - ANTIPODAL_LENGTH_EPS) | (dots <= -1.0 + ANTIPODAL_DOT_EPS)):
+        perimeter = float(lengths.sum())
+        if ((lengths > math.pi - ANTIPODAL_LENGTH_EPS) | (dots <= -1.0 + ANTIPODAL_DOT_EPS)).any():
             raise AntipodalEdge("consecutive vertices are antipodal")
-        if perimeter <= 0.0 or np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
+        if perimeter <= 0.0 or (lengths < LENGTH_EPS_FACTOR * perimeter).any():
             raise DegenerateEdge("consecutive vertices coincide within tolerance")
         normal = cross3(verts, nxt - verts)
         arrive = roll_prev(normal)
@@ -143,7 +146,7 @@ def build_spherical_polygon(
     if perimeter >= TAU:
         raise NotConvexSpherical(f"link perimeter {perimeter:.12f} is not below 2*pi")
     area = fan_area(verts, nxt, cross, dots)
-    residual = abs(float(np.sum(turns)) + area - TAU)
+    residual = abs(float(turns.sum()) + area - TAU)
     if residual > GAUSS_BONNET_TOL:
         raise NotConvexSpherical(f"Gauss-Bonnet residual {residual:.3e}")
     if not 0.0 < area < TAU:
@@ -188,8 +191,8 @@ def centroid_direction(poly: SphericalPolygon) -> np.ndarray:
     floor is relative to the perimeter.
     """
     a = poly.vertices
-    normals = unit_rows(cross3(a, roll_next(a)))
-    c = 0.5 * np.sum(_edge_lengths(a)[:, None] * normals, axis=0)
+    cross = cross3(a, roll_next(a))
+    c = 0.5 * (_edge_lengths(a, cross)[:, None] * unit_rows(cross)).sum(axis=0)
     n = np.linalg.norm(c)
     if n < CENTROID_NORM_FLOOR * poly.perimeter:
         raise NotConvexSpherical("degenerate centroid direction")

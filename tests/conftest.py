@@ -414,6 +414,55 @@ def former_sph_points_at(poly, ss):
     return out
 
 
+def former_position_and_combine(K1, K2, max_step=math.inf):
+    """``cones.position_and_combine`` before it evaluated each link once: the
+    search image came from ``transform_link_pair``, and each candidate built
+    the rotated first cone and passed it to ``combine_cones``, which merged
+    and evaluated both links again."""
+    from dataclasses import replace
+
+    from isocomb import cones
+    from isocomb.errors import AntipodalCorrespondence, PositioningNotFound
+    from isocomb.geometry import alignment_margins, rotate_about_x0_many
+    from isocomb.spherical import unit_rows
+    from isocomb.tolerances import MARGIN_EPS
+
+    C1 = cones.normalize_cone(K1)
+    C2 = cones.normalize_cone(K2)
+    image = cones.transform_link_pair(C1.link, C2.link, max_step=max_step)
+    m = len(image.events)
+    if m < 3:
+        raise PositioningNotFound(f"only {m} correspondence breakpoints survive the merge")
+    th1 = cones._image_directions(image.image1)
+    th2 = cones._image_directions(image.image2)
+    g = th1 - th2
+    margins = alignment_margins(g, g)
+
+    tried = 0
+    for j in np.nonzero(margins > MARGIN_EPS)[0]:
+        tried += 1
+        psi = norm_angle(float(th2[j] - th1[j]))
+        turned = unit_rows(rotate_about_x0_many(psi, C1.link.vertices))
+        rotated = cones.ConvexCone3(replace(C1.link, vertices=turned))
+        try:
+            combined = cones.combine_cones(rotated, C2)
+        except (NotConvexSpherical, AntipodalCorrespondence, DegenerateEdge, AntipodalEdge):
+            continue
+        return cones.PositioningReport(
+            psi=psi,
+            sigma0=float(image.positions[j]),
+            margin=float(margins[j]),
+            combined=combined,
+            cone1=rotated,
+            cone2=C2,
+            candidates_tried=tried,
+        )
+    raise PositioningNotFound(
+        f"no certified candidate among {tried} with margin > {MARGIN_EPS} "
+        f"(best margin {margins.max():.3e})"
+    )
+
+
 # -- the digon ladder's distance: the matrix route it replaced, and its oracle ------
 
 def former_link_hausdorff(a, b, n=1024):

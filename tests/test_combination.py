@@ -596,6 +596,52 @@ def test_align_invariant_under_a_rigid_motion_of_the_second_curve(index, max_poi
 
 
 @PROPERTY_SETTINGS
+@given(index=indices, max_points=point_counts, theta=st.floats(0.0, TAU),
+       shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+def test_combined_angles_invariant_under_a_rigid_motion_of_the_second_curve(
+        index, max_points, theta, shift):
+    # The alignment undoes the motion, so the combined curve F1 + M(F2) is
+    # the same curve up to rounding, and so are its sorted interior angles.
+    # With R, l, n and the sigma0 bound as in the test above: the rotation
+    # rho is one gap, off by d_rho = 24 eps R / l + 4 pi n eps (half a
+    # margin's bound), and it turns F2 about its point at sigma0, which is
+    # at most p / 2 away along the curve, so a moved point is off by
+    # d_rho p / 2; the breakpoints, which both curves are evaluated at,
+    # move by the sigma0 bound n eps (12 R + 2 p), and a unit-speed point
+    # with them; the translation and the sum round by 8 eps R.  A combined
+    # point is then off by dc, a chord's direction by 2 dc / L, for L the
+    # shortest combined chord, and an interior angle, between two chords,
+    # by 4 dc / L.  Over 3,000 pairs the worst move was 0.003 of this
+    # bound (2.4e-11).  A near-tie that picks another candidate combines
+    # elsewhere, and only its margin is compared.
+    f1, f2 = _trial_pair(index, max_points)
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    moved = build_polygon(f2.vertices @ rot.T + np.array(shift), base_s=f2.base_s)
+    outcomes = []
+    for pair in (make_pair(f1, f2), make_pair(f1, moved)):
+        try:
+            outcomes.append(combine_aligned(pair))
+        except AlignmentNotFound:
+            outcomes.append((None, None))
+    (ra, ca), (rb, cb) = outcomes
+    big = max(float(np.max(np.abs(f2.vertices))), float(np.max(np.abs(moved.vertices))), *map(abs, shift))
+    n, p, l = f2.n_vertices, f1.perimeter, _shortest_edge(f2, moved)
+    d_rho = EPS * (24 * big / l + 4 * math.pi * n)
+    sigma0_bound = n * EPS * (12 * big + 2 * p)
+    _assert_same_alignment(make_pair(f1, f2), ra, rb, lambda s: s, 2 * d_rho, sigma0_bound)
+    apart = 0.0 if ra is None else (rb.sigma0 - ra.sigma0) % p
+    if ra is None or min(apart, p - apart) > sigma0_bound:
+        return
+    dc = d_rho * p / 2 + sigma0_bound + 8 * EPS * big
+    pts = _dedup_closed(ca.curve)
+    chords = roll_next(pts) - pts
+    shortest = float(np.min(np.hypot(chords[:, 0], chords[:, 1])))
+    ia, ib = np.sort(ca.certificate.interior_angles), np.sort(cb.certificate.interior_angles)
+    assert len(ia) == len(ib)
+    assert np.max(np.abs(ia - ib)) <= 4 * dc / shortest
+
+
+@PROPERTY_SETTINGS
 @given(index=indices, max_points=point_counts, share=st.floats(0.0, 1.0))
 def test_align_invariant_under_a_common_base_shift(index, max_points, share):
     # Both curves keep their bits: only the running sums of exterior angles

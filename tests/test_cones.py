@@ -57,6 +57,7 @@ from conftest import (
     edge_distance_hausdorff,
     ellipse_link_vertices,
     former_link_hausdorff,
+    former_position_and_combine,
     loop_refine,
     random_rotation,
     ring_vertices,
@@ -241,8 +242,9 @@ def test_refine_equals_per_gap_loop_bit_for_bit():
             positions = np.unique(np.floor(positions / period * 8)) * (period / 8)
         max_step = period / float(rng.choice([1, 7, 256, 1024, rng.uniform(1.0, 300.0)]))
         want = loop_refine(positions, period, max_step)
-        got = cones._refine(positions, period, max_step)
+        got, firsts = cones._refine(positions, period, max_step)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got[firsts].tobytes() == positions.tobytes()
 
 
 def test_transform_exact_discrete_isometry_with_events():
@@ -450,13 +452,15 @@ def test_positioning_falls_back_to_the_next_candidate(monkeypatch):
     assert first.candidates_tried == 1
     calls = []
 
+    real = cones._combined_cone
+
     def fail_first(*args):
         calls.append(args)
         if len(calls) == 1:
             raise NotConvexSpherical("rejected on purpose")
-        return combine_cones(*args)
+        return real(*args)
 
-    monkeypatch.setattr(cones, "combine_cones", fail_first)
+    monkeypatch.setattr(cones, "_combined_cone", fail_first)
     report = position_and_combine(k1, k2)
     assert report.candidates_tried == 2 and len(calls) == 2
     assert report.sigma0 != first.sigma0
@@ -473,7 +477,7 @@ def test_positioning_not_found_names_every_candidate_tried(monkeypatch):
         raise NotConvexSpherical("rejected on purpose")
 
     n = _positive_margins(k1, k2)
-    monkeypatch.setattr(cones, "combine_cones", fail_all)
+    monkeypatch.setattr(cones, "_combined_cone", fail_all)
     with pytest.raises(PositioningNotFound, match=f"among {n} with margin"):
         position_and_combine(k1, k2)
     assert n > 1 and len(calls) == n
@@ -781,16 +785,17 @@ def test_positioning_stops_before_the_candidates_when_the_merge_collapses(monkey
     # rotation, so no candidate is combined; no validated pair at hand
     # collapses at the one merge tolerance, so the merge is made to
     calls = []
+    real = cones._combined_cone
 
     def counted(*args):
         calls.append(args)
-        return combine_cones(*args)
+        return real(*args)
 
     def collapsed(a, b):
         positions, rows_a, rows_b = merged_vertex_positions(a, b)
         return positions[:2], np.minimum(rows_a, 1), np.minimum(rows_b, 1)
 
-    monkeypatch.setattr(cones, "combine_cones", counted)
+    monkeypatch.setattr(cones, "_combined_cone", counted)
     monkeypatch.setattr(cones, "merged_vertex_positions", collapsed)
     thin = make_digon(1e-9)
     with pytest.raises(PositioningNotFound, match="breakpoints survive the merge"):
@@ -798,23 +803,95 @@ def test_positioning_stops_before_the_candidates_when_the_merge_collapses(monkey
     assert calls == []
 
 
-def test_positioning_merges_twice_for_one_candidate(monkeypatch):
-    # the transform merges once and carries its events; the pre-check
-    # reads them, and the one candidate's combine_cones merges once more
-    merges = []
+def test_positioning_merges_once_and_evaluates_each_link_once(monkeypatch):
+    # one merge gives the events; each link is evaluated once, at the
+    # samples and the midpoints, and the one candidate's combined link is
+    # built from those rows: no second merge, no second evaluation
+    merges, evaluations = [], []
 
-    def counted(*args):
+    def counted_merge(*args):
         merges.append(args)
         return merged_vertex_positions(*args)
 
-    monkeypatch.setattr(cones, "merged_vertex_positions", counted)
-    # trial 0 of the default cone suite at seed 7
-    rng = trial_rng(7, 0)
-    target = rng.uniform(0.5, TAU - 0.5)
-    l1, l2 = (random_convex_link(rng, target, n_points=30) for _ in range(2))
-    report = position_and_combine(cone_from_link(l1), cone_from_link(l2))
+    def counted_points(*args):
+        evaluations.append(args)
+        return sph_points_at(*args)
+
+    monkeypatch.setattr(cones, "merged_vertex_positions", counted_merge)
+    monkeypatch.setattr(cones, "sph_points_at", counted_points)
+    k1, k2 = _cone_suite_pair(7, 0)
+    report = position_and_combine(k1, k2)
     assert report.candidates_tried == 1
-    assert len(merges) == 2
+    assert len(merges) == 1 and len(evaluations) == 2
+
+
+def _differential_pairs():
+    """Cone pairs with their steps: 150 suite pairs at each of seeds 7 and
+    42, dense-pairs-style pairs refined to a 4096th of the perimeter, and
+    the default digon rungs (pi/3 against pi/2)."""
+    for seed in (7, 42):
+        for i in range(150):
+            yield (*_cone_suite_pair(seed, i), math.inf)
+    rng = np.random.default_rng(4096)
+    for _ in range(8):
+        target = rng.uniform(0.5, TAU - 0.5)
+        l1, l2 = random_convex_link(rng, target), random_convex_link(rng, target)
+        yield cone_from_link(l1), cone_from_link(l2), l1.perimeter / 4096
+    for eps in DEFAULT_LADDER:
+        q1, q2, _ = truncate_digons(make_digon(math.pi / 3), make_digon(math.pi / 2), eps)
+        yield cone_from_link(q1), cone_from_link(q2), math.inf
+
+
+def test_positioning_equals_the_former_route():
+    # The search image is the former transform's, row for row, so psi,
+    # sigma0, margin and the candidates tried are equal bit for bit, and so
+    # is the rotated first link.  A combined vertex normalizes r1 turned by
+    # psi plus r2: the former route turned the vertices and interpolated, the
+    # new one interpolates and turns, each rounding a coordinate by about
+    # eps, so the vertices agree within 2 eps.  With every coordinate off by
+    # at most d = 2 eps, an edge chord w - v moves by 2 sqrt(3) d and its
+    # direction by 2 sqrt(3) d / l, for l the shortest edge; an edge normal
+    # v x (w - v) moves in direction by sqrt(3) d plus that, and a turning,
+    # the angle between two normals, by 2 sqrt(3) d (1 + 2 / l).  Each build
+    # also rounds the short chord w - v of its own normals by eps / l, which
+    # adds 4 eps / l: 8 eps + 32 eps / l covers both.  The worst measured
+    # was 1.3 eps / l.
+    moved = 0
+    for k1, k2, max_step in _differential_pairs():
+        a = position_and_combine(k1, k2, max_step=max_step)
+        b = former_position_and_combine(k1, k2, max_step=max_step)
+        assert (a.psi, a.sigma0, a.margin, a.candidates_tried) == (
+            b.psi, b.sigma0, b.margin, b.candidates_tried
+        )
+        assert a.cone1.link.vertices.tobytes() == b.cone1.link.vertices.tobytes()
+        la, lb = a.combined.link, b.combined.link
+        assert la.n_vertices == lb.n_vertices
+        assert np.max(np.abs(la.vertices - lb.vertices)) <= 2 * EPS
+        l_min = float(np.min(la.edge_ends() - la.cum_lengths))
+        assert np.max(np.abs(la.turning - lb.turning)) <= EPS * (8 + 32 / l_min)
+        moved += la.vertices.tobytes() != lb.vertices.tobytes()
+    assert moved > 0
+
+
+def test_positioning_raises_in_the_former_order(monkeypatch):
+    # the step is refused first, then a sample below the height floor, then
+    # too few events: a ring of vertices just below the floor, whose merge
+    # is made to collapse to its base point and first vertex
+    ring, _ = _low_vertex_links(HEIGHT_EPS * (1.0 - 1e-3))
+    k = cone_from_link(ring)
+
+    def collapsed(a, b):
+        positions, rows_a, rows_b = merged_vertex_positions(a, b)
+        return positions[:2], np.minimum(rows_a, 1), np.minimum(rows_b, 1)
+
+    monkeypatch.setattr(cones, "merged_vertex_positions", collapsed)
+    for route in (position_and_combine, former_position_and_combine):
+        with pytest.raises(ValueError, match="max_step"):
+            route(k, k, max_step=0.0)
+        with pytest.raises(NonPositiveHeight):
+            route(k, k)
+        with pytest.raises(PositioningNotFound, match="only 2 correspondence"):
+            route(*_cone_suite_pair(7, 0))
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -136,9 +136,14 @@ def test_cone_suite_runs_from_the_least_target_every_hull_brackets():
 # solve moved to the closed-form perimeter of the gnomonic hull, which moved
 # the links' vertices (inputs_digest) and the same fields by rounding; and
 # when the turnings came from edge normals, which moved only min_turning and
-# gauss_bonnet_residual.  A refactor that keeps every output bit keeps them.
+# gauss_bonnet_residual; and when a positioning evaluated each link once and
+# turned the points by psi, not the vertices, which moved the combined
+# vertices by an eps and so min_turning, gauss_bonnet_residual and
+# combined_perimeter (tools/report_diff.py over 10,000 trials at seeds 7 and
+# 42: no passed flip, psi, sigma0 and margin unmoved).  A refactor that
+# keeps every output bit keeps them.
 PLANAR_SEED42_REPORT_SHA256 = "dd8d95d370c830cb4d04d63aefe698e466eb1b9fc1bdcc14ed63ec84c69e4b32"
-CONE_SEED7_REPORT_SHA256 = "5399760b4aac346c1581a82e69ff3c8abd2fb312718cc52e5783eb5e49c889cf"
+CONE_SEED7_REPORT_SHA256 = "ca0e2c037fe32359d180ee96dff1a941881d0b9168eb0b22d81814857cf5d27d"
 
 
 def test_suite_reports_are_byte_identical(tmp_path):
@@ -157,8 +162,10 @@ def test_suite_reports_are_byte_identical(tmp_path):
 # hausdorff fields (0.103725, 0.052113, 0.026067 -> 0.103691, 0.051910,
 # 0.025969), and again when the turnings came from edge normals, which
 # moved only min_turning and gauss_bonnet_residual; every other field is the
-# parent's bit for bit
-DIGON_DEFAULT_LADDER_SHA256 = "cbe36d43f6e21f3402c5be0ede03dbb20e5161386ef4eab5627d194e3ee757a4"
+# parent's bit for bit; and again when a positioning evaluated each link once,
+# which moved 6 of 72 combined vertex coordinates by <= 2.8e-17 and one
+# min_turning by 5.6e-17
+DIGON_DEFAULT_LADDER_SHA256 = "637b4648eae748538f65b57da609e1391df6bc6633f4d992c24701b602e459e5"
 
 
 def test_digon_output_is_byte_identical(tmp_path):
