@@ -141,14 +141,14 @@ def combine(pair: MarkedPair) -> CombinedCurve:
 def semitangent_condition(pair: MarkedPair) -> Angle:
     """Margin pi - max angle between corresponding right semitangents.
 
-    The angle is taken in (-pi, pi] at the base point and followed from
+    The angle is taken in (-pi, pi] on the first piece and followed from
     there through the real change g(s) - g(0) of the unwrapped tangent gap
-    g = phi1 - phi2, never reduced modulo 2*pi, so a gap that swings
-    through pi makes the margin nonpositive.  Scanned over all merged
-    breakpoints plus mid-piece samples; positive exactly when the
-    convexity hypothesis of the combination holds.
+    g = phi1 - phi2 (:func:`_row_gaps`, one value per merged piece), never
+    reduced modulo 2*pi, so a gap that swings through pi makes the margin
+    nonpositive; positive exactly when the convexity hypothesis of the
+    combination holds.
     """
-    _, g = _scanned_gap(pair)
+    _, g = _row_gaps(pair)
     angles = g - g[0] + norm_angle(float(g[0]))
     return math.pi - float(np.max(np.abs(angles)))
 
@@ -209,60 +209,49 @@ class AlignmentResult:
     margin: Angle
 
 
-def _unwrapped_direction_values(poly: PlanarPolygon, scan: np.ndarray, offset: float) -> np.ndarray:
-    """Unwrapped right-semitangent direction at each scan position.
-
-    ``scan[0]`` is the base point, whose located edge is the base edge.
-    Each value is the base edge's direction plus the exterior turns from
-    the base edge on to the located edge.  A position on the base edge
-    past half the perimeter has come round the curve and counts the full
-    turn, since no edge of a closed convex polygon spans half of it.
-    """
-    idx, _ = poly.locate(scan)
-    k = int(idx[0]) + 1
-    ext = poly.exterior_angles()
-    turns = np.cumsum(np.concatenate([ext[k:], ext[:k]]))   # turns[i - k] on reaching edge i
-    before = (idx == k - 1) & (scan < 0.5 * poly.perimeter)
-    return norm_angle(float(poly.edge_dirs[k - 1])) + offset + np.where(before, 0.0, turns[idx - k])
+def _row_directions(poly: PlanarPolygon, bps: np.ndarray, rows: np.ndarray, offset: float) -> np.ndarray:
+    """Unwrapped right-semitangent direction of ``poly``, plus ``offset``,
+    over the piece from each merged breakpoint: its direction over piece 0
+    (read mid-piece; no convex edge spans half the curve, so there are two
+    pieces at least) plus the exterior angles of its vertices merged into
+    rows 1..r, the per-row sums :func:`vertex_events` reads."""
+    turns = np.bincount(rows, weights=poly.exterior_angles(), minlength=len(bps))
+    turns[0] = 0.0
+    (i,), _ = poly.locate([0.5 * bps[1]])
+    return norm_angle(float(poly.edge_dirs[i])) + offset + np.cumsum(turns)
 
 
-def _scanned_gap(pair: MarkedPair) -> tuple[np.ndarray, np.ndarray]:
+def _row_gaps(pair: MarkedPair) -> tuple[np.ndarray, np.ndarray]:
     """Merged breakpoints, and the gap g = phi1 - phi2 of unwrapped right
-    semitangents at them followed by mid-piece samples (which close merge
-    gaps)."""
-    bps = merged_breakpoints(pair)
-    ends = np.concatenate([bps[1:], [pair.F1.perimeter]])
-    scan = np.concatenate([bps, 0.5 * (bps + ends)])
-    g_scan = _unwrapped_direction_values(pair.F1, scan, 0.0) - _unwrapped_direction_values(
-        pair.F2, scan, pair.motion.rotation
-    )
-    return bps, g_scan
+    semitangents over the piece that starts at each, F2's turned by the
+    pair's motion."""
+    bps, rows1, rows2 = merged_vertex_positions(pair.F1, pair.F2)
+    phi1 = _row_directions(pair.F1, bps, rows1, 0.0)
+    return bps, phi1 - _row_directions(pair.F2, bps, rows2, pair.motion.rotation)
 
 
 def align(pair: MarkedPair) -> AlignmentResult:
     """Find a base shift sigma0 and a motion giving a positive margin.
 
-    The step function g(s) = phi1(s) - phi2(s) of unwrapped tangent
-    directions changes only at breakpoints, so every attained value is
-    realized at one; each breakpoint is a candidate base.  Aligning at
-    sigma0 turns the gap at s into the real difference g(s) - g(sigma0),
-    which must stay inside (-pi, pi), and the candidate maximizing the
-    worst-case margin wins (ties, within ``MARGIN_TIE_TOL`` rad: smallest
-    sigma0).  The returned motion maps P2(sigma0) onto P1(sigma0) with the
-    right semitangents identified.
+    The gap g = phi1 - phi2 of unwrapped tangent directions is constant on
+    each piece between merged breakpoints (:func:`_row_gaps`), so every
+    value it attains is a row's, and each breakpoint is a candidate base.
+    Aligning at sigma0 turns the gap at s into the real difference g(s) -
+    g(sigma0), which must stay inside (-pi, pi), and the candidate
+    maximizing the worst-case margin wins (ties, within ``MARGIN_TIE_TOL``
+    rad: smallest sigma0).  The returned motion maps P2(sigma0) onto
+    P1(sigma0) with the right semitangents identified.
 
-    g is periodic, since both curves turn by 2*pi, so the scanned values
-    are all the gaps any candidate sees, and the worst one is at the
-    largest or the smallest of them: every margin comes from that range in
-    O(m) time and memory (:func:`geometry.alignment_margins`), with no
-    m x m gap matrix.
+    g is periodic, since both curves turn by 2*pi, so the row gaps are all
+    the gaps any candidate sees, and the worst one is at the largest or the
+    smallest of them: every margin comes from that range in O(m) time and
+    memory (:func:`geometry.alignment_margins`), with no m x m gap matrix.
 
     Raises:
         AlignmentNotFound: if the best margin is at or below ``MARGIN_EPS`` rad.
     """
-    bps, g_scan = _scanned_gap(pair)
-    g = g_scan[: len(bps)]
-    margins = alignment_margins(g_scan, g)
+    bps, g = _row_gaps(pair)
+    margins = alignment_margins(g)
     j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))   # smallest tied sigma0
     margin = float(margins[j])
     if margin <= MARGIN_EPS:
@@ -270,8 +259,8 @@ def align(pair: MarkedPair) -> AlignmentResult:
             f"best margin {margin:.3e} rad at sigma0={bps[j]!r} is not positive"
         )
     sigma0 = float(bps[j])
-    # the rotation comes from the scanned g value itself, so it is
-    # right-continuous at sigma0 by construction
+    # the rotation is the gap over the piece from sigma0 on, so it matches
+    # the right semitangents there
     rho = norm_angle(float(g[j]))
     p1 = point_at(pair.F1, sigma0)
     p2 = apply_motion(pair.motion, point_at(pair.F2, sigma0))

@@ -113,17 +113,24 @@ def pogorelov_identity_check(r1, r2) -> float:
     )
 
 
+MAX_SAMPLES = 2**20    # most positions a link is sampled at in one call, far above any grid in use
+
+
 def _refine(positions: np.ndarray, period: float, max_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Subdivide each gap (including the wraparound) to at most max_step,
     and give the row where each gap starts, which holds its start exactly.
 
     A gap of width w from a is cut into k = max(1, ceil(w / max_step))
-    pieces at a + w * j / k, j = 0..k-1.  An infinite step cuts nothing.
+    pieces at a + w * j / k, j = 0..k-1.  An infinite step cuts nothing;
+    one asking for more than ``MAX_SAMPLES`` pieces raises ValueError.
     """
     if max_step == math.inf:
         return positions, np.arange(len(positions))
     gaps = np.append(positions[1:], period) - positions
-    counts = np.maximum(1, np.ceil(gaps / max_step).astype(np.int64))
+    counts = np.maximum(1.0, np.ceil(gaps / max_step))   # floats: no cast overflows
+    if counts.sum() > MAX_SAMPLES:
+        raise ValueError(f"max_step {max_step!r} asks for more than MAX_SAMPLES = {MAX_SAMPLES} samples")
+    counts = counts.astype(np.int64)
     firsts = np.cumsum(counts) - counts
     k = np.repeat(counts, counts)
     j = np.arange(len(k)) - np.repeat(firsts, counts)
@@ -140,6 +147,27 @@ class PogorelovImage:
     projections: np.ndarray     # (m, 2, 2) raw (x1, x2) projections of r1, r2
     image1: np.ndarray          # (m, 2) transformed samples of M1
     image2: np.ndarray          # (m, 2) transformed samples of M2
+
+
+def _sample_links(L1: SphericalPolygon, L2: SphericalPolygon, max_step: float,
+                  include_vertices: bool = True, midpoints: bool = False) -> tuple[np.ndarray, ...]:
+    """Both links evaluated once: the events (their merged vertex positions,
+    or the base point alone), the positions (the events refined by
+    :func:`_refine`, then with ``midpoints`` the midpoint of each gap after
+    an event), each event's row among them, and each link's points there.
+
+    Raises:
+        ValueError: ``max_step`` is not positive (NaN included) or too small.
+        PerimeterMismatch
+    """
+    if not max_step > 0.0:
+        raise ValueError(f"max_step must be positive, got {max_step!r}")
+    p = common_perimeter(L1, L2)
+    events = merged_vertex_positions(L1, L2)[0] if include_vertices else np.zeros(1)
+    at, firsts = _refine(events, p, max_step)
+    if midpoints:
+        at = np.concatenate([at, 0.5 * (events + np.append(events[1:], p))])
+    return events, at, firsts, sph_points_at(L1, at), sph_points_at(L2, at)
 
 
 def transform_link_pair(
@@ -160,17 +188,10 @@ def transform_link_pair(
 
     Raises:
         PerimeterMismatch, NonPositiveHeight,
-        ValueError: ``max_step`` is not positive (NaN included).
+        ValueError: ``max_step`` is not positive (NaN included) or asks
+            for more than ``MAX_SAMPLES`` samples.
     """
-    if not max_step > 0.0:
-        raise ValueError(f"max_step must be positive, got {max_step!r}")
-    p = common_perimeter(M1, M2)
-    events = np.zeros(1)
-    if include_vertices:
-        events = merged_vertex_positions(M1, M2)[0]
-    positions = _refine(events, p, max_step)[0]
-    r1 = sph_points_at(M1, positions)
-    r2 = sph_points_at(M2, positions)
+    events, positions, _, r1, r2 = _sample_links(M1, M2, max_step, include_vertices)
     w1, w2 = pogorelov_forward(r1, r2)
     return PogorelovImage(
         events=events,
@@ -225,19 +246,13 @@ def _combined_cone(r1: np.ndarray, r2: np.ndarray, at: np.ndarray) -> ConvexCone
     return ConvexCone3(link)
 
 
-def _event_checks(events: np.ndarray, period: float) -> np.ndarray:
-    """The merged events followed by the midpoint of each gap after them;
-    the midpoints are checked for antipodal sums between events."""
-    ends = np.append(events[1:], period)
-    return np.concatenate([events, 0.5 * (events + ends)])
-
-
 def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
     """Isometric combination: the cone over normalized r1(s) + r2(s).
 
     Between correspondence events the summed generators stay in a fixed
     plane through the origin, so the combined link is again a geodesic
-    polygon with vertices exactly at the merged breakpoints.  Merges the
+    polygon with vertices exactly at the merged breakpoints, and the
+    midpoints between them are checked for antipodal sums.  Merges the
     links and evaluates both once; :func:`position_and_combine` builds its
     candidates through the same private helper from points it already has.
 
@@ -245,10 +260,8 @@ def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
         PerimeterMismatch, AntipodalCorrespondence, NotConvexSpherical,
         DegenerateEdge: fewer than 3 breakpoints survive the merge
     """
-    L1, L2 = K1.link, K2.link
-    p = common_perimeter(L1, L2)
-    at = _event_checks(merged_vertex_positions(L1, L2)[0], p)
-    return _combined_cone(sph_points_at(L1, at), sph_points_at(L2, at), at)
+    _, at, _, r1, r2 = _sample_links(K1.link, K2.link, math.inf, midpoints=True)
+    return _combined_cone(r1, r2, at)
 
 
 # -- positioning pipeline -----------------------------------------------------------
@@ -286,9 +299,10 @@ def position_and_combine(
     """Rotate K1 about the x0-axis until the combination certifies convex.
 
     Pipeline: centroid-normalize both cones; merge their links' vertex
-    positions once, refine the events to gaps of at most ``max_step`` as
-    :func:`transform_link_pair` does, and evaluate each link once, at the
-    refined positions and the midpoints between events; map the rows at the
+    positions once, refine the events to gaps of at most ``max_step``, and
+    evaluate each link once, at the refined positions and the midpoints
+    between events (the sampler :func:`transform_link_pair` and
+    :func:`combine_cones` share); map the rows at the
     positions to the plane, the search image; enumerate candidate rotations
     from tangent matching at each sample (rotating the first cone about x0
     rotates its image rigidly and leaves the height sums untouched); keep
@@ -308,24 +322,17 @@ def position_and_combine(
     the same ``max_step`` is the search image with ``image1`` rotated by psi.
 
     Raises:
-        ValueError: ``max_step`` is not positive (NaN included).
+        ValueError: ``max_step`` is not positive (NaN included) or asks
+            for more than ``MAX_SAMPLES`` samples.
         NonPositiveHeight: a sampled point is at or below the height floor.
         PositioningNotFound: if no candidate certifies, or fewer than 3
             merged breakpoints leave none to try.
     """
     C1 = normalize_cone(K1)
     C2 = normalize_cone(K2)
-    if not max_step > 0.0:
-        raise ValueError(f"max_step must be positive, got {max_step!r}")
-    p = common_perimeter(C1.link, C2.link)
-    events = merged_vertex_positions(C1.link, C2.link)[0]
+    events, at, firsts, r1, r2 = _sample_links(C1.link, C2.link, max_step, midpoints=True)
     m = len(events)
-    positions, firsts = _refine(events, p, max_step)
-    n = len(positions)
-    checks = _event_checks(events, p)
-    at = np.concatenate([positions, checks[m:]])
-    r1 = sph_points_at(C1.link, at)
-    r2 = sph_points_at(C2.link, at)
+    n = len(at) - m
     # the image samples drive the candidate search; image convexity is not
     # required because every candidate is certified on the sphere
     w1, w2 = pogorelov_forward(r1[:n], r2[:n])
@@ -336,11 +343,11 @@ def position_and_combine(
     # each candidate reads the rows at the checks: the first sample of each
     # gap, which is its event, then the midpoints
     rows = np.concatenate([firsts, np.arange(n, n + m)])
-    r1, r2 = r1[rows], r2[rows]
+    checks, r1, r2 = at[rows], r1[rows], r2[rows]
     th1 = _image_directions(w1)
     th2 = _image_directions(w2)
     g = th1 - th2
-    margins = alignment_margins(g, g)
+    margins = alignment_margins(g)
 
     tried = 0
     for j in np.nonzero(margins > MARGIN_EPS)[0]:
@@ -353,7 +360,7 @@ def position_and_combine(
         turned = unit_rows(rotate_about_x0_many(psi, C1.link.vertices))
         return PositioningReport(
             psi=psi,
-            sigma0=float(positions[j]),
+            sigma0=float(at[j]),
             margin=float(margins[j]),
             combined=combined,
             cone1=ConvexCone3(replace(C1.link, vertices=turned)),
@@ -477,10 +484,13 @@ def link_hausdorff(a: SphericalPolygon, b: SphericalPolygon, n: int = 1024) -> f
     edge's start, and that edge scores no more than w's distance.  Every
     angle is an atan2, so identical links read 0 to rounding.  The distance to a
     fixed set is 1-Lipschitz along a link, so the sampled value is at most
-    ``perimeter / (2 n)`` below the exact one, and never above it.
+    ``perimeter / (2 n)`` below the exact one, and never above it.  An
+    ``n`` below 1 or above ``MAX_SAMPLES`` raises ValueError.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"n must be at most MAX_SAMPLES = {MAX_SAMPLES}, got {n!r}")
 
     def farthest(src: SphericalPolygon, dst: SphericalPolygon) -> float:
         p = np.concatenate([sph_points_at(src, np.arange(n) * (src.perimeter / n)), src.vertices])

@@ -317,26 +317,25 @@ def circ_dist_many(a, b) -> np.ndarray:
     return np.pi - np.abs(d - np.pi)
 
 
-def alignment_margins(g_scan, g) -> np.ndarray:
-    """Margin of each candidate ``g[j]`` against the real gaps ``g_scan - g[j]``.
+def alignment_margins(g) -> np.ndarray:
+    """Margin of each candidate ``g[j]`` against the real gaps ``g - g[j]``.
 
-    The scanned values are one period of the periodic unwrapped tangent
-    gap, so they are every gap a candidate sees, and the candidate is valid
-    only while each lies strictly inside (-pi, pi); measured modulo 2*pi, a
-    gap could swing through pi unseen.  With ``reach = max(max(g_scan) -
-    g[j], g[j] - min(g_scan))`` below pi the margin is ``pi - max_k
-    circ_dist_many(g_scan[k], g[j])``, attained at an extreme because
-    :func:`circ_dist_many` grows with the absolute difference below pi, so
-    it equals the dense m x m scan bit for bit; otherwise the margin is
-    ``pi - reach <= 0``.  Two reductions: O(m) time and memory.
+    The values are one period of the periodic unwrapped tangent gap, so
+    they are every gap a candidate sees, and the candidate is valid only
+    while each lies strictly inside (-pi, pi); measured modulo 2*pi, a gap
+    could swing through pi unseen.  With ``reach = max(max(g) - g[j], g[j]
+    - min(g))`` below pi the margin is ``pi - max_k circ_dist_many(g[k],
+    g[j])``, attained at an extreme because :func:`circ_dist_many` grows
+    with the absolute difference below pi, so it equals the dense m x m
+    scan bit for bit; otherwise the margin is ``pi - reach <= 0``.  Two
+    reductions: O(m) time and memory.
 
     Raises:
         ValueError: if a value is not finite.
     """
-    g_scan = np.asarray(g_scan, dtype=float)
     g = np.asarray(g, dtype=float)
-    hi, lo = g_scan.max(), g_scan.min()
-    if not (math.isfinite(hi) and math.isfinite(lo) and np.isfinite(g).all()):
+    hi, lo = g.max(), g.min()
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("alignment values must be finite")
     reach = np.maximum(hi - g, g - lo)
     near = np.maximum(circ_dist_many(hi, g), circ_dist_many(lo, g))

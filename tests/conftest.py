@@ -143,6 +143,80 @@ def turning_function_directions(poly, ss, offset):
     return norm_angle(float(poly.edge_dirs[base])) + offset + turn
 
 
+def former_unwrapped_direction_values(poly, scan, offset):
+    """Reference for ``combination._row_gaps``: the located route it
+    replaced.  ``scan[0]`` is the base point, whose located edge is the
+    base edge.  Each value is the base edge's direction plus the exterior
+    turns from the base edge on to the located edge.  A position on the
+    base edge past half the perimeter has come round the curve and counts
+    the full turn, since no edge of a closed convex polygon spans half of
+    it."""
+    idx, _ = poly.locate(scan)
+    k = int(idx[0]) + 1
+    ext = poly.exterior_angles()
+    turns = np.cumsum(np.concatenate([ext[k:], ext[:k]]))   # turns[i - k] on reaching edge i
+    before = (idx == k - 1) & (scan < 0.5 * poly.perimeter)
+    return norm_angle(float(poly.edge_dirs[k - 1])) + offset + np.where(before, 0.0, turns[idx - k])
+
+
+def former_scanned_gap(pair):
+    """Merged breakpoints, and the gap g = phi1 - phi2 of unwrapped right
+    semitangents at them followed by mid-piece samples (which close merge
+    gaps): the scan ``combination.align`` and ``semitangent_condition``
+    read before the row gaps."""
+    from isocomb.combination import merged_breakpoints
+
+    bps = merged_breakpoints(pair)
+    ends = np.concatenate([bps[1:], [pair.F1.perimeter]])
+    scan = np.concatenate([bps, 0.5 * (bps + ends)])
+    g_scan = former_unwrapped_direction_values(pair.F1, scan, 0.0) - former_unwrapped_direction_values(
+        pair.F2, scan, pair.motion.rotation
+    )
+    return bps, g_scan
+
+
+def former_alignment_margins(g_scan, g):
+    """``geometry.alignment_margins`` when it took the scanned values and
+    the candidates apart: the margin of each ``g[j]`` against ``g_scan - g[j]``."""
+    g_scan = np.asarray(g_scan, dtype=float)
+    g = np.asarray(g, dtype=float)
+    hi, lo = g_scan.max(), g_scan.min()
+    reach = np.maximum(hi - g, g - lo)
+    near = np.maximum(circ_dist_many(hi, g), circ_dist_many(lo, g))
+    return np.where(reach < math.pi, math.pi - near, math.pi - reach)
+
+
+def former_align(pair):
+    """``combination.align`` on the former scan: (sigma0, motion, margin),
+    or None where it raised AlignmentNotFound."""
+    from isocomb.combination import AlignmentResult
+    from isocomb.geometry import RigidMotion2, Vec2, apply_motion, compose
+    from isocomb.planar import point_at
+    from isocomb.tolerances import MARGIN_EPS, MARGIN_TIE_TOL
+
+    bps, g_scan = former_scanned_gap(pair)
+    g = g_scan[: len(bps)]
+    margins = former_alignment_margins(g_scan, g)
+    j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))
+    margin = float(margins[j])
+    if margin <= MARGIN_EPS:
+        return None
+    sigma0 = float(bps[j])
+    rho = norm_angle(float(g[j]))
+    p1 = point_at(pair.F1, sigma0)
+    p2 = apply_motion(pair.motion, point_at(pair.F2, sigma0))
+    c, s = math.cos(rho), math.sin(rho)
+    t = Vec2(p1.x - (c * p2.x - s * p2.y), p1.y - (s * p2.x + c * p2.y))
+    return AlignmentResult(sigma0, compose(RigidMotion2(rho, t), pair.motion), margin)
+
+
+def former_semitangent_condition(pair):
+    """``combination.semitangent_condition`` on the former scan."""
+    _, g = former_scanned_gap(pair)
+    angles = g - g[0] + norm_angle(float(g[0]))
+    return math.pi - float(np.max(np.abs(angles)))
+
+
 def spherical_locate(poly, ss):
     """Reference for the shared arc-length locator: the locate block that
     ``spherical.sph_points_at`` carried before it used the shared one."""
@@ -436,7 +510,7 @@ def former_position_and_combine(K1, K2, max_step=math.inf):
     th1 = cones._image_directions(image.image1)
     th2 = cones._image_directions(image.image2)
     g = th1 - th2
-    margins = alignment_margins(g, g)
+    margins = alignment_margins(g)
 
     tried = 0
     for j in np.nonzero(margins > MARGIN_EPS)[0]:

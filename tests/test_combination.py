@@ -20,8 +20,8 @@ from isocomb.combination import (
     uniform_positions,
     vertex_events,
     _dedup_closed,
-    _scanned_gap,
-    _unwrapped_direction_values,
+    _row_directions,
+    _row_gaps,
 )
 from isocomb.errors import AlignmentNotFound, PerimeterMismatch
 from isocomb.geometry import (
@@ -47,6 +47,8 @@ from conftest import (
     assert_same_bits,
     circular_alignment_margins,
     dense_alignment_margins,
+    former_align,
+    former_semitangent_condition,
     former_vertex_events,
     support_polygon,
     turning_function_directions,
@@ -359,7 +361,7 @@ def test_semitangent_condition_rejects_gap_swinging_through_pi(monkeypatch):
         for verts, base in TRIAL_96_TRIANGLES
     )
     pair = make_pair(f1, f2)
-    monkeypatch.setattr(combination, "alignment_margins", circular_alignment_margins)
+    monkeypatch.setattr(combination, "alignment_margins", lambda g: circular_alignment_margins(g, g))
     wrapped = apply_alignment(pair, align(pair))
     assert not combine(wrapped).certificate.is_convex
     assert semitangent_condition(wrapped) <= 0.0
@@ -407,7 +409,7 @@ def test_align_matches_dense_oracle_on_acceptance_seed(monkeypatch):
         f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 200), f1.perimeter, (0.0, 0.0))
         pairs.append(make_pair(f1, f2))
     fast = [align(pair) for pair in pairs]
-    monkeypatch.setattr(combination, "alignment_margins", dense_alignment_margins)
+    monkeypatch.setattr(combination, "alignment_margins", lambda g: dense_alignment_margins(g, g))
     for pair, a in zip(pairs, fast):
         b = align(pair)
         assert (a.sigma0, a.margin, a.motion) == (b.sigma0, b.margin, b.motion)
@@ -525,8 +527,8 @@ def _assert_same_alignment(pair, a, b, back, margin_bound, sigma0_bound):
         return
     # g is constant between merged breakpoints, so the candidate at sigma0_b
     # has the margin of the last breakpoint at or before it
-    bps, g_scan = _scanned_gap(pair)
-    margins = alignment_margins(g_scan, g_scan[: len(bps)])
+    bps, g = _row_gaps(pair)
+    margins = alignment_margins(g)
     j = np.searchsorted(bps, (sigma0_b + sigma0_bound) % p, side="right") - 1
     assert margins[j] >= a.margin - MARGIN_TIE_TOL - 2 * margin_bound
 
@@ -557,8 +559,8 @@ def test_align_invariant_under_swapping_the_curves(index, max_points):
     assert abs(ra.margin - rb.margin) <= 4 * math.pi * EPS
     if ra.sigma0 != rb.sigma0:
         # a near-tie may pick another tied candidate: its margin must tie
-        bps, g_scan = _scanned_gap(make_pair(f1, f2))
-        margins = alignment_margins(g_scan, g_scan[: len(bps)])
+        bps, g = _row_gaps(make_pair(f1, f2))
+        margins = alignment_margins(g)
         assert margins[np.searchsorted(bps, rb.sigma0)] >= ra.margin - MARGIN_TIE_TOL
     scale = max(np.max(np.abs(ca.curve)), np.max(np.abs(cb.curve)))
     chords = [roll_next(q) - q for q in (_dedup_closed(ca.curve), _dedup_closed(cb.curve))]
@@ -685,13 +687,14 @@ def test_align_invariant_under_a_uniform_scaling(index, max_points, exponent):
 
 
 def test_g_periodicity():
-    # past the last vertex the unwrapped direction has turned once round
+    # the base lies inside an edge, so the last piece runs along the first
+    # piece's edge, and the unwrapped direction there has turned once round
     for i in range(10):
         rng = trial_rng(404, i)
         poly = random_convex_polygon(rng, 3, 50)
-        end = 0.5 * (poly.vertex_positions().max() + poly.perimeter)
-        first, last = _unwrapped_direction_values(poly, np.array([0.0, end]), 0.0)
-        assert last - first == pytest.approx(TAU, abs=1e-9)
+        bps, rows, _ = merged_vertex_positions(poly, poly)
+        d = _row_directions(poly, bps, rows, 0.0)
+        assert d[-1] - d[0] == pytest.approx(TAU, abs=1e-9)
 
 
 def test_combine_aligned_square_rectangle(unit_square):
@@ -830,26 +833,85 @@ def _scan_pairs():
 
 
 def test_gap_equals_turning_function_oracle_on_scan_positions():
+    # each row's gap is the former turning function's at the middle of its piece
     pairs = _scan_pairs()
     assert len(pairs) >= 300
     for pair in pairs:
-        bps, g_scan = _scanned_gap(pair)
-        ends = np.concatenate([bps[1:], [pair.F1.perimeter]])
-        scan = np.concatenate([bps, 0.5 * (bps + ends)])
-        want = turning_function_directions(pair.F1, scan, 0.0) - turning_function_directions(
-            pair.F2, scan, pair.motion.rotation
+        bps, g = _row_gaps(pair)
+        mids = 0.5 * (bps + np.append(bps[1:], pair.F1.perimeter))
+        want = turning_function_directions(pair.F1, mids, 0.0) - turning_function_directions(
+            pair.F2, mids, pair.motion.rotation
         )
-        assert_same_bits(g_scan, want)
+        assert_same_bits(g, want)
 
 
-def test_gap_follows_locate_in_the_snap_window_before_a_vertex(unit_square):
-    # a position a rounding error before a vertex is that vertex, on its
-    # outgoing edge, for the gap as for every other arc query; the former
-    # turning function counted the vertex's turn only from its position on
-    s = np.array([0.0, np.nextafter(1.0, 0.0)])
-    (_, edge), (_, u) = unit_square.locate(s)
+def test_gap_folds_a_vertex_in_the_snap_window_into_its_row(unit_square):
+    # a base a rounding error before a vertex is that vertex, for the gap as
+    # for every arc query: locate puts it on the outgoing edge, the merge
+    # folds the vertex into row 0, and row 0 runs along that edge without
+    # counting the vertex's turn again
+    before = unit_square.with_base(np.nextafter(1.0, 0.0))
+    (edge,), (u,) = before.locate([0.0])
     assert (edge, u) == (1, 0.0)
-    got = _unwrapped_direction_values(unit_square, s, 0.0)
-    assert got[1] == pytest.approx(math.pi / 2)
-    assert got[1] == norm_angle(float(unit_square.edge_dirs[edge]))
-    assert turning_function_directions(unit_square, s, 0.0)[1] == 0.0
+    bps, rows, _ = merged_vertex_positions(before, before)
+    assert len(bps) == 4 and rows[1] == 0
+    d = _row_directions(before, bps, rows, 0.0)
+    assert d[0] == norm_angle(float(before.edge_dirs[edge])) == math.pi / 2
+    assert d[-1] - d[0] == pytest.approx(3 * math.pi / 2)
+    _, g = _row_gaps(make_pair(before, unit_square.with_base(1.0)))
+    assert not g.any()
+
+
+def _former_route_pairs():
+    """3,000 pairs of hulls of 3..200 points as drawn, each also aligned."""
+    for i in range(3000):
+        rng = trial_rng(4242, i)
+        k = 3 + i % 198
+        f1 = random_convex_polygon(rng, 3, k)
+        f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, k), f1.perimeter, (0, 0))
+        pair = make_pair(f1, f2)
+        yield pair
+        try:
+            yield apply_alignment(pair, align(pair))
+        except AlignmentNotFound:
+            pass
+
+
+def test_row_gaps_align_as_the_former_scan():
+    # align and semitangent_condition read one gap per merged piece where
+    # they read 2m located scan positions: the same results bit for bit
+    pairs = list(_former_route_pairs()) + list(_dense_pairs())
+    assert len(pairs) >= 3000
+    for pair in pairs:
+        try:
+            got = align(pair)
+        except AlignmentNotFound:
+            got = None
+        want = former_align(pair)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.sigma0, got.margin, got.motion) == (want.sigma0, want.margin, want.motion)
+        assert semitangent_condition(pair) == former_semitangent_condition(pair)
+
+
+def test_row_gaps_read_a_vertex_merged_into_row_0_on_its_outgoing_edge(unit_square):
+    # the square against itself based d before a vertex: past the snap
+    # distance and within the merge tolerance (1e-13 <= d <= 3e-12) the
+    # merge folds every vertex of the second square into a row of the
+    # first, vertex_events calls all 4 rows vertex-vertex, and the row gaps
+    # agree: margin pi at rotation 0.  The former scan read row 0 on the
+    # edge before the merged vertex, margin pi/2 at rotation pi/2.  A
+    # snapped vertex (1e-15) and an unmerged one (5e-12) read as before.
+    for d in (1e-15, 1e-13, 1e-12, 3e-12, 5e-12):
+        pair = make_pair(unit_square, unit_square.with_base(4.0 - d))
+        got, want = align(pair), former_align(pair)
+        merged = 1e-13 <= d <= 3e-12
+        if merged:
+            assert vertex_events(combine(pair)).case.tolist() == [2, 2, 2, 2], d
+            assert (got.margin, got.motion.rotation) == (math.pi, 0.0), d
+            assert (want.margin, want.motion.rotation) == (math.pi / 2, math.pi / 2), d
+            assert semitangent_condition(pair) == math.pi, d
+            assert former_semitangent_condition(pair) == math.pi / 2, d
+        else:
+            assert (got.sigma0, got.margin, got.motion) == (want.sigma0, want.margin, want.motion), d
+            assert semitangent_condition(pair) == former_semitangent_condition(pair), d

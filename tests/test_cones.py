@@ -1,12 +1,14 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from isocomb import cones, spherical
 from isocomb.cones import (
+    MAX_SAMPLES,
     combine_cones,
     combine_dihedral,
     cone_from_link,
@@ -429,7 +431,7 @@ def test_position_matches_dense_oracle_on_acceptance_seed(monkeypatch):
     # kernel and again with the m x m gap matrix of real differences
     pairs = [_cone_suite_pair(7, i) for i in range(12)]
     fast = [position_and_combine(k1, k2) for k1, k2 in pairs]
-    monkeypatch.setattr(cones, "alignment_margins", dense_alignment_margins)
+    monkeypatch.setattr(cones, "alignment_margins", lambda g: dense_alignment_margins(g, g))
     for (k1, k2), a in zip(pairs, fast):
         b = position_and_combine(k1, k2)
         assert (a.psi, a.sigma0, a.margin, a.candidates_tried) == (
@@ -441,7 +443,7 @@ def _positive_margins(k1, k2):
     """Number of candidates whose planar margin clears MARGIN_EPS."""
     image = transform_link_pair(normalize_cone(k1).link, normalize_cone(k2).link)
     g = cones._image_directions(image.image1) - cones._image_directions(image.image2)
-    return int(np.sum(alignment_margins(g, g) > MARGIN_EPS))
+    return int(np.sum(alignment_margins(g) > MARGIN_EPS))
 
 
 def test_positioning_falls_back_to_the_next_candidate(monkeypatch):
@@ -629,6 +631,27 @@ def test_link_hausdorff_refuses_fewer_than_one_sample(octant):
         with pytest.raises(ValueError, match="n must be at least 1"):
             link_hausdorff(octant, octant, n=n)
     assert link_hausdorff(octant, octant, n=1) <= 1e-12
+
+
+def test_sampling_refuses_a_step_or_count_past_the_cap(octant):
+    # a step of 1e-300 overflowed the int64 sample count to INT64_MIN, which
+    # was clamped to one sample per gap after a RuntimeWarning, and 1e-12 on
+    # a 3-perimeter link asked for ~3e12 samples; both, and a Hausdorff grid
+    # of 1e12 points, are refused before any cast or allocation
+    rng = np.random.default_rng(3)
+    l1, l2 = random_convex_link(rng, 3.0), random_convex_link(rng, 3.0)
+    assert 3.0 / 1e-12 > MAX_SAMPLES
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for step in (1e-300, 1e-12):
+            with pytest.raises(ValueError, match="max_step"):
+                transform_link_pair(l1, l2, max_step=step)
+            with pytest.raises(ValueError, match="max_step"):
+                transform_link_pair(l1, l2, max_step=step, include_vertices=False)
+            with pytest.raises(ValueError, match="max_step"):
+                position_and_combine(cone_from_link(l1), cone_from_link(l2), max_step=step)
+        with pytest.raises(ValueError, match="n must be at most MAX_SAMPLES"):
+            link_hausdorff(octant, octant, n=10**12)
 
 
 def test_link_hausdorff_concentric_rings():

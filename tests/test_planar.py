@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from isocomb.combination import _unwrapped_direction_values
+from isocomb.combination import _row_directions
 from isocomb.errors import (
     DegenerateEdge,
     NotConvex,
     NotSimple,
     WrongOrientation,
 )
-from isocomb.geometry import norm_angle
+from isocomb.geometry import merged_vertex_positions, norm_angle
 from isocomb.planar import (
     MAX_COORDINATE,
     PlanarPolygon,
@@ -39,11 +39,13 @@ def left_semitangent(poly, s):
     return norm_angle(float(poly.edge_dirs[i - (u == 0.0)]))
 
 
-def turning(poly, ss):
-    """Cumulative turning at each position: the unwrapped direction of the
-    alignment gap, less its value at the base."""
-    d = _unwrapped_direction_values(poly, np.concatenate([[0.0], ss]), 0.0)
-    return d[1:] - d[0]
+def turning(poly):
+    """The vertex positions merged with the base point, and the cumulative
+    turning over the piece from each: the unwrapped direction of the
+    alignment gap, less its value over the first piece."""
+    bps, rows, _ = merged_vertex_positions(poly, poly)
+    d = _row_directions(poly, bps, rows, 0.0)
+    return bps, d - d[0]
 
 
 def test_build_unit_square(unit_square):
@@ -160,39 +162,45 @@ def test_semitangents_agree_on_edge_interiors(unit_square):
 
 def test_turning_function_mid_edge_base():
     sq = build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], base_s=0.5)
-    # right-continuous: 0 before the first vertex at 0.5, one jump at each
-    got = turning(sq, np.array([0.25, 0.5, 1.0, 1.5, 2.5, 3.49, 3.5, 3.9]))
+    # 0 over the piece before the first vertex at 0.5, one jump at each, and
+    # the last piece, back on the base edge, has turned once round
+    bps, got = turning(sq)
     q = math.pi / 2
-    assert np.allclose(got, [0.0, q, q, 2 * q, 3 * q, 3 * q, TAU, TAU], rtol=0.0, atol=1e-12)
+    assert bps.tolist() == [0.0, 0.5, 1.5, 2.5, 3.5]
+    assert np.allclose(got, [0.0, q, 2 * q, 3 * q, TAU], rtol=0.0, atol=1e-12)
 
 
 def test_turning_function_vertex_base(unit_square):
-    # the vertex at the base contributes its jump at the period end
-    got = turning(unit_square, np.array([0.5, 1.0, 2.0, 3.0, 3.99, 4.0]))
+    # the vertex at the base is row 0, whose piece starts past it: its jump
+    # closes the round only at the period end
+    bps, got = turning(unit_square)
     q = math.pi / 2
-    assert np.allclose(got, [0.0, q, 2 * q, 3 * q, 3 * q, TAU], rtol=0.0, atol=1e-12)
+    assert bps.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert np.allclose(got, [0.0, q, 2 * q, 3 * q], rtol=0.0, atol=1e-12)
+    assert got[-1] + unit_square.exterior_angles()[0] == pytest.approx(TAU, abs=1e-12)
 
 
 @pytest.mark.parametrize("base", [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
 def test_turning_function_agrees_with_snapped_semitangent(unit_square, base):
-    # a base a rounding error before a vertex snaps onto the outgoing edge,
+    # a base a rounding error either side of a vertex is that vertex: the
+    # merge folds it into row 0, whose piece runs along the outgoing edge,
     # so that vertex's turn must not be counted a second time
     sq = unit_square.with_base(base)
-    got = turning(sq, np.array([0.99, 1.01, 3.99, sq.perimeter]))
-    # its jump comes at the period end
-    assert got[2] == pytest.approx(3 * math.pi / 2) and got[3] == pytest.approx(TAU)
-    # no turn before the next vertex, a full edge after the snapped base
-    assert got[0] == 0.0 and got[1] == pytest.approx(math.pi / 2)
+    bps, got = turning(sq)
+    assert len(bps) == 4 and bps[0] == 0.0
+    # no turn over the first edge, a quarter turn at each later vertex, and
+    # the snapped vertex's turn, the last quarter, only at the period end
+    assert got[0] == 0.0 and got[1:] == pytest.approx([math.pi / 2, math.pi, 3 * math.pi / 2])
     assert right_semitangent(sq, 0.0) == pytest.approx(math.pi / 2)
-    assert _unwrapped_direction_values(sq, np.array([0.0]), 0.0)[0] == right_semitangent(sq, 0.0)
+    assert _row_directions(sq, *merged_vertex_positions(sq, sq)[:2], 0.0)[0] == right_semitangent(sq, 0.0)
 
 
 def test_turning_function_hexagon():
     t = np.arange(6) * (TAU / 6)
     hexagon = build_polygon(np.column_stack([np.cos(t), np.sin(t)]), base_s=0.1)
-    pos = np.sort(hexagon.vertex_positions())
-    mids = 0.5 * (pos + np.append(pos[1:], hexagon.perimeter))
-    assert np.allclose(np.diff(turning(hexagon, mids), prepend=0.0), math.pi / 3)
+    bps, got = turning(hexagon)
+    assert len(bps) == 7
+    assert np.allclose(np.diff(got), math.pi / 3)
 
 
 def test_build_rejects_coordinates_beyond_the_bound():
