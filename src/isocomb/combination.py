@@ -192,8 +192,8 @@ def vertex_events(combined: CombinedCurve) -> VertexEvents:
     rows1, rows2 = combined.vertex_rows
     m = len(bps)
     case = (np.bincount(rows1, minlength=m) > 0).astype(int) + (np.bincount(rows2, minlength=m) > 0)
-    beta1 = math.pi - np.bincount(rows1, weights=pair.F1.exterior_angles(), minlength=m)
-    beta2 = math.pi - np.bincount(rows2, weights=pair.F2.exterior_angles(), minlength=m)
+    beta1 = math.pi - np.bincount(rows1, weights=pair.F1.exterior_angles, minlength=m)
+    beta2 = math.pi - np.bincount(rows2, weights=pair.F2.exterior_angles, minlength=m)
     chords = roll_next(combined.curve) - combined.curve
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
     beta = np.where(case > 0, math.pi - norm_angle_many(dirs - roll_prev(dirs)), math.pi)
@@ -215,7 +215,7 @@ def _row_directions(poly: PlanarPolygon, bps: np.ndarray, rows: np.ndarray, offs
     (read mid-piece; no convex edge spans half the curve, so there are two
     pieces at least) plus the exterior angles of its vertices merged into
     rows 1..r, the per-row sums :func:`vertex_events` reads."""
-    turns = np.bincount(rows, weights=poly.exterior_angles(), minlength=len(bps))
+    turns = np.bincount(rows, weights=poly.exterior_angles, minlength=len(bps))
     turns[0] = 0.0
     (i,), _ = poly.locate([0.5 * bps[1]])
     return norm_angle(float(poly.edge_dirs[i])) + offset + np.cumsum(turns)
@@ -298,7 +298,8 @@ def bending_check(combined: CombinedCurve) -> float:
     dtau = roll_next(combined.tau_segments) - combined.tau_segments
     len_r = np.hypot(dr[:, 0], dr[:, 1])
     floor_eps = RELATIVE_TAU_FLOOR * float(np.max(len_r)) ** 2 + BENDING_DENOM_FLOOR
-    num = np.abs(np.sum(dr * dtau, axis=1))
+    p = dr * dtau
+    num = np.abs(0.0 + p[:, 0] + p[:, 1])     # np.sum(p, axis=1), as geometry.dot3
     den = len_r * np.hypot(dtau[:, 0], dtau[:, 1]) + floor_eps
     return float(np.max(num / den))
 

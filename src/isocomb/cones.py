@@ -31,6 +31,7 @@ from .errors import (
 )
 from .geometry import (
     E0,
+    TAU,
     Angle,
     alignment_margins,
     brent_root,
@@ -288,7 +289,19 @@ def normalize_cone(K: ConvexCone3) -> ConvexCone3:
 def _image_directions(samples: np.ndarray) -> np.ndarray:
     """Unwrapped chord direction angles of a closed planar sample loop."""
     d = roll_next(samples) - samples
-    return np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
+    p = np.arctan2(d[:, 1], d[:, 0])
+    # np.unwrap, bit for bit: its correction is 0 wherever |step| < pi, so it
+    # is computed only at the rest, one or two steps on a convex loop
+    dd = np.diff(p)
+    jump = np.flatnonzero(~(np.abs(dd) < math.pi))
+    step = dd[jump]
+    ddmod = np.mod(step + math.pi, TAU) - math.pi
+    ddmod[(ddmod == -math.pi) & (step > 0.0)] = math.pi
+    corr = np.zeros_like(dd)
+    corr[jump] = ddmod - step
+    out = p.copy()
+    out[1:] = p[1:] + corr.cumsum()    # the add turns -0.0 into +0.0, as np.unwrap's
+    return out
 
 
 def position_and_combine(
@@ -474,9 +487,10 @@ def link_hausdorff(a: SphericalPolygon, b: SphericalPolygon, n: int = 1024) -> f
 
     Each direction takes the largest distance, over ``n`` points at equal arc
     length on one link and its vertices, to the other link's boundary, the
-    least distance to its k geodesic edges: O((n + vertices) * k) time and
-    memory.  For an edge (v, w) with unit normal nrm = unit(v x w), a point
-    is p = x v + y t + h nrm in the frame t = nrm x v.  The foot of its
+    least distance to its k geodesic edges: O((n + vertices) * k) time, in
+    blocks of points that hold at most ``MAX_SAMPLES`` distances each.  For
+    an edge (v, w) with unit normal nrm = unit(v x w), a point is p = x v +
+    y t + h nrm in the frame t = nrm x v.  The foot of its
     perpendicular, q = x v + y t, lies on the edge when y >= 0 and
     p . (w x nrm) >= 0, and the distance is then atan2(|h|, |q|); off the
     edge the nearest point is an end.  Each edge scores its start v,
@@ -493,20 +507,28 @@ def link_hausdorff(a: SphericalPolygon, b: SphericalPolygon, n: int = 1024) -> f
         raise ValueError(f"n must be at most MAX_SAMPLES = {MAX_SAMPLES}, got {n!r}")
 
     def farthest(src: SphericalPolygon, dst: SphericalPolygon) -> float:
-        p = np.concatenate([sph_points_at(src, np.arange(n) * (src.perimeter / n)), src.vertices])
+        points = np.concatenate([sph_points_at(src, np.arange(n) * (src.perimeter / n)), src.vertices])
         v = dst.vertices
         w = roll_next(v)
         nrm = unit_rows(cross3(v, w))
-        # three (points, edges) float arrays at most: the distances are
-        # written over the frame coordinates in place
-        off = p @ cross3(w, nrm).T < 0.0
-        h = np.abs(p @ nrm.T)
-        y = p @ cross3(nrm, v).T
-        off |= y < 0.0
-        x = p @ v.T
-        np.hypot(y, h, out=h, where=off)
-        np.hypot(x, y, out=x, where=~off)
-        return float(np.arctan2(h, x, out=h).min(axis=1).max())
+        ahead, along = cross3(w, nrm).T, cross3(nrm, v).T
+
+        def nearest(p: np.ndarray) -> np.ndarray:
+            # three (points, edges) float arrays at most: the distances are
+            # written over the frame coordinates in place
+            off = p @ ahead < 0.0
+            h = np.abs(p @ nrm.T)
+            y = p @ along
+            off |= y < 0.0
+            x = p @ v.T
+            np.hypot(y, h, out=h, where=off)
+            np.hypot(x, y, out=x, where=~off)
+            return np.arctan2(h, x, out=h).min(axis=1)
+
+        # blocks of points with at most MAX_SAMPLES (point, edge) entries each
+        rows = max(1, MAX_SAMPLES // len(v))
+        blocks = range(0, len(points), rows)
+        return float(np.concatenate([nearest(points[i:i + rows]) for i in blocks]).max())
 
     return max(farthest(a, b), farthest(b, a))
 

@@ -277,14 +277,15 @@ class ArcPolygon:
         y = self.base_s + np.asarray(ss, dtype=float)
         x = np.where(y < self.perimeter, y, y - self.perimeter)
         far = (x < 0.0) | (x >= self.perimeter)
-        x[far] = np.mod(y[far], self.perimeter)
+        if far.any():
+            x[far] = np.mod(y[far], self.perimeter)
         idx = np.searchsorted(self.cum_lengths, x, side="right") - 1
         snap = SNAP_FACTOR * self.perimeter
-        bump = self.edge_ends()[idx] - x <= snap
-        idx[bump] = (idx[bump] + 1) % self.n_vertices
-        u = x - self.cum_lengths[idx]
-        u[bump] = 0.0
-        u[u <= snap] = 0.0
+        bump = self.edge_ends().take(idx) - x <= snap
+        idx += bump
+        idx[idx == self.n_vertices] = 0
+        u = x - self.cum_lengths.take(idx)
+        u[bump | (u <= snap)] = 0.0
         return idx, u
 
 
@@ -310,13 +311,6 @@ def merge_collinear(turns, lengths, base_s: float, eps: float, error, reflex: st
     return keep, base_s - float(lengths[:first_kept].sum())
 
 
-def circ_dist_many(a, b) -> np.ndarray:
-    """Minimal absolute difference of angles modulo 2*pi, in [0, pi], on
-    arrays (broadcasting)."""
-    d = np.mod(np.asarray(a) - np.asarray(b), TAU)
-    return np.pi - np.abs(d - np.pi)
-
-
 def alignment_margins(g) -> np.ndarray:
     """Margin of each candidate ``g[j]`` against the real gaps ``g - g[j]``.
 
@@ -324,11 +318,11 @@ def alignment_margins(g) -> np.ndarray:
     they are every gap a candidate sees, and the candidate is valid only
     while each lies strictly inside (-pi, pi); measured modulo 2*pi, a gap
     could swing through pi unseen.  With ``reach = max(max(g) - g[j], g[j]
-    - min(g))`` below pi the margin is ``pi - max_k circ_dist_many(g[k],
-    g[j])``, attained at an extreme because :func:`circ_dist_many` grows
-    with the absolute difference below pi, so it equals the dense m x m
-    scan bit for bit; otherwise the margin is ``pi - reach <= 0``.  Two
-    reductions: O(m) time and memory.
+    - min(g))`` below pi the margin is pi minus the largest circular
+    distance ``pi - |((g[k] - g[j]) mod 2*pi) - pi|``, attained at an
+    extreme because it grows with the absolute difference below pi, so it
+    equals the dense m x m scan bit for bit; otherwise the margin is ``pi -
+    reach <= 0``.  Two reductions: O(m) time and memory.
 
     Raises:
         ValueError: if a value is not finite.
@@ -337,8 +331,11 @@ def alignment_margins(g) -> np.ndarray:
     hi, lo = g.max(), g.min()
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("alignment values must be finite")
-    reach = np.maximum(hi - g, g - lo)
-    near = np.maximum(circ_dist_many(hi, g), circ_dist_many(lo, g))
+    up = hi - g
+    reach = np.maximum(up, g - lo)
+    # read only where reach < pi: there numpy's remainder mod 2*pi is up
+    # itself, and lo - g + 2*pi below 0 (its +0.0 at 0 gives the same distance)
+    near = np.maximum(math.pi - np.abs(up - math.pi), math.pi - np.abs(lo - g + TAU - math.pi))
     return np.where(reach < math.pi, math.pi - near, math.pi - reach)
 
 

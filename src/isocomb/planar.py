@@ -68,9 +68,7 @@ class PlanarPolygon(ArcPolygon):
     perimeter: float
     base_s: float                 # arc position of the marked point, in [0, perimeter)
     edge_dirs: np.ndarray = field(repr=False)  # (n,) direction angles
-
-    def exterior_angles(self) -> np.ndarray:
-        return _exterior_angles(self.edge_dirs)
+    exterior_angles: np.ndarray = field(repr=False)  # (n,) turn at each vertex, in (-pi, pi]
 
 
 def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLINEAR_EPS) -> PlanarPolygon:
@@ -110,8 +108,9 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
 
     # Merge collinear vertices until stable.
     while True:
+        turns = _exterior_angles(dirs)
         keep, base_s = merge_collinear(
-            _exterior_angles(dirs), lengths, base_s, collinear_eps,
+            turns, lengths, base_s, collinear_eps,
             NotConvex, "reflex vertex: min exterior angle",
         )
         if keep is None:
@@ -120,7 +119,7 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
         lengths, dirs = _edge_angles(verts)
         perimeter = float(np.sum(lengths))
 
-    total_turn = float(np.sum(_exterior_angles(dirs)))
+    total_turn = float(np.sum(turns))
     if abs(total_turn - TAU) > TOTAL_TURN_TOL:
         raise NotSimple(f"total turning {total_turn:.12f} != 2*pi; chain is not simple")
 
@@ -131,6 +130,7 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
         perimeter=perimeter,
         base_s=reduce_mod(base_s, perimeter),
         edge_dirs=dirs,
+        exterior_angles=turns,
     )
 
 
@@ -147,9 +147,9 @@ def point_at(poly: PlanarPolygon, s: float) -> Vec2:
 def points_at(poly: PlanarPolygon, ss: np.ndarray) -> np.ndarray:
     """Vectorized :func:`point_at` for an array of arc positions."""
     idx, u = poly.locate(ss)
-    base = poly.vertices[idx]
-    d = poly.edge_dirs[idx]
-    return base + u[:, None] * np.stack([np.cos(d), np.sin(d)], axis=1)
+    d = poly.edge_dirs
+    step = np.stack([np.cos(d), np.sin(d)], axis=1).take(idx, axis=0)
+    return poly.vertices.take(idx, axis=0) + u[:, None] * step
 
 
 @dataclass(frozen=True, eq=False)

@@ -107,7 +107,8 @@ def build_spherical_polygon(
             ``GAUSS_BONNET_TOL`` (a link that winds twice reads 2*pi), area
             outside (0, 2*pi), or perimeter not below 2*pi.
     """
-    verts = np.asarray(vertices, dtype=float)
+    # C order whatever the caller's layout: the fan area sums the rows in memory order
+    verts = np.ascontiguousarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 3:
         raise ValueError("expected at least 3 spherical vertices of shape (n, 3)")
     if not np.isfinite(verts).all():
@@ -168,17 +169,20 @@ def sph_points_at(poly: SphericalPolygon, ss: np.ndarray) -> np.ndarray:
     """Vectorized point lookup by geodesic arc length from the base point.
 
     The shared locator finds each position's edge; the point is the slerp
-    between the edge's end vertices.
+    between the edge's end vertices.  Each edge's length and its sine are
+    taken once, and the slerp runs on (3, n) columns: the result is their
+    transpose, an F-ordered (n, 3) view.
     """
     idx, u = poly.locate(ss)
-    a = poly.vertices[idx]
-    b = roll_next(poly.vertices)[idx]
-    theta = (poly.edge_ends() - poly.cum_lengths)[idx]
-    st = np.sin(theta)
-    out = (np.sin(theta - u)[:, None] * a + np.sin(u)[:, None] * b) / st[:, None]
-    exact = u == 0.0
-    out[exact] = a[exact]
-    return out
+    vt = poly.vertices.T
+    a = vt.take(idx, axis=1)
+    b = vt.take(idx + 1, axis=1, mode="wrap")
+    theta = poly.edge_ends() - poly.cum_lengths
+    st = np.sin(theta).take(idx)
+    theta = theta.take(idx)
+    out = (np.sin(theta - u) * a + np.sin(u) * b) / st
+    np.copyto(out, a, where=u == 0.0)
+    return out.T
 
 
 def centroid_direction(poly: SphericalPolygon) -> np.ndarray:

@@ -8,7 +8,6 @@ from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, No
 from isocomb.geometry import (
     TAU,
     brent_root,
-    circ_dist_many,
     merge_collinear,
     merged_vertex_positions,
     norm_angle,
@@ -30,9 +29,11 @@ from isocomb.spherical import (
     sph_points_at,
 )
 from isocomb.tolerances import (
+    BENDING_DENOM_FLOOR,
     BRENT_RTOL,
     BRENT_XTOL,
     GAUSS_BONNET_TOL,
+    RELATIVE_TAU_FLOOR,
     SNAP_FACTOR,
     SPH_COLLINEAR_EPS,
     UNIT_NORM_TOL,
@@ -87,6 +88,13 @@ def random_rotation(rng):
     return q if np.linalg.det(q) > 0 else -q
 
 
+def circ_dist_many(a, b):
+    """Minimal absolute difference of angles modulo 2*pi, in [0, pi], on
+    arrays (broadcasting); the distance the alignment margins measure."""
+    d = np.mod(np.asarray(a) - np.asarray(b), TAU)
+    return np.pi - np.abs(d - np.pi)
+
+
 def dense_alignment_margins(g_scan, g):
     """Reference for geometry.alignment_margins: the full m x m gap matrix.
 
@@ -136,7 +144,7 @@ def turning_function_directions(poly, ss, offset):
     pos = poly.vertex_positions()
     pos = np.where(pos <= SNAP_FACTOR * poly.perimeter, poly.perimeter, pos)
     order = np.argsort(pos, kind="stable")
-    breakpoints, values = pos[order], np.cumsum(poly.exterior_angles()[order])
+    breakpoints, values = pos[order], np.cumsum(poly.exterior_angles[order])
     idx = np.searchsorted(breakpoints, ss, side="right") - 1
     turn = np.where(idx >= 0, values[np.maximum(idx, 0)], 0.0)
     base, _ = scalar_locate(poly, 0.0)
@@ -153,7 +161,7 @@ def former_unwrapped_direction_values(poly, scan, offset):
     it."""
     idx, _ = poly.locate(scan)
     k = int(idx[0]) + 1
-    ext = poly.exterior_angles()
+    ext = poly.exterior_angles
     turns = np.cumsum(np.concatenate([ext[k:], ext[:k]]))   # turns[i - k] on reaching edge i
     before = (idx == k - 1) & (scan < 0.5 * poly.perimeter)
     return norm_angle(float(poly.edge_dirs[k - 1])) + offset + np.where(before, 0.0, turns[idx - k])
@@ -434,8 +442,8 @@ def former_vertex_events(combined):
         raise ValueError("vertex_events needs a combination on the merged breakpoints")
     m = len(bps)
     case = (np.bincount(rows1, minlength=m) > 0).astype(int) + (np.bincount(rows2, minlength=m) > 0)
-    beta1 = math.pi - np.bincount(rows1, weights=pair.F1.exterior_angles(), minlength=m)
-    beta2 = math.pi - np.bincount(rows2, weights=pair.F2.exterior_angles(), minlength=m)
+    beta1 = math.pi - np.bincount(rows1, weights=pair.F1.exterior_angles, minlength=m)
+    beta2 = math.pi - np.bincount(rows2, weights=pair.F2.exterior_angles, minlength=m)
     chords = roll_next(combined.curve) - combined.curve
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
     beta = np.where(case > 0, math.pi - norm_angle_many(dirs - roll_prev(dirs)), math.pi)
@@ -486,6 +494,31 @@ def former_sph_points_at(poly, ss):
     exact = u == 0.0
     out[exact] = a[exact]
     return out
+
+
+# -- the arc and alignment kernels before they worked once per edge ----------------
+# References for the rewritten kernels: the former bodies with only the names changed.
+
+def former_points_at(poly, ss):
+    idx, u = poly.locate(ss)
+    base = poly.vertices[idx]
+    d = poly.edge_dirs[idx]
+    return base + u[:, None] * np.stack([np.cos(d), np.sin(d)], axis=1)
+
+
+def former_image_directions(samples):
+    d = roll_next(samples) - samples
+    return np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
+
+
+def former_bending_check(combined):
+    dr = roll_next(combined.curve) - combined.curve
+    dtau = roll_next(combined.tau_segments) - combined.tau_segments
+    len_r = np.hypot(dr[:, 0], dr[:, 1])
+    floor_eps = RELATIVE_TAU_FLOOR * float(np.max(len_r)) ** 2 + BENDING_DENOM_FLOOR
+    num = np.abs(np.sum(dr * dtau, axis=1))
+    den = len_r * np.hypot(dtau[:, 0], dtau[:, 1]) + floor_eps
+    return float(np.max(num / den))
 
 
 def former_position_and_combine(K1, K2, max_step=math.inf):

@@ -48,6 +48,7 @@ from conftest import (
     circular_alignment_margins,
     dense_alignment_margins,
     former_align,
+    former_bending_check,
     former_semitangent_condition,
     former_vertex_events,
     support_polygon,
@@ -257,7 +258,7 @@ def _vertex_events_loop(pair):
     tol = BREAKPOINT_MERGE_RTOL * p
     tagged = [(0.0, None, math.pi)]
     for c, poly in enumerate((pair.F1, pair.F2)):
-        interior = math.pi - poly.exterior_angles()
+        interior = math.pi - poly.exterior_angles
         tagged += [(float(s), c, float(b)) for s, b in zip(poly.vertex_positions(), interior)]
     rows = []   # [s, interior angle of each curve's vertex at the row, or None]
     for s, c, b in sorted(tagged, key=lambda t: t[0]):
@@ -749,6 +750,19 @@ def test_bending_near_zero_on_merged_breakpoints(unit_square):
     pair = make_pair(unit_square, rect_0p5_by_1p5(base_s=0.35))
     _, combined = combine_aligned(pair)
     assert bending_check(combined) <= 1e-9
+
+
+def test_bending_check_equals_the_former_row_sum_bit_for_bit(unit_square):
+    # the dense pairs, suite pairs as drawn and aligned, and identical curves,
+    # whose zero bending field makes signed-zero products
+    pairs = list(_dense_pairs()) + [make_pair(unit_square, unit_square)]
+    for i in range(40):
+        pair = make_pair(*_trial_pair(i, 40))
+        result = _alignment(pair.F1, pair.F2)
+        pairs += [pair] if result is None else [pair, apply_alignment(pair, result)]
+    for pair in pairs:
+        for combined in (combine(pair), combine_at(pair, uniform_positions(pair, 97))):
+            assert_same_bits(bending_check(combined), former_bending_check(combined))
 
 
 def test_bending_refinement_decreases_for_smooth_pair():

@@ -54,10 +54,12 @@ from isocomb.suite import trial_rng
 from isocomb.tolerances import HEIGHT_EPS, MARGIN_EPS
 
 from conftest import (
+    assert_same_bits,
     brent_outcomes,
     dense_alignment_margins,
     edge_distance_hausdorff,
     ellipse_link_vertices,
+    former_image_directions,
     former_link_hausdorff,
     former_position_and_combine,
     loop_refine,
@@ -439,6 +441,25 @@ def test_position_matches_dense_oracle_on_acceptance_seed(monkeypatch):
         )
 
 
+def test_image_directions_equal_np_unwrap_bit_for_bit():
+    # the correction is taken only at steps of |d| >= pi: dense image loops,
+    # and loops of chords at exact angles (signed zeros included), many of
+    # whose steps are exactly +-pi
+    rng = np.random.default_rng(62)
+    loops = []
+    for _ in range(3):
+        l1, l2 = random_convex_link(rng, 3.0), random_convex_link(rng, 3.0)
+        image = transform_link_pair(l1, l2, max_step=l1.perimeter / 4096)
+        loops += [image.image1, image.image2]
+    loops += [rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(int(rng.integers(2, 30)), 2)) for _ in range(400)]
+    steps_of_pi = 0
+    for samples in loops:
+        assert_same_bits(cones._image_directions(samples), former_image_directions(samples))
+        d = roll_next(samples) - samples
+        steps_of_pi += int(np.sum(np.abs(np.diff(np.arctan2(d[:, 1], d[:, 0]))) == math.pi))
+    assert steps_of_pi > 100
+
+
 def _positive_margins(k1, k2):
     """Number of candidates whose planar margin clears MARGIN_EPS."""
     image = transform_link_pair(normalize_cone(k1).link, normalize_cone(k2).link)
@@ -711,6 +732,39 @@ def test_link_hausdorff_allocates_no_sample_matrix(angles):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def test_link_hausdorff_in_blocks_equals_one_block(monkeypatch):
+    # each point's least distance is exact, so the largest over blocks of
+    # points is the one-block distance bit for bit
+    rng = np.random.default_rng(3)
+    pairs = [(ring_link(64, 0.3), ring_link(64, 0.4)),
+             *_successive_rungs((math.pi / 3, math.pi / 2)),
+             (build_spherical_polygon(ellipse_link_vertices(rng, 64, 1.0, 0.6)),
+              build_spherical_polygon(ellipse_link_vertices(rng, 70, 0.8, 1.0)))]
+    whole = {(i, n): link_hausdorff(a, b, n) for i, (a, b) in enumerate(pairs) for n in (1, 37, 1000, 1024)}
+    for cap in (40, 300, 1024):     # down to blocks of one point
+        monkeypatch.setattr(cones, "MAX_SAMPLES", cap)
+        for (i, n), want in whole.items():
+            if n <= cap:
+                assert_same_bits(link_hausdorff(*pairs[i], n), want, (i, n, cap))
+
+
+def test_link_hausdorff_memory_is_bounded_on_dense_links(monkeypatch):
+    # the 5,120 points against 4,096 edges in one block would take three
+    # 160 MiB arrays; blocks of 256 points take three of 8 MiB
+    rng = np.random.default_rng(0)
+    a = build_spherical_polygon(ellipse_link_vertices(rng, 4096, 1.0, 0.6))
+    b = build_spherical_polygon(ellipse_link_vertices(rng, 4096, 0.8, 1.0))
+    tracemalloc.start()
+    try:
+        got = link_hausdorff(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    monkeypatch.setattr(cones, "MAX_SAMPLES", 2**18)     # blocks of 64 points
+    assert_same_bits(link_hausdorff(a, b), got)
 
 
 # -- adversarial inputs and invariants of the positioning -----------------------------

@@ -13,7 +13,6 @@ from isocomb.geometry import (
     alignment_margins,
     apply_motion,
     apply_motion_many,
-    circ_dist_many,
     compose,
     convex_hull_2d,
     cross3,
@@ -25,7 +24,7 @@ from isocomb.geometry import (
     rotate_about_x0_many,
 )
 
-from isocomb.planar import build_polygon, point_at
+from isocomb.planar import build_polygon, point_at, points_at
 from isocomb.spherical import (
     LINK_CAP_ANGLE,
     _cap_samples,
@@ -39,8 +38,12 @@ from conftest import (
     arc_queries,
     assert_same_bits,
     brent_outcomes,
+    circ_dist_many,
     circular_alignment_margins,
     dense_alignment_margins,
+    former_alignment_margins,
+    former_points_at,
+    former_sph_points_at,
     qhull_from_least,
     scalar_locate,
     spherical_locate,
@@ -166,13 +169,25 @@ def _kernel_arrays(kind, rng):
         lo = rng.integers(-6, 7) * (math.pi / 2) + shift
         width = rng.choice([rng.uniform(0.0, math.pi), np.nextafter(math.pi, 0.0), math.pi])
         return lo + width * np.where(rng.random(m) < 0.2, rng.integers(0, 2, m), rng.random(m))
+    if kind == "pi-apart":
+        # two values exactly pi apart where lo + pi is exact, one rounding otherwise
+        lo = rng.choice([0.0, -0.0, -math.pi, math.pi / 2, -TAU, rng.uniform(-20.0, 20.0)])
+        return np.where(rng.random(m) < 0.5, lo, lo + math.pi)
+    if kind == "huge":
+        # magnitudes near 1e300, where distinct values are far more than pi apart
+        vals = np.array([1e300, -1e300, 1.5e300, -1.7e300])
+        vals = np.concatenate([vals, np.nextafter(vals, np.inf), np.nextafter(vals, -np.inf)])
+        return rng.choice(vals, m) if rng.random() < 0.7 else np.full(m, rng.choice(vals))
     special = np.array([0.0, -0.0, math.pi, -math.pi, TAU, -TAU, 2 * TAU, -2 * TAU,
                         3 * math.pi, -3 * math.pi, 1e-16, -1e-16, 1e-300, -1e-300])
     special = np.concatenate([special, np.nextafter(special, np.inf), np.nextafter(special, -np.inf)])
     return rng.choice(special, m)
 
 
-@pytest.mark.parametrize("kind", ["random", "ties", "wraparound", "narrow"])
+KERNEL_KINDS = ["random", "ties", "wraparound", "narrow", "pi-apart", "huge"]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_alignment_margins_bitwise_equal_dense_oracle(kind):
     rng = np.random.default_rng(2024)
     for _ in range(400):
@@ -184,6 +199,15 @@ def test_alignment_margins_bitwise_equal_dense_oracle(kind):
         valid = np.abs(g[None, :] - g[:, None]).max(axis=1) < math.pi
         circular = circular_alignment_margins(g, g)
         assert np.array_equal(fast[valid].view(np.uint64), circular[valid].view(np.uint64)), g
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_alignment_margins_equal_the_former_modulo_route(kind):
+    # the circular distances are read without np.mod where reach < pi
+    rng = np.random.default_rng(2025)
+    for _ in range(400):
+        g = _kernel_arrays(kind, rng)
+        assert_same_bits(alignment_margins(g), former_alignment_margins(g, g), g)
 
 
 def test_alignment_margins_rejects_nonfinite():
@@ -278,6 +302,22 @@ def test_scalar_queries_follow_the_oracle_edge(unit_square):
             v, d = poly.vertices[i], poly.edge_dirs[i]
             want = (v[0], v[1]) if u == 0.0 else (v[0] + u * math.cos(d), v[1] + u * math.sin(d))
             assert _bits(point_at(poly, s)) == _bits(want)
+
+
+def test_points_at_equal_the_former_per_position_kernels_bit_for_bit():
+    # each edge's direction (planar) or length and sine (spherical) is taken
+    # once and gathered; the former kernels took them at every position
+    rng = np.random.default_rng(60)
+    links = [random_convex_link(rng, t, n_points=n) for t, n in ((1.0, 6), (3.0, 12), (5.5, 24))]
+    links.append(support_link(60, 0.6, {3: (0.05, 0.02)}))
+    cases = [(p, points_at, former_points_at) for p in _planar_polygons()]
+    cases += [(link, sph_points_at, former_sph_points_at) for link in links]
+    for poly, kernel, former in cases:
+        for q in _rebased(poly):
+            ss = arc_queries(q, rng, n_random=40)
+            assert_same_bits(kernel(q, ss), former(q, ss))
+        grid = np.arange(4096) * (poly.perimeter / 4096)
+        assert_same_bits(kernel(poly, grid), former(poly, grid))
 
 
 def test_spherical_locate_equals_former_block_bit_for_bit():

@@ -50,7 +50,7 @@ def turning(poly):
 
 def test_build_unit_square(unit_square):
     assert unit_square.perimeter == 4.0
-    assert np.allclose(unit_square.exterior_angles(), math.pi / 2)
+    assert np.allclose(unit_square.exterior_angles, math.pi / 2)
     assert unit_square.n_vertices == 4
 
 
@@ -124,6 +124,22 @@ def test_collinear_merge_shifts_base_consistently():
     assert p == pytest.approx((0.75, 0.0))
 
 
+def test_stored_exterior_angles_are_the_turns_of_the_edge_directions():
+    # the builder keeps the turns of its last merge pass
+    rng = np.random.default_rng(63)
+    hexagon = [(math.cos(t), math.sin(t)) for t in np.arange(6) * (TAU / 6)]
+    polys = [
+        build_polygon([(0, 0), (0.5, 0), (1, 0), (1, 1), (0.5, 1), (0, 1)]),    # collinear merges
+        build_polygon(hexagon, base_s=0.3),
+        build_polygon(np.array(hexagon) + rng.normal(scale=1e-3, size=(6, 2))),
+    ]
+    assert polys[0].n_vertices == 4
+    for poly in polys:
+        for q in (poly, poly.with_base(1.7), dilate_to_perimeter(poly, 3.7, (0.3, -0.2))):
+            assert len(q.exterior_angles) == q.n_vertices
+            assert q.exterior_angles.tobytes() == _exterior_angles(q.edge_dirs).tobytes()
+
+
 def test_point_at_examples(unit_square):
     assert point_at(unit_square, 0.0) == (0.0, 0.0)
     assert point_at(unit_square, 1.5) == pytest.approx((1.0, 0.5))
@@ -177,7 +193,7 @@ def test_turning_function_vertex_base(unit_square):
     q = math.pi / 2
     assert bps.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert np.allclose(got, [0.0, q, 2 * q, 3 * q], rtol=0.0, atol=1e-12)
-    assert got[-1] + unit_square.exterior_angles()[0] == pytest.approx(TAU, abs=1e-12)
+    assert got[-1] + unit_square.exterior_angles[0] == pytest.approx(TAU, abs=1e-12)
 
 
 @pytest.mark.parametrize("base", [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])

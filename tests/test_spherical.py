@@ -27,6 +27,7 @@ from isocomb.spherical import (
 from isocomb.suite import trial_rng
 
 from conftest import (
+    SPHERICAL_POLYGON_FIELDS,
     assert_same_bits,
     assert_same_gauss_bonnet,
     brent_outcomes,
@@ -239,11 +240,16 @@ def test_build_spherical_polygon_equals_former_kernel_bit_for_bit():
     for verts, base_s in _kernel_inputs():
         got = _outcome(build_spherical_polygon, verts, base_s)
         want = _outcome(former_build_spherical_polygon, verts, base_s)
+        # the rows in column-major memory, as sph_points_at returns them, build
+        # the same polygon bit for bit
+        cols = _outcome(build_spherical_polygon, np.asfortranarray(verts), base_s)
         if isinstance(want, type):
-            assert got is want
+            assert got is want and cols is want
             continue
         built += 1
         assert_same_spherical_polygon(got, want)
+        for name in (*SPHERICAL_POLYGON_FIELDS, "turning", "area", "gauss_bonnet_residual"):
+            assert_same_bits(getattr(cols, name), getattr(got, name), name)
     assert built >= 150
 
 
