@@ -24,13 +24,15 @@ from .geometry import (
     alignment_margins,
     apply_motion,
     apply_motion_many,
+    chord_directions,
     common_perimeter,
     compose,
     merged_vertex_positions,
     norm_angle,
-    norm_angle_many,
     roll_next,
     roll_prev,
+    turns,
+    unwrap_turns,
 )
 from .planar import (
     ConvexityCertificate,
@@ -194,9 +196,7 @@ def vertex_events(combined: CombinedCurve) -> VertexEvents:
     case = (np.bincount(rows1, minlength=m) > 0).astype(int) + (np.bincount(rows2, minlength=m) > 0)
     beta1 = math.pi - np.bincount(rows1, weights=pair.F1.exterior_angles, minlength=m)
     beta2 = math.pi - np.bincount(rows2, weights=pair.F2.exterior_angles, minlength=m)
-    chords = roll_next(combined.curve) - combined.curve
-    dirs = np.arctan2(chords[:, 1], chords[:, 0])
-    beta = np.where(case > 0, math.pi - norm_angle_many(dirs - roll_prev(dirs)), math.pi)
+    beta = np.where(case > 0, math.pi - turns(chord_directions(combined.curve)), math.pi)
     return VertexEvents(bps, case, beta1, beta2, beta)
 
 
@@ -211,14 +211,13 @@ class AlignmentResult:
 
 def _row_directions(poly: PlanarPolygon, bps: np.ndarray, rows: np.ndarray, offset: float) -> np.ndarray:
     """Unwrapped right-semitangent direction of ``poly``, plus ``offset``,
-    over the piece from each merged breakpoint: its direction over piece 0
-    (read mid-piece; no convex edge spans half the curve, so there are two
-    pieces at least) plus the exterior angles of its vertices merged into
-    rows 1..r, the per-row sums :func:`vertex_events` reads."""
-    turns = np.bincount(rows, weights=poly.exterior_angles, minlength=len(bps))
-    turns[0] = 0.0
+    over the piece from each merged breakpoint (:func:`geometry.unwrap_turns`):
+    its direction over piece 0 (read mid-piece; no convex edge spans half the
+    curve, so there are two pieces at least) plus the exterior angles of its
+    vertices merged into rows 1..r, the per-row sums :func:`vertex_events` reads."""
+    row_turns = np.bincount(rows, weights=poly.exterior_angles, minlength=len(bps))
     (i,), _ = poly.locate([0.5 * bps[1]])
-    return norm_angle(float(poly.edge_dirs[i])) + offset + np.cumsum(turns)
+    return unwrap_turns(norm_angle(float(poly.edge_dirs[i])) + offset, row_turns)
 
 
 def _row_gaps(pair: MarkedPair) -> tuple[np.ndarray, np.ndarray]:

@@ -31,10 +31,10 @@ from .errors import (
 )
 from .geometry import (
     E0,
-    TAU,
     Angle,
     alignment_margins,
     brent_root,
+    chord_directions,
     common_perimeter,
     cross3,
     dot3,
@@ -43,6 +43,8 @@ from .geometry import (
     roll_next,
     rotate_about_x0_many,
     rotation_matrix_from_to,
+    turns,
+    unwrap_turns,
 )
 from .planar import PlanarPolygon, build_polygon
 from .spherical import (
@@ -286,24 +288,6 @@ def normalize_cone(K: ConvexCone3) -> ConvexCone3:
     return ConvexCone3(rotate_polygon(K.link, rot))
 
 
-def _image_directions(samples: np.ndarray) -> np.ndarray:
-    """Unwrapped chord direction angles of a closed planar sample loop."""
-    d = roll_next(samples) - samples
-    p = np.arctan2(d[:, 1], d[:, 0])
-    # np.unwrap, bit for bit: its correction is 0 wherever |step| < pi, so it
-    # is computed only at the rest, one or two steps on a convex loop
-    dd = np.diff(p)
-    jump = np.flatnonzero(~(np.abs(dd) < math.pi))
-    step = dd[jump]
-    ddmod = np.mod(step + math.pi, TAU) - math.pi
-    ddmod[(ddmod == -math.pi) & (step > 0.0)] = math.pi
-    corr = np.zeros_like(dd)
-    corr[jump] = ddmod - step
-    out = p.copy()
-    out[1:] = p[1:] + corr.cumsum()    # the add turns -0.0 into +0.0, as np.unwrap's
-    return out
-
-
 def position_and_combine(
     K1: ConvexCone3,
     K2: ConvexCone3,
@@ -327,7 +311,10 @@ def position_and_combine(
     plus the second's, the rows :func:`combine_cones` would evaluate on the
     rotated pair, and the rotated first link is built for the accepted one.
 
-    Every margin comes from :func:`geometry.alignment_margins`: the gap
+    Each image's chord directions unwrap as the plane's pieces do
+    (:func:`geometry.unwrap_turns` of :func:`geometry.turns`, so a chord
+    reversal steps by +pi).  Every margin comes from
+    :func:`geometry.alignment_margins`: the gap
     between the unwrapped chord directions of the two images is periodic,
     so a candidate's worst gap is its real difference from the largest or
     the smallest gap, found in O(m) time and memory, and a candidate whose
@@ -357,10 +344,8 @@ def position_and_combine(
     # gap, which is its event, then the midpoints
     rows = np.concatenate([firsts, np.arange(n, n + m)])
     checks, r1, r2 = at[rows], r1[rows], r2[rows]
-    th1 = _image_directions(w1)
-    th2 = _image_directions(w2)
-    g = th1 - th2
-    margins = alignment_margins(g)
+    th1, th2 = (unwrap_turns(p[0], turns(p)) for p in map(chord_directions, (w1, w2)))
+    margins = alignment_margins(th1 - th2)
 
     tried = 0
     for j in np.nonzero(margins > MARGIN_EPS)[0]:

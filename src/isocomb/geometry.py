@@ -5,8 +5,9 @@ and spherical polygons, and the 1-D root solver of the perimeter equations.
 Conventions used throughout the package:
 
 * all reals are 64-bit floats;
-* direction angles are normalized to (-pi, pi]; cumulative turnings are
-  kept unwrapped;
+* direction angles and turns (:func:`turns`; a reversal reads +pi) lie in
+  (-pi, pi]; cumulative turnings unwrap by :func:`unwrap_turns`; every
+  remainder and unwrap is taken in this module;
 * 3-vectors are ordered (x0, x1, x2) and the distinguished axis e0 is
   the first coordinate.
 """
@@ -55,11 +56,11 @@ def norm_angle(theta: float) -> float:
     return t
 
 
-def norm_angle_many(theta) -> np.ndarray:
+def norm_angle_many(theta: np.ndarray) -> np.ndarray:
     """Vectorized :func:`norm_angle`, equal to it bit for bit."""
     t = np.fmod(theta, TAU)
-    t = np.where(t <= -math.pi, t + TAU, t)
-    return np.where(t > math.pi, t - TAU, t)
+    np.add(t, TAU, out=t, where=t <= -math.pi)
+    return np.subtract(t, TAU, out=t, where=t > math.pi)
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,6 +97,25 @@ def roll_next(a: np.ndarray) -> np.ndarray:
 def roll_prev(a: np.ndarray) -> np.ndarray:
     """``np.roll(a, 1, axis=0)``: row i holds row i - 1, cyclically."""
     return np.concatenate([a[-1:], a[:-1]])
+
+
+def turns(dirs: np.ndarray) -> np.ndarray:
+    """Turn from edge i - 1 to edge i of a closed chain with edge directions
+    ``dirs``, in (-pi, pi] by :func:`norm_angle_many` (a reversal reads +pi)."""
+    return norm_angle_many(dirs - roll_prev(dirs))
+
+
+def unwrap_turns(first: float, steps: np.ndarray) -> np.ndarray:
+    """Unwrapped direction over each piece of a closed chain: ``first`` over
+    piece 0 plus the running sum of the turns ``steps`` at rows 1..r
+    (``steps[0]``, the turn into piece 0, is not read)."""
+    return first + np.cumsum(np.concatenate([[0.0], steps[1:]]))
+
+
+def chord_directions(points: np.ndarray) -> np.ndarray:
+    """Direction angle of each chord of a closed point chain, points[i] -> points[i + 1]."""
+    d = roll_next(points) - points
+    return np.arctan2(d[:, 1], d[:, 0])
 
 
 # the eight axis and diagonal directions, counterclockwise from -y

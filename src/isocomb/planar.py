@@ -27,7 +27,7 @@ from .geometry import (
     merge_collinear,
     reduce_mod,
     roll_next,
-    roll_prev,
+    turns,
 )
 from .tolerances import CERTIFICATE_TOL, COLLINEAR_EPS, LENGTH_EPS_FACTOR, TOTAL_TURN_TOL
 
@@ -46,17 +46,7 @@ def signed_area(vertices: np.ndarray) -> float:
 def _edge_angles(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge lengths and direction angles; edge i runs v[i] -> v[i+1]."""
     diffs = roll_next(vertices) - vertices
-    lengths = np.hypot(diffs[:, 0], diffs[:, 1])
-    dirs = np.arctan2(diffs[:, 1], diffs[:, 0])
-    return lengths, dirs
-
-
-def _exterior_angles(dirs: np.ndarray) -> np.ndarray:
-    """Exterior angle at vertex i: turn from edge i-1 to edge i, in (-pi, pi]."""
-    turns = dirs - roll_prev(dirs)
-    turns = np.mod(turns, TAU)
-    turns[turns > math.pi] -= TAU
-    return turns
+    return np.hypot(diffs[:, 0], diffs[:, 1]), np.arctan2(diffs[:, 1], diffs[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +58,7 @@ class PlanarPolygon(ArcPolygon):
     perimeter: float
     base_s: float                 # arc position of the marked point, in [0, perimeter)
     edge_dirs: np.ndarray = field(repr=False)  # (n,) direction angles
-    exterior_angles: np.ndarray = field(repr=False)  # (n,) turn at each vertex, in (-pi, pi]
+    exterior_angles: np.ndarray = field(repr=False)  # (n,) turn at each vertex, turns(edge_dirs)
 
 
 def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLINEAR_EPS) -> PlanarPolygon:
@@ -108,9 +98,9 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
 
     # Merge collinear vertices until stable.
     while True:
-        turns = _exterior_angles(dirs)
+        ext = turns(dirs)
         keep, base_s = merge_collinear(
-            turns, lengths, base_s, collinear_eps,
+            ext, lengths, base_s, collinear_eps,
             NotConvex, "reflex vertex: min exterior angle",
         )
         if keep is None:
@@ -119,7 +109,7 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
         lengths, dirs = _edge_angles(verts)
         perimeter = float(np.sum(lengths))
 
-    total_turn = float(np.sum(turns))
+    total_turn = float(np.sum(ext))
     if abs(total_turn - TAU) > TOTAL_TURN_TOL:
         raise NotSimple(f"total turning {total_turn:.12f} != 2*pi; chain is not simple")
 
@@ -130,7 +120,7 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
         perimeter=perimeter,
         base_s=reduce_mod(base_s, perimeter),
         edge_dirs=dirs,
-        exterior_angles=turns,
+        exterior_angles=ext,
     )
 
 
@@ -194,13 +184,13 @@ def convexity_certificate(vertices) -> ConvexityCertificate:
     perimeter = float(np.sum(lengths))
     if perimeter <= 0.0 or np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
         raise DegenerateEdge("consecutive vertices coincide within tolerance")
-    turns = _exterior_angles(dirs)
-    exterior_sum = float(np.sum(turns))
-    min_exterior = float(np.min(turns))
+    ext = turns(dirs)
+    exterior_sum = float(np.sum(ext))
+    min_exterior = float(np.min(ext))
     simple_ok = signed_area(verts) > 0.0 and abs(exterior_sum - TAU) <= CERTIFICATE_TOL
     is_convex = simple_ok and min_exterior >= -CERTIFICATE_TOL
     return ConvexityCertificate(
-        interior_angles=math.pi - turns,
+        interior_angles=math.pi - ext,
         exterior_sum=exterior_sum,
         min_exterior=min_exterior,
         is_convex=is_convex,

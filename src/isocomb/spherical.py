@@ -265,10 +265,12 @@ def random_convex_link(
     perimeter, skipping a hull that brackets no root there, and lifted once.
     The builder's own perimeter must match ``target_length`` to
     ``LINK_LENGTH_TOL``; raises ``LinkNotGenerated`` if no hull does within
-    ``LINK_MAX_ATTEMPTS``.
+    ``LINK_MAX_ATTEMPTS``, and ValueError at once for fewer than 3 points.
     """
     if not 0.0 < target_length < LINK_TARGET_CEILING:
         raise ValueError(f"target link length must lie in (0, {LINK_TARGET_CEILING!r})")
+    if n_points < 3:
+        raise ValueError(f"n_points must be >= 3; got {n_points!r}")
     for _ in range(LINK_MAX_ATTEMPTS):
         pts = _cap_samples(rng, n_points, LINK_CAP_ANGLE)
         w = gnomonic(pts)

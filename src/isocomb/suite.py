@@ -89,7 +89,10 @@ def random_convex_polygon(
     rng: np.random.Generator, min_vertices: int, max_vertices: int
 ) -> PlanarPolygon:
     """Convex hull of k uniform points in the unit disk, k in the given range,
-    from its lexicographically least vertex (:func:`geometry.convex_hull_2d`)."""
+    from its lexicographically least vertex (:func:`geometry.convex_hull_2d`).
+    A ``max_vertices`` below 3, whose hulls have no 3 corners, raises ValueError."""
+    if max_vertices < 3:
+        raise ValueError(f"max_vertices must be >= 3; got {max_vertices!r}")
     while True:
         k = int(rng.integers(min_vertices, max_vertices + 1))
         r = np.sqrt(rng.uniform(0.0, 1.0, size=k))

@@ -507,6 +507,8 @@ def former_points_at(poly, ss):
 
 
 def former_image_directions(samples):
+    """The search image's unwrapped chord directions before the plane's rule:
+    ``np.unwrap``, which the package's hand copy equalled bit for bit."""
     d = roll_next(samples) - samples
     return np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
 
@@ -530,7 +532,13 @@ def former_position_and_combine(K1, K2, max_step=math.inf):
 
     from isocomb import cones
     from isocomb.errors import AntipodalCorrespondence, PositioningNotFound
-    from isocomb.geometry import alignment_margins, rotate_about_x0_many
+    from isocomb.geometry import (
+        alignment_margins,
+        chord_directions,
+        rotate_about_x0_many,
+        turns,
+        unwrap_turns,
+    )
     from isocomb.spherical import unit_rows
     from isocomb.tolerances import MARGIN_EPS
 
@@ -540,8 +548,8 @@ def former_position_and_combine(K1, K2, max_step=math.inf):
     m = len(image.events)
     if m < 3:
         raise PositioningNotFound(f"only {m} correspondence breakpoints survive the merge")
-    th1 = cones._image_directions(image.image1)
-    th2 = cones._image_directions(image.image2)
+    p1, p2 = chord_directions(image.image1), chord_directions(image.image2)
+    th1, th2 = unwrap_turns(p1[0], turns(p1)), unwrap_turns(p2[0], turns(p2))
     g = th1 - th2
     margins = alignment_margins(g)
 
@@ -568,6 +576,16 @@ def former_position_and_combine(K1, K2, max_step=math.inf):
         f"no certified candidate among {tried} with margin > {MARGIN_EPS} "
         f"(best margin {margins.max():.3e})"
     )
+
+
+# -- the turn reduction the shared one replaced ------------------------------------
+
+def former_exterior_angles(dirs):
+    """Exterior angle at vertex i: turn from edge i-1 to edge i, in (-pi, pi]."""
+    turns = dirs - roll_prev(dirs)
+    turns = np.mod(turns, TAU)
+    turns[turns > math.pi] -= TAU
+    return turns
 
 
 # -- the digon ladder's distance: the matrix route it replaced, and its oracle ------

@@ -36,10 +36,13 @@ from isocomb.errors import (
 from isocomb.geometry import (
     TAU,
     alignment_margins,
+    chord_directions,
     merged_vertex_positions,
     roll_next,
     rotate_about_x0_many,
     rotation_matrix_from_to,
+    turns,
+    unwrap_turns,
 )
 from isocomb.spherical import (
     build_spherical_polygon,
@@ -441,29 +444,68 @@ def test_position_matches_dense_oracle_on_acceptance_seed(monkeypatch):
         )
 
 
-def test_image_directions_equal_np_unwrap_bit_for_bit():
-    # the correction is taken only at steps of |d| >= pi: dense image loops,
-    # and loops of chords at exact angles (signed zeros included), many of
-    # whose steps are exactly +-pi
+def unwrapped_chord_directions(samples):
+    """The search image's unwrapped chord directions, as positioning takes them."""
+    p = chord_directions(samples)
+    return unwrap_turns(p[0], turns(p))
+
+
+def test_image_directions_follow_np_unwrap_to_rounding():
+    # Positioning unwraps an image's chord directions p by the plane's rule:
+    # p[0] plus the running sum of the turns.  The former route, np.unwrap,
+    # added 2*pi corrections to p[k] instead.  Both approximate p[k] + 2*pi w
+    # for one wrap count w, except at a reversal, a step d within an ulp or
+    # two of +-pi, where the two may take opposite sides: a step of exactly
+    # -pi geometry.turns reads as +pi (its (-pi, pi] convention) and
+    # np.unwrap keeps, so each later direction is 2*pi above the former one.
+    # Bound, first order in u = eps / 2, over k chords with J steps of
+    # |d| >= pi: a turn rounds by u |t|, plus 2 pi u at a wrap; the running
+    # sum of the turns adds (k - 1) u sum|t| and p[0] + sum adds u (pi +
+    # sum|t|).  np.unwrap's correction at a wrap rounds four times (dd + pi,
+    # the mod, - pi, - dd), by 8 pi u in all, their running sum by 2 pi u J^2,
+    # and p[k] + sum by u (pi + sum|t|).  In all u ((k + 2) sum|t| + 2 pi
+    # (J^2 + 5 J + 1)), and 2 k eps (pi + sum|t|) (J + 1)^2 holds it twice
+    # over at every k >= 2, which leaves room for the check's own shift and
+    # subtraction.  A convex loop wraps once and never reverses, so there the
+    # bound is 8 k eps (pi + sum|t|); the worst dense image moves by 2.3e-14.
     rng = np.random.default_rng(62)
-    loops = []
+    dense = []
     for _ in range(3):
         l1, l2 = random_convex_link(rng, 3.0), random_convex_link(rng, 3.0)
         image = transform_link_pair(l1, l2, max_step=l1.perimeter / 4096)
-        loops += [image.image1, image.image2]
-    loops += [rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(int(rng.integers(2, 30)), 2)) for _ in range(400)]
-    steps_of_pi = 0
-    for samples in loops:
-        assert_same_bits(cones._image_directions(samples), former_image_directions(samples))
-        d = roll_next(samples) - samples
-        steps_of_pi += int(np.sum(np.abs(np.diff(np.arctan2(d[:, 1], d[:, 0]))) == math.pi))
-    assert steps_of_pi > 100
+        dense += [image.image1, image.image2]
+    r1, r2 = ring_link(64, 0.5), build_spherical_polygon(ring_vertices(64, 0.5, offset=0.2))
+    for max_step in (math.inf, r1.perimeter / 4096):
+        image = transform_link_pair(r1, r2.with_base(0.7), max_step=max_step)
+        dense += [image.image1, image.image2]
+    # loops of chords at exact angles (signed zeros included), many of whose
+    # steps are exactly +-pi
+    exact = [rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(int(rng.integers(2, 30)), 2)) for _ in range(400)]
+    minus_pi = 0
+    for samples in dense + exact:
+        got, want = unwrapped_chord_directions(samples), former_image_directions(samples)
+        p = chord_directions(samples)
+        d = np.diff(p)
+        t = turns(p)[1:]
+        sides = np.round((t - np.diff(want)) / TAU)
+        reversal = np.abs(np.abs(d) - math.pi) <= 2 * np.spacing(math.pi)
+        assert not np.any(sides[~reversal]) and np.all(sides[d == -math.pi] == 1.0)
+        assert np.all(t[d == -math.pi] == math.pi) and not np.any(t == -math.pi)
+        wraps = int(np.sum(np.abs(d) >= math.pi))
+        bound = 2 * len(p) * EPS * (math.pi + np.abs(t).sum()) * (wraps + 1) ** 2
+        shift = np.append(0.0, TAU * np.cumsum(sides))
+        assert np.max(np.abs(got - want - shift)) <= bound
+        minus_pi += int(np.sum(d == -math.pi))
+    assert minus_pi > 50
+    for samples in dense:
+        d = np.diff(chord_directions(samples))
+        assert int(np.sum(np.abs(d) >= math.pi)) == 1 and not np.any(np.abs(np.abs(d) - math.pi) < 1e-3)
 
 
 def _positive_margins(k1, k2):
     """Number of candidates whose planar margin clears MARGIN_EPS."""
     image = transform_link_pair(normalize_cone(k1).link, normalize_cone(k2).link)
-    g = cones._image_directions(image.image1) - cones._image_directions(image.image2)
+    g = unwrapped_chord_directions(image.image1) - unwrapped_chord_directions(image.image2)
     return int(np.sum(alignment_margins(g) > MARGIN_EPS))
 
 

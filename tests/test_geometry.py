@@ -19,6 +19,7 @@ from isocomb.geometry import (
     dot3,
     merge_positions,
     norm_angle,
+    norm_angle_many,
     roll_next,
     roll_prev,
     rotate_about_x0_many,
@@ -151,6 +152,17 @@ def test_norm_angle_range():
     assert norm_angle(math.pi) == pytest.approx(math.pi)
     assert norm_angle(-math.pi) == pytest.approx(math.pi)
     assert norm_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
+
+
+def test_norm_angle_many_equals_norm_angle_bit_for_bit():
+    # turns are differences of directions, in [-2*pi, 2*pi]; wider angles,
+    # both ends of the range, their float neighbours and signed zeros too
+    rng = np.random.default_rng(65)
+    edges = [math.pi, TAU, 3 * math.pi, 0.0]
+    edges += [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    theta = np.concatenate([rng.uniform(-TAU, TAU, 2000), rng.uniform(-50.0, 50.0, 2000), edges, np.negative(edges)])
+    want = np.array([norm_angle(float(x)) for x in theta])
+    assert norm_angle_many(theta).tobytes() == want.tobytes()
 
 
 # -- alignment kernel and breakpoint merging --------------------------------------

@@ -2,7 +2,9 @@
 module-level private function or class is used somewhere in the package,
 no module calls the numpy routines that the column helpers replace, only
 ``geometry`` reads the snap rule's ``SNAP_FACTOR`` and the breakpoint
-merge's ``BREAKPOINT_MERGE_RTOL``, every tolerance is
+merge's ``BREAKPOINT_MERGE_RTOL`` or calls a remainder or an unwrap
+(``np.mod``, ``np.fmod``, ``np.remainder``, ``np.unwrap``, ``math.fmod``,
+``math.remainder``), every tolerance is
 defined once, in ``tolerances``, and no module imports scipy, so no
 subcommand loads it: scipy is a test-only oracle."""
 
@@ -192,6 +194,55 @@ def test_only_geometry_reads_snap_factor():
     for name in OWNED_TOLERANCES:
         assert f"{name} = " in sources[LEDGER], name
         assert owned_name_readers(sources, name) == [], name
+
+
+# geometry owns angle and modulo reductions: norm_angle(_many) and turns
+# reduce angles, reduce_mod and ArcPolygon.locate reduce arc positions, so
+# the plane, the combined curve and the cone search turn and unwrap by one
+# rule, and no other module calls a remainder or an unwrap of its own
+REDUCTIONS = {"np": ("mod", "fmod", "remainder", "unwrap"), "math": ("fmod", "remainder")}
+
+
+def reduction_calls(source: str) -> list[str]:
+    """``np.<name>`` and ``math.<name>`` attributes and imported names for
+    the names in ``REDUCTIONS``, as ``line:module.name`` in line order;
+    ``numpy`` counts as ``np``."""
+    modules = {"numpy": "np", "np": "np", "math": "math"}
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            module, names = modules.get(n.value.id), [n.attr]
+        elif isinstance(n, ast.ImportFrom):
+            module, names = modules.get(n.module), [alias.name for alias in n.names]
+        else:
+            continue
+        found += [(n.lineno, f"{module}.{name}") for name in names if name in REDUCTIONS.get(module, ())]
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+def test_reduction_calls_are_found():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "a = np.mod(x, 2.0)\n"
+        "b = numpy.unwrap(p)\n"
+        "from numpy import remainder, cumsum\n"
+        "from math import fmod as f\n"
+        "c = math.remainder(x, 2.0) + math.floor(x)\n"
+        "d = np.fmod\n"
+        "e = np.cumsum(x) + other.mod(x) + mod(x)\n"
+        "s = 'np.unwrap(p)'\n"
+    )
+    assert reduction_calls(source) == [
+        "3:np.mod", "4:np.unwrap", "5:np.remainder", "6:math.fmod", "7:math.remainder", "8:np.fmod",
+    ]
+
+
+def test_only_geometry_reduces_angles_and_arc_positions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert reduction_calls(sources[SNAP_OWNER]) != []
+    assert {name: found for name, source in sources.items() if name != SNAP_OWNER
+            if (found := reduction_calls(source))} == {}
 
 
 # tolerances.py is the one table of stated tolerances: no other module

@@ -10,12 +10,11 @@ from isocomb.errors import (
     NotSimple,
     WrongOrientation,
 )
-from isocomb.geometry import merged_vertex_positions, norm_angle
+from isocomb.geometry import merged_vertex_positions, norm_angle, turns
 from isocomb.planar import (
     MAX_COORDINATE,
     PlanarPolygon,
     _edge_angles,
-    _exterior_angles,
     build_polygon,
     convexity_certificate,
     dilate_to_perimeter,
@@ -23,6 +22,8 @@ from isocomb.planar import (
     points_at,
 )
 from isocomb.tolerances import COLLINEAR_EPS
+
+from conftest import former_exterior_angles
 
 TAU = 2 * math.pi
 
@@ -96,24 +97,25 @@ def test_collinear_vertices_merged():
 
 def test_collinear_merge_rule_at_the_float_neighbours_of_the_tolerance():
     # the bottom edge's middle vertex sits h below the chord (a corner, turn
-    # 2h exactly) or above it (a reflex turn, rounded by the mod 2*pi step to
-    # the spacing of 2*pi); the rule reads the builder's own computed turn
+    # 2h exactly) or above it (a reflex turn 2h < 0, exact too: geometry.turns
+    # keeps a difference of directions in (-pi, 0) as it is), h stepping by
+    # the spacing of 2*pi; the rule reads the builder's own computed turn
     eps, step = COLLINEAR_EPS, np.spacing(TAU)
     hs = [np.nextafter(eps, 0.0) / 2, eps / 2, np.nextafter(eps, 1.0) / 2]
     hs += [-(eps + k * step) / 2 for k in (-2, -1, 0, 1, 2)]
-    turns = []
+    seen = []
     for h in hs:
         verts = np.array([(0.0, 0.0), (1.0, -h), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)])
-        turn = _exterior_angles(_edge_angles(verts)[1])[1]
-        turns.append(turn)
+        turn = turns(_edge_angles(verts)[1])[1]
+        seen.append(turn)
         if turn < -eps:
             with pytest.raises(NotConvex):
                 build_polygon(verts)
         else:
             assert build_polygon(verts).n_vertices == (5 if turn > eps else 4), turn
-    assert {np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)} <= set(turns)
-    assert any(-eps - step <= t < -eps for t in turns)
-    assert any(-eps <= t < -eps + step for t in turns)
+    assert {np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)} <= set(seen)
+    assert any(-eps - step <= t < -eps for t in seen)
+    assert any(-eps <= t < -eps + step for t in seen)
 
 
 def test_collinear_merge_shifts_base_consistently():
@@ -137,7 +139,39 @@ def test_stored_exterior_angles_are_the_turns_of_the_edge_directions():
     for poly in polys:
         for q in (poly, poly.with_base(1.7), dilate_to_perimeter(poly, 3.7, (0.3, -0.2))):
             assert len(q.exterior_angles) == q.n_vertices
-            assert q.exterior_angles.tobytes() == _exterior_angles(q.edge_dirs).tobytes()
+            assert q.exterior_angles.tobytes() == turns(q.edge_dirs).tobytes()
+
+
+def test_turns_equal_the_former_mod_reduction_but_below_zero():
+    # The former reduction took np.mod(d, 2*pi) of each raw difference d of
+    # edge directions and subtracted 2*pi above pi.  For d in (-pi, 0) that
+    # is d + 2*pi - 2*pi: the add rounds by half a spacing of 2*pi at most
+    # and the subtraction is exact (Sterbenz), where geometry.turns keeps d
+    # as it is.  Elsewhere both take the same one step (d, d - 2*pi or
+    # d + 2*pi, each exact or rounded alike), so the bits agree, except that
+    # a zero turn from d = -0.0 or -2*pi keeps fmod's -0.0 where np.mod gave
+    # +0.0.
+    rng = np.random.default_rng(64)
+    chains = [rng.uniform(-math.pi, math.pi, size=4000)]
+    chains += [np.arctan2(*rng.normal(size=(2, int(rng.integers(3, 40))))) for _ in range(200)]
+    chains += [rng.choice([-math.pi, -0.5 * math.pi, -0.0, 0.0, 0.5 * math.pi, math.pi], size=30)
+               for _ in range(200)]
+    chains += [build_polygon(verts).edge_dirs for verts in (
+        [(math.cos(t), math.sin(t)) for t in np.sort(rng.uniform(0.0, TAU, 500))],
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+    )]
+    inside = moved = 0
+    for dirs in chains:
+        raw = dirs - np.roll(dirs, 1)
+        small = (raw > -math.pi) & (raw < 0.0)
+        got, want = turns(dirs), former_exterior_angles(dirs)
+        assert np.all(np.abs(got[small] - want[small]) <= np.spacing(TAU))
+        assert np.array_equal(got[~small], want[~small])
+        nonzero = ~small & (raw != 0.0) & (np.abs(raw) != TAU)
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        inside += int(small.sum())
+        moved += int(np.sum(got[small] != want[small]))
+    assert inside > 1000 and moved > 100
 
 
 def test_point_at_examples(unit_square):

@@ -15,11 +15,12 @@ from isocomb.serialization import (
     planar_to_dict,
     spherical_to_dict,
 )
-from isocomb.spherical import LINK_TARGET_CEILING, LINK_TARGET_FLOOR
+from isocomb.spherical import LINK_TARGET_CEILING, LINK_TARGET_FLOOR, random_convex_link
 from isocomb.suite import (
     MAX_TRIALS,
     MAX_VERTICES,
     SuiteConfig,
+    random_convex_polygon,
     replay_trial,
     run_cone_suite,
     run_planar_suite,
@@ -54,6 +55,24 @@ def test_config_bounds_the_suite_size(field, bound):
 def test_config_rejects_degenerate_link_range():
     with pytest.raises(ValueError):
         SuiteConfig(trials=1, seed=1, target_link_length=(0.5, TAU)).validate()
+
+
+class UnusedRng:
+    """A generator that fails the test when drawn from."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was used")
+
+
+def test_generators_refuse_fewer_than_3_points_before_drawing():
+    # fewer than 3 points have no hull with 3 corners: the polygon generator
+    # once drew such sets forever, the link generator for LINK_MAX_ATTEMPTS
+    for max_vertices in (2, 1, 0):
+        with pytest.raises(ValueError, match="max_vertices"):
+            random_convex_polygon(UnusedRng(), 2, max_vertices)
+    for n_points in (2, 1, 0):
+        with pytest.raises(ValueError, match="n_points"):
+            random_convex_link(UnusedRng(), 3.0, n_points=n_points)
 
 
 # -- suites -----------------------------------------------------------------------
@@ -140,10 +159,14 @@ def test_cone_suite_runs_from_the_least_target_every_hull_brackets():
 # turned the points by psi, not the vertices, which moved the combined
 # vertices by an eps and so min_turning, gauss_bonnet_residual and
 # combined_perimeter (tools/report_diff.py over 10,000 trials at seeds 7 and
-# 42: no passed flip, psi, sigma0 and margin unmoved).  A refactor that
-# keeps every output bit keeps them.
+# 42: no passed flip, psi, sigma0 and margin unmoved); and when the search
+# image's directions unwrapped by the plane's rule (geometry.turns and
+# unwrap_turns), which moved margin by <= 4.4e-15 and psi, min_turning,
+# gauss_bonnet_residual and combined_perimeter by <= 1.8e-15 (same diff: no
+# passed flip, sigma0 unmoved; the planar report's 8 trials kept every
+# bit).  A refactor that keeps every output bit keeps them.
 PLANAR_SEED42_REPORT_SHA256 = "dd8d95d370c830cb4d04d63aefe698e466eb1b9fc1bdcc14ed63ec84c69e4b32"
-CONE_SEED7_REPORT_SHA256 = "ca0e2c037fe32359d180ee96dff1a941881d0b9168eb0b22d81814857cf5d27d"
+CONE_SEED7_REPORT_SHA256 = "0f06dbd36070a4c574655c681474ebe8d34d814c3397a86d273614efb8ef34d5"
 
 
 def test_suite_reports_are_byte_identical(tmp_path):
@@ -164,8 +187,9 @@ def test_suite_reports_are_byte_identical(tmp_path):
 # moved only min_turning and gauss_bonnet_residual; every other field is the
 # parent's bit for bit; and again when a positioning evaluated each link once,
 # which moved 6 of 72 combined vertex coordinates by <= 2.8e-17 and one
-# min_turning by 5.6e-17
-DIGON_DEFAULT_LADDER_SHA256 = "637b4648eae748538f65b57da609e1391df6bc6633f4d992c24701b602e459e5"
+# min_turning by 5.6e-17; and again when the search image's directions
+# unwrapped by the plane's rule, which moved 2 of 4 margins by <= 8.9e-16
+DIGON_DEFAULT_LADDER_SHA256 = "e7552cb7c79c3b00d2bf47a2749c2fcbb2f93dfeb27a6589872e8257496ec640"
 
 
 def test_digon_output_is_byte_identical(tmp_path):
