@@ -11,7 +11,7 @@ certifies convexity of the combination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,11 +114,11 @@ def _certificate(curve: np.ndarray) -> ConvexityCertificate:
         return FAILED_CERTIFICATE
 
 
-def combine_at(pair: MarkedPair, positions: np.ndarray) -> CombinedCurve:
-    """Evaluate the combination at the given arc positions."""
-    positions = np.asarray(positions, dtype=float)
-    pts1 = points_at(pair.F1, positions)
-    pts2 = apply_motion_many(pair.motion, points_at(pair.F2, positions))
+def _combined(pair: MarkedPair, positions: np.ndarray, pts1: np.ndarray, pts2: np.ndarray,
+              vertex_rows=None) -> CombinedCurve:
+    """The combination of the rows ``pts1`` of F1 and ``pts2`` of F2 (before
+    the pair's motion) at ``positions``, with its certificate."""
+    pts2 = apply_motion_many(pair.motion, pts2)
     curve = pts1 + pts2
     return CombinedCurve(
         curve=curve,
@@ -126,7 +126,14 @@ def combine_at(pair: MarkedPair, positions: np.ndarray) -> CombinedCurve:
         tau_segments=pts1 - pts2,
         breakpoints=positions,
         pair=pair,
+        vertex_rows=vertex_rows,
     )
+
+
+def combine_at(pair: MarkedPair, positions: np.ndarray) -> CombinedCurve:
+    """Evaluate the combination at the given arc positions."""
+    positions = np.asarray(positions, dtype=float)
+    return _combined(pair, positions, points_at(pair.F1, positions), points_at(pair.F2, positions))
 
 
 def combine(pair: MarkedPair) -> CombinedCurve:
@@ -134,10 +141,13 @@ def combine(pair: MarkedPair) -> CombinedCurve:
 
     Never raises on a non-convex result; the certificate carries the verdict.
     When the semitangent condition holds with positive margin the certificate
-    is guaranteed convex.  The merge's vertex rows are kept for :func:`vertex_events`.
+    is guaranteed convex.  The pair is merged here and the merge's vertex
+    rows are kept for :func:`vertex_events`; :func:`combine_aligned` builds
+    the same rows from the alignment's merge instead.
     """
     positions, rows1, rows2 = merged_vertex_positions(pair.F1, pair.F2)
-    return replace(combine_at(pair, positions), vertex_rows=(rows1, rows2))
+    return _combined(pair, positions, points_at(pair.F1, positions), points_at(pair.F2, positions),
+                     (rows1, rows2))
 
 
 def semitangent_condition(pair: MarkedPair) -> Angle:
@@ -150,7 +160,7 @@ def semitangent_condition(pair: MarkedPair) -> Angle:
     nonpositive; positive exactly when the convexity hypothesis of the
     combination holds.
     """
-    _, g = _row_gaps(pair)
+    g = _row_gaps(pair)[1]
     angles = g - g[0] + norm_angle(float(g[0]))
     return math.pi - float(np.max(np.abs(angles)))
 
@@ -182,8 +192,9 @@ def vertex_events(combined: CombinedCurve) -> VertexEvents:
 
     A row is at a vertex of a curve exactly when the breakpoint merge folded
     one of that curve's vertices into it (:func:`geometry.merged_vertex_positions`),
-    so the combined curve turns there by its angle; :func:`combine` keeps
-    the merge's rows.  ``beta`` is read from the chords of the combined curve.
+    so the combined curve turns there by its angle; :func:`combine` and
+    :func:`combine_aligned` keep the merge's rows, so nothing is merged
+    here.  ``beta`` is read from the chords of the combined curve.
 
     Raises:
         ValueError: ``combined`` is off the merged breakpoints (from :func:`combine_at`).
@@ -220,13 +231,51 @@ def _row_directions(poly: PlanarPolygon, bps: np.ndarray, rows: np.ndarray, offs
     return unwrap_turns(norm_angle(float(poly.edge_dirs[i])) + offset, row_turns)
 
 
-def _row_gaps(pair: MarkedPair) -> tuple[np.ndarray, np.ndarray]:
-    """Merged breakpoints, and the gap g = phi1 - phi2 of unwrapped right
+def _row_gaps(pair: MarkedPair) -> tuple[np.ndarray, ...]:
+    """Merged breakpoints, the gap g = phi1 - phi2 of unwrapped right
     semitangents over the piece that starts at each, F2's turned by the
-    pair's motion."""
+    pair's motion, and the row each vertex of F1 and F2 merged into."""
     bps, rows1, rows2 = merged_vertex_positions(pair.F1, pair.F2)
     phi1 = _row_directions(pair.F1, bps, rows1, 0.0)
-    return bps, phi1 - _row_directions(pair.F2, bps, rows2, pair.motion.rotation)
+    return bps, phi1 - _row_directions(pair.F2, bps, rows2, pair.motion.rotation), rows1, rows2
+
+
+def _aligned_rows(pair: MarkedPair) -> tuple:
+    """The search of :func:`align` on one merge of the pair, and that merge's
+    rows renumbered for the pair rebased at the winning row j's breakpoint.
+
+    Returns the merged breakpoints from row j on, then those before it,
+    in one take (the old base row 0 is left out unless a vertex merged
+    into it, as a merge of the rebased pair has no breakpoint there); the
+    renumbered row each vertex of F1 and F2 merged into; the margin at j;
+    and the rotation rho = g[j] in (-pi, pi].
+
+    Raises:
+        AlignmentNotFound: if the best margin is at or below ``MARGIN_EPS`` rad.
+    """
+    bps, g, rows1, rows2 = _row_gaps(pair)
+    margins = alignment_margins(g)
+    j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))   # smallest tied sigma0
+    margin = float(margins[j])
+    if margin <= MARGIN_EPS:
+        raise AlignmentNotFound(
+            f"best margin {margin:.3e} rad at sigma0={bps[j]!r} is not positive"
+        )
+    m = len(bps)
+    # the old base row stays when it wins or a vertex merged into it
+    first = 0 if j == 0 or not (rows1.all() and rows2.all()) else 1
+    at = bps.take(np.concatenate([np.arange(j, m), np.arange(first, j)]))
+    rows = tuple(np.where(r >= j, r - j, r + (m - j - first)) for r in (rows1, rows2))
+    return at, rows, margin, norm_angle(float(g[j]))
+
+
+def _aligned_motion(pair: MarkedPair, rho: float, p1, p2) -> RigidMotion2:
+    """The pair's motion followed by the turn rho that maps ``p2``, F2's
+    point at sigma0 before the pair's motion, onto F1's point ``p1``."""
+    q = apply_motion(pair.motion, p2)
+    c, s = math.cos(rho), math.sin(rho)
+    t = Vec2(float(p1[0]) - (c * q.x - s * q.y), float(p1[1]) - (s * q.x + c * q.y))
+    return compose(RigidMotion2(rho, t), pair.motion)
 
 
 def align(pair: MarkedPair) -> AlignmentResult:
@@ -239,7 +288,8 @@ def align(pair: MarkedPair) -> AlignmentResult:
     g(sigma0), which must stay inside (-pi, pi), and the candidate
     maximizing the worst-case margin wins (ties, within ``MARGIN_TIE_TOL``
     rad: smallest sigma0).  The returned motion maps P2(sigma0) onto
-    P1(sigma0) with the right semitangents identified.
+    P1(sigma0) with the right semitangents identified: its rotation is the
+    gap over the piece from sigma0 on.
 
     g is periodic, since both curves turn by 2*pi, so the row gaps are all
     the gaps any candidate sees, and the worst one is at the largest or the
@@ -249,23 +299,9 @@ def align(pair: MarkedPair) -> AlignmentResult:
     Raises:
         AlignmentNotFound: if the best margin is at or below ``MARGIN_EPS`` rad.
     """
-    bps, g = _row_gaps(pair)
-    margins = alignment_margins(g)
-    j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))   # smallest tied sigma0
-    margin = float(margins[j])
-    if margin <= MARGIN_EPS:
-        raise AlignmentNotFound(
-            f"best margin {margin:.3e} rad at sigma0={bps[j]!r} is not positive"
-        )
-    sigma0 = float(bps[j])
-    # the rotation is the gap over the piece from sigma0 on, so it matches
-    # the right semitangents there
-    rho = norm_angle(float(g[j]))
-    p1 = point_at(pair.F1, sigma0)
-    p2 = apply_motion(pair.motion, point_at(pair.F2, sigma0))
-    c, s = math.cos(rho), math.sin(rho)
-    t = Vec2(p1.x - (c * p2.x - s * p2.y), p1.y - (s * p2.x + c * p2.y))
-    motion = compose(RigidMotion2(rho, t), pair.motion)
+    at, _, margin, rho = _aligned_rows(pair)
+    sigma0 = float(at[0])
+    motion = _aligned_motion(pair, rho, point_at(pair.F1, sigma0), point_at(pair.F2, sigma0))
     return AlignmentResult(sigma0=sigma0, motion=motion, margin=margin)
 
 
@@ -279,10 +315,29 @@ def apply_alignment(pair: MarkedPair, result: AlignmentResult) -> MarkedPair:
 
 
 def combine_aligned(pair: MarkedPair) -> tuple[AlignmentResult, CombinedCurve]:
-    """Align, then combine; the certificate is convex on success."""
-    result = align(pair)
-    combined = combine(apply_alignment(pair, result))
-    return result, combined
+    """Align, then combine; the certificate is convex on success.
+
+    The result is :func:`align`'s, and the combination is :func:`combine`'s
+    on the pair rebased at sigma0 (:func:`apply_alignment`), built from one
+    merge and one evaluation of each curve (:func:`_aligned_rows`): the
+    winning row's points fix the motion, and the positions are the merged
+    breakpoints minus sigma0, plus the perimeter where that is below 0.
+    They agree with a fresh merge of the rebased pair to the rounding of
+    its rebased arc positions, 7 eps times the perimeter, with one
+    exception: a kept old base row keeps the base's position, where a fresh
+    merge takes its first vertex's, within ``BREAKPOINT_MERGE_RTOL`` times
+    the perimeter of it.
+
+    Raises:
+        AlignmentNotFound: as :func:`align`.
+    """
+    at, vertex_rows, margin, rho = _aligned_rows(pair)
+    pts1, pts2 = points_at(pair.F1, at), points_at(pair.F2, at)
+    sigma0 = float(at[0])
+    result = AlignmentResult(sigma0, _aligned_motion(pair, rho, pts1[0], pts2[0]), margin)
+    positions = at - sigma0
+    positions[positions < 0.0] += pair.F1.perimeter
+    return result, _combined(apply_alignment(pair, result), positions, pts1, pts2, vertex_rows)
 
 
 def bending_check(combined: CombinedCurve) -> float:

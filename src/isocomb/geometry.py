@@ -365,27 +365,60 @@ def merge_positions(pos: np.ndarray, period: float, tol: float) -> tuple[np.ndar
     A position is kept when it lies more than ``tol`` past the last kept
     one, starting from ``pos[0]``; a last kept position within ``tol`` of
     ``period`` duplicates ``pos[0]`` and is dropped.  A gap wider than
-    ``tol`` always keeps its right end, so only runs of narrower gaps walk
-    back to the last kept position.  Returns the kept positions and, for
+    ``tol`` always keeps its right end, so only runs of narrower gaps need
+    the last kept position.  Rounded subtraction is monotone, so a run
+    whose whole span from its head (the position before it) is within
+    ``tol`` keeps its head alone; only a wider run walks greedily, one
+    galloping search per position it keeps.  With no narrow gap
+    nothing but the gap test runs.  Returns the kept positions and, for
     each input position, the row it merged into (a dropped last row's
     members go to row 0).
     """
     keep = np.empty(len(pos), dtype=bool)
     keep[0] = True
     keep[1:] = np.diff(pos) > tol
-    last = 0
-    for i in np.flatnonzero(~keep):
-        if keep[i - 1]:
-            last = i - 1
-        if pos[i] - pos[last] > tol:
-            keep[i] = True
-            last = i
+    narrow = np.flatnonzero(~keep)
+    if len(narrow):
+        split = np.flatnonzero(np.diff(narrow) > 1)
+        heads = np.append(narrow[0], narrow[split + 1]) - 1
+        ends = np.append(narrow[split], narrow[-1])
+        wide = pos[ends] - pos[heads] > tol
+        for head, end in zip(heads[wide].tolist(), ends[wide].tolist()):
+            _greedy_walk(pos, head, end, tol, keep)
     out = pos[keep]
     rows = np.cumsum(keep) - 1
     if len(out) > 1 and period - out[-1] <= tol:
         out = out[:-1]
         rows[rows == len(out)] = 0
     return out, rows
+
+
+def _greedy_walk(pos: np.ndarray, head: int, end: int, tol: float, keep: np.ndarray) -> None:
+    """Mark in ``keep`` the positions of ``pos[head + 1:end + 1]`` that the
+    greedy merge keeps, from the kept ``pos[head]`` on.  The next one kept
+    after ``pos[last]`` is the first whose greedy test ``pos[i] - pos[last]
+    > tol`` holds; the test is monotone in i on sorted input, so a
+    galloping search finds it in O(log) tests of the jump it makes.  The
+    test itself decides, not a search for ``pos[last] + tol``, whose
+    rounding can disagree with it."""
+    run = pos[head:end + 1].tolist()
+    n = len(run)
+    last = 0
+    while True:
+        a, lo, hi, step = run[last], last + 1, last + 1, 1
+        while hi < n and not run[hi] - a > tol:
+            lo, hi, step = hi + 1, hi + step, 2 * step
+        hi = min(hi, n)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if run[mid] - a > tol:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == n:
+            return
+        keep[head + lo] = True
+        last = lo
 
 
 def merged_vertex_positions(a: ArcPolygon, b: ArcPolygon) -> tuple[np.ndarray, ...]:

@@ -10,7 +10,7 @@ interior of an edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,13 @@ from .geometry import (
     roll_next,
     turns,
 )
-from .tolerances import CERTIFICATE_TOL, COLLINEAR_EPS, LENGTH_EPS_FACTOR, TOTAL_TURN_TOL
+from .tolerances import (
+    CERTIFICATE_TOL,
+    COLLINEAR_EPS,
+    DILATION_TURN_FACTOR,
+    LENGTH_EPS_FACTOR,
+    TOTAL_TURN_TOL,
+)
 
 # Largest accepted vertex coordinate magnitude: a combination sums two
 # curves, and its squared chord lengths (bending_check) must stay finite.
@@ -61,6 +67,34 @@ class PlanarPolygon(ArcPolygon):
     exterior_angles: np.ndarray = field(repr=False)  # (n,) turn at each vertex, turns(edge_dirs)
 
 
+def _check_coordinates(verts: np.ndarray) -> float:
+    """The largest coordinate magnitude; ValueError unless every coordinate
+    is finite and within ``MAX_COORDINATE``."""
+    if not np.all(np.isfinite(verts)):
+        raise ValueError("vertices must be finite")
+    largest = float(np.max(np.abs(verts)))
+    if largest > MAX_COORDINATE:
+        raise ValueError(f"vertex coordinates must not exceed MAX_COORDINATE = {MAX_COORDINATE:g}")
+    return largest
+
+
+def _check_chain(verts: np.ndarray, lengths: np.ndarray) -> float:
+    """The perimeter, the sum of ``lengths``; DegenerateEdge for an edge below
+    ``LENGTH_EPS_FACTOR`` times it, WrongOrientation for a clockwise chain,
+    NotConvex for zero area."""
+    perimeter = float(np.sum(lengths))
+    if perimeter <= 0.0:
+        raise DegenerateEdge("zero perimeter")
+    if np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
+        raise DegenerateEdge("consecutive vertices coincide within tolerance")
+    area = signed_area(verts)
+    if area < 0.0:
+        raise WrongOrientation("vertices are clockwise; expected counterclockwise")
+    if area == 0.0:
+        raise NotConvex("polygon has zero area")
+    return perimeter
+
+
 def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLINEAR_EPS) -> PlanarPolygon:
     """Validate a vertex chain and construct a :class:`PlanarPolygon`.
 
@@ -78,23 +112,9 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
         raise ValueError("expected at least 3 planar vertices of shape (n, 2)")
-    if not np.all(np.isfinite(verts)):
-        raise ValueError("vertices must be finite")
-    if np.max(np.abs(verts)) > MAX_COORDINATE:
-        raise ValueError(f"vertex coordinates must not exceed MAX_COORDINATE = {MAX_COORDINATE:g}")
-
+    _check_coordinates(verts)
     lengths, dirs = _edge_angles(verts)
-    perimeter = float(np.sum(lengths))
-    if perimeter <= 0.0:
-        raise DegenerateEdge("zero perimeter")
-    if np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
-        raise DegenerateEdge("consecutive vertices coincide within tolerance")
-
-    area = signed_area(verts)
-    if area < 0.0:
-        raise WrongOrientation("vertices are clockwise; expected counterclockwise")
-    if area == 0.0:
-        raise NotConvex("polygon has zero area")
+    perimeter = _check_chain(verts, lengths)
 
     # Merge collinear vertices until stable.
     while True:
@@ -199,9 +219,48 @@ def convexity_certificate(vertices) -> ConvexityCertificate:
 
 
 def dilate_to_perimeter(poly: PlanarPolygon, target: float, center) -> PlanarPolygon:
-    """Homothety about ``center`` scaling the perimeter to ``target``."""
-    if target <= 0.0:
-        raise ValueError("target perimeter must be positive")
+    """Homothety about ``center`` scaling the perimeter to ``target``.
+
+    A positive homothety is a similarity, so the edge directions and the
+    exterior angles carry over from ``poly``, and the arc lengths, the
+    perimeter and the base point scale by the ratio; only the vertices are
+    computed, and nothing is rebuilt.  The carried fields are those of the
+    exact image; the vertices differ from it by the rounding of ``center +
+    ratio * (v - center)``, at most e = 2 eps (|center| + |w|) per
+    coordinate of a dilated vertex w.  So an edge's chord direction is
+    within 3 e / L of the carried one, and a turn within 6 e / L, for the
+    shortest dilated edge L.  The checks that rounding can break are made
+    again on the dilated vertices; a centre so far from the polygon that
+    the turns' bound reaches half the least exterior angle
+    (``DILATION_TURN_FACTOR``) may bend the chain, which is then rebuilt
+    from its vertices (:func:`build_polygon`).
+
+    Raises:
+        ValueError: a target that is not positive and finite, or a dilated
+            coordinate that is not finite or exceeds ``MAX_COORDINATE``.
+        DegenerateEdge: an edge shorter than ``LENGTH_EPS_FACTOR`` times the
+            perimeter, as an underflow can leave it.
+        WrongOrientation: a clockwise dilated chain.
+        NotConvex: zero area, as an underflow can leave it, or a rebuilt
+            chain that is not convex.
+        NotSimple: a rebuilt chain that winds more than once.
+    """
+    if not (math.isfinite(target) and target > 0.0):
+        raise ValueError(f"target perimeter must be positive and finite; got {target!r}")
     ratio = target / poly.perimeter
     c = np.asarray(center, dtype=float)
-    return build_polygon(c + ratio * (poly.vertices - c), base_s=poly.base_s * ratio)
+    verts = c + ratio * (poly.vertices - c)
+    scale = float(np.abs(c).max()) + _check_coordinates(verts)
+    diffs = roll_next(verts) - verts
+    lengths = np.hypot(diffs[:, 0], diffs[:, 1])
+    _check_chain(verts, lengths)
+    if DILATION_TURN_FACTOR * scale >= lengths.min() * poly.exterior_angles.min():
+        return build_polygon(verts, base_s=poly.base_s * ratio)
+    perimeter = poly.perimeter * ratio
+    return replace(
+        poly,
+        vertices=verts,
+        cum_lengths=poly.cum_lengths * ratio,
+        perimeter=perimeter,
+        base_s=reduce_mod(poly.base_s * ratio, perimeter),
+    )

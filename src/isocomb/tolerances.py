@@ -39,6 +39,9 @@ UNIT_NORM_TOL = 1e-9            # rounding: |norm - 1| of a vertex accepted onto
 ANTIPODAL_LENGTH_EPS = 1e-9     # rounding: an edge within this of pi is antipodal
 ANTIPODAL_DOT_EPS = 1e-12       # rounding: a vertex dot product within this of -1 is antipodal
 CENTROID_NORM_FLOOR = 1e-14     # rounding: a circulation below this times the perimeter has no direction
+DILATION_TURN_FACTOR = 24 * sys.float_info.epsilon  # rounding: times |centre| + |vertex| bounds twice
+                                # the move of a dilated turn over the shortest edge; at or above the
+                                # least turn times that edge, the dilated chain is rebuilt
 
 # random links
 LINK_BRACKET_RTOL = 1e-7        # rounding: a hull contracts if longer than target by this share

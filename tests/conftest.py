@@ -450,6 +450,49 @@ def former_vertex_events(combined):
     return VertexEvents(bps, case, beta1, beta2, beta)
 
 
+def former_merge_positions(pos, period, tol):
+    """``geometry.merge_positions`` as it was before its runs were merged
+    by array operations: one Python step per position that a gap within
+    ``tol`` does not keep outright."""
+    keep = np.empty(len(pos), dtype=bool)
+    keep[0] = True
+    keep[1:] = np.diff(pos) > tol
+    last = 0
+    for i in np.flatnonzero(~keep):
+        if keep[i - 1]:
+            last = i - 1
+        if pos[i] - pos[last] > tol:
+            keep[i] = True
+            last = i
+    out = pos[keep]
+    rows = np.cumsum(keep) - 1
+    if len(out) > 1 and period - out[-1] <= tol:
+        out = out[:-1]
+        rows[rows == len(out)] = 0
+    return out, rows
+
+
+def former_combine_aligned(pair):
+    """``combination.combine_aligned`` as it was before it built the
+    combination from the alignment's rows: align, rebase both curves at
+    sigma0, and merge and evaluate the rebased pair again."""
+    from isocomb.combination import align, apply_alignment, combine
+
+    result = align(pair)
+    combined = combine(apply_alignment(pair, result))
+    return result, combined
+
+
+def former_dilate_to_perimeter(poly, target, center):
+    """``planar.dilate_to_perimeter`` as it was before it carried the
+    directions over: the dilated vertices rebuilt from scratch."""
+    if target <= 0.0:
+        raise ValueError("target perimeter must be positive")
+    ratio = target / poly.perimeter
+    c = np.asarray(center, dtype=float)
+    return build_polygon(c + ratio * (poly.vertices - c), base_s=poly.base_s * ratio)
+
+
 def former_random_convex_link(rng, target_length, n_points=24):
     """``random_convex_link`` on the former kernel: same draws, same search,
     Qhull's hull rotated to start at its lexicographically least vertex."""

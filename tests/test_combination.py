@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isocomb import combination
+from isocomb import combination, planar, suite
 from isocomb.combination import (
     align,
     apply_alignment,
@@ -49,6 +49,7 @@ from conftest import (
     dense_alignment_margins,
     former_align,
     former_bending_check,
+    former_combine_aligned,
     former_semitangent_condition,
     former_vertex_events,
     support_polygon,
@@ -156,18 +157,26 @@ def test_vertex_events_refuses_rows_off_the_merged_breakpoints(unit_square):
             vertex_events(combine_at(pair, positions))
 
 
-def test_self_pairs_based_at_vertices_and_their_float_neighbours(unit_square):
-    # a base point on a vertex, or one float away on either side of it,
-    # must not split the vertex into two rows or lose the alignment
+def _self_pairs(unit_square):
+    """The unit square and a hull, each against itself based at each of its
+    vertices and one float to either side of it."""
     hull = random_convex_polygon(trial_rng(5, 0), 3, 30)
     for poly in (unit_square, hull):
         p = poly.perimeter
         for s in poly.cum_lengths:
             for base in (s, np.nextafter(s if s > 0.0 else p, 0.0), np.nextafter(s, p)):
-                result, combined = combine_aligned(make_pair(poly, poly.with_base(float(base))))
-                assert result.margin > 0.0, base
-                assert combined.certificate.is_convex, base
-                assert vertex_events(combined).law_error() <= VERTEX_ANGLE_TOL, base
+                yield make_pair(poly, poly.with_base(float(base)))
+
+
+def test_self_pairs_based_at_vertices_and_their_float_neighbours(unit_square):
+    # a base point on a vertex, or one float away on either side of it,
+    # must not split the vertex into two rows or lose the alignment
+    for pair in _self_pairs(unit_square):
+        base = pair.F2.base_s
+        result, combined = combine_aligned(pair)
+        assert result.margin > 0.0, base
+        assert combined.certificate.is_convex, base
+        assert vertex_events(combined).law_error() <= VERTEX_ANGLE_TOL, base
 
 
 def _dense_pairs():
@@ -184,13 +193,8 @@ def test_vertex_events_on_the_carried_rows_equal_the_former_remerge(unit_square)
     # of merging the pair again: dense pairs, and self-pairs based at each
     # vertex and one float to either side of it
     pairs = list(_dense_pairs())
-    hull = random_convex_polygon(trial_rng(5, 0), 3, 30)
-    for poly in (unit_square, hull):
-        p = poly.perimeter
-        for s in poly.cum_lengths:
-            for base in (s, np.nextafter(s if s > 0.0 else p, 0.0), np.nextafter(s, p)):
-                pair = make_pair(poly, poly.with_base(float(base)))
-                pairs += [pair, apply_alignment(pair, align(pair))]
+    for pair in _self_pairs(unit_square):
+        pairs += [pair, apply_alignment(pair, align(pair))]
     for pair in pairs:
         combined = combine(pair)
         got, want = vertex_events(combined), former_vertex_events(combined)
@@ -198,9 +202,65 @@ def test_vertex_events_on_the_carried_rows_equal_the_former_remerge(unit_square)
             assert_same_bits(getattr(got, name), getattr(want, name), name)
 
 
-def test_a_planar_trial_merges_twice(monkeypatch):
-    # align merges the pair once, combine merges the aligned pair once and
-    # keeps the rows, and vertex_events merges nothing
+def _assert_equals_former_combine_aligned(pair):
+    """combine_aligned against the former realign-and-remerge route.
+
+    The alignment result and the vertex rows are the same bits.  A rebased
+    position is rounded from values below 2p, each rounding at most eps *
+    p: three times on the former route (sigma0 added to the base, which
+    is reduced exactly, subtracted from a vertex's arc length, p added
+    below 0), four times on this one (the merged position is one
+    subtraction and at most one addition of p; sigma0 subtracted, p added
+    below 0).  So positions agree to 7 eps p.  A point moves by at most its position's move (unit
+    speed), and its evaluation and the motion round it by at most 4 eps
+    times its largest coordinate R; the combined curve adds two points.
+    A kept old base row keeps the base's position where a fresh merge
+    takes its first vertex's, at most BREAKPOINT_MERGE_RTOL * p away.
+    Returns 1 for a pair with such a row, 0 otherwise."""
+    got, combined = combine_aligned(pair)
+    want, former = former_combine_aligned(pair)
+    for name in ("sigma0", "margin"):
+        assert_same_bits(getattr(got, name), getattr(want, name), name)
+    assert_same_bits(np.array([got.motion.rotation, *got.motion.translation]),
+                     np.array([want.motion.rotation, *want.motion.translation]), "motion")
+    for rows, want_rows in zip(combined.vertex_rows, former.vertex_rows):
+        assert np.array_equal(rows, want_rows)
+    p = pair.F1.perimeter
+    r = float(np.max(np.abs(former.curve) + np.abs(former.tau_segments))) / 2
+    pos_bound = 7 * EPS * p
+    moved = np.abs(combined.breakpoints - former.breakpoints)
+    base_row = moved > pos_bound
+    assert base_row.sum() <= 1 and np.all(moved <= BREAKPOINT_MERGE_RTOL * p + pos_bound)
+    assert np.all(combined.breakpoints[base_row] == p - got.sigma0)
+    shift = np.where(base_row, moved, pos_bound)[:, None]
+    assert np.all(np.abs(combined.curve - former.curve) <= 2 * (shift + 4 * EPS * r))
+    assert np.all(np.abs(combined.tau_segments - former.tau_segments) <= 2 * (shift + 4 * EPS * r))
+    assert combined.pair.F1.base_s == former.pair.F1.base_s
+    assert combined.pair.F2.base_s == former.pair.F2.base_s
+    return int(base_row.any())
+
+
+def test_combine_aligned_equals_the_former_realign_and_remerge(unit_square):
+    # 1,000 suite pairs of hulls of 3..200 points, the self-pairs based at
+    # and beside each vertex, and the dense support pairs
+    pairs = []
+    for i in range(1000):
+        rng = trial_rng(42, i)
+        k = 3 + i % 198
+        f1 = random_convex_polygon(rng, 3, k)
+        f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, k), f1.perimeter, (0, 0))
+        pairs.append(make_pair(f1, f2))
+    pairs += list(_self_pairs(unit_square)) + list(_dense_pairs())
+    assert sum(_assert_equals_former_combine_aligned(pair) for pair in pairs) == 0
+    # a vertex 2e-12 past the base merges into the base row, which the
+    # alignment keeps at the base's position
+    square = unit_square.with_base(4.0 - 2e-12)
+    assert _assert_equals_former_combine_aligned(make_pair(square, rect_0p5_by_1p5(base_s=1.8))) == 1
+
+
+def test_a_planar_trial_merges_once(monkeypatch):
+    # combine_aligned merges the pair once and builds the rebased pair's
+    # rows from that merge, and vertex_events merges nothing
     merges = []
 
     def counted(*args):
@@ -213,7 +273,25 @@ def test_a_planar_trial_merges_twice(monkeypatch):
     f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 30), f1.perimeter, (0, 0))
     _, combined = combine_aligned(make_pair(f1, f2))
     vertex_events(combined)
-    assert len(merges) == 2
+    assert len(merges) == 1
+
+
+def test_a_planar_trial_builds_only_its_two_hulls(monkeypatch):
+    # the second polygon is dilated as a similarity, not rebuilt, so only
+    # random_convex_polygon builds: once per hull
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_polygon(*args, **kwargs)
+
+    monkeypatch.setattr(planar, "build_polygon", counted)
+    monkeypatch.setattr(suite, "build_polygon", counted)
+    config = suite.SuiteConfig(trials=20, seed=7, max_vertices=200)
+    for i in range(config.trials):
+        builds.clear()
+        assert suite.planar_trial(config, i).passed
+        assert len(builds) == 2, i
 
 
 def test_vertex_events_square_vs_offset_rectangle(unit_square):
@@ -528,7 +606,7 @@ def _assert_same_alignment(pair, a, b, back, margin_bound, sigma0_bound):
         return
     # g is constant between merged breakpoints, so the candidate at sigma0_b
     # has the margin of the last breakpoint at or before it
-    bps, g = _row_gaps(pair)
+    bps, g, *_ = _row_gaps(pair)
     margins = alignment_margins(g)
     j = np.searchsorted(bps, (sigma0_b + sigma0_bound) % p, side="right") - 1
     assert margins[j] >= a.margin - MARGIN_TIE_TOL - 2 * margin_bound
@@ -560,7 +638,7 @@ def test_align_invariant_under_swapping_the_curves(index, max_points):
     assert abs(ra.margin - rb.margin) <= 4 * math.pi * EPS
     if ra.sigma0 != rb.sigma0:
         # a near-tie may pick another tied candidate: its margin must tie
-        bps, g = _row_gaps(make_pair(f1, f2))
+        bps, g, *_ = _row_gaps(make_pair(f1, f2))
         margins = alignment_margins(g)
         assert margins[np.searchsorted(bps, rb.sigma0)] >= ra.margin - MARGIN_TIE_TOL
     scale = max(np.max(np.abs(ca.curve)), np.max(np.abs(cb.curve)))
@@ -851,7 +929,7 @@ def test_gap_equals_turning_function_oracle_on_scan_positions():
     pairs = _scan_pairs()
     assert len(pairs) >= 300
     for pair in pairs:
-        bps, g = _row_gaps(pair)
+        bps, g, *_ = _row_gaps(pair)
         mids = 0.5 * (bps + np.append(bps[1:], pair.F1.perimeter))
         want = turning_function_directions(pair.F1, mids, 0.0) - turning_function_directions(
             pair.F2, mids, pair.motion.rotation
@@ -872,7 +950,7 @@ def test_gap_folds_a_vertex_in_the_snap_window_into_its_row(unit_square):
     d = _row_directions(before, bps, rows, 0.0)
     assert d[0] == norm_angle(float(before.edge_dirs[edge])) == math.pi / 2
     assert d[-1] - d[0] == pytest.approx(3 * math.pi / 2)
-    _, g = _row_gaps(make_pair(before, unit_square.with_base(1.0)))
+    _, g, *_ = _row_gaps(make_pair(before, unit_square.with_base(1.0)))
     assert not g.any()
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from isocomb.errors import (
     NotSimple,
     WrongOrientation,
 )
-from isocomb.geometry import merged_vertex_positions, norm_angle, turns
+from isocomb.geometry import merged_vertex_positions, norm_angle, norm_angle_many, turns
 from isocomb.planar import (
     MAX_COORDINATE,
     PlanarPolygon,
@@ -23,9 +24,12 @@ from isocomb.planar import (
 )
 from isocomb.tolerances import COLLINEAR_EPS
 
-from conftest import former_exterior_angles
+from isocomb.suite import random_convex_polygon, trial_rng
+
+from conftest import assert_same_bits, former_dilate_to_perimeter, former_exterior_angles, support_polygon
 
 TAU = 2 * math.pi
+EPS = np.finfo(float).eps
 
 
 def right_semitangent(poly, s):
@@ -288,6 +292,71 @@ def test_dilate_square(unit_square):
 def test_dilate_identity(unit_square):
     same = dilate_to_perimeter(unit_square, unit_square.perimeter, (0.3, 0.3))
     assert np.allclose(same.vertices, unit_square.vertices, atol=1e-15)
+
+
+@pytest.mark.parametrize("target, error", [
+    (0.0, ValueError), (-1.0, ValueError), (math.nan, ValueError), (math.inf, ValueError),
+    (1e-320, NotConvex), (1e-300, NotConvex), (1e152, ValueError), (1e300, ValueError),
+])
+def test_dilate_refuses_a_target_it_cannot_reach_with_a_typed_error(unit_square, target, error):
+    # an underflow leaves zero area, a coordinate past MAX_COORDINATE is
+    # refused, and a target that is not finite never reaches the arithmetic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            dilate_to_perimeter(unit_square, target, (0.0, 0.0))
+
+
+def _dilation_rounding(got, poly, ratio, center):
+    """Bounds on how far the rebuilt fields of a dilation may lie from the
+    carried ones: (per edge direction, per arc length).
+
+    A dilated vertex w = c + ratio * (v - c) rounds three times, so it lies
+    within eps * s of the exact image, s = |c| + ratio * |v - c| + |w| (max
+    norm).  A rebuilt edge w[i + 1] - w[i] then lies within eps * (s[i] +
+    s[i + 1]) plus half an ulp of itself of the exact image edge, which
+    the carried edge (the input edge, scaled) matches to half an ulp, so
+    the lengths differ by at most e = 2 eps (s[i] + s[i + 1] + L[i]) and the
+    directions by 2 e / L plus two atan2 roundings.  The arc lengths sum n
+    such edges and round n times on each side."""
+    c = np.abs(np.asarray(center, dtype=float)).max()
+    s = c + ratio * np.abs(poly.vertices - center).max(axis=1) + np.abs(got.vertices).max(axis=1)
+    lengths = np.diff(np.append(got.cum_lengths, got.perimeter))
+    e = 2 * EPS * (s + np.roll(s, -1) + lengths)
+    return 2 * e / lengths + 4 * EPS * math.pi, float(np.sum(e)) + 2 * len(s) * EPS * got.perimeter
+
+
+def test_dilation_carries_the_former_rebuild_within_its_rounding(unit_square):
+    # the vertices are the former's bits; the directions, turns, arc
+    # lengths, perimeter and base point the former rebuilt from them agree
+    # with the carried ones within _dilation_rounding
+    polys = [unit_square.with_base(1.5), support_polygon(500, 1.0, {2: (0.1, 0.05)}, base_frac=0.3)]
+    for i in range(300):
+        polys.append(random_convex_polygon(trial_rng(77, i), 3, 3 + i % 198))
+    for k, poly in enumerate(polys):
+        for target, center in ((2.0 + k % 7, (0.0, 0.0)), (0.3, (0.3, -0.2)), (poly.perimeter, (1.0, 2.0))):
+            got = dilate_to_perimeter(poly, target, center)
+            want = former_dilate_to_perimeter(poly, target, center)
+            assert_same_bits(got.vertices, want.vertices, "vertices")
+            dirs, arcs = _dilation_rounding(got, poly, target / poly.perimeter, np.asarray(center))
+            assert np.all(np.abs(norm_angle_many(got.edge_dirs - want.edge_dirs)) <= dirs), k
+            assert np.all(np.abs(got.exterior_angles - want.exterior_angles) <= dirs + np.roll(dirs, 1)), k
+            assert np.all(np.abs(got.cum_lengths - want.cum_lengths) <= arcs), k
+            assert abs(got.perimeter - want.perimeter) <= arcs, k
+            apart = abs(got.base_s - want.base_s)
+            assert min(apart, got.perimeter - apart) <= arcs, k
+
+
+def test_dilation_about_a_far_centre_rebuilds_the_chain():
+    # 1e13 away, the dilated vertices round by ~1e-3, past half the least
+    # turn over the shortest edge, so the chain is rebuilt from them as the
+    # former dilation did; about the origin its directions carry over
+    poly = random_convex_polygon(trial_rng(1, 0), 200, 200)
+    assert dilate_to_perimeter(poly, 3.0, (0.0, 0.0)).edge_dirs is poly.edge_dirs
+    got = dilate_to_perimeter(poly, 3.0, (1e13, 0.0))
+    want = former_dilate_to_perimeter(poly, 3.0, (1e13, 0.0))
+    for name in ("vertices", "cum_lengths", "perimeter", "base_s", "edge_dirs", "exterior_angles"):
+        assert_same_bits(getattr(got, name), getattr(want, name), name)
 
 
 def test_dilate_roundtrip():

@@ -164,8 +164,14 @@ def test_cone_suite_runs_from_the_least_target_every_hull_brackets():
 # unwrap_turns), which moved margin by <= 4.4e-15 and psi, min_turning,
 # gauss_bonnet_residual and combined_perimeter by <= 1.8e-15 (same diff: no
 # passed flip, sigma0 unmoved; the planar report's 8 trials kept every
-# bit).  A refactor that keeps every output bit keeps them.
-PLANAR_SEED42_REPORT_SHA256 = "dd8d95d370c830cb4d04d63aefe698e466eb1b9fc1bdcc14ed63ec84c69e4b32"
+# bit).  The planar digest again when a planar trial merged once, built
+# the rebased rows from the alignment's merge, and dilated its second
+# polygon as a similarity, which moved bending_residual, exterior_sum,
+# min_exterior, vertex_angle_law_max_error and margin by rounding
+# (tools/report_diff.py over 10,000 trials at seeds 7 and 42, also at
+# --max-vertices 200: no passed flip, inputs_digest unmoved, the law error
+# by <= 9.2e-11).  A refactor that keeps every output bit keeps them.
+PLANAR_SEED42_REPORT_SHA256 = "2509eb6a1a7fd710c0423549fff659dd816c67ca189cef0187c0c0dafaa7a166"
 CONE_SEED7_REPORT_SHA256 = "0f06dbd36070a4c574655c681474ebe8d34d814c3397a86d273614efb8ef34d5"
 
 
