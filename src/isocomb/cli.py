@@ -11,22 +11,9 @@ import json
 import sys
 
 from . import serialization as ser
-from .combination import bending_check, combine, combine_aligned, make_pair
-from .cones import (
-    combine_cones,
-    combine_dihedral,
-    cone_from_link,
-    image_polygons,
-    make_digon,
-    position_and_combine,
-    transform_link_pair,
-)
 from .errors import AlignmentNotFound, GeometryError, InvalidInput, PositioningNotFound
-from .geometry import apply_motion_many
 from .planar import PlanarPolygon
 from .spherical import SphericalPolygon
-from .suite import SuiteConfig, replay_trial, run_cone_suite, run_planar_suite
-from .svgplot import render_svg
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -57,15 +44,19 @@ def _cmd_validate(args) -> int:
 
 
 def _planar_pair(args):
+    from .combination import make_pair
     f1 = _load(args.a, PlanarPolygon)
     f2 = _load(args.b, PlanarPolygon)
     return make_pair(f1, f2)
 
 
 def _emit_combination(args, alignment, combined) -> None:
+    from .combination import bending_check
     result = ser.alignment_result_to_dict(alignment, combined, bending_check(combined))
     _write_text(args.out, ser.dump_json(result))
     if args.svg is not None:
+        from .geometry import apply_motion_many
+        from .svgplot import render_svg
         pair = combined.pair
         curves = [
             ("F1", pair.F1.vertices),
@@ -76,6 +67,7 @@ def _emit_combination(args, alignment, combined) -> None:
 
 
 def _cmd_align(args) -> int:
+    from .combination import combine_aligned
     pair = _planar_pair(args)
     alignment, combined = combine_aligned(pair)
     _emit_combination(args, alignment, combined)
@@ -83,6 +75,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_combine(args) -> int:
+    from .combination import combine
     pair = _planar_pair(args)
     combined = combine(pair)
     _emit_combination(args, None, combined)
@@ -90,6 +83,7 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_pogorelov(args) -> int:
+    from .cones import image_polygons, transform_link_pair
     m1 = _load(args.a, SphericalPolygon)
     m2 = _load(args.b, SphericalPolygon)
     image = transform_link_pair(m1, m2)
@@ -106,6 +100,7 @@ def _cmd_pogorelov(args) -> int:
 
 
 def _cmd_cone_combine(args) -> int:
+    from .cones import combine_cones, cone_from_link, position_and_combine
     k1 = cone_from_link(_load(args.a, SphericalPolygon))
     k2 = cone_from_link(_load(args.b, SphericalPolygon))
     positioned = {}
@@ -126,6 +121,7 @@ def _cmd_cone_combine(args) -> int:
 
 
 def _cmd_digon(args) -> int:
+    from .cones import combine_dihedral, make_digon
     ladder = [float(x) for x in args.ladder.split(",") if x.strip()]
     report = combine_dihedral(make_digon(args.angle1), make_digon(args.angle2), ladder)
     out = {
@@ -150,6 +146,7 @@ def _cmd_digon(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suite import SuiteConfig, replay_trial, run_cone_suite, run_planar_suite
     config = SuiteConfig(
         trials=args.trials,
         seed=args.seed,

@@ -13,15 +13,16 @@ Alignment result:
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .combination import AlignmentResult, CombinedCurve
-from .cones import make_digon
 from .errors import InvalidInput
 from .planar import PlanarPolygon, build_polygon
 from .spherical import SphericalPolygon, build_spherical_polygon
+
+if TYPE_CHECKING:
+    from .combination import AlignmentResult, CombinedCurve
 
 
 def planar_to_dict(poly: PlanarPolygon) -> dict:
@@ -80,6 +81,7 @@ def object_from_dict(data: dict) -> Any:
     if kind == "spherical_polygon":
         return build_spherical_polygon(_vertices(data), base_s=_number(data.get("base_s", 0.0), "base_s"))
     if kind == "digon":
+        from .cones import make_digon
         angle = _number(_required(data, "angle"), "angle")
         if "placement" in data:
             raise InvalidInput("digon 'placement' is not read: a digon file holds its angle alone")
@@ -88,8 +90,14 @@ def object_from_dict(data: dict) -> Any:
 
 
 def load_object(path: str) -> Any:
+    """The validated object in the JSON file at ``path``; JSON nested too
+    deeply for the decoder is an ``InvalidInput`` too."""
     with open(path, "r", encoding="utf-8") as fh:
-        return object_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise InvalidInput(f"{path}: JSON nested too deeply to decode") from None
+    return object_from_dict(data)
 
 
 def dump_json(data: dict) -> str:

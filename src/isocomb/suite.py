@@ -19,7 +19,6 @@ from .combination import (
     make_pair,
     vertex_events,
 )
-from .cones import cone_from_link, position_and_combine
 from .errors import AlignmentNotFound, GeometryError, PositioningNotFound
 from .geometry import TAU, convex_hull_2d
 from .planar import PlanarPolygon, build_polygon, dilate_to_perimeter
@@ -146,6 +145,7 @@ def planar_trial(config: SuiteConfig, index: int) -> TrialReport:
 
 def cone_trial(config: SuiteConfig, index: int) -> TrialReport:
     """Generate an isometric cone pair, position, combine, and check the certificate."""
+    from .cones import cone_from_link, position_and_combine
     rng = trial_rng(config.seed, index)
     lo, hi = config.target_link_length
     target = rng.uniform(lo, hi)

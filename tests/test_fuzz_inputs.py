@@ -3,10 +3,11 @@
 Generated input files sit in and around the three schemas (planar polygon,
 spherical polygon, digon): any JSON value in any field, numbers that are
 NaN, infinite or too large for a float, ragged vertex rows, and shapes
-that are valid or nearly so, at most 12 vertices.  Each file is run against
-a fixed partner and, for the link commands, against itself.  The ``digon``
-angles and ladder and the ``suite`` options are fuzzed as argument strings
-in small ranges.  Every run must end in an exit code of 0-3, with exactly
+that are valid or nearly so, at most 12 vertices; and, as explicit cases,
+files nested far deeper than the JSON decoder's recursion limit.  Each
+file is run against a fixed partner and, for the link commands, against
+itself.  The ``digon`` angles and ladder and the ``suite`` options are
+fuzzed as argument strings in small ranges.  Every run must end in an exit code of 0-3, with exactly
 one ``error:`` line when it fails (a suite's failed trials are reported in
 its printed summary instead), no warning (the command line would print
 it), and no NaN or Infinity token in what it prints or writes.
@@ -22,6 +23,7 @@ import re
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isocomb import cli
@@ -163,6 +165,22 @@ def test_fuzzed_input_files_exit_cleanly(data):
             code, _, err = run_cli(argv)
             assert_clean_failure(argv, code, err)
         assert_finite_files(d, (fuzzed, square, octant))
+
+
+# nested far deeper than the decoder's recursion limit, which the bounded
+# strategies above never reach: at the top level and inside the vertices
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("text", [DEEP, '{"type": "planar_polygon", "vertices": ' + DEEP + "}"],
+                         ids=["top level", "vertices"])
+def test_deeply_nested_input_file_exits_cleanly(tmp_path, text):
+    deep, square = tmp_path / "deep.json", write(tmp_path / "square.json", SQUARE)
+    deep.write_text(text)
+    for argv in (["validate", str(deep)], ["align", "--a", str(deep), "--b", str(square)]):
+        code, _, err = run_cli(argv)
+        assert code == 1, argv
+        assert_clean_failure(argv, code, err)
 
 
 number_texts = st.one_of(

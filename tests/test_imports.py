@@ -6,9 +6,13 @@ merge's ``BREAKPOINT_MERGE_RTOL`` or calls a remainder or an unwrap
 (``np.mod``, ``np.fmod``, ``np.remainder``, ``np.unwrap``, ``math.fmod``,
 ``math.remainder``), every tolerance is
 defined once, in ``tolerances``, and no module imports scipy, so no
-subcommand loads it: scipy is a test-only oracle."""
+subcommand loads it: scipy is a test-only oracle.  A fresh process loads
+only the package modules its subcommand runs, ``import isocomb`` loads
+none, and the package namespace resolves each exported name lazily to the
+object its module holds."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -350,29 +354,35 @@ def test_module_imports_from_scipy_only_the_hull(module):
     assert scipy_imports((PACKAGE / module).read_text()) == []
 
 
-# runs cli.main on each argv list and prints the loaded scipy modules
-SCIPY_PROBE = """
+# imports isocomb, runs cli.main on each argv list, and prints the loaded
+# modules of the package named by the second argument
+PROBE = """
 import json, sys
-from isocomb import cli
+import isocomb
 for argv in json.loads(sys.argv[1]):
+    from isocomb import cli
     if cli.main(argv) != 0:
         raise SystemExit(f"{argv} failed")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[2])))
 """
 
 
-def loaded_scipy_modules(argvs) -> set[str]:
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``args`` that imports isocomb from this tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    run = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def loaded_modules(argvs, package) -> set[str]:
+    run = run_python("-c", PROBE, json.dumps(argvs), package)
     assert run.returncode == 0, run.stderr
     return set(json.loads(run.stdout.splitlines()[-1]))
 
 
-def test_no_subcommand_loads_scipy(tmp_path):
+def probe_inputs(tmp_path) -> dict:
+    """Seeded input files for the subcommands: two links, a planar
+    polygon and a digon."""
     from isocomb.serialization import planar_to_dict, spherical_to_dict
     from isocomb.spherical import random_convex_link
     from isocomb.suite import random_convex_polygon
@@ -385,19 +395,110 @@ def test_no_subcommand_loads_scipy(tmp_path):
         ("f1", planar_to_dict(random_convex_polygon(rng, 3, 10))),
         ("digon", {"type": "digon", "angle": 1.1}),
     ):
-        files[name] = tmp_path / f"{name}.json"
-        files[name].write_text(json.dumps(data))
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(data))
+    return files
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    files = probe_inputs(tmp_path)
     argvs = [
         ["digon", "--angle1", "1.0", "--angle2", "1.5", "--ladder", "0.2,0.1",
          "--out", str(tmp_path / "digon_out.json")],
-        ["cone-combine", "--a", str(files["a"]), "--b", str(files["b"]), "--position",
+        ["cone-combine", "--a", files["a"], "--b", files["b"], "--position",
          "--out", str(tmp_path / "cone.json")],
-        ["align", "--a", str(files["f1"]), "--b", str(files["f1"]),
+        ["align", "--a", files["f1"], "--b", files["f1"],
          "--out", str(tmp_path / "align.json")],
-        ["validate", str(files["digon"])],
+        ["validate", files["digon"]],
         ["suite", "planar", "--trials", "2", "--report", str(tmp_path / "planar.jsonl")],
         ["suite", "cone", "--trials", "2", "--report", str(tmp_path / "cone.jsonl")],
         ["suite", "planar", "--replay", "1"],
         ["suite", "cone", "--replay", "1"],
     ]
-    assert loaded_scipy_modules(argvs) == set()
+    assert loaded_modules(argvs, "scipy") == set()
+
+
+# the package modules each subcommand loads in a fresh process: the ones
+# that validate an input file, plus what the subcommand runs
+VALIDATE = {f"isocomb{m}" for m in (
+    "", ".cli", ".errors", ".tolerances", ".geometry", ".planar", ".spherical", ".serialization")}
+COMBINATION, CONES = {"isocomb.combination"}, {"isocomb.cones"}
+SUITE, SVGPLOT = {"isocomb.suite", "isocomb.combination"}, {"isocomb.svgplot"}
+SUBCOMMAND_MODULES = {
+    "validate planar": (["validate", "{f1}"], VALIDATE),
+    "validate spherical": (["validate", "{a}"], VALIDATE),
+    "validate digon": (["validate", "{digon}"], VALIDATE | CONES),
+    "align": (["align", "--a", "{f1}", "--b", "{f1}", "--out", "{out}"], VALIDATE | COMBINATION),
+    "align --svg": (["align", "--a", "{f1}", "--b", "{f1}", "--out", "{out}", "--svg", "{svg}"],
+                    VALIDATE | COMBINATION | SVGPLOT),
+    "combine": (["combine", "--a", "{f1}", "--b", "{f1}", "--out", "{out}"], VALIDATE | COMBINATION),
+    "combine --svg": (["combine", "--a", "{f1}", "--b", "{f1}", "--out", "{out}", "--svg", "{svg}"],
+                      VALIDATE | COMBINATION | SVGPLOT),
+    "pogorelov": (["pogorelov", "--a", "{a}", "--b", "{b}", "--out", "{out}"], VALIDATE | CONES),
+    "cone-combine": (["cone-combine", "--a", "{a}", "--b", "{b}", "--position", "--out", "{out}"],
+                     VALIDATE | CONES),
+    "digon": (["digon", "--angle1", "1.0", "--angle2", "1.5", "--ladder", "0.2,0.1", "--out", "{out}"],
+              VALIDATE | CONES),
+    "suite planar": (["suite", "planar", "--trials", "2", "--report", "{out}"], VALIDATE | SUITE),
+    "suite planar --replay": (["suite", "planar", "--replay", "1"], VALIDATE | SUITE),
+    "suite cone": (["suite", "cone", "--trials", "2", "--report", "{out}"], VALIDATE | SUITE | CONES),
+}
+
+
+@pytest.mark.parametrize("argv, expected", SUBCOMMAND_MODULES.values(), ids=SUBCOMMAND_MODULES.keys())
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, expected):
+    names = dict(probe_inputs(tmp_path), out=str(tmp_path / "out"), svg=str(tmp_path / "out.svg"))
+    argv = [arg.format(**names) for arg in argv]
+    assert loaded_modules([argv], "isocomb") == expected
+
+
+def test_importing_the_package_loads_no_module():
+    assert loaded_modules([], "isocomb") == {"isocomb"}
+
+
+def test_cli_runs_as_a_module_with_runtime_warnings_as_errors(tmp_path):
+    # runpy warns when the package has already imported the module it runs
+    run = run_python("-W", "error::RuntimeWarning", "-m", "isocomb.cli", "validate",
+                     probe_inputs(tmp_path)["f1"])
+    assert (run.returncode, run.stderr) == (0, "")
+
+
+# the names the package exported when it imported every module eagerly
+EXPORTED = {
+    "combination": (
+        "AlignmentResult", "CombinedCurve", "MarkedPair", "VertexEvents", "align", "apply_alignment",
+        "bending_check", "combine", "combine_aligned", "combine_at", "make_pair",
+        "semitangent_condition", "vertex_events",
+    ),
+    "cones": (
+        "ConvexCone3", "Digon", "DigonCombinationReport", "PogorelovImage", "PositioningReport",
+        "combine_cones", "combine_dihedral", "cone_from_link", "image_polygons", "link_hausdorff",
+        "make_digon", "pogorelov_forward", "pogorelov_identity_check", "position_and_combine",
+        "transform_link_pair", "truncate_digons",
+    ),
+    "geometry": ("Angle", "RigidMotion2", "Vec2", "apply_motion", "compose", "norm_angle"),
+    "planar": (
+        "ConvexityCertificate", "PlanarPolygon", "build_polygon", "convexity_certificate",
+        "dilate_to_perimeter", "point_at",
+    ),
+    "spherical": ("SphericalPolygon", "build_spherical_polygon", "centroid_direction", "random_convex_link"),
+    "suite": ("SuiteConfig", "TrialReport", "run_cone_suite", "run_planar_suite"),
+}
+
+
+def test_lazy_namespace_keeps_every_exported_name():
+    import isocomb
+
+    exported = {name: module for module, names in EXPORTED.items() for name in names}
+    assert sorted(isocomb.__all__) == sorted(exported)
+    listed = dir(isocomb)
+    for name, module in exported.items():
+        assert getattr(isocomb, name) is getattr(importlib.import_module(f"isocomb.{module}"), name), name
+        assert name in listed, name
+    namespace = {}
+    exec("from isocomb import *", namespace)
+    assert {name: namespace[name] for name in exported} == {
+        name: getattr(isocomb, name) for name in exported}
+    assert isocomb.__version__ == "0.1.0" and "__version__" in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        isocomb.no_such_name

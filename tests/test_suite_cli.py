@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isocomb import cli
+from isocomb import cli, combination
 from isocomb.errors import AlignmentNotFound, EmptyInput, GeometryError, InvalidInput, LinkNotGenerated
 from isocomb.serialization import (
     dump_json,
@@ -445,7 +445,7 @@ def test_cli_align_exit_code_on_algorithmic_failure(square_file, rect_file, monk
     def boom(pair):
         raise AlignmentNotFound("forced")
 
-    monkeypatch.setattr(cli, "combine_aligned", boom)
+    monkeypatch.setattr(combination, "combine_aligned", boom)
     assert cli.main(["align", "--a", square_file, "--b", rect_file]) == 2
 
 
