@@ -210,8 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["planar", "cone"])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-vertices", dest="min_vertices", type=int, default=3)
-    p.add_argument("--max-vertices", dest="max_vertices", type=int, default=30)
+    p.add_argument("--min-vertices", dest="min_vertices", type=int, default=3,
+                   help="least hull point count of a planar trial; a cone trial does not read it")
+    p.add_argument("--max-vertices", dest="max_vertices", type=int, default=30,
+                   help="largest hull point count of a planar trial; a cone trial's links "
+                        "are hulls of max(12, this) cap points")
     p.add_argument("--report", default=None)
     p.add_argument("--replay", type=int, default=None, help="re-run a single trial by id")
     p.set_defaults(fn=_cmd_suite)

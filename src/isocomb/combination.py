@@ -31,6 +31,7 @@ from .geometry import (
     norm_angle,
     roll_next,
     roll_prev,
+    short_edges,
     turns,
     unwrap_turns,
 )
@@ -45,7 +46,6 @@ from .planar import (
 )
 from .tolerances import (
     BENDING_DENOM_FLOOR,
-    LENGTH_EPS_FACTOR,
     MARGIN_EPS,
     MARGIN_TIE_TOL,
     RELATIVE_TAU_FLOOR,
@@ -92,16 +92,16 @@ class CombinedCurve:
 
 
 def _dedup_closed(points: np.ndarray) -> np.ndarray:
-    """Drop consecutive (and wraparound) near-duplicate points, whose edge is
-    at most the certificate's ``LENGTH_EPS_FACTOR`` share of the total."""
+    """Drop each point (wrapping around) whose edge from the point before it
+    is below the certificate's length floor (:func:`geometry.short_edges`),
+    so a run of near-duplicates keeps its first point."""
     diffs = roll_next(points) - points
     seg = np.hypot(diffs[:, 0], diffs[:, 1])
     total = float(np.sum(seg))
     if total == 0.0:
         return points[:1]
-    keep = seg > LENGTH_EPS_FACTOR * total
-    # row i is kept when the edge leaving it is non-degenerate
-    return points[roll_prev(keep)]
+    # row i is kept when the edge arriving from row i - 1 is not short
+    return points[roll_prev(~short_edges(seg, total))]
 
 
 def _certificate(curve: np.ndarray) -> ConvexityCertificate:

@@ -445,8 +445,8 @@ def truncate_digons(
 
     # the perimeter is strictly decreasing in the cut depth, from ~2*pi at
     # depth 0 down to ~twice the digon angle near pi/2; the shortest edge at
-    # depth lo, ~2 lo sin(angle/2) >= 2 DIGON_EDGE_FLOOR, clears the
-    # LENGTH_EPS_FACTOR * perimeter floor
+    # depth lo, ~2 lo sin(angle/2) >= 2 DIGON_EDGE_FLOOR, clears the length
+    # floor (geometry.short_edges)
     lo = max(DIGON_DEPTH_FLOOR, DIGON_EDGE_FLOOR / math.sin(digon2.angle / 2.0))
     hi = math.pi / 2 - DIGON_DEPTH_MARGIN
     try:

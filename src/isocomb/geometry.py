@@ -20,11 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PerimeterMismatch
+from .errors import DegenerateEdge, PerimeterMismatch
 from .tolerances import (
     BREAKPOINT_MERGE_RTOL,
     BRENT_RTOL,
     BRENT_XTOL,
+    LENGTH_EPS_FACTOR,
     PARALLEL_EPS,
     PERIMETER_RTOL,
     REVERSAL_EPS,
@@ -258,6 +259,21 @@ def common_perimeter(a, b) -> float:
     return p
 
 
+def short_edges(lengths: np.ndarray, perimeter: float) -> np.ndarray:
+    """Mask of the edges of a closed chain below ``LENGTH_EPS_FACTOR`` times
+    its ``perimeter``: the one length floor of the builders and the certificate."""
+    return lengths < LENGTH_EPS_FACTOR * perimeter
+
+
+def chain_perimeter(lengths: np.ndarray) -> float:
+    """The perimeter of a closed chain, the sum of its edge ``lengths``;
+    DegenerateEdge if it is not positive or an edge is short (:func:`short_edges`)."""
+    perimeter = float(np.sum(lengths))
+    if perimeter <= 0.0 or short_edges(lengths, perimeter).any():
+        raise DegenerateEdge("consecutive vertices coincide within tolerance")
+    return perimeter
+
+
 class ArcPolygon:
     """Arc-length core shared by planar and spherical polygons.
 
@@ -291,14 +307,22 @@ class ArcPolygon:
 
         A position snapped to a vertex gets that vertex's outgoing edge and
         offset exactly 0.0.
+
+        Raises:
+            ValueError: a position, or its sum with the base, that is not finite.
         """
         # [p, 2p) reduces by one exact subtraction, 5x cheaper than np.mod;
-        # np.mod may round up to p, which snaps to vertex 0 on the last edge
+        # np.mod may round up to p, which snaps to vertex 0 on the last edge.
+        # A NaN fails both comparisons, so it is never inside.
         y = self.base_s + np.asarray(ss, dtype=float)
         x = np.where(y < self.perimeter, y, y - self.perimeter)
-        far = (x < 0.0) | (x >= self.perimeter)
-        if far.any():
-            x[far] = np.mod(y[far], self.perimeter)
+        inside = (x >= 0.0) & (x < self.perimeter)
+        if not inside.all():
+            far = ~inside
+            y = y[far]
+            if not np.isfinite(y).all():
+                raise ValueError("arc positions must be finite")
+            x[far] = np.mod(y, self.perimeter)
         idx = np.searchsorted(self.cum_lengths, x, side="right") - 1
         snap = SNAP_FACTOR * self.perimeter
         bump = self.edge_ends().take(idx) - x <= snap
@@ -368,11 +392,11 @@ def merge_positions(pos: np.ndarray, period: float, tol: float) -> tuple[np.ndar
     ``tol`` always keeps its right end, so only runs of narrower gaps need
     the last kept position.  Rounded subtraction is monotone, so a run
     whose whole span from its head (the position before it) is within
-    ``tol`` keeps its head alone; only a wider run walks greedily, one
-    galloping search per position it keeps.  With no narrow gap
-    nothing but the gap test runs.  Returns the kept positions and, for
-    each input position, the row it merged into (a dropped last row's
-    members go to row 0).
+    ``tol`` keeps its head alone; only a wider run is walked, in one pass
+    of Python floats on the greedy test ``x - last > tol``.  With no
+    narrow gap nothing but the gap test runs.  Returns the kept positions
+    and, for each input position, the row it merged into (a dropped last
+    row's members go to row 0).
     """
     keep = np.empty(len(pos), dtype=bool)
     keep[0] = True
@@ -383,42 +407,21 @@ def merge_positions(pos: np.ndarray, period: float, tol: float) -> tuple[np.ndar
         heads = np.append(narrow[0], narrow[split + 1]) - 1
         ends = np.append(narrow[split], narrow[-1])
         wide = pos[ends] - pos[heads] > tol
+        kept = []
         for head, end in zip(heads[wide].tolist(), ends[wide].tolist()):
-            _greedy_walk(pos, head, end, tol, keep)
+            run = pos[head:end + 1].tolist()
+            last = run[0]
+            for i, x in enumerate(run[1:], head + 1):
+                if x - last > tol:
+                    kept.append(i)
+                    last = x
+        keep[kept] = True
     out = pos[keep]
     rows = np.cumsum(keep) - 1
     if len(out) > 1 and period - out[-1] <= tol:
         out = out[:-1]
         rows[rows == len(out)] = 0
     return out, rows
-
-
-def _greedy_walk(pos: np.ndarray, head: int, end: int, tol: float, keep: np.ndarray) -> None:
-    """Mark in ``keep`` the positions of ``pos[head + 1:end + 1]`` that the
-    greedy merge keeps, from the kept ``pos[head]`` on.  The next one kept
-    after ``pos[last]`` is the first whose greedy test ``pos[i] - pos[last]
-    > tol`` holds; the test is monotone in i on sorted input, so a
-    galloping search finds it in O(log) tests of the jump it makes.  The
-    test itself decides, not a search for ``pos[last] + tol``, whose
-    rounding can disagree with it."""
-    run = pos[head:end + 1].tolist()
-    n = len(run)
-    last = 0
-    while True:
-        a, lo, hi, step = run[last], last + 1, last + 1, 1
-        while hi < n and not run[hi] - a > tol:
-            lo, hi, step = hi + 1, hi + step, 2 * step
-        hi = min(hi, n)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if run[mid] - a > tol:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == n:
-            return
-        keep[head + lo] = True
-        last = lo
 
 
 def merged_vertex_positions(a: ArcPolygon, b: ArcPolygon) -> tuple[np.ndarray, ...]:

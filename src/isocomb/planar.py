@@ -14,16 +14,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateEdge,
-    NotConvex,
-    NotSimple,
-    WrongOrientation,
-)
+from .errors import NotConvex, NotSimple, WrongOrientation
 from .geometry import (
     TAU,
     ArcPolygon,
     Vec2,
+    chain_perimeter,
     merge_collinear,
     reduce_mod,
     roll_next,
@@ -33,7 +29,6 @@ from .tolerances import (
     CERTIFICATE_TOL,
     COLLINEAR_EPS,
     DILATION_TURN_FACTOR,
-    LENGTH_EPS_FACTOR,
     TOTAL_TURN_TOL,
 )
 
@@ -79,14 +74,10 @@ def _check_coordinates(verts: np.ndarray) -> float:
 
 
 def _check_chain(verts: np.ndarray, lengths: np.ndarray) -> float:
-    """The perimeter, the sum of ``lengths``; DegenerateEdge for an edge below
-    ``LENGTH_EPS_FACTOR`` times it, WrongOrientation for a clockwise chain,
-    NotConvex for zero area."""
-    perimeter = float(np.sum(lengths))
-    if perimeter <= 0.0:
-        raise DegenerateEdge("zero perimeter")
-    if np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
-        raise DegenerateEdge("consecutive vertices coincide within tolerance")
+    """The perimeter, the sum of ``lengths``; DegenerateEdge below the length
+    floor (:func:`geometry.chain_perimeter`), WrongOrientation for a clockwise
+    chain, NotConvex for zero area."""
+    perimeter = chain_perimeter(lengths)
     area = signed_area(verts)
     if area < 0.0:
         raise WrongOrientation("vertices are clockwise; expected counterclockwise")
@@ -104,7 +95,7 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
 
     Raises:
         ValueError: a coordinate above ``MAX_COORDINATE`` in magnitude.
-        DegenerateEdge: an edge shorter than ``LENGTH_EPS_FACTOR * perimeter``.
+        DegenerateEdge: an edge below the length floor (:func:`geometry.short_edges`).
         WrongOrientation: clockwise input.
         NotConvex: reflex vertex, zero area, or a full reversal.
         NotSimple: locally convex chain winding more than once.
@@ -195,15 +186,14 @@ def convexity_certificate(vertices) -> ConvexityCertificate:
 
     Reports interior angles, the exterior-angle sum and minimum, and an
     ``is_convex`` verdict at ``CERTIFICATE_TOL``.  Non-convex input is a
-    valid query; only coincident consecutive vertices raise.
+    valid query; only consecutive vertices that coincide within the length
+    floor raise DegenerateEdge.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
         raise ValueError("expected at least 3 planar vertices of shape (n, 2)")
     lengths, dirs = _edge_angles(verts)
-    perimeter = float(np.sum(lengths))
-    if perimeter <= 0.0 or np.any(lengths < LENGTH_EPS_FACTOR * perimeter):
-        raise DegenerateEdge("consecutive vertices coincide within tolerance")
+    chain_perimeter(lengths)
     ext = turns(dirs)
     exterior_sum = float(np.sum(ext))
     min_exterior = float(np.min(ext))
@@ -238,8 +228,8 @@ def dilate_to_perimeter(poly: PlanarPolygon, target: float, center) -> PlanarPol
     Raises:
         ValueError: a target that is not positive and finite, or a dilated
             coordinate that is not finite or exceeds ``MAX_COORDINATE``.
-        DegenerateEdge: an edge shorter than ``LENGTH_EPS_FACTOR`` times the
-            perimeter, as an underflow can leave it.
+        DegenerateEdge: an edge below the length floor, as an underflow can
+            leave it.
         WrongOrientation: a clockwise dilated chain.
         NotConvex: zero area, as an underflow can leave it, or a rebuilt
             chain that is not convex.

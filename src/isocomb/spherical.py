@@ -20,6 +20,7 @@ from .geometry import (
     TAU,
     ArcPolygon,
     brent_root,
+    chain_perimeter,
     convex_hull_2d,
     cross3,
     dot3,
@@ -30,14 +31,12 @@ from .geometry import (
 )
 from .tolerances import (
     ANTIPODAL_DOT_EPS,
-    ANTIPODAL_LENGTH_EPS,
     CENTROID_NORM_FLOOR,
+    COLLINEAR_EPS,
     GAUSS_BONNET_TOL,
-    LENGTH_EPS_FACTOR,
     LINK_BRACKET_RTOL,
     LINK_LENGTH_TOL,
     LINK_SCALE_FLOOR,
-    SPH_COLLINEAR_EPS,
     UNIT_NORM_TOL,
 )
 
@@ -95,14 +94,16 @@ class SphericalPolygon(ArcPolygon):
 
 
 def build_spherical_polygon(
-    vertices, base_s: float = 0.0, *, collinear_eps: float = SPH_COLLINEAR_EPS
+    vertices, base_s: float = 0.0, *, collinear_eps: float = COLLINEAR_EPS
 ) -> SphericalPolygon:
     """Validate vertices and construct a :class:`SphericalPolygon`.
 
     Raises:
         NotOnSphere: a vertex norm is off unity by more than ``UNIT_NORM_TOL``.
-        AntipodalEdge: consecutive vertices (nearly) antipodal.
-        DegenerateEdge: consecutive vertices coincide within tolerance.
+        AntipodalEdge: consecutive vertices whose dot product is within
+            ``ANTIPODAL_DOT_EPS`` of -1, an edge within about 1.4e-6 of pi.
+        DegenerateEdge: an edge below the length floor
+            (:func:`geometry.chain_perimeter`).
         NotConvexSpherical: negative turning, a Gauss-Bonnet residual above
             ``GAUSS_BONNET_TOL`` (a link that winds twice reads 2*pi), area
             outside (0, 2*pi), or perimeter not below 2*pi.
@@ -127,12 +128,10 @@ def build_spherical_polygon(
         nxt = roll_next(verts)
         cross = cross3(verts, nxt)
         dots = dot3(verts, nxt)
-        lengths = np.arctan2(np.sqrt(dot3(cross, cross)), dots)
-        perimeter = float(lengths.sum())
-        if ((lengths > math.pi - ANTIPODAL_LENGTH_EPS) | (dots <= -1.0 + ANTIPODAL_DOT_EPS)).any():
+        if (dots <= -1.0 + ANTIPODAL_DOT_EPS).any():
             raise AntipodalEdge("consecutive vertices are antipodal")
-        if perimeter <= 0.0 or (lengths < LENGTH_EPS_FACTOR * perimeter).any():
-            raise DegenerateEdge("consecutive vertices coincide within tolerance")
+        lengths = np.arctan2(np.sqrt(dot3(cross, cross)), dots)
+        perimeter = chain_perimeter(lengths)
         normal = cross3(verts, nxt - verts)
         arrive = roll_prev(normal)
         turns = np.arctan2(dot3(verts, cross3(arrive, normal)), dot3(arrive, normal))

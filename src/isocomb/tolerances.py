@@ -31,13 +31,14 @@ REVERSAL_EPS = 1e-12            # rounding: a turn within this of pi is a revers
 SNAP_FACTOR = 32 * sys.float_info.epsilon  # rounding: (base + s) mod p is off by a few ulps
 
 # polygon validation (planar and spherical)
-LENGTH_EPS_FACTOR = 1e-12       # rounding: an edge below this times the perimeter is degenerate
-COLLINEAR_EPS = 1e-12           # rounding: a planar exterior angle at or below this is merged away
+LENGTH_EPS_FACTOR = 1e-12       # rounding: an edge below this times the perimeter is degenerate;
+                                # read by geometry.short_edges alone
+COLLINEAR_EPS = 1e-12           # rounding: a planar exterior angle or a geodesic turning at or below
+                                # this is merged away; the default of both polygon builders
 TOTAL_TURN_TOL = 1e-9           # rounding: |total turning - 2*pi| of a simple planar chain
-SPH_COLLINEAR_EPS = 1e-12       # rounding: a geodesic turning at or below this is merged away
 UNIT_NORM_TOL = 1e-9            # rounding: |norm - 1| of a vertex accepted onto the sphere
-ANTIPODAL_LENGTH_EPS = 1e-9     # rounding: an edge within this of pi is antipodal
-ANTIPODAL_DOT_EPS = 1e-12       # rounding: a vertex dot product within this of -1 is antipodal
+ANTIPODAL_DOT_EPS = 1e-12       # rounding: a vertex dot product within this of -1 is antipodal, so
+                                # is every edge within ~1.4e-6 = sqrt(2e-12) rad of pi
 CENTROID_NORM_FLOOR = 1e-14     # rounding: a circulation below this times the perimeter has no direction
 DILATION_TURN_FACTOR = 24 * sys.float_info.epsilon  # rounding: times |centre| + |vertex| bounds twice
                                 # the move of a dilated turn over the shortest edge; at or above the

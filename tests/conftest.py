@@ -32,10 +32,10 @@ from isocomb.tolerances import (
     BENDING_DENOM_FLOOR,
     BRENT_RTOL,
     BRENT_XTOL,
+    COLLINEAR_EPS,
     GAUSS_BONNET_TOL,
     RELATIVE_TAU_FLOOR,
     SNAP_FACTOR,
-    SPH_COLLINEAR_EPS,
     UNIT_NORM_TOL,
 )
 
@@ -341,7 +341,7 @@ def former_centroid_direction(poly):
     return c / n
 
 
-def former_build_spherical_polygon(vertices, base_s=0.0, *, collinear_eps=SPH_COLLINEAR_EPS):
+def former_build_spherical_polygon(vertices, base_s=0.0, *, collinear_eps=COLLINEAR_EPS):
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 3:
         raise ValueError("expected at least 3 spherical vertices of shape (n, 3)")

@@ -25,6 +25,7 @@ from isocomb.geometry import (
     rotate_about_x0_many,
 )
 
+from isocomb.combination import combine_at, make_pair
 from isocomb.planar import build_polygon, point_at, points_at
 from isocomb.spherical import (
     LINK_CAP_ANGLE,
@@ -312,9 +313,32 @@ def test_merge_positions_equals_the_former_loop_bit_for_bit():
     for pos, tol in ((np.array([-0.5, -0.2, 0.1, 0.3]), 0.5), (np.array([-1.0, -0.6, -0.2, 0.0, 0.4]), 1.0)):
         for got, want in zip(merge_positions(pos, 1.0, tol), former_merge_positions(pos, 1.0, tol)):
             assert_same_bits(got, want)
+    # 64k positions past 1.0: one run of gaps at 0.6 tol, whose walk keeps
+    # every other position, and two clusters drawn within 1e4 and 100 tol
+    n = 1 << 16
+    for pos in (1.0 + np.arange(n) * (0.6 * tol), 1.0 + np.sort(rng.uniform(0.0, 1e4 * tol, n)),
+                1.0 + np.sort(rng.uniform(0.0, 100 * tol, n))):
+        period = pos[-1] + 0.2
+        for got, want in zip(merge_positions(pos, period, tol), former_merge_positions(pos, period, tol)):
+            assert_same_bits(got, want)
 
 
 # -- shared arc-length locator -------------------------------------------------------
+
+def test_locate_refuses_non_finite_positions(unit_square):
+    # a position that is not finite lies on no edge: locate raises before a
+    # point is evaluated, planar, spherical and in a combination, and no
+    # NaN point or remainder warning comes out
+    link = random_convex_link(np.random.default_rng(61), 3.0, n_points=12)
+    pair = make_pair(unit_square, unit_square.with_base(0.5))
+    for bad in (math.nan, math.inf, -math.inf):
+        for query in (lambda: point_at(unit_square, bad),
+                      lambda: points_at(unit_square, [bad, 0.5]),
+                      lambda: sph_points_at(link, [0.5, bad]),
+                      lambda: combine_at(pair, [0.0, 1.0, bad, 3.0])):
+            with pytest.raises(ValueError, match="finite"):
+                query()
+
 
 def _rebased(poly):
     """The polygon with its base at 0, -0.0, mid-edge, the perimeter's last

@@ -1,8 +1,9 @@
 """Every module-level import of the package is used by its module, every
 module-level private function or class is used somewhere in the package,
 no module calls the numpy routines that the column helpers replace, only
-``geometry`` reads the snap rule's ``SNAP_FACTOR`` and the breakpoint
-merge's ``BREAKPOINT_MERGE_RTOL`` or calls a remainder or an unwrap
+``geometry`` reads the snap rule's ``SNAP_FACTOR``, the breakpoint
+merge's ``BREAKPOINT_MERGE_RTOL`` and the length floor's
+``LENGTH_EPS_FACTOR`` or calls a remainder or an unwrap
 (``np.mod``, ``np.fmod``, ``np.remainder``, ``np.unwrap``, ``math.fmod``,
 ``math.remainder``), every tolerance is
 defined once, in ``tolerances``, and no module imports scipy, so no
@@ -152,13 +153,15 @@ def test_module_calls_no_replaced_numpy_routine(module):
     assert replaced_numpy_calls((PACKAGE / module).read_text()) == []
 
 
-# geometry owns the snap rule and the breakpoint merge: ArcPolygon.locate
-# is the one reader of SNAP_FACTOR, every other module asking it which edge
-# a position is on, and merged_vertex_positions the one reader of
-# BREAKPOINT_MERGE_RTOL, so plane and cone merge at one tolerance; the
-# tolerance ledger defines both, and reads them no more than any other module
+# geometry owns the snap rule, the breakpoint merge and the length floor:
+# ArcPolygon.locate is the one reader of SNAP_FACTOR, every other module
+# asking it which edge a position is on, merged_vertex_positions the one
+# reader of BREAKPOINT_MERGE_RTOL, so plane and cone merge at one tolerance,
+# and short_edges the one reader of LENGTH_EPS_FACTOR, so both builders, the
+# certificate and its deduplication refuse an edge by one test; the
+# tolerance ledger defines all three, and reads them no more than any other module
 SNAP_OWNER = "geometry.py"
-OWNED_TOLERANCES = ("SNAP_FACTOR", "BREAKPOINT_MERGE_RTOL")
+OWNED_TOLERANCES = ("SNAP_FACTOR", "BREAKPOINT_MERGE_RTOL", "LENGTH_EPS_FACTOR")
 LEDGER = "tolerances.py"
 
 

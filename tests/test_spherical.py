@@ -6,7 +6,7 @@ import pytest
 
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
 from isocomb.geometry import TAU, convex_hull_2d, cross3, dot3, roll_next, roll_prev
-from isocomb.tolerances import BRENT_RTOL, BRENT_XTOL, LINK_SCALE_FLOOR, SPH_COLLINEAR_EPS
+from isocomb.tolerances import ANTIPODAL_DOT_EPS, BRENT_RTOL, BRENT_XTOL, COLLINEAR_EPS, LINK_SCALE_FLOOR
 from isocomb import spherical
 from isocomb.spherical import (
     LINK_CAP_ANGLE,
@@ -88,6 +88,30 @@ def test_rejects_non_unit_vertices():
 def test_rejects_antipodal_edge():
     with pytest.raises(AntipodalEdge):
         build_spherical_polygon([(1, 0, 0), (-1, 0, 0), (0, 0, 1)])
+
+
+def test_the_dot_test_refuses_every_edge_the_former_length_test_did():
+    # the dot test refuses every edge within ~1.4e-6 of pi, so every edge
+    # longer than pi - 1e-9, which a length test once refused too.  Pairs
+    # at pi - 10**u, u in [-18, -5], in the builder's edge frame (rows
+    # normalized, then cross3 and dot3 row by row), and every 25th refused
+    # pair through the builder, as a triangle whose third vertex is a
+    # quarter turn from both
+    rng = np.random.default_rng(71)
+    n = 250_000
+    a = unit_rows(rng.normal(size=(n, 3)))
+    p = unit_rows(cross3(a, rng.normal(size=(n, 3))))
+    theta = math.pi - 10.0 ** rng.uniform(-18.0, -5.0, n)
+    b = np.cos(theta)[:, None] * a + np.sin(theta)[:, None] * p
+    ua, ub = unit_rows(a), unit_rows(b)
+    cross, dots = cross3(ua, ub), dot3(ua, ub)
+    former = np.arctan2(np.sqrt(dot3(cross, cross)), dots) > math.pi - 1e-9
+    refused = dots <= -1.0 + ANTIPODAL_DOT_EPS
+    assert former.sum() > 150_000 and (refused & ~former).sum() > 50_000
+    assert not (former & ~refused).any()
+    for k in np.flatnonzero(former)[::25].tolist():
+        with pytest.raises(AntipodalEdge):
+            build_spherical_polygon([a[k], b[k], p[k]])
 
 
 def test_rejects_nonconvex_spherical():
@@ -474,7 +498,7 @@ def test_collinear_merge_rule_next_to_the_tolerance(monkeypatch):
     # turn is resolved to ~4e-16 there, so the sweep reaches the computed
     # values next to each edge.  The rule reads the builder's own first-pass
     # turn and decision, and the finished polygon must agree with it
-    eps = SPH_COLLINEAR_EPS
+    eps = COLLINEAR_EPS
     seen, merge = [], spherical.merge_collinear
 
     def spy(turns, *rest):
