@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-vertices", dest="min_vertices", type=int, default=3,
-                   help="least hull point count of a planar trial; a cone trial does not read it")
+                   help="least hull point count of a planar trial; a cone suite neither reads nor checks it")
     p.add_argument("--max-vertices", dest="max_vertices", type=int, default=30,
                    help="largest hull point count of a planar trial; a cone trial's links "
                         "are hulls of max(12, this) cap points")

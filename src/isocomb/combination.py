@@ -39,9 +39,10 @@ from .planar import (
     ConvexityCertificate,
     FAILED_CERTIFICATE,
     PlanarPolygon,
-    convexity_certificate,
+    _certify_chain,
     point_at,
     points_at,
+    points_on_edges,
     signed_area,
 )
 from .tolerances import (
@@ -88,6 +89,8 @@ class CombinedCurve:
     tau_segments: np.ndarray    # (m, 2) samples of the bending field r1 - r2
     breakpoints: np.ndarray     # (m,) arc positions the rows were evaluated at
     pair: MarkedPair            # the pair the rows were evaluated on
+    chords: np.ndarray          # (m, 2) chord dr from each row to the next
+    chord_lengths: np.ndarray   # (m,) |dr|
     vertex_rows: tuple[np.ndarray, np.ndarray] | None = None  # row of each vertex of F1, F2
 
 
@@ -104,12 +107,17 @@ def _dedup_closed(points: np.ndarray) -> np.ndarray:
     return points[roll_prev(~short_edges(seg, total))]
 
 
-def _certificate(curve: np.ndarray) -> ConvexityCertificate:
+def _certificate(curve: np.ndarray, lengths: np.ndarray, dirs: np.ndarray) -> ConvexityCertificate:
+    """From the chord ``lengths`` and directions ``dirs`` when no chord is
+    short; else of the curve without the points short chords end at (:func:`_dedup_closed`)."""
+    total = float(np.sum(lengths))
+    if len(curve) >= 3 and total != 0.0 and not short_edges(lengths, total).any():
+        return _certify_chain(curve, dirs)
     pts = _dedup_closed(curve)
     if len(pts) < 3:
         return FAILED_CERTIFICATE
     try:
-        return convexity_certificate(pts)
+        return _certify_chain(pts)
     except DegenerateEdge:
         return FAILED_CERTIFICATE
 
@@ -117,15 +125,20 @@ def _certificate(curve: np.ndarray) -> ConvexityCertificate:
 def _combined(pair: MarkedPair, positions: np.ndarray, pts1: np.ndarray, pts2: np.ndarray,
               vertex_rows=None) -> CombinedCurve:
     """The combination of the rows ``pts1`` of F1 and ``pts2`` of F2 (before
-    the pair's motion) at ``positions``, with its certificate."""
+    the pair's motion) at ``positions``, with its certificate and chords."""
     pts2 = apply_motion_many(pair.motion, pts2)
     curve = pts1 + pts2
+    chords = roll_next(curve) - curve
+    lengths = np.hypot(chords[:, 0], chords[:, 1])
+    dirs = np.arctan2(chords[:, 1], chords[:, 0])
     return CombinedCurve(
         curve=curve,
-        certificate=_certificate(curve),
+        certificate=_certificate(curve, lengths, dirs),
         tau_segments=pts1 - pts2,
         breakpoints=positions,
         pair=pair,
+        chords=chords,
+        chord_lengths=lengths,
         vertex_rows=vertex_rows,
     )
 
@@ -194,7 +207,7 @@ def vertex_events(combined: CombinedCurve) -> VertexEvents:
     one of that curve's vertices into it (:func:`geometry.merged_vertex_positions`),
     so the combined curve turns there by its angle; :func:`combine` and
     :func:`combine_aligned` keep the merge's rows, so nothing is merged
-    here.  ``beta`` is read from the chords of the combined curve.
+    here.  ``beta`` is the certificate's interior angle at the row.
 
     Raises:
         ValueError: ``combined`` is off the merged breakpoints (from :func:`combine_at`).
@@ -207,8 +220,10 @@ def vertex_events(combined: CombinedCurve) -> VertexEvents:
     case = (np.bincount(rows1, minlength=m) > 0).astype(int) + (np.bincount(rows2, minlength=m) > 0)
     beta1 = math.pi - np.bincount(rows1, weights=pair.F1.exterior_angles, minlength=m)
     beta2 = math.pi - np.bincount(rows2, weights=pair.F2.exterior_angles, minlength=m)
-    beta = np.where(case > 0, math.pi - turns(chord_directions(combined.curve)), math.pi)
-    return VertexEvents(bps, case, beta1, beta2, beta)
+    beta = combined.certificate.interior_angles
+    if len(beta) != m:      # the certificate left out a row with a short chord
+        beta = math.pi - turns(chord_directions(combined.curve))
+    return VertexEvents(bps, case, beta1, beta2, np.where(case > 0, beta, math.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,24 +235,27 @@ class AlignmentResult:
     margin: Angle
 
 
-def _row_directions(poly: PlanarPolygon, bps: np.ndarray, rows: np.ndarray, offset: float) -> np.ndarray:
+def _row_directions(poly: PlanarPolygon, edge: int, rows: np.ndarray, m: int, offset: float) -> np.ndarray:
     """Unwrapped right-semitangent direction of ``poly``, plus ``offset``,
-    over the piece from each merged breakpoint (:func:`geometry.unwrap_turns`):
-    its direction over piece 0 (read mid-piece; no convex edge spans half the
-    curve, so there are two pieces at least) plus the exterior angles of its
-    vertices merged into rows 1..r, the per-row sums :func:`vertex_events` reads."""
-    row_turns = np.bincount(rows, weights=poly.exterior_angles, minlength=len(bps))
-    (i,), _ = poly.locate([0.5 * bps[1]])
-    return unwrap_turns(norm_angle(float(poly.edge_dirs[i])) + offset, row_turns)
+    over the piece from each of ``m`` merged breakpoints (:func:`geometry.unwrap_turns`):
+    the direction of ``edge``, which holds piece 0 (no convex edge spans half
+    the curve, so there are two pieces at least), plus the exterior angles of
+    its vertices merged into rows 1..r, the per-row sums :func:`vertex_events` reads."""
+    row_turns = np.bincount(rows, weights=poly.exterior_angles, minlength=m)
+    return unwrap_turns(norm_angle(float(poly.edge_dirs[edge])) + offset, row_turns)
 
 
-def _row_gaps(pair: MarkedPair) -> tuple[np.ndarray, ...]:
+def _row_gaps(pair: MarkedPair) -> tuple:
     """Merged breakpoints, the gap g = phi1 - phi2 of unwrapped right
     semitangents over the piece that starts at each, F2's turned by the
-    pair's motion, and the row each vertex of F1 and F2 merged into."""
+    pair's motion, the row each vertex of F1 and F2 merged into, and each
+    curve's one locate, at the breakpoints and then mid piece 0."""
     bps, rows1, rows2 = merged_vertex_positions(pair.F1, pair.F2)
-    phi1 = _row_directions(pair.F1, bps, rows1, 0.0)
-    return bps, phi1 - _row_directions(pair.F2, bps, rows2, pair.motion.rotation), rows1, rows2
+    at, m = np.append(bps, 0.5 * bps[1]), len(bps)
+    loc1, loc2 = pair.F1.locate(at), pair.F2.locate(at)
+    phi1 = _row_directions(pair.F1, loc1[0][-1], rows1, m, 0.0)
+    phi2 = _row_directions(pair.F2, loc2[0][-1], rows2, m, pair.motion.rotation)
+    return bps, phi1 - phi2, rows1, rows2, loc1, loc2
 
 
 def _aligned_rows(pair: MarkedPair) -> tuple:
@@ -246,14 +264,15 @@ def _aligned_rows(pair: MarkedPair) -> tuple:
 
     Returns the merged breakpoints from row j on, then those before it,
     in one take (the old base row 0 is left out unless a vertex merged
-    into it, as a merge of the rebased pair has no breakpoint there); the
-    renumbered row each vertex of F1 and F2 merged into; the margin at j;
-    and the rotation rho = g[j] in (-pi, pi].
+    into it, as a merge of the rebased pair has no breakpoint there), with
+    each curve's located rows there; the renumbered row each vertex of F1
+    and F2 merged into; the margin at j; and the rotation rho = g[j] in
+    (-pi, pi].
 
     Raises:
         AlignmentNotFound: if the best margin is at or below ``MARGIN_EPS`` rad.
     """
-    bps, g, rows1, rows2 = _row_gaps(pair)
+    bps, g, rows1, rows2, *locs = _row_gaps(pair)
     margins = alignment_margins(g)
     j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))   # smallest tied sigma0
     margin = float(margins[j])
@@ -264,9 +283,10 @@ def _aligned_rows(pair: MarkedPair) -> tuple:
     m = len(bps)
     # the old base row stays when it wins or a vertex merged into it
     first = 0 if j == 0 or not (rows1.all() and rows2.all()) else 1
-    at = bps.take(np.concatenate([np.arange(j, m), np.arange(first, j)]))
+    order = np.concatenate([np.arange(j, m), np.arange(first, j)])
+    locs = tuple((idx.take(order), u.take(order)) for idx, u in locs)
     rows = tuple(np.where(r >= j, r - j, r + (m - j - first)) for r in (rows1, rows2))
-    return at, rows, margin, norm_angle(float(g[j]))
+    return bps.take(order), locs, rows, margin, norm_angle(float(g[j]))
 
 
 def _aligned_motion(pair: MarkedPair, rho: float, p1, p2) -> RigidMotion2:
@@ -299,7 +319,7 @@ def align(pair: MarkedPair) -> AlignmentResult:
     Raises:
         AlignmentNotFound: if the best margin is at or below ``MARGIN_EPS`` rad.
     """
-    at, _, margin, rho = _aligned_rows(pair)
+    at, _, _, margin, rho = _aligned_rows(pair)
     sigma0 = float(at[0])
     motion = _aligned_motion(pair, rho, point_at(pair.F1, sigma0), point_at(pair.F2, sigma0))
     return AlignmentResult(sigma0=sigma0, motion=motion, margin=margin)
@@ -319,8 +339,8 @@ def combine_aligned(pair: MarkedPair) -> tuple[AlignmentResult, CombinedCurve]:
 
     The result is :func:`align`'s, and the combination is :func:`combine`'s
     on the pair rebased at sigma0 (:func:`apply_alignment`), built from one
-    merge and one evaluation of each curve (:func:`_aligned_rows`): the
-    winning row's points fix the motion, and the positions are the merged
+    merge and one located evaluation of each curve (:func:`_aligned_rows`):
+    the winning row's points fix the motion, and the positions are the merged
     breakpoints minus sigma0, plus the perimeter where that is below 0.
     They agree with a fresh merge of the rebased pair to the rounding of
     its rebased arc positions, 7 eps times the perimeter, with one
@@ -331,8 +351,8 @@ def combine_aligned(pair: MarkedPair) -> tuple[AlignmentResult, CombinedCurve]:
     Raises:
         AlignmentNotFound: as :func:`align`.
     """
-    at, vertex_rows, margin, rho = _aligned_rows(pair)
-    pts1, pts2 = points_at(pair.F1, at), points_at(pair.F2, at)
+    at, (loc1, loc2), vertex_rows, margin, rho = _aligned_rows(pair)
+    pts1, pts2 = points_on_edges(pair.F1, *loc1), points_on_edges(pair.F2, *loc2)
     sigma0 = float(at[0])
     result = AlignmentResult(sigma0, _aligned_motion(pair, rho, pts1[0], pts2[0]), margin)
     positions = at - sigma0
@@ -348,9 +368,8 @@ def bending_check(combined: CombinedCurve) -> float:
     normalization divides by |dr| * |dtau| plus a floor of
     RELATIVE_TAU_FLOOR times the largest squared chord.
     """
-    dr = roll_next(combined.curve) - combined.curve
+    dr, len_r = combined.chords, combined.chord_lengths
     dtau = roll_next(combined.tau_segments) - combined.tau_segments
-    len_r = np.hypot(dr[:, 0], dr[:, 1])
     floor_eps = RELATIVE_TAU_FLOOR * float(np.max(len_r)) ** 2 + BENDING_DENOM_FLOOR
     p = dr * dtau
     num = np.abs(0.0 + p[:, 0] + p[:, 1])     # np.sum(p, axis=1), as geometry.dot3

@@ -49,6 +49,7 @@ from .geometry import (
 from .planar import PlanarPolygon, build_polygon
 from .spherical import (
     SphericalPolygon,
+    _edge_lengths,
     build_spherical_polygon,
     centroid_direction,
     gnomonic_inverse,
@@ -157,7 +158,8 @@ def _sample_links(L1: SphericalPolygon, L2: SphericalPolygon, max_step: float,
     """Both links evaluated once: the events (their merged vertex positions,
     or the base point alone), the positions (the events refined by
     :func:`_refine`, then with ``midpoints`` the midpoint of each gap after
-    an event), each event's row among them, and each link's points there.
+    an event), each event's row among them, each link's points there, and
+    whether no vertex merged into event 0 (False with the base point alone).
 
     Raises:
         ValueError: ``max_step`` is not positive (NaN included) or too small.
@@ -166,11 +168,12 @@ def _sample_links(L1: SphericalPolygon, L2: SphericalPolygon, max_step: float,
     if not max_step > 0.0:
         raise ValueError(f"max_step must be positive, got {max_step!r}")
     p = common_perimeter(L1, L2)
-    events = merged_vertex_positions(L1, L2)[0] if include_vertices else np.zeros(1)
+    events, *rows = merged_vertex_positions(L1, L2) if include_vertices else (np.zeros(1),) * 2
     at, firsts = _refine(events, p, max_step)
     if midpoints:
         at = np.concatenate([at, 0.5 * (events + np.append(events[1:], p))])
-    return events, at, firsts, sph_points_at(L1, at), sph_points_at(L2, at)
+    base_alone = all(r.all() for r in rows)
+    return events, at, firsts, sph_points_at(L1, at), sph_points_at(L2, at), base_alone
 
 
 def transform_link_pair(
@@ -194,7 +197,7 @@ def transform_link_pair(
         ValueError: ``max_step`` is not positive (NaN included) or asks
             for more than ``MAX_SAMPLES`` samples.
     """
-    events, positions, _, r1, r2 = _sample_links(M1, M2, max_step, include_vertices)
+    events, positions, _, r1, r2, _ = _sample_links(M1, M2, max_step, include_vertices)
     w1, w2 = pogorelov_forward(r1, r2)
     return PogorelovImage(
         events=events,
@@ -231,9 +234,13 @@ def segment_mismatch(image: PogorelovImage) -> float:
 
 # -- cone combination --------------------------------------------------------------
 
-def _combined_cone(r1: np.ndarray, r2: np.ndarray, at: np.ndarray) -> ConvexCone3:
+def _combined_cone(r1: np.ndarray, r2: np.ndarray, at: np.ndarray, base_alone: bool) -> ConvexCone3:
     """The cone over normalized r1 + r2, given both links' points at the m
-    merged events and then at the m midpoints between them (``at``)."""
+    merged events and then at the m midpoints between them (``at``).  With
+    no vertex merged into event 0 (``base_alone``) and m > 3, the builder
+    would merge that event away as collinear in a pass of its own: the link
+    is built from events 1..m-1, based where that pass would put the base.
+    """
     sums = r1 + r2
     norms = np.sqrt(dot3(sums, sums))
     if norms.min() < ANTIPODAL_EPS:
@@ -243,10 +250,10 @@ def _combined_cone(r1: np.ndarray, r2: np.ndarray, at: np.ndarray) -> ConvexCone
     m = len(at) // 2
     if m < 3:
         raise DegenerateEdge(f"only {m} correspondence breakpoints survive the merge")
-    link = build_spherical_polygon(
-        sums[:m] / norms[:m, None], base_s=0.0, collinear_eps=IMAGE_COLLINEAR_EPS
-    )
-    return ConvexCone3(link)
+    rows, base_s = sums[:m] / norms[:m, None], 0.0
+    if base_alone and m > 3:
+        rows, base_s = rows[1:], -_edge_lengths(unit_rows(rows[:2]))[0]
+    return ConvexCone3(build_spherical_polygon(rows, base_s=base_s, collinear_eps=IMAGE_COLLINEAR_EPS))
 
 
 def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
@@ -263,8 +270,8 @@ def combine_cones(K1: ConvexCone3, K2: ConvexCone3) -> ConvexCone3:
         PerimeterMismatch, AntipodalCorrespondence, NotConvexSpherical,
         DegenerateEdge: fewer than 3 breakpoints survive the merge
     """
-    _, at, _, r1, r2 = _sample_links(K1.link, K2.link, math.inf, midpoints=True)
-    return _combined_cone(r1, r2, at)
+    _, at, _, r1, r2, base_alone = _sample_links(K1.link, K2.link, math.inf, midpoints=True)
+    return _combined_cone(r1, r2, at, base_alone)
 
 
 # -- positioning pipeline -----------------------------------------------------------
@@ -330,7 +337,7 @@ def position_and_combine(
     """
     C1 = normalize_cone(K1)
     C2 = normalize_cone(K2)
-    events, at, firsts, r1, r2 = _sample_links(C1.link, C2.link, max_step, midpoints=True)
+    events, at, firsts, r1, r2, base_alone = _sample_links(C1.link, C2.link, max_step, midpoints=True)
     m = len(events)
     n = len(at) - m
     # the image samples drive the candidate search; image convexity is not
@@ -352,7 +359,7 @@ def position_and_combine(
         tried += 1
         psi = norm_angle(float(th2[j] - th1[j]))
         try:
-            combined = _combined_cone(rotate_about_x0_many(psi, r1), r2, checks)
+            combined = _combined_cone(rotate_about_x0_many(psi, r1), r2, checks, base_alone)
         except (NotConvexSpherical, AntipodalCorrespondence, DegenerateEdge, AntipodalEdge):
             continue
         turned = unit_rows(rotate_about_x0_many(psi, C1.link.vertices))

@@ -164,14 +164,14 @@ def convex_hull_2d(points) -> np.ndarray:
 BRENT_MAXITER = 100
 
 
-def _brent_value(f, x: float) -> float:
-    fx = float(f(x))
+def _brent_value(f, x: float, fx=None) -> float:
+    fx = float(f(x) if fx is None else fx)
     if math.isnan(fx):
         raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
     return fx
 
 
-def brent_root(f, a: float, b: float) -> float:
+def brent_root(f, a: float, b: float, fa: float | None = None, fb: float | None = None) -> float:
     """Root of ``f`` in the bracket ``[a, b]`` by Brent's method.
 
     A line-for-line port of scipy's ``brentq.c`` (same branches, same
@@ -179,6 +179,7 @@ def brent_root(f, a: float, b: float) -> float:
     xtol=BRENT_XTOL, rtol=BRENT_RTOL)`` bit for bit, in the root and in
     the calls of ``f``.  A division by zero in the interpolation step,
     where C gets an inf or a NaN that fails the step test, bisects.
+    Given ``fa`` or ``fb``, ``f`` is not called at ``a`` or ``b``.
 
     Raises:
         ValueError: ``f(a)`` and ``f(b)`` have the same sign, or a value
@@ -186,7 +187,7 @@ def brent_root(f, a: float, b: float) -> float:
         RuntimeError: no convergence within ``BRENT_MAXITER`` iterations.
     """
     xpre, xcur = float(a), float(b)
-    fpre, fcur = _brent_value(f, xpre), _brent_value(f, xcur)
+    fpre, fcur = _brent_value(f, xpre, fa), _brent_value(f, xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

@@ -147,7 +147,11 @@ def point_at(poly: PlanarPolygon, s: float) -> Vec2:
 
 def points_at(poly: PlanarPolygon, ss: np.ndarray) -> np.ndarray:
     """Vectorized :func:`point_at` for an array of arc positions."""
-    idx, u = poly.locate(ss)
+    return points_on_edges(poly, *poly.locate(ss))
+
+
+def points_on_edges(poly: PlanarPolygon, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The points at offsets ``u`` along edges ``idx``, as :meth:`~geometry.ArcPolygon.locate` gives them."""
     d = poly.edge_dirs
     step = np.stack([np.cos(d), np.sin(d)], axis=1).take(idx, axis=0)
     return poly.vertices.take(idx, axis=0) + u[:, None] * step
@@ -186,14 +190,23 @@ def convexity_certificate(vertices) -> ConvexityCertificate:
 
     Reports interior angles, the exterior-angle sum and minimum, and an
     ``is_convex`` verdict at ``CERTIFICATE_TOL``.  Non-convex input is a
-    valid query; only consecutive vertices that coincide within the length
-    floor raise DegenerateEdge.
+    valid query; a vertex that is not finite raises ValueError, and only
+    consecutive vertices within the length floor raise DegenerateEdge.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
         raise ValueError("expected at least 3 planar vertices of shape (n, 2)")
-    lengths, dirs = _edge_angles(verts)
-    chain_perimeter(lengths)
+    if not np.isfinite(verts).all():
+        raise ValueError("vertices must be finite")
+    return _certify_chain(verts)
+
+
+def _certify_chain(verts: np.ndarray, dirs: np.ndarray | None = None) -> ConvexityCertificate:
+    """:func:`convexity_certificate` of an (n >= 3, 2) chain, unchecked for finiteness;
+    given its edge directions ``dirs``, its edges are taken to clear the length floor."""
+    if dirs is None:
+        lengths, dirs = _edge_angles(verts)
+        chain_perimeter(lengths)
     ext = turns(dirs)
     exterior_sum = float(np.sum(ext))
     min_exterior = float(np.min(ext))

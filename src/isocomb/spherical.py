@@ -277,10 +277,14 @@ def random_convex_link(
         if len(wh) < 3:
             continue
         perimeter = _scaled_hull_perimeter(wh)
-        if (perimeter(1.0) <= target_length * (1.0 + LINK_BRACKET_RTOL)
-                or perimeter(LINK_SCALE_FLOOR) > target_length):
+        longest = perimeter(1.0)
+        if longest <= target_length * (1.0 + LINK_BRACKET_RTOL):
             continue
-        lam = brent_root(lambda t: perimeter(t) - target_length, LINK_SCALE_FLOOR, 1.0)
+        shortest = perimeter(LINK_SCALE_FLOOR)
+        if shortest > target_length:
+            continue
+        lam = brent_root(lambda t: perimeter(t) - target_length, LINK_SCALE_FLOOR, 1.0,
+                         shortest - target_length, longest - target_length)
         verts = gnomonic_inverse(lam * wh)
         try:
             poly = build_spherical_polygon(verts)

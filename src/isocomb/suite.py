@@ -41,12 +41,17 @@ class SuiteConfig:
     target_link_length: tuple = (0.5, TAU - 0.5)
 
     def validate(self) -> None:
+        self._validate("planar")
+
+    def _validate(self, kind: str) -> None:
+        # a cone trial reads no min_vertices, so only a planar suite bounds max_vertices by it
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, MAX_TRIALS = {MAX_TRIALS}]")
         if self.min_vertices < 3:
             raise ValueError("min_vertices must be >= 3")
-        if not self.min_vertices <= self.max_vertices <= MAX_VERTICES:
-            raise ValueError(f"max_vertices must lie in [min_vertices, MAX_VERTICES = {MAX_VERTICES}]")
+        low, name = (self.min_vertices, "min_vertices") if kind == "planar" else (3, "3")
+        if not low <= self.max_vertices <= MAX_VERTICES:
+            raise ValueError(f"max_vertices must lie in [{name}, MAX_VERTICES = {MAX_VERTICES}]")
         lo, hi = self.target_link_length
         if not (LINK_TARGET_FLOOR <= lo < hi < LINK_TARGET_CEILING):
             raise ValueError(
@@ -159,16 +164,17 @@ def cone_trial(config: SuiteConfig, index: int) -> TrialReport:
         return TrialReport(index, digest, None, None, None, False, f"positioning: {exc}")
 
     link = report.combined.link
+    min_turning = link.min_turning()
     reasons = []
-    if not link.min_turning() >= -MIN_EXTERIOR_TOL:
-        reasons.append(f"min turning {link.min_turning():.3e}")
+    if not min_turning >= -MIN_EXTERIOR_TOL:
+        reasons.append(f"min turning {min_turning:.3e}")
     if not link.gauss_bonnet_residual <= GAUSS_BONNET_TOL:
         reasons.append(f"Gauss-Bonnet residual {link.gauss_bonnet_residual:.3e}")
     certificate = {
         "target_length": target,
         "psi": report.psi,
         "sigma0": report.sigma0,
-        "min_turning": link.min_turning(),
+        "min_turning": min_turning,
         "gauss_bonnet_residual": link.gauss_bonnet_residual,
         "combined_perimeter": link.perimeter,
     }
@@ -184,7 +190,7 @@ def cone_trial(config: SuiteConfig, index: int) -> TrialReport:
 
 
 def _run_suite(config: SuiteConfig, trial_fn, kind: str, report_path: str | None) -> dict:
-    config.validate()
+    config._validate(kind)
     reports = [trial_fn(config, i) for i in range(config.trials)]
     passes = sum(r.passed for r in reports)
     aggregate = {
@@ -226,7 +232,7 @@ def replay_trial(config: SuiteConfig, kind: str, trial_id: int) -> TrialReport:
     trials = {"planar": planar_trial, "cone": cone_trial}
     if kind not in trials:
         raise ValueError(f"unknown trial kind {kind!r}; expected 'planar' or 'cone'")
-    config.validate()
+    config._validate(kind)
     if not 0 <= trial_id < config.trials:
         raise ValueError(f"trial_id {trial_id} outside [0, {config.trials})")
     return trials[kind](config, trial_id)

@@ -151,6 +151,16 @@ def turning_function_directions(poly, ss, offset):
     return norm_angle(float(poly.edge_dirs[base])) + offset + turn
 
 
+def row_directions(poly, bps, rows, offset=0.0):
+    """``combination._row_directions`` over the pieces from the merged
+    breakpoints ``bps``, piece 0's edge located at its middle as
+    ``combination._row_gaps`` locates it."""
+    from isocomb.combination import _row_directions
+
+    (edge,), _ = poly.locate([0.5 * bps[1]])
+    return _row_directions(poly, edge, rows, len(bps), offset)
+
+
 def former_unwrapped_direction_values(poly, scan, offset):
     """Reference for ``combination._row_gaps``: the located route it
     replaced.  ``scan[0]`` is the base point, whose located edge is the
@@ -481,6 +491,93 @@ def former_combine_aligned(pair):
     result = align(pair)
     combined = combine(apply_alignment(pair, result))
     return result, combined
+
+
+def former_trial_combination(pair):
+    """``combine_aligned``, ``bending_check`` and ``vertex_events`` of a
+    planar trial as they were before each curve was located once and the
+    combined chords measured once: the gap read piece 0's edge from a
+    locate of its middle, ``points_at`` located the rows again, and the
+    certificate (after the deduplication), the residual and beta each
+    measured the combined chords.  Returns the alignment result, the
+    combination's curve, bending samples, positions and vertex rows, its
+    certificate, the bending residual and the vertex events."""
+    from types import SimpleNamespace
+
+    from isocomb.combination import AlignmentResult, _aligned_motion, _dedup_closed, apply_alignment
+    from isocomb.errors import AlignmentNotFound
+    from isocomb.geometry import alignment_margins, apply_motion_many, unwrap_turns
+    from isocomb.planar import FAILED_CERTIFICATE, convexity_certificate, points_at
+    from isocomb.tolerances import MARGIN_EPS, MARGIN_TIE_TOL
+
+    F1, F2 = pair.F1, pair.F2
+    bps, rows1, rows2 = merged_vertex_positions(F1, F2)
+    m = len(bps)
+
+    def directions(poly, rows, offset):
+        row_turns = np.bincount(rows, weights=poly.exterior_angles, minlength=m)
+        (i,), _ = poly.locate([0.5 * bps[1]])
+        return unwrap_turns(norm_angle(float(poly.edge_dirs[i])) + offset, row_turns)
+
+    g = directions(F1, rows1, 0.0) - directions(F2, rows2, pair.motion.rotation)
+    margins = alignment_margins(g)
+    j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))
+    margin = float(margins[j])
+    if margin <= MARGIN_EPS:
+        raise AlignmentNotFound(f"best margin {margin:.3e} rad at sigma0={bps[j]!r} is not positive")
+    first = 0 if j == 0 or not (rows1.all() and rows2.all()) else 1
+    at = bps.take(np.concatenate([np.arange(j, m), np.arange(first, j)]))
+    rows1, rows2 = (np.where(r >= j, r - j, r + (m - j - first)) for r in (rows1, rows2))
+    pts1, pts2 = points_at(F1, at), points_at(F2, at)
+    sigma0 = float(at[0])
+    motion = _aligned_motion(pair, norm_angle(float(g[j])), pts1[0], pts2[0])
+    result = AlignmentResult(sigma0, motion, margin)
+    positions = at - sigma0
+    positions[positions < 0.0] += F1.perimeter
+    pts2 = apply_motion_many(apply_alignment(pair, result).motion, pts2)
+    curve, tau = pts1 + pts2, pts1 - pts2
+
+    certificate = FAILED_CERTIFICATE
+    pts = _dedup_closed(curve)
+    if len(pts) >= 3:
+        try:
+            certificate = convexity_certificate(pts)
+        except DegenerateEdge:
+            pass
+    residual = former_bending_check(SimpleNamespace(curve=curve, tau_segments=tau))
+    n = len(at)
+    case = (np.bincount(rows1, minlength=n) > 0).astype(int) + (np.bincount(rows2, minlength=n) > 0)
+    beta1 = math.pi - np.bincount(rows1, weights=F1.exterior_angles, minlength=n)
+    beta2 = math.pi - np.bincount(rows2, weights=F2.exterior_angles, minlength=n)
+    chords = roll_next(curve) - curve
+    dirs = np.arctan2(chords[:, 1], chords[:, 0])
+    beta = np.where(case > 0, math.pi - norm_angle_many(dirs - roll_prev(dirs)), math.pi)
+    events = VertexEvents(positions, case, beta1, beta2, beta)
+    return result, curve, tau, positions, (rows1, rows2), certificate, residual, events
+
+
+def former_combined_cone(r1, r2, at):
+    """``cones._combined_cone`` as it was before it built the combined link
+    in one pass: every event, the base event 0 included, goes to the
+    builder, which merges a collinear base event away in a pass of its own."""
+    from isocomb.cones import ConvexCone3
+    from isocomb.errors import AntipodalCorrespondence
+    from isocomb.geometry import dot3
+    from isocomb.tolerances import ANTIPODAL_EPS, IMAGE_COLLINEAR_EPS
+
+    sums = r1 + r2
+    norms = np.sqrt(dot3(sums, sums))
+    if norms.min() < ANTIPODAL_EPS:
+        raise AntipodalCorrespondence(
+            f"|r1 + r2| = {norms.min():.3e} at arc {at[int(np.argmin(norms))]!r}"
+        )
+    m = len(at) // 2
+    if m < 3:
+        raise DegenerateEdge(f"only {m} correspondence breakpoints survive the merge")
+    link = build_spherical_polygon(
+        sums[:m] / norms[:m, None], base_s=0.0, collinear_eps=IMAGE_COLLINEAR_EPS
+    )
+    return ConvexCone3(link)
 
 
 def former_dilate_to_perimeter(poly, target, center):

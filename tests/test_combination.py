@@ -20,12 +20,12 @@ from isocomb.combination import (
     uniform_positions,
     vertex_events,
     _dedup_closed,
-    _row_directions,
     _row_gaps,
 )
 from isocomb.errors import AlignmentNotFound, PerimeterMismatch
 from isocomb.geometry import (
     TAU,
+    ArcPolygon,
     RigidMotion2,
     Vec2,
     alignment_margins,
@@ -51,7 +51,9 @@ from conftest import (
     former_bending_check,
     former_combine_aligned,
     former_semitangent_condition,
+    former_trial_combination,
     former_vertex_events,
+    row_directions,
     support_polygon,
     turning_function_directions,
 )
@@ -274,6 +276,82 @@ def test_a_planar_trial_merges_once(monkeypatch):
     _, combined = combine_aligned(make_pair(f1, f2))
     vertex_events(combined)
     assert len(merges) == 1
+
+
+def test_a_planar_trial_locates_each_curve_once(monkeypatch):
+    # the gap's piece 0 and the evaluated rows share one locate per curve
+    calls = []
+    real = ArcPolygon.locate
+
+    def counted(self, ss):
+        calls.append(self)
+        return real(self, ss)
+
+    monkeypatch.setattr(ArcPolygon, "locate", counted)
+    config = suite.SuiteConfig(trials=20, seed=7, max_vertices=200)
+    for i in range(config.trials):
+        calls.clear()
+        assert suite.planar_trial(config, i).passed
+        assert len(calls) == 2, i
+
+
+def _near_duplicate_pair():
+    """A suite-drawn pair whose aligned combination has a chord below the
+    length floor: F2 is rebased so that its vertex ending the slowest piece
+    that an F1 vertex starts lies 1.5e-12 of the perimeter past that
+    vertex, above the merge tolerance, where the combined curve moves at
+    under half its mean speed."""
+    rng = trial_rng(11, 55)
+    f1 = random_convex_polygon(rng, 3, 12)
+    f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 12), f1.perimeter, (0, 0))
+    p = f1.perimeter
+    _, c = combine_aligned(make_pair(f1, f2))
+    m = len(c.curve)
+    at1, at2 = (np.bincount(rows, minlength=m) > 0 for rows in c.vertex_rows)
+    speed = c.chord_lengths / np.diff(np.append(c.breakpoints, p))
+    ok = at1 & ~at2 & np.roll(at2 & ~at1, -1) & (speed < 0.5 * c.chord_lengths.sum() / p)
+    r = int(np.flatnonzero(ok)[np.argmin(speed[ok])])
+    gap = c.breakpoints[(r + 1) % m] - c.breakpoints[r]
+    return make_pair(f1, f2.with_base(f2.base_s + gap - 1.5e-12 * p))
+
+
+def test_a_trial_combination_equals_the_former_measurement_bit_for_bit(unit_square):
+    # one locate per curve evaluates the same rows, and one chord frame
+    # gives the same certificate, residual and beta: on 500 suite pairs of
+    # hulls of 3..200 points, the dense support pairs, the self-pairs based
+    # at and beside each vertex, and a pair whose combined curve drops a row
+    pairs = []
+    for i in range(500):
+        rng = trial_rng(42, i)
+        k = 3 + i % 198
+        f1 = random_convex_polygon(rng, 3, k)
+        f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, k), f1.perimeter, (0, 0))
+        pairs.append(make_pair(f1, f2))
+    pairs += list(_dense_pairs()) + list(_self_pairs(unit_square)) + [_near_duplicate_pair()]
+    dropped = 0
+    for pair in pairs:
+        result, combined = combine_aligned(pair)
+        want, curve, tau, positions, rows, cert, residual, events = former_trial_combination(pair)
+        for name in ("sigma0", "margin"):
+            assert_same_bits(getattr(result, name), getattr(want, name), name)
+        assert_same_bits(np.array([result.motion.rotation, *result.motion.translation]),
+                         np.array([want.motion.rotation, *want.motion.translation]), "motion")
+        assert_same_bits(combined.curve, curve, "curve")
+        assert_same_bits(combined.tau_segments, tau, "tau")
+        assert_same_bits(combined.breakpoints, positions, "breakpoints")
+        for got_rows, want_rows in zip(combined.vertex_rows, rows):
+            assert np.array_equal(got_rows, want_rows)
+        got_cert = combined.certificate
+        assert_same_bits(got_cert.interior_angles, cert.interior_angles, "interior angles")
+        for name in ("exterior_sum", "min_exterior", "tolerance"):
+            assert_same_bits(getattr(got_cert, name), getattr(cert, name), name)
+        assert got_cert.is_convex == cert.is_convex
+        assert_same_bits(bending_check(combined), residual, "bending residual")
+        got = vertex_events(combined)
+        for name in ("s", "case", "beta1", "beta2", "beta"):
+            assert_same_bits(getattr(got, name), getattr(events, name), name)
+        dropped += len(cert.interior_angles) < len(curve)
+    assert dropped == 1
 
 
 def test_a_planar_trial_builds_only_its_two_hulls(monkeypatch):
@@ -772,7 +850,7 @@ def test_g_periodicity():
         rng = trial_rng(404, i)
         poly = random_convex_polygon(rng, 3, 50)
         bps, rows, _ = merged_vertex_positions(poly, poly)
-        d = _row_directions(poly, bps, rows, 0.0)
+        d = row_directions(poly, bps, rows)
         assert d[-1] - d[0] == pytest.approx(TAU, abs=1e-9)
 
 
@@ -947,7 +1025,7 @@ def test_gap_folds_a_vertex_in_the_snap_window_into_its_row(unit_square):
     assert (edge, u) == (1, 0.0)
     bps, rows, _ = merged_vertex_positions(before, before)
     assert len(bps) == 4 and rows[1] == 0
-    d = _row_directions(before, bps, rows, 0.0)
+    d = row_directions(before, bps, rows)
     assert d[0] == norm_angle(float(before.edge_dirs[edge])) == math.pi / 2
     assert d[-1] - d[0] == pytest.approx(3 * math.pi / 2)
     _, g, *_ = _row_gaps(make_pair(before, unit_square.with_base(1.0)))

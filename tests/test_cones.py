@@ -37,6 +37,7 @@ from isocomb.geometry import (
     TAU,
     alignment_margins,
     chord_directions,
+    merge_collinear,
     merged_vertex_positions,
     roll_next,
     rotate_about_x0_many,
@@ -62,6 +63,7 @@ from conftest import (
     dense_alignment_margins,
     edge_distance_hausdorff,
     ellipse_link_vertices,
+    former_combined_cone,
     former_image_directions,
     former_link_hausdorff,
     former_position_and_combine,
@@ -942,6 +944,70 @@ def test_positioning_merges_once_and_evaluates_each_link_once(monkeypatch):
     report = position_and_combine(k1, k2)
     assert report.candidates_tried == 1
     assert len(merges) == 1 and len(evaluations) == 2
+
+
+def _link_outcome(route):
+    """Every field of the combined link ``route()`` builds, as bytes, or its
+    error's type and message."""
+    try:
+        link = route().link
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return tuple(np.asarray(getattr(link, name)).tobytes() for name in (
+        "vertices", "cum_lengths", "perimeter", "base_s", "turning", "area", "gauss_bonnet_residual"))
+
+
+def test_the_combined_link_equals_the_two_pass_build_bit_for_bit(monkeypatch):
+    # With no vertex merged into the base event, the builder's first pass
+    # merged that event away as collinear; the one-pass build starts past
+    # it, at the base that pass gave.  Every combined link the positioning
+    # builds, and combine_cones on the pairs as drawn (about 30% of which
+    # fail) and on the first cone with itself, against the former build from
+    # every event: the suite pairs, the refined pairs and the digon rungs of
+    # the differential routes.
+    checked, failed = [], 0
+    real = cones._combined_cone
+
+    def both(r1, r2, at, base_alone):
+        want = _link_outcome(lambda: former_combined_cone(r1, r2, at))
+        assert _link_outcome(lambda: real(r1, r2, at, base_alone)) == want
+        checked.append(base_alone)
+        return real(r1, r2, at, base_alone)
+
+    monkeypatch.setattr(cones, "_combined_cone", both)
+    for k1, k2, max_step in _differential_pairs():
+        position_and_combine(k1, k2, max_step=max_step)
+        for a, b in ((k1, k2), (k1, k1)):
+            try:
+                combine_cones(a, b)
+            except GeometryError:
+                failed += 1
+    assert len(checked) > 900 and sum(checked) > 900 and failed > 80     # 936, 924 and 93 here
+    # three events, the base on the arc between the other two: the two-pass
+    # build refuses the two corners left, which the one-pass build would
+    # not reach
+    v1, v2 = unit_rows(np.array([[1.0, 0.3, 0.0], [1.0, -0.3, 0.0]]))
+    r = np.stack([unit_rows(v1 + v2), v1, v2] * 2)
+    got = _link_outcome(lambda: real(r, r, np.zeros(6), True))
+    assert got == _link_outcome(lambda: former_combined_cone(r, r, np.zeros(6)))
+    assert got[0] is NotConvexSpherical
+
+
+def test_a_cone_trial_merges_its_combined_link_once(monkeypatch):
+    # the one candidate's combined link, and combine_cones's, each pass
+    # through the builder's collinear merge once
+    merges = []
+
+    def counted(*args):
+        merges.append(args)
+        return merge_collinear(*args)
+
+    k1, k2 = _cone_suite_pair(7, 0)
+    monkeypatch.setattr(spherical, "merge_collinear", counted)
+    assert position_and_combine(k1, k2).candidates_tried == 1
+    assert len(merges) == 1
+    combine_cones(*(normalize_cone(k) for k in (k1, k2)))
+    assert len(merges) == 2
 
 
 def _differential_pairs():

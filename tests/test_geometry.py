@@ -13,6 +13,7 @@ from isocomb.geometry import (
     alignment_margins,
     apply_motion,
     apply_motion_many,
+    brent_root,
     compose,
     convex_hull_2d,
     cross3,
@@ -492,6 +493,35 @@ def test_brent_root_fails_like_scipy(monkeypatch):
     ours, theirs = brent_outcomes(cubic, 0.0, 10.0, maxiter=3)
     assert ours == theirs and ours[0] is RuntimeError
     assert len(ours[1]) == 2 + 3
+
+
+def test_brent_root_given_its_bracket_values_skips_only_those_calls():
+    # the values at a and b, passed in, stand for the first two calls of f:
+    # the root or error is the same, and f is called at the same points after
+    rng = np.random.default_rng(2025)
+    for i in range(2_000):
+        c = rng.standard_normal(4) * 10.0 ** rng.integers(-5, 6, size=4)
+        a, b = rng.uniform(-10.0, 10.0, size=2)
+
+        def f(x, c=c):
+            return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+
+        (want, want_calls), _ = brent_outcomes(f, a, b)
+        calls = []
+
+        def counted(x):
+            calls.append(float(x).hex())
+            return f(x)
+
+        try:
+            got = float(brent_root(counted, a, b, f(a), f(b))).hex()
+        except ValueError as exc:
+            got = type(exc)
+        assert (got, calls) == (want, want_calls[2:]), i
+    # a NaN passed in fails as a NaN value of f does
+    for fa, fb in ((math.nan, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            brent_root(lambda x: x, 0.0, 1.0, fa, fb)
 
 
 def _disk_points(rng, k):

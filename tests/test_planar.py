@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from isocomb.combination import _row_directions
 from isocomb.errors import (
     DegenerateEdge,
     NotConvex,
@@ -26,7 +25,13 @@ from isocomb.tolerances import COLLINEAR_EPS
 
 from isocomb.suite import random_convex_polygon, trial_rng
 
-from conftest import assert_same_bits, former_dilate_to_perimeter, former_exterior_angles, support_polygon
+from conftest import (
+    assert_same_bits,
+    former_dilate_to_perimeter,
+    former_exterior_angles,
+    row_directions,
+    support_polygon,
+)
 
 TAU = 2 * math.pi
 EPS = np.finfo(float).eps
@@ -49,7 +54,7 @@ def turning(poly):
     turning over the piece from each: the unwrapped direction of the
     alignment gap, less its value over the first piece."""
     bps, rows, _ = merged_vertex_positions(poly, poly)
-    d = _row_directions(poly, bps, rows, 0.0)
+    d = row_directions(poly, bps, rows)
     return bps, d - d[0]
 
 
@@ -246,7 +251,7 @@ def test_turning_function_agrees_with_snapped_semitangent(unit_square, base):
     # the snapped vertex's turn, the last quarter, only at the period end
     assert got[0] == 0.0 and got[1:] == pytest.approx([math.pi / 2, math.pi, 3 * math.pi / 2])
     assert right_semitangent(sq, 0.0) == pytest.approx(math.pi / 2)
-    assert _row_directions(sq, *merged_vertex_positions(sq, sq)[:2], 0.0)[0] == right_semitangent(sq, 0.0)
+    assert row_directions(sq, *merged_vertex_positions(sq, sq)[:2])[0] == right_semitangent(sq, 0.0)
 
 
 def test_turning_function_hexagon():
@@ -281,6 +286,17 @@ def test_certificate_reflex_chevron():
 def test_certificate_never_raises_on_clockwise():
     cert = convexity_certificate([(0, 0), (0, 1), (1, 1), (1, 0)])
     assert not cert.is_convex
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_certificate_refuses_non_finite_vertices(bad):
+    # as build_polygon does: a NaN vertex once gave a NaN certificate, and
+    # an infinite one a DegenerateEdge naming coincident vertices
+    for chain in ([(bad, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0.0, 0.0), (1.0, bad), (0.0, 1.0), (-1.0, 0.5)]):
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            convexity_certificate(chain)
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            build_polygon(chain)
 
 
 def test_dilate_square(unit_square):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
-from isocomb.geometry import TAU, convex_hull_2d, cross3, dot3, roll_next, roll_prev
+from isocomb.geometry import TAU, brent_root, convex_hull_2d, cross3, dot3, roll_next, roll_prev
 from isocomb.tolerances import ANTIPODAL_DOT_EPS, BRENT_RTOL, BRENT_XTOL, COLLINEAR_EPS, LINK_SCALE_FLOOR
 from isocomb import spherical
 from isocomb.spherical import (
@@ -447,13 +447,25 @@ def test_a_target_every_hull_overshoots_at_the_scale_floor_is_refused(target, mo
 
 def test_link_perimeter_solves_equal_scipy_brentq(monkeypatch):
     # every perimeter solve of 500 default cone-suite trials (1,000 links)
-    # through both solvers
+    # through both solvers, given only f; the generator passes the values
+    # at the bracket ends it has already taken, which are f's there, and
+    # the solve given them calls f as the solve given only f does, less
+    # those two calls
     from isocomb.suite import SuiteConfig, trial_rng
 
     outcomes = []
 
-    def both(f, a, b):
+    def both(f, a, b, fa, fb):
         outcomes.append(brent_outcomes(f, a, b))
+        assert_same_bits(np.array([fa, fb]), np.array([f(a), f(b)]), "bracket values")
+        calls = []
+
+        def counted(x):
+            calls.append(float(x).hex())
+            return f(x)
+
+        root = brent_root(counted, a, b, fa, fb)
+        assert (float(root).hex(), calls) == (outcomes[-1][0][0], outcomes[-1][0][1][2:])
         return float.fromhex(outcomes[-1][0][0])
 
     monkeypatch.setattr(spherical, "brent_root", both)

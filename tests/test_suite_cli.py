@@ -43,6 +43,30 @@ def test_config_rejects_inverted_vertex_range():
         SuiteConfig(trials=1, seed=1, min_vertices=10, max_vertices=4).validate()
 
 
+def test_only_a_planar_suite_checks_min_vertices_against_max_vertices(capsys):
+    # a cone trial reads no min_vertices: an inverted range runs, replays
+    # and exits 0 for a cone suite, and stays a validation failure (exit 1)
+    # for a planar one
+    config = SuiteConfig(trials=2, seed=1, min_vertices=40, max_vertices=30)
+    assert run_cone_suite(config)["passes"] == 2
+    assert replay_trial(config, "cone", 1).passed
+    for run in (run_planar_suite, lambda c: replay_trial(c, "planar", 1)):
+        with pytest.raises(ValueError, match=r"\[min_vertices, MAX_VERTICES"):
+            run(config)
+    flags = ["--trials", "2", "--seed", "1", "--min-vertices", "40"]
+    assert cli.main(["suite", "cone", *flags]) == 0
+    assert cli.main(["suite", "cone", *flags, "--replay", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["suite", "planar", *flags]) == 1
+    assert "max_vertices must lie in [min_vertices" in capsys.readouterr().err
+    # the other bounds hold for both kinds
+    for kind in ("planar", "cone"):
+        assert cli.main(["suite", kind, "--trials", "1", "--min-vertices", "2"]) == 1
+        assert cli.main(["suite", kind, "--trials", "1", "--max-vertices", str(MAX_VERTICES + 1)]) == 1
+    assert cli.main(["suite", "cone", "--trials", "1", "--max-vertices", "2"]) == 1
+    assert "max_vertices must lie in [3, MAX_VERTICES" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, bound", [("trials", MAX_TRIALS), ("max_vertices", MAX_VERTICES)])
 def test_config_bounds_the_suite_size(field, bound):
     # validate() alone: a suite of this size is never run
