@@ -11,6 +11,7 @@ certifies convexity of the combination.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import AlignmentNotFound, DegenerateEdge, OrientationMismatch
 from .geometry import (
     IDENTITY_MOTION,
+    MAX_SAMPLES,
     Angle,
     RigidMotion2,
     Vec2,
@@ -378,7 +380,9 @@ def bending_check(combined: CombinedCurve) -> float:
 
 
 def uniform_positions(pair: MarkedPair, n: int) -> np.ndarray:
-    """n equally spaced correspondence positions, for refinement studies."""
-    if n < 3:
-        raise ValueError("need at least 3 positions")
+    """n equally spaced correspondence positions, for refinement studies;
+    ValueError unless n is an integer (a fraction spaces the wraparound gap
+    unevenly) in [3, ``MAX_SAMPLES``]."""
+    if not isinstance(n, numbers.Integral) or not 3 <= n <= MAX_SAMPLES:
+        raise ValueError(f"n must be an integer in [3, MAX_SAMPLES = {MAX_SAMPLES}]; got {n!r}")
     return np.arange(n) * (pair.F1.perimeter / n)

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .geometry import (
     E0,
+    MAX_SAMPLES,
     Angle,
     alignment_margins,
     brent_root,
@@ -115,9 +116,6 @@ def pogorelov_identity_check(r1, r2) -> float:
     return float(
         max(np.max(np.abs(a - b)), np.max(np.abs(b - c)), np.max(np.abs(a - c)))
     )
-
-
-MAX_SAMPLES = 2**20    # most positions a link is sampled at in one call, far above any grid in use
 
 
 def _refine(positions: np.ndarray, period: float, max_step: float) -> tuple[np.ndarray, np.ndarray]:

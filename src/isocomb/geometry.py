@@ -36,6 +36,8 @@ TAU = 2.0 * math.pi
 
 E0 = np.array([1.0, 0.0, 0.0])
 
+MAX_SAMPLES = 2**20    # most points one call generates or samples, far above any grid in use
+
 
 class Vec2(NamedTuple):
     x: float
@@ -275,16 +277,39 @@ def chain_perimeter(lengths: np.ndarray) -> float:
     return perimeter
 
 
+def chain_vertices(vertices, dim: int, kind: str) -> np.ndarray:
+    """A closed chain's rows as C-order floats (the fan area sums them in
+    memory order), the one input check of the builders and the certificate;
+    ValueError unless there are 3 rows or more of ``dim`` finite coordinates."""
+    verts = np.ascontiguousarray(vertices, dtype=float)
+    if verts.ndim != 2 or verts.shape[1] != dim or len(verts) < 3:
+        raise ValueError(f"expected at least 3 {kind} vertices of shape (n, {dim})")
+    if not np.isfinite(verts).all():
+        raise ValueError("vertices must be finite")
+    return verts
+
+
+@dataclass(frozen=True, eq=False)
 class ArcPolygon:
     """Arc-length core shared by planar and spherical polygons.
 
-    Subclasses are frozen dataclasses with ``vertices`` (one row per
-    vertex), ``cum_lengths`` (arc length at each vertex, ``[0] = 0``),
-    ``perimeter`` and ``base_s`` (the marked point, in [0, perimeter)).
+    The fields every polygon has come first, and a subclass adds its own.
     A query position ``s`` is measured from the marked point: ``base_s +
     s`` is reduced modulo the perimeter, its edge is found, and a position
     within ``SNAP_FACTOR * perimeter`` of a vertex is that vertex.
     """
+
+    vertices: np.ndarray        # (n, dim), one row per corner
+    cum_lengths: np.ndarray     # (n,) arc length at each vertex, [0] = 0
+    perimeter: float
+    base_s: float               # arc position of the marked point, in [0, perimeter)
+
+    @classmethod
+    def from_corners(cls, vertices: np.ndarray, lengths: np.ndarray, perimeter: float, base_s: float, **own):
+        """The polygon on corners whose edge ``lengths`` sum to ``perimeter``, with
+        the subclass's ``own`` fields: the builders' one arc table and base reduction."""
+        cum = np.concatenate([[0.0], np.cumsum(lengths[:-1])])
+        return cls(vertices, cum, perimeter, reduce_mod(base_s, perimeter), **own)
 
     @property
     def n_vertices(self) -> int:
@@ -335,7 +360,7 @@ class ArcPolygon:
 
 
 def merge_collinear(turns, lengths, base_s: float, eps: float, error, reflex: str):
-    """One collinear-merge step of a polygon builder: the mask of vertices
+    """One collinear-merge step of :func:`merge_to_corners`: the mask of vertices
     turning by more than ``eps`` and the base shifted onto the first kept
     one, or ``(None, base_s)`` when every vertex is kept.
 
@@ -354,6 +379,19 @@ def merge_collinear(turns, lengths, base_s: float, eps: float, error, reflex: st
         raise error("fewer than 3 corners after collinear merge")
     first_kept = int(np.argmax(keep))
     return keep, base_s - float(lengths[:first_kept].sum())
+
+
+def merge_to_corners(verts: np.ndarray, base_s: float, frame, eps: float, error, reflex: str):
+    """The builders' one collinear-merge loop: ``frame(verts)`` measures a pass
+    as ``(lengths, turns, perimeter, *kept)``, raising what a pass refuses, and
+    :func:`merge_collinear` drops vertices until each is a corner.  Returns the
+    corners, the base shifted with them, and the last pass's measurement."""
+    while True:
+        measured = frame(verts)
+        keep, base_s = merge_collinear(measured[1], measured[0], base_s, eps, error, reflex)
+        if keep is None:
+            return verts, base_s, measured
+        verts = verts[keep]
 
 
 def alignment_margins(g) -> np.ndarray:

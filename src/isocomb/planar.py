@@ -20,7 +20,8 @@ from .geometry import (
     ArcPolygon,
     Vec2,
     chain_perimeter,
-    merge_collinear,
+    chain_vertices,
+    merge_to_corners,
     reduce_mod,
     roll_next,
     turns,
@@ -52,22 +53,18 @@ def _edge_angles(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class PlanarPolygon(ArcPolygon):
-    """Validated convex polygon.  Build with :func:`build_polygon`."""
+    """Validated convex polygon, counterclockwise.  Build with :func:`build_polygon`."""
 
-    vertices: np.ndarray          # (n, 2), counterclockwise
-    cum_lengths: np.ndarray       # (n,), arc length at each vertex, [0]=0
-    perimeter: float
-    base_s: float                 # arc position of the marked point, in [0, perimeter)
     edge_dirs: np.ndarray = field(repr=False)  # (n,) direction angles
     exterior_angles: np.ndarray = field(repr=False)  # (n,) turn at each vertex, turns(edge_dirs)
 
 
 def _check_coordinates(verts: np.ndarray) -> float:
-    """The largest coordinate magnitude; ValueError unless every coordinate
-    is finite and within ``MAX_COORDINATE``."""
-    if not np.all(np.isfinite(verts)):
-        raise ValueError("vertices must be finite")
+    """The largest coordinate magnitude, in one scan; ValueError unless every
+    coordinate is finite (else the largest is not) and within ``MAX_COORDINATE``."""
     largest = float(np.max(np.abs(verts)))
+    if not math.isfinite(largest):
+        raise ValueError("vertices must be finite")
     if largest > MAX_COORDINATE:
         raise ValueError(f"vertex coordinates must not exceed MAX_COORDINATE = {MAX_COORDINATE:g}")
     return largest
@@ -86,6 +83,14 @@ def _check_chain(verts: np.ndarray, lengths: np.ndarray) -> float:
     return perimeter
 
 
+def _frame(verts: np.ndarray) -> tuple:
+    """A pass of :func:`build_polygon`: edge lengths, exterior angles, the
+    perimeter (refused as :func:`_check_chain`) and the edge directions."""
+    lengths, dirs = _edge_angles(verts)
+    perimeter = _check_chain(verts, lengths)
+    return lengths, turns(dirs), perimeter, dirs
+
+
 def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLINEAR_EPS) -> PlanarPolygon:
     """Validate a vertex chain and construct a :class:`PlanarPolygon`.
 
@@ -100,39 +105,14 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
         NotConvex: reflex vertex, zero area, or a full reversal.
         NotSimple: locally convex chain winding more than once.
     """
-    verts = np.asarray(vertices, dtype=float)
-    if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-        raise ValueError("expected at least 3 planar vertices of shape (n, 2)")
+    verts = chain_vertices(vertices, 2, "planar")
     _check_coordinates(verts)
-    lengths, dirs = _edge_angles(verts)
-    perimeter = _check_chain(verts, lengths)
-
-    # Merge collinear vertices until stable.
-    while True:
-        ext = turns(dirs)
-        keep, base_s = merge_collinear(
-            ext, lengths, base_s, collinear_eps,
-            NotConvex, "reflex vertex: min exterior angle",
-        )
-        if keep is None:
-            break
-        verts = verts[keep]
-        lengths, dirs = _edge_angles(verts)
-        perimeter = float(np.sum(lengths))
-
+    verts, base_s, (lengths, ext, perimeter, dirs) = merge_to_corners(
+        verts, base_s, _frame, collinear_eps, NotConvex, "reflex vertex: min exterior angle")
     total_turn = float(np.sum(ext))
     if abs(total_turn - TAU) > TOTAL_TURN_TOL:
         raise NotSimple(f"total turning {total_turn:.12f} != 2*pi; chain is not simple")
-
-    cum = np.concatenate([[0.0], np.cumsum(lengths[:-1])])
-    return PlanarPolygon(
-        vertices=verts,
-        cum_lengths=cum,
-        perimeter=perimeter,
-        base_s=reduce_mod(base_s, perimeter),
-        edge_dirs=dirs,
-        exterior_angles=ext,
-    )
+    return PlanarPolygon.from_corners(verts, lengths, perimeter, base_s, edge_dirs=dirs, exterior_angles=ext)
 
 
 def point_at(poly: PlanarPolygon, s: float) -> Vec2:
@@ -168,21 +148,21 @@ class ConvexityCertificate:
     tolerance: float
 
     def summary(self) -> dict:
+        """The scalar fields, an undefined (NaN) one as None: JSON null."""
         return {
-            "exterior_sum": self.exterior_sum,
-            "min_exterior": self.min_exterior,
+            "exterior_sum": _defined(self.exterior_sum),
+            "min_exterior": _defined(self.min_exterior),
             "is_convex": bool(self.is_convex),
-            "tolerance": self.tolerance,
+            "tolerance": _defined(self.tolerance),
         }
 
 
-FAILED_CERTIFICATE = ConvexityCertificate(
-    interior_angles=np.empty(0),
-    exterior_sum=float("nan"),
-    min_exterior=float("nan"),
-    is_convex=False,
-    tolerance=float("nan"),
-)
+def _defined(x: float) -> float | None:
+    return None if math.isnan(x) else x
+
+
+# the certificate of a combined curve too degenerate to measure: no value is defined
+FAILED_CERTIFICATE = ConvexityCertificate(np.empty(0), math.nan, math.nan, False, math.nan)
 
 
 def convexity_certificate(vertices) -> ConvexityCertificate:
@@ -193,12 +173,7 @@ def convexity_certificate(vertices) -> ConvexityCertificate:
     valid query; a vertex that is not finite raises ValueError, and only
     consecutive vertices within the length floor raise DegenerateEdge.
     """
-    verts = np.asarray(vertices, dtype=float)
-    if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-        raise ValueError("expected at least 3 planar vertices of shape (n, 2)")
-    if not np.isfinite(verts).all():
-        raise ValueError("vertices must be finite")
-    return _certify_chain(verts)
+    return _certify_chain(chain_vertices(vertices, 2, "planar"))
 
 
 def _certify_chain(verts: np.ndarray, dirs: np.ndarray | None = None) -> ConvexityCertificate:

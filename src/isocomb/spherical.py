@@ -17,15 +17,16 @@ import numpy as np
 
 from .errors import AntipodalEdge, DegenerateEdge, LinkNotGenerated, NotConvexSpherical, NotOnSphere
 from .geometry import (
+    MAX_SAMPLES,
     TAU,
     ArcPolygon,
     brent_root,
     chain_perimeter,
+    chain_vertices,
     convex_hull_2d,
     cross3,
     dot3,
-    merge_collinear,
-    reduce_mod,
+    merge_to_corners,
     roll_next,
     roll_prev,
 )
@@ -79,18 +80,34 @@ def fan_area(verts: np.ndarray, nxt: np.ndarray, cross: np.ndarray, dots: np.nda
 
 @dataclass(frozen=True, eq=False)
 class SphericalPolygon(ArcPolygon):
-    """Validated convex geodesic polygon; the link of a convex cone."""
+    """Validated convex geodesic polygon, unit rows counterclockwise from outside; a cone's link."""
 
-    vertices: np.ndarray        # (n, 3) unit rows, counterclockwise from outside
-    cum_lengths: np.ndarray     # (n,) geodesic arc length at each vertex
-    perimeter: float
-    base_s: float
     turning: np.ndarray         # (n,) geodesic turning at each vertex
     area: float                 # signed triangle-fan area
     gauss_bonnet_residual: float
 
     def min_turning(self) -> float:
         return float(np.min(self.turning))
+
+
+def _frame(verts: np.ndarray) -> tuple:
+    """A pass of :func:`build_spherical_polygon`: edge lengths, turnings, the
+    perimeter, and the edge frame the fan area reads (next vertices, v x w, v . w).
+    Each edge's normal v x (w - v) equals v x w but is accurate to eps of
+    itself however short the edge; a turning is the angle about v from the
+    arriving edge's normal to the departing one's, and atan2 needs neither
+    normalized."""
+    nxt = roll_next(verts)
+    cross = cross3(verts, nxt)
+    dots = dot3(verts, nxt)
+    if (dots <= -1.0 + ANTIPODAL_DOT_EPS).any():
+        raise AntipodalEdge("consecutive vertices are antipodal")
+    lengths = np.arctan2(np.sqrt(dot3(cross, cross)), dots)
+    perimeter = chain_perimeter(lengths)
+    normal = cross3(verts, nxt - verts)
+    arrive = roll_prev(normal)
+    turning = np.arctan2(dot3(verts, cross3(arrive, normal)), dot3(arrive, normal))
+    return lengths, turning, perimeter, nxt, cross, dots
 
 
 def build_spherical_polygon(
@@ -108,60 +125,25 @@ def build_spherical_polygon(
             ``GAUSS_BONNET_TOL`` (a link that winds twice reads 2*pi), area
             outside (0, 2*pi), or perimeter not below 2*pi.
     """
-    # C order whatever the caller's layout: the fan area sums the rows in memory order
-    verts = np.ascontiguousarray(vertices, dtype=float)
-    if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 3:
-        raise ValueError("expected at least 3 spherical vertices of shape (n, 3)")
-    if not np.isfinite(verts).all():
-        raise ValueError("vertices must be finite")
+    verts = chain_vertices(vertices, 3, "spherical")
     norms = np.sqrt(dot3(verts, verts))
     off = np.abs(norms - 1.0)
     if (off > UNIT_NORM_TOL).any():
         raise NotOnSphere(f"vertex norm off unity by {off.max():.3e}")
-    verts = verts / norms[:, None]
-
-    # one frame per pass: the edges to the next vertex, and each edge's normal
-    # v x (w - v), which equals v x w but is accurate to eps of itself however
-    # short the edge; a turning is the angle about v from the arriving edge's
-    # normal to the departing one's, and atan2 needs neither normalized
-    while True:
-        nxt = roll_next(verts)
-        cross = cross3(verts, nxt)
-        dots = dot3(verts, nxt)
-        if (dots <= -1.0 + ANTIPODAL_DOT_EPS).any():
-            raise AntipodalEdge("consecutive vertices are antipodal")
-        lengths = np.arctan2(np.sqrt(dot3(cross, cross)), dots)
-        perimeter = chain_perimeter(lengths)
-        normal = cross3(verts, nxt - verts)
-        arrive = roll_prev(normal)
-        turns = np.arctan2(dot3(verts, cross3(arrive, normal)), dot3(arrive, normal))
-        keep, base_s = merge_collinear(
-            turns, lengths, base_s, collinear_eps,
-            NotConvexSpherical, "negative geodesic turning",
-        )
-        if keep is None:
-            break
-        verts = verts[keep]
-
+    verts, base_s, (lengths, turning, perimeter, nxt, cross, dots) = merge_to_corners(
+        verts / norms[:, None], base_s, _frame, collinear_eps,
+        NotConvexSpherical, "negative geodesic turning")
     if perimeter >= TAU:
         raise NotConvexSpherical(f"link perimeter {perimeter:.12f} is not below 2*pi")
     area = fan_area(verts, nxt, cross, dots)
-    residual = abs(float(turns.sum()) + area - TAU)
+    residual = abs(float(turning.sum()) + area - TAU)
     if residual > GAUSS_BONNET_TOL:
         raise NotConvexSpherical(f"Gauss-Bonnet residual {residual:.3e}")
     if not 0.0 < area < TAU:
         raise NotConvexSpherical(f"enclosed area {area:.12f} outside (0, 2*pi)")
 
-    cum = np.concatenate([[0.0], np.cumsum(lengths[:-1])])
-    return SphericalPolygon(
-        vertices=verts,
-        cum_lengths=cum,
-        perimeter=perimeter,
-        base_s=reduce_mod(base_s, perimeter),
-        turning=turns,
-        area=area,
-        gauss_bonnet_residual=residual,
-    )
+    return SphericalPolygon.from_corners(verts, lengths, perimeter, base_s, turning=turning, area=area,
+                                         gauss_bonnet_residual=residual)
 
 
 def sph_points_at(poly: SphericalPolygon, ss: np.ndarray) -> np.ndarray:
@@ -264,12 +246,12 @@ def random_convex_link(
     perimeter, skipping a hull that brackets no root there, and lifted once.
     The builder's own perimeter must match ``target_length`` to
     ``LINK_LENGTH_TOL``; raises ``LinkNotGenerated`` if no hull does within
-    ``LINK_MAX_ATTEMPTS``, and ValueError at once for fewer than 3 points.
+    ``LINK_MAX_ATTEMPTS``, and ValueError at once for n_points outside [3, ``MAX_SAMPLES``].
     """
     if not 0.0 < target_length < LINK_TARGET_CEILING:
         raise ValueError(f"target link length must lie in (0, {LINK_TARGET_CEILING!r})")
-    if n_points < 3:
-        raise ValueError(f"n_points must be >= 3; got {n_points!r}")
+    if not 3 <= n_points <= MAX_SAMPLES:
+        raise ValueError(f"n_points must lie in [3, MAX_SAMPLES = {MAX_SAMPLES}]; got {n_points!r}")
     for _ in range(LINK_MAX_ATTEMPTS):
         pts = _cap_samples(rng, n_points, LINK_CAP_ANGLE)
         w = gnomonic(pts)

@@ -20,7 +20,7 @@ from .combination import (
     vertex_events,
 )
 from .errors import AlignmentNotFound, GeometryError, PositioningNotFound
-from .geometry import TAU, convex_hull_2d
+from .geometry import MAX_SAMPLES, TAU, convex_hull_2d
 from .planar import PlanarPolygon, build_polygon, dilate_to_perimeter
 from .spherical import LINK_TARGET_CEILING, LINK_TARGET_FLOOR, random_convex_link
 from .tolerances import EXTERIOR_SUM_TOL, GAUSS_BONNET_TOL, MIN_EXTERIOR_TOL, VERTEX_ANGLE_TOL
@@ -94,9 +94,9 @@ def random_convex_polygon(
 ) -> PlanarPolygon:
     """Convex hull of k uniform points in the unit disk, k in the given range,
     from its lexicographically least vertex (:func:`geometry.convex_hull_2d`).
-    A ``max_vertices`` below 3, whose hulls have no 3 corners, raises ValueError."""
-    if max_vertices < 3:
-        raise ValueError(f"max_vertices must be >= 3; got {max_vertices!r}")
+    A ``max_vertices`` outside [3, ``MAX_SAMPLES``] raises ValueError (below 3 no hull has 3 corners)."""
+    if not 3 <= max_vertices <= MAX_SAMPLES:
+        raise ValueError(f"max_vertices must lie in [3, MAX_SAMPLES = {MAX_SAMPLES}]; got {max_vertices!r}")
     while True:
         k = int(rng.integers(min_vertices, max_vertices + 1))
         r = np.sqrt(rng.uniform(0.0, 1.0, size=k))

@@ -24,6 +24,7 @@ from isocomb.combination import (
 )
 from isocomb.errors import AlignmentNotFound, PerimeterMismatch
 from isocomb.geometry import (
+    MAX_SAMPLES,
     TAU,
     ArcPolygon,
     RigidMotion2,
@@ -157,6 +158,17 @@ def test_vertex_events_refuses_rows_off_the_merged_breakpoints(unit_square):
     for positions in (uniform_positions(pair, 16), merged_breakpoints(pair)[:-1]):
         with pytest.raises(ValueError, match="merged breakpoints"):
             vertex_events(combine_at(pair, positions))
+
+
+def test_uniform_positions_takes_an_integer_count_up_to_the_cap(unit_square):
+    # 3.5 would space four positions with a wraparound gap of half the
+    # others, and 10**13 would ask for an 80 TB array
+    pair = make_pair(unit_square, unit_square)
+    assert uniform_positions(pair, np.int64(4)).tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert len(uniform_positions(pair, MAX_SAMPLES)) == MAX_SAMPLES
+    for n in (2, 3.5, 4.0, "4", MAX_SAMPLES + 1, 10**13):
+        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+            uniform_positions(pair, n)
 
 
 def _self_pairs(unit_square):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isocomb import cones, spherical
+from isocomb import cones, geometry, spherical
 from isocomb.cones import (
     MAX_SAMPLES,
     combine_cones,
@@ -1003,7 +1003,7 @@ def test_a_cone_trial_merges_its_combined_link_once(monkeypatch):
         return merge_collinear(*args)
 
     k1, k2 = _cone_suite_pair(7, 0)
-    monkeypatch.setattr(spherical, "merge_collinear", counted)
+    monkeypatch.setattr(geometry, "merge_collinear", counted)
     assert position_and_combine(k1, k2).candidates_tried == 1
     assert len(merges) == 1
     combine_cones(*(normalize_cone(k) for k in (k1, k2)))

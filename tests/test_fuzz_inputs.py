@@ -10,7 +10,9 @@ itself.  The ``digon`` angles and ladder and the ``suite`` options are
 fuzzed as argument strings in small ranges.  Every run must end in an exit code of 0-3, with exactly
 one ``error:`` line when it fails (a suite's failed trials are reported in
 its printed summary instead), no warning (the command line would print
-it), and no NaN or Infinity token in what it prints or writes.
+it), and no NaN or Infinity token in what it prints or writes.  The random
+polygon and link generators refuse a point count past ``MAX_SAMPLES``
+before they allocate.
 """
 
 import contextlib
@@ -27,6 +29,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isocomb import cli
+from isocomb.geometry import MAX_SAMPLES
+from isocomb.spherical import random_convex_link
+from isocomb.suite import random_convex_polygon, trial_rng
 
 KINDS = ("planar_polygon", "spherical_polygon", "digon")
 SQUARE = {"type": "planar_polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "base_s": 0.0}
@@ -229,3 +234,14 @@ def test_fuzzed_suite_arguments_exit_cleanly(kind, trials, seed, min_vertices, m
         else:
             assert_clean_failure(argv, code, err)
         assert_finite_files(d, ())
+
+
+@pytest.mark.parametrize("count", [MAX_SAMPLES + 1, 10**12])
+@pytest.mark.parametrize("generate", [
+    lambda rng, n: random_convex_link(rng, 3.0, n_points=n),
+    lambda rng, n: random_convex_polygon(rng, 3, n),
+], ids=["link", "polygon"])
+def test_generators_refuse_a_point_count_past_the_cap(generate, count):
+    # 10**12 points would ask for TiB arrays; the count is refused first
+    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        generate(trial_rng(0, 0), count)

@@ -3,9 +3,9 @@ module-level private function or class is used somewhere in the package,
 no module calls the numpy routines that the column helpers replace, only
 ``geometry`` reads the snap rule's ``SNAP_FACTOR``, the breakpoint
 merge's ``BREAKPOINT_MERGE_RTOL`` and the length floor's
-``LENGTH_EPS_FACTOR`` or calls a remainder or an unwrap
-(``np.mod``, ``np.fmod``, ``np.remainder``, ``np.unwrap``, ``math.fmod``,
-``math.remainder``), every tolerance is
+``LENGTH_EPS_FACTOR`` or calls ``merge_collinear``, a remainder or an
+unwrap (``np.mod``, ``np.fmod``, ``np.remainder``, ``np.unwrap``,
+``math.fmod``, ``math.remainder``), every tolerance is
 defined once, in ``tolerances``, and no module imports scipy, so no
 subcommand loads it: scipy is a test-only oracle.  A fresh process loads
 only the package modules its subcommand runs, ``import isocomb`` loads
@@ -201,6 +201,14 @@ def test_only_geometry_reads_snap_factor():
     for name in OWNED_TOLERANCES:
         assert f"{name} = " in sources[LEDGER], name
         assert owned_name_readers(sources, name) == [], name
+
+
+# geometry owns the collinear merge: merge_to_corners is the one caller of
+# merge_collinear, so both builders merge in one loop
+def test_only_geometry_calls_merge_collinear():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert "merge_collinear(" in sources[SNAP_OWNER]
+    assert owned_name_readers(sources, "merge_collinear") == []
 
 
 # geometry owns angle and modulo reductions: norm_angle(_many) and turns

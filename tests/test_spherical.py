@@ -7,7 +7,7 @@ import pytest
 from isocomb.errors import AntipodalEdge, DegenerateEdge, NotConvexSpherical, NotOnSphere
 from isocomb.geometry import TAU, brent_root, convex_hull_2d, cross3, dot3, roll_next, roll_prev
 from isocomb.tolerances import ANTIPODAL_DOT_EPS, BRENT_RTOL, BRENT_XTOL, COLLINEAR_EPS, LINK_SCALE_FLOOR
-from isocomb import spherical
+from isocomb import geometry, spherical
 from isocomb.spherical import (
     LINK_CAP_ANGLE,
     LINK_TARGET_CEILING,
@@ -511,7 +511,7 @@ def test_collinear_merge_rule_next_to_the_tolerance(monkeypatch):
     # values next to each edge.  The rule reads the builder's own first-pass
     # turn and decision, and the finished polygon must agree with it
     eps = COLLINEAR_EPS
-    seen, merge = [], spherical.merge_collinear
+    seen, merge = [], geometry.merge_collinear
 
     def spy(turns, *rest):
         seen.append(turns[1])
@@ -523,7 +523,7 @@ def test_collinear_merge_rule_next_to_the_tolerance(monkeypatch):
         seen.append("kept" if keep is None or keep[1] else "merged")
         return keep, base_s
 
-    monkeypatch.setattr(spherical, "merge_collinear", spy)
+    monkeypatch.setattr(geometry, "merge_collinear", spy)
     build_spherical_polygon(_bent_ring(1e-6))
     h0 = 1e-6 * eps / seen[0]           # the turn is near linear in h
     turns = []

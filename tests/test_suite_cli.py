@@ -444,17 +444,21 @@ def test_cli_align_bounds_the_coordinates(tmp_path, capsys, scale, code):
     assert ("MAX_COORDINATE" in err) == (code == 1)
 
 
-def test_cli_combine_refuses_to_print_nan(tmp_path, capsys):
-    # a square and its point reflection, both based at s = 0, sum to the
-    # origin at every arc position: the exterior angle sum is NaN, which
-    # JSON cannot hold
-    corners = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
-    a = write_json(tmp_path / "a.json", {"type": "planar_polygon", "vertices": corners})
-    b = write_json(tmp_path / "b.json", {"type": "planar_polygon", "vertices": corners[2:] + corners[:2]})
-    assert cli.main(["combine", "--a", a, "--b", b]) == 1
+def test_cli_combine_prints_a_collapsed_combination_as_not_convex(tmp_path, capsys):
+    # the unit square and its point reflection, both based at s = 0, sum to
+    # the origin at every arc position: the certificate has no angles, and
+    # its undefined sums and tolerance print as null
+    a = write_json(tmp_path / "a.json", {"type": "planar_polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+    b = write_json(tmp_path / "b.json", {"type": "planar_polygon", "vertices": [[0, 0], [-1, 0], [-1, -1], [0, -1]]})
+    assert cli.main(["combine", "--a", a, "--b", b]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and "JSON" in err
+    assert err == ""
+    result = json.loads(out)
+    assert result["combined"]["certificate"] == {
+        "exterior_sum": None, "min_exterior": None, "is_convex": False, "tolerance": None,
+        "interior_angles": [],
+    }
+    assert result["combined"]["vertices"] == [[0.0, 0.0]] * 4
 
 
 def test_cli_combine_skips_alignment(square_file, tmp_path):
