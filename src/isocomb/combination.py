@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentNotFound, DegenerateEdge, OrientationMismatch
+from .errors import AlignmentNotFound, OrientationMismatch
 from .geometry import (
     IDENTITY_MOTION,
     MAX_SAMPLES,
@@ -26,23 +26,19 @@ from .geometry import (
     alignment_margins,
     apply_motion,
     apply_motion_many,
-    chord_directions,
+    chain_chords,
     common_perimeter,
     compose,
     merged_vertex_positions,
     norm_angle,
     roll_next,
-    roll_prev,
-    short_edges,
     turns,
     unwrap_turns,
 )
 from .planar import (
     ConvexityCertificate,
-    FAILED_CERTIFICATE,
     PlanarPolygon,
-    _certify_chain,
-    point_at,
+    chain_certificate,
     points_at,
     points_on_edges,
     signed_area,
@@ -96,46 +92,16 @@ class CombinedCurve:
     vertex_rows: tuple[np.ndarray, np.ndarray] | None = None  # row of each vertex of F1, F2
 
 
-def _dedup_closed(points: np.ndarray) -> np.ndarray:
-    """Drop each point (wrapping around) whose edge from the point before it
-    is below the certificate's length floor (:func:`geometry.short_edges`),
-    so a run of near-duplicates keeps its first point."""
-    diffs = roll_next(points) - points
-    seg = np.hypot(diffs[:, 0], diffs[:, 1])
-    total = float(np.sum(seg))
-    if total == 0.0:
-        return points[:1]
-    # row i is kept when the edge arriving from row i - 1 is not short
-    return points[roll_prev(~short_edges(seg, total))]
-
-
-def _certificate(curve: np.ndarray, lengths: np.ndarray, dirs: np.ndarray) -> ConvexityCertificate:
-    """From the chord ``lengths`` and directions ``dirs`` when no chord is
-    short; else of the curve without the points short chords end at (:func:`_dedup_closed`)."""
-    total = float(np.sum(lengths))
-    if len(curve) >= 3 and total != 0.0 and not short_edges(lengths, total).any():
-        return _certify_chain(curve, dirs)
-    pts = _dedup_closed(curve)
-    if len(pts) < 3:
-        return FAILED_CERTIFICATE
-    try:
-        return _certify_chain(pts)
-    except DegenerateEdge:
-        return FAILED_CERTIFICATE
-
-
 def _combined(pair: MarkedPair, positions: np.ndarray, pts1: np.ndarray, pts2: np.ndarray,
               vertex_rows=None) -> CombinedCurve:
     """The combination of the rows ``pts1`` of F1 and ``pts2`` of F2 (before
     the pair's motion) at ``positions``, with its certificate and chords."""
     pts2 = apply_motion_many(pair.motion, pts2)
     curve = pts1 + pts2
-    chords = roll_next(curve) - curve
-    lengths = np.hypot(chords[:, 0], chords[:, 1])
-    dirs = np.arctan2(chords[:, 1], chords[:, 0])
+    chords, lengths, dirs = chain_chords(curve)
     return CombinedCurve(
         curve=curve,
-        certificate=_certificate(curve, lengths, dirs),
+        certificate=chain_certificate(curve, lengths, dirs),
         tau_segments=pts1 - pts2,
         breakpoints=positions,
         pair=pair,
@@ -224,7 +190,7 @@ def vertex_events(combined: CombinedCurve) -> VertexEvents:
     beta2 = math.pi - np.bincount(rows2, weights=pair.F2.exterior_angles, minlength=m)
     beta = combined.certificate.interior_angles
     if len(beta) != m:      # the certificate left out a row with a short chord
-        beta = math.pi - turns(chord_directions(combined.curve))
+        beta = math.pi - turns(chain_chords(combined.curve)[2])
     return VertexEvents(bps, case, beta1, beta2, np.where(case > 0, beta, math.pi))
 
 
@@ -301,7 +267,8 @@ def _aligned_motion(pair: MarkedPair, rho: float, p1, p2) -> RigidMotion2:
 
 
 def align(pair: MarkedPair) -> AlignmentResult:
-    """Find a base shift sigma0 and a motion giving a positive margin.
+    """Find a base shift sigma0 and a motion giving a positive margin: the
+    alignment of :func:`combine_aligned`, through its one evaluation route.
 
     The gap g = phi1 - phi2 of unwrapped tangent directions is constant on
     each piece between merged breakpoints (:func:`_row_gaps`), so every
@@ -321,10 +288,7 @@ def align(pair: MarkedPair) -> AlignmentResult:
     Raises:
         AlignmentNotFound: if the best margin is at or below ``MARGIN_EPS`` rad.
     """
-    at, _, _, margin, rho = _aligned_rows(pair)
-    sigma0 = float(at[0])
-    motion = _aligned_motion(pair, rho, point_at(pair.F1, sigma0), point_at(pair.F2, sigma0))
-    return AlignmentResult(sigma0=sigma0, motion=motion, margin=margin)
+    return combine_aligned(pair)[0]
 
 
 def apply_alignment(pair: MarkedPair, result: AlignmentResult) -> MarkedPair:
@@ -339,9 +303,9 @@ def apply_alignment(pair: MarkedPair, result: AlignmentResult) -> MarkedPair:
 def combine_aligned(pair: MarkedPair) -> tuple[AlignmentResult, CombinedCurve]:
     """Align, then combine; the certificate is convex on success.
 
-    The result is :func:`align`'s, and the combination is :func:`combine`'s
-    on the pair rebased at sigma0 (:func:`apply_alignment`), built from one
-    merge and one located evaluation of each curve (:func:`_aligned_rows`):
+    The result is the alignment :func:`align` returns, and the combination
+    is :func:`combine`'s on the pair rebased at sigma0 (:func:`apply_alignment`),
+    built from one merge and one located evaluation of each curve (:func:`_aligned_rows`):
     the winning row's points fix the motion, and the positions are the merged
     breakpoints minus sigma0, plus the perimeter where that is below 0.
     They agree with a fresh merge of the rebased pair to the rounding of

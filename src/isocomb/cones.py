@@ -35,13 +35,12 @@ from .geometry import (
     Angle,
     alignment_margins,
     brent_root,
-    chord_directions,
+    chain_chords,
     common_perimeter,
     cross3,
     dot3,
     merged_vertex_positions,
     norm_angle,
-    roll_next,
     rotate_about_x0_many,
     rotation_matrix_from_to,
     turns,
@@ -50,9 +49,9 @@ from .geometry import (
 from .planar import PlanarPolygon, build_polygon
 from .spherical import (
     SphericalPolygon,
-    _edge_lengths,
     build_spherical_polygon,
     centroid_direction,
+    edge_frame,
     gnomonic_inverse,
     rotate_polygon,
     sph_points_at,
@@ -225,9 +224,7 @@ def image_polygons(image: PogorelovImage) -> tuple[PlanarPolygon, PlanarPolygon]
 
 def segment_mismatch(image: PogorelovImage) -> float:
     """Max difference of corresponding image chord lengths (isometry defect)."""
-    d1 = roll_next(image.image1) - image.image1
-    d2 = roll_next(image.image2) - image.image2
-    return float(np.max(np.abs(np.hypot(d1[:, 0], d1[:, 1]) - np.hypot(d2[:, 0], d2[:, 1]))))
+    return float(np.max(np.abs(chain_chords(image.image1)[1] - chain_chords(image.image2)[1])))
 
 
 # -- cone combination --------------------------------------------------------------
@@ -250,7 +247,7 @@ def _combined_cone(r1: np.ndarray, r2: np.ndarray, at: np.ndarray, base_alone: b
         raise DegenerateEdge(f"only {m} correspondence breakpoints survive the merge")
     rows, base_s = sums[:m] / norms[:m, None], 0.0
     if base_alone and m > 3:
-        rows, base_s = rows[1:], -_edge_lengths(unit_rows(rows[:2]))[0]
+        rows, base_s = rows[1:], -edge_frame(unit_rows(rows[:2]))[3][0]
     return ConvexCone3(build_spherical_polygon(rows, base_s=base_s, collinear_eps=IMAGE_COLLINEAR_EPS))
 
 
@@ -349,7 +346,7 @@ def position_and_combine(
     # gap, which is its event, then the midpoints
     rows = np.concatenate([firsts, np.arange(n, n + m)])
     checks, r1, r2 = at[rows], r1[rows], r2[rows]
-    th1, th2 = (unwrap_turns(p[0], turns(p)) for p in map(chord_directions, (w1, w2)))
+    th1, th2 = (unwrap_turns(p[0], turns(p)) for _, _, p in map(chain_chords, (w1, w2)))
     margins = alignment_margins(th1 - th2)
 
     tried = 0
@@ -499,8 +496,8 @@ def link_hausdorff(a: SphericalPolygon, b: SphericalPolygon, n: int = 1024) -> f
     def farthest(src: SphericalPolygon, dst: SphericalPolygon) -> float:
         points = np.concatenate([sph_points_at(src, np.arange(n) * (src.perimeter / n)), src.vertices])
         v = dst.vertices
-        w = roll_next(v)
-        nrm = unit_rows(cross3(v, w))
+        w, cross, _, _ = edge_frame(v)
+        nrm = unit_rows(cross)
         ahead, along = cross3(w, nrm).T, cross3(nrm, v).T
 
         def nearest(p: np.ndarray) -> np.ndarray:

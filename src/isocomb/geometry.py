@@ -2,6 +2,12 @@
 rigid motions and 3-D rotations, the arc-length core shared by planar
 and spherical polygons, and the 1-D root solver of the perimeter equations.
 
+Each geometry measures a closed chain's edges in one function, and every
+reader takes its numbers from it: :func:`chain_chords` in the plane (chord,
+length, direction) and ``spherical.edge_frame`` on the sphere (next vertex,
+v x w, v . w, geodesic length).  The rest of the algorithm is shared; only
+``combination.bending_check`` takes the bending field's chord lengths alone.
+
 Conventions used throughout the package:
 
 * all reals are 64-bit floats;
@@ -115,10 +121,11 @@ def unwrap_turns(first: float, steps: np.ndarray) -> np.ndarray:
     return first + np.cumsum(np.concatenate([[0.0], steps[1:]]))
 
 
-def chord_directions(points: np.ndarray) -> np.ndarray:
-    """Direction angle of each chord of a closed point chain, points[i] -> points[i + 1]."""
-    d = roll_next(points) - points
-    return np.arctan2(d[:, 1], d[:, 0])
+def chain_chords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plane's one edge measurement: the chord of a closed point chain
+    from points[i] to points[i + 1], its length and its direction angle."""
+    chords = roll_next(points) - points
+    return chords, np.hypot(chords[:, 0], chords[:, 1]), np.arctan2(chords[:, 1], chords[:, 0])
 
 
 # the eight axis and diagonal directions, counterclockwise from -y

@@ -14,16 +14,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NotConvex, NotSimple, WrongOrientation
+from .errors import DegenerateEdge, NotConvex, NotSimple, WrongOrientation
 from .geometry import (
     TAU,
     ArcPolygon,
     Vec2,
+    chain_chords,
     chain_perimeter,
     chain_vertices,
     merge_to_corners,
     reduce_mod,
     roll_next,
+    roll_prev,
+    short_edges,
     turns,
 )
 from .tolerances import (
@@ -45,12 +48,6 @@ def signed_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * roll_next(y) - roll_next(x) * y))
 
 
-def _edge_angles(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge lengths and direction angles; edge i runs v[i] -> v[i+1]."""
-    diffs = roll_next(vertices) - vertices
-    return np.hypot(diffs[:, 0], diffs[:, 1]), np.arctan2(diffs[:, 1], diffs[:, 0])
-
-
 @dataclass(frozen=True, eq=False)
 class PlanarPolygon(ArcPolygon):
     """Validated convex polygon, counterclockwise.  Build with :func:`build_polygon`."""
@@ -70,24 +67,18 @@ def _check_coordinates(verts: np.ndarray) -> float:
     return largest
 
 
-def _check_chain(verts: np.ndarray, lengths: np.ndarray) -> float:
-    """The perimeter, the sum of ``lengths``; DegenerateEdge below the length
-    floor (:func:`geometry.chain_perimeter`), WrongOrientation for a clockwise
-    chain, NotConvex for zero area."""
+def _frame(verts: np.ndarray) -> tuple:
+    """A pass of :func:`build_polygon`, the one planar chain check: edge
+    lengths, exterior angles, the perimeter and the edge directions;
+    DegenerateEdge below the length floor (:func:`geometry.chain_perimeter`),
+    WrongOrientation for a clockwise chain, NotConvex for zero area."""
+    _, lengths, dirs = chain_chords(verts)
     perimeter = chain_perimeter(lengths)
     area = signed_area(verts)
     if area < 0.0:
         raise WrongOrientation("vertices are clockwise; expected counterclockwise")
     if area == 0.0:
         raise NotConvex("polygon has zero area")
-    return perimeter
-
-
-def _frame(verts: np.ndarray) -> tuple:
-    """A pass of :func:`build_polygon`: edge lengths, exterior angles, the
-    perimeter (refused as :func:`_check_chain`) and the edge directions."""
-    lengths, dirs = _edge_angles(verts)
-    perimeter = _check_chain(verts, lengths)
     return lengths, turns(dirs), perimeter, dirs
 
 
@@ -116,25 +107,28 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
 
 
 def point_at(poly: PlanarPolygon, s: float) -> Vec2:
-    """Point at arc length ``s`` from the marked point (s reduced mod perimeter)."""
-    (i,), (u,) = poly.locate([s])
-    v = poly.vertices[i]
-    if u == 0.0:
-        return Vec2(float(v[0]), float(v[1]))
-    d = poly.edge_dirs[i]
-    return Vec2(float(v[0] + u * math.cos(d)), float(v[1] + u * math.sin(d)))
+    """Point at arc length ``s`` from the marked point (s reduced mod
+    perimeter): :func:`points_at` at one position."""
+    return Vec2(*points_at(poly, [s])[0].tolist())
 
 
 def points_at(poly: PlanarPolygon, ss: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`point_at` for an array of arc positions."""
+    """The points at an array of arc positions from the marked point."""
     return points_on_edges(poly, *poly.locate(ss))
 
 
 def points_on_edges(poly: PlanarPolygon, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The points at offsets ``u`` along edges ``idx``, as :meth:`~geometry.ArcPolygon.locate` gives them."""
+    """The points at offsets ``u`` along edges ``idx``, as :meth:`~geometry.ArcPolygon.locate`
+    gives them; at offset 0.0 the vertex's own bits."""
     d = poly.edge_dirs
     step = np.stack([np.cos(d), np.sin(d)], axis=1).take(idx, axis=0)
-    return poly.vertices.take(idx, axis=0) + u[:, None] * step
+    v = poly.vertices.take(idx, axis=0)
+    out = v + u[:, None] * step
+    # adding a 0.0 step keeps every coordinate but a -0.0, which turns +0.0;
+    # the masked copy doubles the cost, so it runs only where a zero can be
+    if (poly.vertices == 0.0).any():
+        np.copyto(out, v, where=(u == 0.0)[:, None])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +174,7 @@ def _certify_chain(verts: np.ndarray, dirs: np.ndarray | None = None) -> Convexi
     """:func:`convexity_certificate` of an (n >= 3, 2) chain, unchecked for finiteness;
     given its edge directions ``dirs``, its edges are taken to clear the length floor."""
     if dirs is None:
-        lengths, dirs = _edge_angles(verts)
+        _, lengths, dirs = chain_chords(verts)
         chain_perimeter(lengths)
     ext = turns(dirs)
     exterior_sum = float(np.sum(ext))
@@ -194,6 +188,35 @@ def _certify_chain(verts: np.ndarray, dirs: np.ndarray | None = None) -> Convexi
         is_convex=is_convex,
         tolerance=CERTIFICATE_TOL,
     )
+
+
+def _dedup_closed(points: np.ndarray) -> np.ndarray:
+    """Drop each point (wrapping around) whose edge from the point before it
+    is below the certificate's length floor (:func:`geometry.short_edges`),
+    so a run of near-duplicates keeps its first point."""
+    seg = chain_chords(points)[1]
+    total = float(np.sum(seg))
+    if total == 0.0:
+        return points[:1]
+    # row i is kept when the edge arriving from row i - 1 is not short
+    return points[roll_prev(~short_edges(seg, total))]
+
+
+def chain_certificate(curve: np.ndarray, lengths: np.ndarray, dirs: np.ndarray) -> ConvexityCertificate:
+    """The certificate of a closed chain of finite points from its chord
+    ``lengths`` and directions ``dirs`` (:func:`geometry.chain_chords`) when no
+    chord is short; else of the chain without the points short chords end at
+    (:func:`_dedup_closed`), or ``FAILED_CERTIFICATE`` if that is degenerate."""
+    total = float(np.sum(lengths))
+    if len(curve) >= 3 and total != 0.0 and not short_edges(lengths, total).any():
+        return _certify_chain(curve, dirs)
+    pts = _dedup_closed(curve)
+    if len(pts) < 3:
+        return FAILED_CERTIFICATE
+    try:
+        return _certify_chain(pts)
+    except DegenerateEdge:
+        return FAILED_CERTIFICATE
 
 
 def dilate_to_perimeter(poly: PlanarPolygon, target: float, center) -> PlanarPolygon:
@@ -214,8 +237,9 @@ def dilate_to_perimeter(poly: PlanarPolygon, target: float, center) -> PlanarPol
     from its vertices (:func:`build_polygon`).
 
     Raises:
-        ValueError: a target that is not positive and finite, or a dilated
-            coordinate that is not finite or exceeds ``MAX_COORDINATE``.
+        ValueError: a target that is not positive and finite, a ``center``
+            that is not 2 finite coordinates, or a dilated coordinate that
+            is not finite or exceeds ``MAX_COORDINATE``.
         DegenerateEdge: an edge below the length floor, as an underflow can
             leave it.
         WrongOrientation: a clockwise dilated chain.
@@ -225,13 +249,16 @@ def dilate_to_perimeter(poly: PlanarPolygon, target: float, center) -> PlanarPol
     """
     if not (math.isfinite(target) and target > 0.0):
         raise ValueError(f"target perimeter must be positive and finite; got {target!r}")
+    try:
+        c = np.asarray(center, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        c = None
+    if c is None or c.shape != (2,) or not all(map(math.isfinite, c.tolist())):
+        raise ValueError(f"center must be 2 finite coordinates; got {center!r}")
     ratio = target / poly.perimeter
-    c = np.asarray(center, dtype=float)
     verts = c + ratio * (poly.vertices - c)
     scale = float(np.abs(c).max()) + _check_coordinates(verts)
-    diffs = roll_next(verts) - verts
-    lengths = np.hypot(diffs[:, 0], diffs[:, 1])
-    _check_chain(verts, lengths)
+    lengths = _frame(verts)[0]
     if DILATION_TURN_FACTOR * scale >= lengths.min() * poly.exterior_angles.min():
         return build_polygon(verts, base_s=poly.base_s * ratio)
     perimeter = poly.perimeter * ratio

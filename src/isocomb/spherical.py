@@ -59,18 +59,20 @@ def unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(dot3(v, v))[..., None]
 
 
-def _edge_lengths(verts: np.ndarray, cross: np.ndarray | None = None) -> np.ndarray:
-    """Geodesic length of each edge, from its v x w (``cross``) when given."""
+def edge_frame(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sphere's one edge measurement: for the edge from each vertex v of
+    a closed chain to the next, w, the rows w, v x w and v . w and the
+    geodesic length atan2(|v x w|, v . w)."""
     nxt = roll_next(verts)
-    if cross is None:
-        cross = cross3(verts, nxt)
-    return np.arctan2(np.sqrt(dot3(cross, cross)), dot3(verts, nxt))
+    cross = cross3(verts, nxt)
+    dots = dot3(verts, nxt)
+    return nxt, cross, dots, np.arctan2(np.sqrt(dot3(cross, cross)), dots)
 
 
 def fan_area(verts: np.ndarray, nxt: np.ndarray, cross: np.ndarray, dots: np.ndarray) -> float:
     """Signed enclosed area from a triangle fan; independent of the turnings.
 
-    ``nxt``, ``cross`` and ``dots`` are the builder's edge frame of ``verts``.
+    ``nxt``, ``cross`` and ``dots`` are the :func:`edge_frame` of ``verts``.
     """
     apex = unit_rows(verts.sum(axis=0) / len(verts))     # np.mean, bit for bit
     triple = dot3(cross, apex)
@@ -97,12 +99,9 @@ def _frame(verts: np.ndarray) -> tuple:
     itself however short the edge; a turning is the angle about v from the
     arriving edge's normal to the departing one's, and atan2 needs neither
     normalized."""
-    nxt = roll_next(verts)
-    cross = cross3(verts, nxt)
-    dots = dot3(verts, nxt)
+    nxt, cross, dots, lengths = edge_frame(verts)
     if (dots <= -1.0 + ANTIPODAL_DOT_EPS).any():
         raise AntipodalEdge("consecutive vertices are antipodal")
-    lengths = np.arctan2(np.sqrt(dot3(cross, cross)), dots)
     perimeter = chain_perimeter(lengths)
     normal = cross3(verts, nxt - verts)
     arrive = roll_prev(normal)
@@ -175,9 +174,8 @@ def centroid_direction(poly: SphericalPolygon) -> np.ndarray:
     of the area, but its rounding of the order of the perimeter, so the
     floor is relative to the perimeter.
     """
-    a = poly.vertices
-    cross = cross3(a, roll_next(a))
-    c = 0.5 * (_edge_lengths(a, cross)[:, None] * unit_rows(cross)).sum(axis=0)
+    _, cross, _, lengths = edge_frame(poly.vertices)
+    c = 0.5 * (lengths[:, None] * unit_rows(cross)).sum(axis=0)
     n = np.linalg.norm(c)
     if n < CENTROID_NORM_FLOOR * poly.perimeter:
         raise NotConvexSpherical("degenerate centroid direction")

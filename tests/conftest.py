@@ -504,10 +504,10 @@ def former_trial_combination(pair):
     certificate, the bending residual and the vertex events."""
     from types import SimpleNamespace
 
-    from isocomb.combination import AlignmentResult, _aligned_motion, _dedup_closed, apply_alignment
+    from isocomb.combination import AlignmentResult, _aligned_motion, apply_alignment
     from isocomb.errors import AlignmentNotFound
     from isocomb.geometry import alignment_margins, apply_motion_many, unwrap_turns
-    from isocomb.planar import FAILED_CERTIFICATE, convexity_certificate, points_at
+    from isocomb.planar import FAILED_CERTIFICATE, _dedup_closed, convexity_certificate, points_at
     from isocomb.tolerances import MARGIN_EPS, MARGIN_TIE_TOL
 
     F1, F2 = pair.F1, pair.F2
@@ -674,7 +674,7 @@ def former_position_and_combine(K1, K2, max_step=math.inf):
     from isocomb.errors import AntipodalCorrespondence, PositioningNotFound
     from isocomb.geometry import (
         alignment_margins,
-        chord_directions,
+        chain_chords,
         rotate_about_x0_many,
         turns,
         unwrap_turns,
@@ -688,7 +688,7 @@ def former_position_and_combine(K1, K2, max_step=math.inf):
     m = len(image.events)
     if m < 3:
         raise PositioningNotFound(f"only {m} correspondence breakpoints survive the merge")
-    p1, p2 = chord_directions(image.image1), chord_directions(image.image2)
+    p1, p2 = chain_chords(image.image1)[2], chain_chords(image.image2)[2]
     th1, th2 = unwrap_turns(p1[0], turns(p1)), unwrap_turns(p2[0], turns(p2))
     g = th1 - th2
     margins = alignment_margins(g)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from isocomb import combination, planar, suite
 from isocomb.combination import (
+    MarkedPair,
     align,
     apply_alignment,
     bending_check,
@@ -19,7 +20,6 @@ from isocomb.combination import (
     semitangent_condition,
     uniform_positions,
     vertex_events,
-    _dedup_closed,
     _row_gaps,
 )
 from isocomb.errors import AlignmentNotFound, PerimeterMismatch
@@ -36,6 +36,7 @@ from isocomb.geometry import (
     roll_next,
 )
 from isocomb.planar import (
+    _dedup_closed,
     build_polygon,
     convexity_certificate,
     dilate_to_perimeter,
@@ -570,14 +571,22 @@ def test_align_margin_matches_posthoc_condition():
 
 def test_align_matches_dense_oracle_on_acceptance_seed(monkeypatch):
     # the planar acceptance suite's first trials, aligned with the O(m)
-    # kernel and again with the m x m gap matrix of real differences
+    # kernel and again with the m x m gap matrix of real differences; align
+    # is combine_aligned's alignment bit for bit, there and on pairs whose
+    # vertices and motion hold -0.0 (the winning row's points keep a
+    # vertex's own bits, so a signed zero reaches the translation)
     pairs = []
     for i in range(60):
         rng = trial_rng(42, i)
         f1 = random_convex_polygon(rng, 3, 200)
         f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, 200), f1.perimeter, (0.0, 0.0))
         pairs.append(make_pair(f1, f2))
+    signed = build_polygon([(-0.0, -0.0), (1.0, -0.0), (1.0, 1.0), (-0.0, 1.0)])
+    signed_motion = RigidMotion2(0.0, Vec2(-0.0, -0.0))
+    pairs += [MarkedPair(signed.with_base(b), signed, signed_motion) for b in (0.0, 1.0, 3.0)]
     fast = [align(pair) for pair in pairs]
+    for pair, a in zip(pairs, fast):
+        assert repr(a) == repr(combine_aligned(pair)[0])
     monkeypatch.setattr(combination, "alignment_margins", lambda g: dense_alignment_margins(g, g))
     for pair, a in zip(pairs, fast):
         b = align(pair)

@@ -36,7 +36,7 @@ from isocomb.errors import (
 from isocomb.geometry import (
     TAU,
     alignment_margins,
-    chord_directions,
+    chain_chords,
     merge_collinear,
     merged_vertex_positions,
     roll_next,
@@ -219,12 +219,12 @@ def test_transform_commutes_with_axis_rotation():
     m2 = support_link(256, 0.8, {2: (0.0, -0.03), 4: (0.01, 0.0)})
     # equalize perimeters by rebuilding the second from scaled gnomonic coordinates
     from scipy.optimize import brentq
-    from isocomb.spherical import gnomonic, gnomonic_inverse, _edge_lengths
+    from isocomb.spherical import edge_frame, gnomonic, gnomonic_inverse
 
     w2 = gnomonic(m2.vertices)
 
     def perim(lam):
-        return float(np.sum(_edge_lengths(gnomonic_inverse(lam * w2))))
+        return float(np.sum(edge_frame(gnomonic_inverse(lam * w2))[3]))
 
     lam = brentq(lambda t: perim(t) - m1.perimeter, 0.2, 3.0, xtol=1e-15)
     m2 = build_spherical_polygon(gnomonic_inverse(lam * w2))
@@ -448,7 +448,7 @@ def test_position_matches_dense_oracle_on_acceptance_seed(monkeypatch):
 
 def unwrapped_chord_directions(samples):
     """The search image's unwrapped chord directions, as positioning takes them."""
-    p = chord_directions(samples)
+    p = chain_chords(samples)[2]
     return unwrap_turns(p[0], turns(p))
 
 
@@ -486,7 +486,7 @@ def test_image_directions_follow_np_unwrap_to_rounding():
     minus_pi = 0
     for samples in dense + exact:
         got, want = unwrapped_chord_directions(samples), former_image_directions(samples)
-        p = chord_directions(samples)
+        p = chain_chords(samples)[2]
         d = np.diff(p)
         t = turns(p)[1:]
         sides = np.round((t - np.diff(want)) / TAU)
@@ -500,7 +500,7 @@ def test_image_directions_follow_np_unwrap_to_rounding():
         minus_pi += int(np.sum(d == -math.pi))
     assert minus_pi > 50
     for samples in dense:
-        d = np.diff(chord_directions(samples))
+        d = np.diff(chain_chords(samples)[2])
         assert int(np.sum(np.abs(d) >= math.pi)) == 1 and not np.any(np.abs(np.abs(d) - math.pi) < 1e-3)
 
 

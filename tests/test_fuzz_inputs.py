@@ -12,7 +12,8 @@ one ``error:`` line when it fails (a suite's failed trials are reported in
 its printed summary instead), no warning (the command line would print
 it), and no NaN or Infinity token in what it prints or writes.  The random
 polygon and link generators refuse a point count past ``MAX_SAMPLES``
-before they allocate.
+before they allocate, and a dilation refuses a centre that is not 2 finite
+coordinates before it computes anything.
 """
 
 import contextlib
@@ -30,6 +31,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isocomb import cli
 from isocomb.geometry import MAX_SAMPLES
+from isocomb.planar import build_polygon, dilate_to_perimeter
 from isocomb.spherical import random_convex_link
 from isocomb.suite import random_convex_polygon, trial_rng
 
@@ -245,3 +247,14 @@ def test_generators_refuse_a_point_count_past_the_cap(generate, count):
     # 10**12 points would ask for TiB arrays; the count is refused first
     with pytest.raises(ValueError, match="MAX_SAMPLES"):
         generate(trial_rng(0, 0), count)
+
+
+@pytest.mark.parametrize("center", [(math.inf, 0.0), (0.0, math.nan), (0.5,), None, (0, 0, 0), [[0.0, 0.0]], "ab"],
+                         ids=["inf", "nan", "one", "none", "three", "nested", "text"])
+def test_dilation_refuses_a_centre_that_is_not_two_finite_coordinates(center):
+    # checked before any arithmetic: an infinite centre used to warn (an error
+    # under -W error), (0.5,) to broadcast to (0.5, 0.5), None to fail as
+    # "vertices must be finite" and (0, 0, 0) with numpy's broadcast error
+    square = build_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="center must be 2 finite coordinates"):
+        dilate_to_perimeter(square, 8.0, center)

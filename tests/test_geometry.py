@@ -380,13 +380,18 @@ def test_locate_equals_scalar_oracle_bit_for_bit():
 
 
 def test_scalar_queries_follow_the_oracle_edge(unit_square):
+    # point_at and points_at alike return a vertex with its own bits, a -0.0
+    # coordinate included (adding a 0.0 step along its edge gives +0.0)
     rng = np.random.default_rng(58)
-    for poly in _rebased(unit_square):
+    signed = build_polygon([(-0.0, -0.0), (1.0, -0.0), (1.0, 1.0), (-0.0, 1.0)])
+    assert _bits(points_at(signed, [0.0])) == _bits([(-0.0, -0.0)])
+    for poly in _rebased(unit_square) + _rebased(signed):
         for s in arc_queries(poly, rng, n_random=10):
             i, u = scalar_locate(poly, float(s))
             v, d = poly.vertices[i], poly.edge_dirs[i]
             want = (v[0], v[1]) if u == 0.0 else (v[0] + u * math.cos(d), v[1] + u * math.sin(d))
             assert _bits(point_at(poly, s)) == _bits(want)
+            assert _bits(points_at(poly, [s])) == _bits([want])
 
 
 def test_points_at_equal_the_former_per_position_kernels_bit_for_bit():

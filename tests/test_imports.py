@@ -1,6 +1,6 @@
 """Every module-level import of the package is used by its module, every
 module-level private function or class is used somewhere in the package,
-no module calls the numpy routines that the column helpers replace, only
+no module imports a private name from another, no module calls the numpy routines that the column helpers replace, only
 ``geometry`` reads the snap rule's ``SNAP_FACTOR``, the breakpoint
 merge's ``BREAKPOINT_MERGE_RTOL`` and the length floor's
 ``LENGTH_EPS_FACTOR`` or calls ``merge_collinear``, a remainder or an
@@ -115,6 +115,57 @@ def test_unused_private_definitions_are_found():
 def test_package_has_no_unused_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_definitions(sources) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """``_private`` names a module takes from a package module, as
+    ``line:module.name`` in line order: imported by a relative or an
+    ``isocomb`` import, or read as an attribute of a name such an import
+    binds.  Dunder names are exempt."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    found, bound = [], set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.level or n.module.split(".")[0] == "isocomb"):
+            for alias in n.names:
+                if private(alias.name):
+                    found.append((n.lineno, n.col_offset, f"{n.module or ''}.{alias.name}"))
+                bound.add(alias.asname or alias.name)
+        elif isinstance(n, ast.Import):
+            bound.update(a.asname for a in n.names if a.asname and a.name.split(".")[0] == "isocomb")
+    found += [
+        (n.lineno, n.col_offset, f"{n.value.id}.{n.attr}")
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id in bound and private(n.attr)
+    ]
+    return [f"{line}:{name}" for line, _, name in sorted(found)]
+
+
+def test_private_imports_are_found():
+    source = (
+        "from .geometry import TAU, _hidden\n"
+        "from . import planar, __version__\n"
+        "from isocomb.spherical import _frame as frame\n"
+        "import isocomb.cones as cones\n"
+        "import numpy as np\n"
+        "def _own(self):\n"
+        "    return np._NoValue, self._x, planar._frame, cones._combined_cone, planar.__name__\n"
+        "def f():\n    from .combination import _row_gaps\n"
+    )
+    assert private_imports(source) == [
+        "1:geometry._hidden", "3:isocomb.spherical._frame", "7:planar._frame",
+        "7:cones._combined_cone", "9:combination._row_gaps",
+    ]
+
+
+# a private helper has one module: a module that needs another's helper
+# imports a public function instead (planar.chain_certificate, spherical.edge_frame)
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_no_private_name_from_another(module):
+    assert private_imports((PACKAGE / module).read_text()) == []
 
 
 # geometry.roll_next / roll_prev and cross3 equal np.roll and np.cross bit

@@ -10,11 +10,10 @@ from isocomb.errors import (
     NotSimple,
     WrongOrientation,
 )
-from isocomb.geometry import merged_vertex_positions, norm_angle, norm_angle_many, turns
+from isocomb.geometry import chain_chords, merged_vertex_positions, norm_angle, norm_angle_many, turns
 from isocomb.planar import (
     MAX_COORDINATE,
     PlanarPolygon,
-    _edge_angles,
     build_polygon,
     convexity_certificate,
     dilate_to_perimeter,
@@ -115,7 +114,7 @@ def test_collinear_merge_rule_at_the_float_neighbours_of_the_tolerance():
     seen = []
     for h in hs:
         verts = np.array([(0.0, 0.0), (1.0, -h), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)])
-        turn = turns(_edge_angles(verts)[1])[1]
+        turn = turns(chain_chords(verts)[2])[1]
         seen.append(turn)
         if turn < -eps:
             with pytest.raises(NotConvex):

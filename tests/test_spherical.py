@@ -12,10 +12,10 @@ from isocomb.spherical import (
     LINK_CAP_ANGLE,
     LINK_TARGET_CEILING,
     _cap_samples,
-    _edge_lengths,
     _scaled_hull_perimeter,
     build_spherical_polygon,
     centroid_direction,
+    edge_frame,
     fan_area,
     gnomonic,
     gnomonic_inverse,
@@ -312,7 +312,7 @@ def test_spherical_primitives_equal_former_kernel_bit_for_bit():
     rng = np.random.default_rng(77)
     for verts, base_s in _kernel_inputs():
         verts = np.asarray(verts, dtype=float)
-        assert_same_bits(_edge_lengths(verts), former_edge_lengths(verts))
+        assert_same_bits(edge_frame(verts)[3], former_edge_lengths(verts))
         assert_same_bits(unit_rows(verts), former_unit_rows(verts))
         assert_same_bits(unit_rows(verts[0]), former_unit_rows(verts[0]))
         assert_same_bits(_fan_area(verts), former_fan_area(verts))
@@ -354,7 +354,7 @@ def test_scaled_hull_perimeter_equals_the_lifted_perimeter():
         wh = w[convex_hull_2d(w)]
         perimeter = _scaled_hull_perimeter(wh)
         for lam in np.geomspace(LINK_SCALE_FLOOR, 1.0, 10):
-            lifted = float(np.sum(_edge_lengths(gnomonic_inverse(lam * wh))))
+            lifted = float(np.sum(edge_frame(gnomonic_inverse(lam * wh))[3]))
             assert abs(perimeter(lam) - lifted) <= _objective_rounding(wh, lam, lifted), (k, lam)
 
 
