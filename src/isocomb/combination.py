@@ -89,24 +89,27 @@ class CombinedCurve:
     pair: MarkedPair            # the pair the rows were evaluated on
     chords: np.ndarray          # (m, 2) chord dr from each row to the next
     chord_lengths: np.ndarray   # (m,) |dr|
+    exterior_angles: np.ndarray  # (m,) turn at each row, turns of the chord directions
     vertex_rows: tuple[np.ndarray, np.ndarray] | None = None  # row of each vertex of F1, F2
 
 
 def _combined(pair: MarkedPair, positions: np.ndarray, pts1: np.ndarray, pts2: np.ndarray,
               vertex_rows=None) -> CombinedCurve:
     """The combination of the rows ``pts1`` of F1 and ``pts2`` of F2 (before
-    the pair's motion) at ``positions``, with its certificate and chords."""
+    the pair's motion) at ``positions``, with its certificate, chords and turns."""
     pts2 = apply_motion_many(pair.motion, pts2)
     curve = pts1 + pts2
     chords, lengths, dirs = chain_chords(curve)
+    ext = turns(dirs)
     return CombinedCurve(
         curve=curve,
-        certificate=chain_certificate(curve, lengths, dirs),
+        certificate=chain_certificate(curve, lengths, ext),
         tau_segments=pts1 - pts2,
         breakpoints=positions,
         pair=pair,
         chords=chords,
         chord_lengths=lengths,
+        exterior_angles=ext,
         vertex_rows=vertex_rows,
     )
 
@@ -175,7 +178,8 @@ def vertex_events(combined: CombinedCurve) -> VertexEvents:
     one of that curve's vertices into it (:func:`geometry.merged_vertex_positions`),
     so the combined curve turns there by its angle; :func:`combine` and
     :func:`combine_aligned` keep the merge's rows, so nothing is merged
-    here.  ``beta`` is the certificate's interior angle at the row.
+    here.  ``beta`` is pi less the combined curve's own turn at the row
+    (``exterior_angles``), the interior angle its certificate reports.
 
     Raises:
         ValueError: ``combined`` is off the merged breakpoints (from :func:`combine_at`).
@@ -188,10 +192,8 @@ def vertex_events(combined: CombinedCurve) -> VertexEvents:
     case = (np.bincount(rows1, minlength=m) > 0).astype(int) + (np.bincount(rows2, minlength=m) > 0)
     beta1 = math.pi - np.bincount(rows1, weights=pair.F1.exterior_angles, minlength=m)
     beta2 = math.pi - np.bincount(rows2, weights=pair.F2.exterior_angles, minlength=m)
-    beta = combined.certificate.interior_angles
-    if len(beta) != m:      # the certificate left out a row with a short chord
-        beta = math.pi - turns(chain_chords(combined.curve)[2])
-    return VertexEvents(bps, case, beta1, beta2, np.where(case > 0, beta, math.pi))
+    beta = np.where(case > 0, math.pi - combined.exterior_angles, math.pi)
+    return VertexEvents(bps, case, beta1, beta2, beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,64 +228,9 @@ def _row_gaps(pair: MarkedPair) -> tuple:
     return bps, phi1 - phi2, rows1, rows2, loc1, loc2
 
 
-def _aligned_rows(pair: MarkedPair) -> tuple:
-    """The search of :func:`align` on one merge of the pair, and that merge's
-    rows renumbered for the pair rebased at the winning row j's breakpoint.
-
-    Returns the merged breakpoints from row j on, then those before it,
-    in one take (the old base row 0 is left out unless a vertex merged
-    into it, as a merge of the rebased pair has no breakpoint there), with
-    each curve's located rows there; the renumbered row each vertex of F1
-    and F2 merged into; the margin at j; and the rotation rho = g[j] in
-    (-pi, pi].
-
-    Raises:
-        AlignmentNotFound: if the best margin is at or below ``MARGIN_EPS`` rad.
-    """
-    bps, g, rows1, rows2, *locs = _row_gaps(pair)
-    margins = alignment_margins(g)
-    j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))   # smallest tied sigma0
-    margin = float(margins[j])
-    if margin <= MARGIN_EPS:
-        raise AlignmentNotFound(
-            f"best margin {margin:.3e} rad at sigma0={bps[j]!r} is not positive"
-        )
-    m = len(bps)
-    # the old base row stays when it wins or a vertex merged into it
-    first = 0 if j == 0 or not (rows1.all() and rows2.all()) else 1
-    order = np.concatenate([np.arange(j, m), np.arange(first, j)])
-    locs = tuple((idx.take(order), u.take(order)) for idx, u in locs)
-    rows = tuple(np.where(r >= j, r - j, r + (m - j - first)) for r in (rows1, rows2))
-    return bps.take(order), locs, rows, margin, norm_angle(float(g[j]))
-
-
-def _aligned_motion(pair: MarkedPair, rho: float, p1, p2) -> RigidMotion2:
-    """The pair's motion followed by the turn rho that maps ``p2``, F2's
-    point at sigma0 before the pair's motion, onto F1's point ``p1``."""
-    q = apply_motion(pair.motion, p2)
-    c, s = math.cos(rho), math.sin(rho)
-    t = Vec2(float(p1[0]) - (c * q.x - s * q.y), float(p1[1]) - (s * q.x + c * q.y))
-    return compose(RigidMotion2(rho, t), pair.motion)
-
-
 def align(pair: MarkedPair) -> AlignmentResult:
     """Find a base shift sigma0 and a motion giving a positive margin: the
-    alignment of :func:`combine_aligned`, through its one evaluation route.
-
-    The gap g = phi1 - phi2 of unwrapped tangent directions is constant on
-    each piece between merged breakpoints (:func:`_row_gaps`), so every
-    value it attains is a row's, and each breakpoint is a candidate base.
-    Aligning at sigma0 turns the gap at s into the real difference g(s) -
-    g(sigma0), which must stay inside (-pi, pi), and the candidate
-    maximizing the worst-case margin wins (ties, within ``MARGIN_TIE_TOL``
-    rad: smallest sigma0).  The returned motion maps P2(sigma0) onto
-    P1(sigma0) with the right semitangents identified: its rotation is the
-    gap over the piece from sigma0 on.
-
-    g is periodic, since both curves turn by 2*pi, so the row gaps are all
-    the gaps any candidate sees, and the worst one is at the largest or the
-    smallest of them: every margin comes from that range in O(m) time and
-    memory (:func:`geometry.alignment_margins`), with no m x m gap matrix.
+    alignment of :func:`combine_aligned`.
 
     Raises:
         AlignmentNotFound: if the best margin is at or below ``MARGIN_EPS`` rad.
@@ -303,27 +250,63 @@ def apply_alignment(pair: MarkedPair, result: AlignmentResult) -> MarkedPair:
 def combine_aligned(pair: MarkedPair) -> tuple[AlignmentResult, CombinedCurve]:
     """Align, then combine; the certificate is convex on success.
 
-    The result is the alignment :func:`align` returns, and the combination
-    is :func:`combine`'s on the pair rebased at sigma0 (:func:`apply_alignment`),
-    built from one merge and one located evaluation of each curve (:func:`_aligned_rows`):
-    the winning row's points fix the motion, and the positions are the merged
-    breakpoints minus sigma0, plus the perimeter where that is below 0.
-    They agree with a fresh merge of the rebased pair to the rounding of
-    its rebased arc positions, 7 eps times the perimeter, with one
-    exception: a kept old base row keeps the base's position, where a fresh
-    merge takes its first vertex's, within ``BREAKPOINT_MERGE_RTOL`` times
-    the perimeter of it.
+    The gap g = phi1 - phi2 of unwrapped tangent directions is constant on
+    each piece between merged breakpoints (:func:`_row_gaps`), so every
+    value it attains is a row's, and each breakpoint is a candidate base.
+    Aligning at sigma0 turns the gap at s into the real difference g(s) -
+    g(sigma0), which must stay inside (-pi, pi), and the candidate
+    maximizing the worst-case margin wins (ties, within ``MARGIN_TIE_TOL``
+    rad: smallest sigma0).  The motion maps P2(sigma0) onto P1(sigma0)
+    with the right semitangents identified: it is the pair's motion
+    followed by the turn rho = g(sigma0) in (-pi, pi], the gap over the
+    piece from sigma0 on.
+
+    g is periodic, since both curves turn by 2*pi, so the row gaps are all
+    the gaps any candidate sees, and the worst one is at the largest or the
+    smallest of them: every margin comes from that range in O(m) time and
+    memory (:func:`geometry.alignment_margins`), with no m x m gap matrix.
+
+    The combination is :func:`combine`'s on the pair rebased at sigma0
+    (:func:`apply_alignment`), built from the gap's one merge and one
+    located evaluation of each curve: the rows from the winning row j on,
+    then those before it, renumbered (the old base row 0 is left out unless
+    a vertex merged into it, as a merge of the rebased pair has no
+    breakpoint there).  The winning row's points fix the motion, and the
+    positions are the merged breakpoints minus sigma0, plus the perimeter
+    where that is below 0.  They agree with a fresh merge of the rebased
+    pair to the rounding of its rebased arc positions, 7 eps times the
+    perimeter, with one exception: a kept old base row keeps the base's
+    position, where a fresh merge takes its first vertex's, within
+    ``BREAKPOINT_MERGE_RTOL`` times the perimeter of it.
 
     Raises:
-        AlignmentNotFound: as :func:`align`.
+        AlignmentNotFound: if the best margin is at or below ``MARGIN_EPS`` rad.
     """
-    at, (loc1, loc2), vertex_rows, margin, rho = _aligned_rows(pair)
-    pts1, pts2 = points_on_edges(pair.F1, *loc1), points_on_edges(pair.F2, *loc2)
+    bps, g, rows1, rows2, loc1, loc2 = _row_gaps(pair)
+    margins = alignment_margins(g)
+    j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))   # smallest tied sigma0
+    margin = float(margins[j])
+    if margin <= MARGIN_EPS:
+        raise AlignmentNotFound(
+            f"best margin {margin:.3e} rad at sigma0={bps[j]!r} is not positive"
+        )
+    m = len(bps)
+    # the old base row stays when it wins or a vertex merged into it
+    first = 0 if j == 0 or not (rows1.all() and rows2.all()) else 1
+    order = np.concatenate([np.arange(j, m), np.arange(first, j)])
+    pts1 = points_on_edges(pair.F1, loc1[0].take(order), loc1[1].take(order))
+    pts2 = points_on_edges(pair.F2, loc2[0].take(order), loc2[1].take(order))
+    at = bps.take(order)
     sigma0 = float(at[0])
-    result = AlignmentResult(sigma0, _aligned_motion(pair, rho, pts1[0], pts2[0]), margin)
+    rho = norm_angle(float(g[j]))
+    q = apply_motion(pair.motion, pts2[0])
+    c, s = math.cos(rho), math.sin(rho)
+    t = Vec2(float(pts1[0][0]) - (c * q.x - s * q.y), float(pts1[0][1]) - (s * q.x + c * q.y))
+    result = AlignmentResult(sigma0, compose(RigidMotion2(rho, t), pair.motion), margin)
     positions = at - sigma0
     positions[positions < 0.0] += pair.F1.perimeter
-    return result, _combined(apply_alignment(pair, result), positions, pts1, pts2, vertex_rows)
+    rows = tuple(np.where(r >= j, r - j, r + (m - j - first)) for r in (rows1, rows2))
+    return result, _combined(apply_alignment(pair, result), positions, pts1, pts2, rows)
 
 
 def bending_check(combined: CombinedCurve) -> float:

@@ -462,7 +462,7 @@ def truncate_digons(
         raise TruncationTooDeep(
             f"no cut depth of the second digon matches perimeter {target!r}"
         )
-    e2 = brent_root(f, lo, hi)
+    e2 = brent_root(f, lo, hi, f_lo, f_hi)
     q2 = _digon_quadrilateral(digon2, e2)
     if abs(q2.perimeter - target) > DIGON_PERIMETER_RTOL * target:
         raise TruncationTooDeep("perimeter equalization did not converge")

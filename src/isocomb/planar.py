@@ -170,13 +170,13 @@ def convexity_certificate(vertices) -> ConvexityCertificate:
     return _certify_chain(chain_vertices(vertices, 2, "planar"))
 
 
-def _certify_chain(verts: np.ndarray, dirs: np.ndarray | None = None) -> ConvexityCertificate:
+def _certify_chain(verts: np.ndarray, ext: np.ndarray | None = None) -> ConvexityCertificate:
     """:func:`convexity_certificate` of an (n >= 3, 2) chain, unchecked for finiteness;
-    given its edge directions ``dirs``, its edges are taken to clear the length floor."""
-    if dirs is None:
+    given its turns ``ext``, its edges are taken to clear the length floor."""
+    if ext is None:
         _, lengths, dirs = chain_chords(verts)
         chain_perimeter(lengths)
-    ext = turns(dirs)
+        ext = turns(dirs)
     exterior_sum = float(np.sum(ext))
     min_exterior = float(np.min(ext))
     simple_ok = signed_area(verts) > 0.0 and abs(exterior_sum - TAU) <= CERTIFICATE_TOL
@@ -202,14 +202,15 @@ def _dedup_closed(points: np.ndarray) -> np.ndarray:
     return points[roll_prev(~short_edges(seg, total))]
 
 
-def chain_certificate(curve: np.ndarray, lengths: np.ndarray, dirs: np.ndarray) -> ConvexityCertificate:
+def chain_certificate(curve: np.ndarray, lengths: np.ndarray, ext: np.ndarray) -> ConvexityCertificate:
     """The certificate of a closed chain of finite points from its chord
-    ``lengths`` and directions ``dirs`` (:func:`geometry.chain_chords`) when no
-    chord is short; else of the chain without the points short chords end at
-    (:func:`_dedup_closed`), or ``FAILED_CERTIFICATE`` if that is degenerate."""
+    ``lengths`` (:func:`geometry.chain_chords`) and the turns ``ext`` of its
+    chord directions (:func:`geometry.turns`) when no chord is short; else of
+    the chain without the points short chords end at (:func:`_dedup_closed`),
+    or ``FAILED_CERTIFICATE`` if that is degenerate."""
     total = float(np.sum(lengths))
     if len(curve) >= 3 and total != 0.0 and not short_edges(lengths, total).any():
-        return _certify_chain(curve, dirs)
+        return _certify_chain(curve, ext)
     pts = _dedup_closed(curve)
     if len(pts) < 3:
         return FAILED_CERTIFICATE

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,15 +41,16 @@ class SuiteConfig:
     max_vertices: int = 30
     target_link_length: tuple = (0.5, TAU - 0.5)
 
-    def validate(self) -> None:
-        self._validate("planar")
-
-    def _validate(self, kind: str) -> None:
-        # a cone trial reads no min_vertices, so only a planar suite bounds max_vertices by it
+    def validate(self, kind: str = "planar") -> None:
+        """ValueError unless the config can run as a suite of ``kind``,
+        "planar" or "cone"; a cone trial reads no min_vertices, so only a
+        planar suite bounds max_vertices by it."""
+        if kind not in ("planar", "cone"):
+            raise ValueError(f"unknown trial kind {kind!r}; expected 'planar' or 'cone'")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, MAX_TRIALS = {MAX_TRIALS}]")
-        if self.min_vertices < 3:
-            raise ValueError("min_vertices must be >= 3")
+        if not isinstance(self.min_vertices, numbers.Integral) or self.min_vertices < 3:
+            raise ValueError("min_vertices must be an integer >= 3")
         low, name = (self.min_vertices, "min_vertices") if kind == "planar" else (3, "3")
         if not low <= self.max_vertices <= MAX_VERTICES:
             raise ValueError(f"max_vertices must lie in [{name}, MAX_VERTICES = {MAX_VERTICES}]")
@@ -94,9 +96,14 @@ def random_convex_polygon(
 ) -> PlanarPolygon:
     """Convex hull of k uniform points in the unit disk, k in the given range,
     from its lexicographically least vertex (:func:`geometry.convex_hull_2d`).
-    A ``max_vertices`` outside [3, ``MAX_SAMPLES``] raises ValueError (below 3 no hull has 3 corners)."""
+    A ``max_vertices`` outside [3, ``MAX_SAMPLES``] (below 3 no hull has 3
+    corners), or a ``min_vertices`` that is not an integer in [3,
+    ``max_vertices``], raises ValueError."""
     if not 3 <= max_vertices <= MAX_SAMPLES:
         raise ValueError(f"max_vertices must lie in [3, MAX_SAMPLES = {MAX_SAMPLES}]; got {max_vertices!r}")
+    if not isinstance(min_vertices, numbers.Integral) or not 3 <= min_vertices <= max_vertices:
+        raise ValueError(f"min_vertices must be an integer in [3, max_vertices = {max_vertices}]; "
+                         f"got {min_vertices!r}")
     while True:
         k = int(rng.integers(min_vertices, max_vertices + 1))
         r = np.sqrt(rng.uniform(0.0, 1.0, size=k))
@@ -190,7 +197,7 @@ def cone_trial(config: SuiteConfig, index: int) -> TrialReport:
 
 
 def _run_suite(config: SuiteConfig, trial_fn, kind: str, report_path: str | None) -> dict:
-    config._validate(kind)
+    config.validate(kind)
     reports = [trial_fn(config, i) for i in range(config.trials)]
     passes = sum(r.passed for r in reports)
     aggregate = {
@@ -229,10 +236,7 @@ def replay_trial(config: SuiteConfig, kind: str, trial_id: int) -> TrialReport:
         ValueError: if ``kind`` is not "planar" or "cone", or the index is
             outside the configured trials.
     """
-    trials = {"planar": planar_trial, "cone": cone_trial}
-    if kind not in trials:
-        raise ValueError(f"unknown trial kind {kind!r}; expected 'planar' or 'cone'")
-    config._validate(kind)
+    config.validate(kind)
     if not 0 <= trial_id < config.trials:
         raise ValueError(f"trial_id {trial_id} outside [0, {config.trials})")
-    return trials[kind](config, trial_id)
+    return {"planar": planar_trial, "cone": cone_trial}[kind](config, trial_id)

@@ -204,15 +204,16 @@ def former_alignment_margins(g_scan, g):
     return np.where(reach < math.pi, math.pi - near, math.pi - reach)
 
 
-def former_align(pair):
+def former_align(pair, scan=None):
     """``combination.align`` on the former scan: (sigma0, motion, margin),
-    or None where it raised AlignmentNotFound."""
+    or None where it raised AlignmentNotFound; ``scan`` is the pair's
+    :func:`former_scanned_gap`, taken here when not given."""
     from isocomb.combination import AlignmentResult
     from isocomb.geometry import RigidMotion2, Vec2, apply_motion, compose
     from isocomb.planar import point_at
     from isocomb.tolerances import MARGIN_EPS, MARGIN_TIE_TOL
 
-    bps, g_scan = former_scanned_gap(pair)
+    bps, g_scan = former_scanned_gap(pair) if scan is None else scan
     g = g_scan[: len(bps)]
     margins = former_alignment_margins(g_scan, g)
     j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))
@@ -228,9 +229,10 @@ def former_align(pair):
     return AlignmentResult(sigma0, compose(RigidMotion2(rho, t), pair.motion), margin)
 
 
-def former_semitangent_condition(pair):
-    """``combination.semitangent_condition`` on the former scan."""
-    _, g = former_scanned_gap(pair)
+def former_semitangent_condition(pair, scan=None):
+    """``combination.semitangent_condition`` on the former scan, given as
+    by :func:`former_align`."""
+    _, g = former_scanned_gap(pair) if scan is None else scan
     angles = g - g[0] + norm_angle(float(g[0]))
     return math.pi - float(np.max(np.abs(angles)))
 
@@ -504,9 +506,11 @@ def former_trial_combination(pair):
     certificate, the bending residual and the vertex events."""
     from types import SimpleNamespace
 
-    from isocomb.combination import AlignmentResult, _aligned_motion, apply_alignment
+    from isocomb.combination import AlignmentResult, apply_alignment
     from isocomb.errors import AlignmentNotFound
-    from isocomb.geometry import alignment_margins, apply_motion_many, unwrap_turns
+    from isocomb.geometry import (
+        RigidMotion2, Vec2, alignment_margins, apply_motion, apply_motion_many, compose, unwrap_turns,
+    )
     from isocomb.planar import FAILED_CERTIFICATE, _dedup_closed, convexity_certificate, points_at
     from isocomb.tolerances import MARGIN_EPS, MARGIN_TIE_TOL
 
@@ -530,7 +534,11 @@ def former_trial_combination(pair):
     rows1, rows2 = (np.where(r >= j, r - j, r + (m - j - first)) for r in (rows1, rows2))
     pts1, pts2 = points_at(F1, at), points_at(F2, at)
     sigma0 = float(at[0])
-    motion = _aligned_motion(pair, norm_angle(float(g[j])), pts1[0], pts2[0])
+    rho = norm_angle(float(g[j]))
+    q = apply_motion(pair.motion, pts2[0])
+    c, s = math.cos(rho), math.sin(rho)
+    t = Vec2(float(pts1[0][0]) - (c * q.x - s * q.y), float(pts1[0][1]) - (s * q.x + c * q.y))
+    motion = compose(RigidMotion2(rho, t), pair.motion)
     result = AlignmentResult(sigma0, motion, margin)
     positions = at - sigma0
     positions[positions < 0.0] += F1.perimeter

@@ -52,6 +52,7 @@ from conftest import (
     former_align,
     former_bending_check,
     former_combine_aligned,
+    former_scanned_gap,
     former_semitangent_condition,
     former_trial_combination,
     former_vertex_events,
@@ -1053,36 +1054,41 @@ def test_gap_folds_a_vertex_in_the_snap_window_into_its_row(unit_square):
     assert not g.any()
 
 
+def _align_or_none(pair):
+    try:
+        return align(pair)
+    except AlignmentNotFound:
+        return None
+
+
 def _former_route_pairs():
-    """3,000 pairs of hulls of 3..200 points as drawn, each also aligned."""
+    """3,000 pairs of hulls of 3..200 points as drawn, each also aligned,
+    each with its alignment (None where it has none)."""
     for i in range(3000):
         rng = trial_rng(4242, i)
         k = 3 + i % 198
         f1 = random_convex_polygon(rng, 3, k)
         f2 = dilate_to_perimeter(random_convex_polygon(rng, 3, k), f1.perimeter, (0, 0))
         pair = make_pair(f1, f2)
-        yield pair
-        try:
-            yield apply_alignment(pair, align(pair))
-        except AlignmentNotFound:
-            pass
+        got = _align_or_none(pair)
+        yield pair, got
+        if got is not None:
+            twin = apply_alignment(pair, got)
+            yield twin, _align_or_none(twin)
 
 
 def test_row_gaps_align_as_the_former_scan():
     # align and semitangent_condition read one gap per merged piece where
     # they read 2m located scan positions: the same results bit for bit
-    pairs = list(_former_route_pairs()) + list(_dense_pairs())
+    pairs = list(_former_route_pairs()) + [(p, _align_or_none(p)) for p in _dense_pairs()]
     assert len(pairs) >= 3000
-    for pair in pairs:
-        try:
-            got = align(pair)
-        except AlignmentNotFound:
-            got = None
-        want = former_align(pair)
+    for pair, got in pairs:
+        scan = former_scanned_gap(pair)
+        want = former_align(pair, scan)
         assert (got is None) == (want is None)
         if got is not None:
             assert (got.sigma0, got.margin, got.motion) == (want.sigma0, want.margin, want.motion)
-        assert semitangent_condition(pair) == former_semitangent_condition(pair)
+        assert semitangent_condition(pair) == former_semitangent_condition(pair, scan)
 
 
 def test_row_gaps_read_a_vertex_merged_into_row_0_on_its_outgoing_edge(unit_square):

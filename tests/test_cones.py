@@ -596,11 +596,24 @@ def test_make_digon_validates_angle():
 
 def test_digon_perimeter_solves_equal_scipy_brentq(monkeypatch):
     # the second digon's cut depth on the CLI's ladder, for the acceptance
-    # pair, the thin digon, and 20 angle pairs drawn as the CLI benchmark draws them
+    # pair, the thin digon, and 20 angle pairs drawn as the CLI benchmark
+    # draws them, through both solvers given only f; the truncation passes
+    # the values at the bracket ends it has already taken, which are f's
+    # there, and the solve given them calls f as the solve given only f
+    # does, less those two calls
     outcomes = []
 
-    def both(f, a, b):
+    def both(f, a, b, fa, fb):
         outcomes.append(brent_outcomes(f, a, b))
+        assert_same_bits(np.array([fa, fb]), np.array([f(a), f(b)]), "bracket values")
+        calls = []
+
+        def counted(x):
+            calls.append(float(x).hex())
+            return f(x)
+
+        root = geometry.brent_root(counted, a, b, fa, fb)
+        assert (float(root).hex(), calls) == (outcomes[-1][0][0], outcomes[-1][0][1][2:])
         return float.fromhex(outcomes[-1][0][0])
 
     monkeypatch.setattr(cones, "brent_root", both)
@@ -612,6 +625,36 @@ def test_digon_perimeter_solves_equal_scipy_brentq(monkeypatch):
             truncate_digons(make_digon(angle1), make_digon(angle2), eps)
     assert len(outcomes) == 4 * len(pairs)
     assert all(ours == theirs for ours, theirs in outcomes)
+
+
+def test_truncation_builds_each_bracket_end_once(monkeypatch):
+    # a rung builds the first quadrilateral, then the second digon's at both
+    # bracket ends, which the solve is given and so never builds again, at
+    # each depth the solve tries, and at the root: on the CLI's default
+    # ladder, two builds fewer per rung than a solve that takes the ends again
+    builds, solves = [], []
+    build, solve = cones._digon_quadrilateral, cones.brent_root
+
+    def counted_build(digon, eps):
+        builds.append(eps)
+        return build(digon, eps)
+
+    def counted_solve(f, *args):
+        def counted(x):
+            solves.append(x)
+            return f(x)
+        return solve(counted, *args)
+
+    monkeypatch.setattr(cones, "_digon_quadrilateral", counted_build)
+    monkeypatch.setattr(cones, "brent_root", counted_solve)
+    d1, d2 = make_digon(math.pi / 3), make_digon(math.pi / 2)
+    for eps in (0.2, 0.1, 0.05, 0.025):
+        builds.clear()
+        solves.clear()
+        _, _, e2 = truncate_digons(d1, d2, eps)
+        eps1, lo, hi, *tried, root = builds
+        assert (eps1, root, tried) == (eps, e2, solves), eps
+        assert lo not in solves and hi not in solves, eps
 
 
 def test_truncate_identical_digons():

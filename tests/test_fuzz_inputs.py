@@ -238,14 +238,24 @@ def test_fuzzed_suite_arguments_exit_cleanly(kind, trials, seed, min_vertices, m
         assert_finite_files(d, ())
 
 
-@pytest.mark.parametrize("count", [MAX_SAMPLES + 1, 10**12])
-@pytest.mark.parametrize("generate", [
-    lambda rng, n: random_convex_link(rng, 3.0, n_points=n),
-    lambda rng, n: random_convex_polygon(rng, 3, n),
-], ids=["link", "polygon"])
-def test_generators_refuse_a_point_count_past_the_cap(generate, count):
-    # 10**12 points would ask for TiB arrays; the count is refused first
-    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+@pytest.mark.parametrize("generate, count, match", [
+    pytest.param(generate, count, "MAX_SAMPLES", id=f"{name}-{count}")
+    for count in (MAX_SAMPLES + 1, 10**12)
+    for name, generate in (
+        ("link", lambda rng, n: random_convex_link(rng, 3.0, n_points=n)),
+        ("polygon", lambda rng, n: random_convex_polygon(rng, 3, n)),
+    )
+] + [
+    pytest.param(lambda rng, n: random_convex_polygon(rng, *n), (least, most), "min_vertices",
+                 id=f"polygon-min-{least}-max-{most}")
+    for least, most in ((10, 5), (-5, 3), (2.5, 8), (2, 8), (3.0, 8))
+])
+def test_generators_refuse_a_point_count_past_the_cap(generate, count, match):
+    # 10**12 points would ask for TiB arrays; the count is refused first.  So
+    # is a least count outside [3, max_vertices] or not an integer, which
+    # numpy's draw refused with its own message ("low >= high", "negative
+    # dimensions") or, for a fraction, took silently
+    with pytest.raises(ValueError, match=match):
         generate(trial_rng(0, 0), count)
 
 

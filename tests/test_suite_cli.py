@@ -41,6 +41,19 @@ def test_config_rejects_zero_trials():
 def test_config_rejects_inverted_vertex_range():
     with pytest.raises(ValueError):
         SuiteConfig(trials=1, seed=1, min_vertices=10, max_vertices=4).validate()
+    # the public check is the one the runners make: a cone suite, which runs
+    # an inverted range, validates it, and a planar one refuses it by default
+    config = SuiteConfig(trials=2, seed=1, min_vertices=40, max_vertices=30)
+    config.validate("cone")
+    for check in (config.validate, lambda: config.validate("planar")):
+        with pytest.raises(ValueError, match=r"\[min_vertices, MAX_VERTICES"):
+            check()
+    with pytest.raises(ValueError, match="unknown trial kind 'sphere'"):
+        config.validate("sphere")
+    # a fraction, which the planar generator refuses, is refused before any trial
+    for kind in ("planar", "cone"):
+        with pytest.raises(ValueError, match="min_vertices must be an integer"):
+            SuiteConfig(trials=2, seed=1, min_vertices=3.5).validate(kind)
 
 
 def test_only_a_planar_suite_checks_min_vertices_against_max_vertices(capsys):
