@@ -11,7 +11,6 @@ certifies convexity of the combination.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .geometry import (
     apply_motion,
     apply_motion_many,
     chain_chords,
+    check_count,
     common_perimeter,
     compose,
     merged_vertex_positions,
@@ -329,7 +329,6 @@ def bending_check(combined: CombinedCurve) -> float:
 def uniform_positions(pair: MarkedPair, n: int) -> np.ndarray:
     """n equally spaced correspondence positions, for refinement studies;
     ValueError unless n is an integer (a fraction spaces the wraparound gap
-    unevenly) in [3, ``MAX_SAMPLES``]."""
-    if not isinstance(n, numbers.Integral) or not 3 <= n <= MAX_SAMPLES:
-        raise ValueError(f"n must be an integer in [3, MAX_SAMPLES = {MAX_SAMPLES}]; got {n!r}")
+    unevenly) in [3, ``MAX_SAMPLES``], by :func:`geometry.check_count`."""
+    check_count(n, "n", 3, MAX_SAMPLES, high_name="MAX_SAMPLES")
     return np.arange(n) * (pair.F1.perimeter / n)

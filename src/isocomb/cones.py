@@ -36,6 +36,7 @@ from .geometry import (
     alignment_margins,
     brent_root,
     chain_chords,
+    check_count,
     common_perimeter,
     cross3,
     dot3,
@@ -485,13 +486,10 @@ def link_hausdorff(a: SphericalPolygon, b: SphericalPolygon, n: int = 1024) -> f
     edge's start, and that edge scores no more than w's distance.  Every
     angle is an atan2, so identical links read 0 to rounding.  The distance to a
     fixed set is 1-Lipschitz along a link, so the sampled value is at most
-    ``perimeter / (2 n)`` below the exact one, and never above it.  An
-    ``n`` below 1 or above ``MAX_SAMPLES`` raises ValueError.
+    ``perimeter / (2 n)`` below the exact one, and never above it.  An ``n``
+    not an integer in [1, ``MAX_SAMPLES``] raises ValueError (:func:`geometry.check_count`).
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
-    if n > MAX_SAMPLES:
-        raise ValueError(f"n must be at most MAX_SAMPLES = {MAX_SAMPLES}, got {n!r}")
+    check_count(n, "n", 1, MAX_SAMPLES, high_name="MAX_SAMPLES")
 
     def farthest(src: SphericalPolygon, dst: SphericalPolygon) -> float:
         points = np.concatenate([sph_points_at(src, np.arange(n) * (src.perimeter / n)), src.vertices])

@@ -1,6 +1,6 @@
 """Elementary 2D/3D vector algebra, angles, the 2-D convex hull, planar
 rigid motions and 3-D rotations, the arc-length core shared by planar
-and spherical polygons, and the 1-D root solver of the perimeter equations.
+and spherical polygons, the perimeter equations' 1-D root solver and the count rule.
 
 Each geometry measures a closed chain's edges in one function, and every
 reader takes its numbers from it: :func:`chain_chords` in the plane (chord,
@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -43,6 +44,14 @@ TAU = 2.0 * math.pi
 E0 = np.array([1.0, 0.0, 0.0])
 
 MAX_SAMPLES = 2**20    # most points one call generates or samples, far above any grid in use
+
+
+def check_count(n, name: str, low, high, low_name: str = "", high_name: str = "") -> None:
+    """ValueError naming ``name`` unless ``n`` is an integer (a ``numbers.Integral``, not a
+    ``bool``) in [low, high]; a bound is shown as ``low_name`` or ``high_name = high``."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and low <= n <= high):
+        hi = f"{high_name} = {high}" if high_name else high
+        raise ValueError(f"{name} must be an integer in [{low_name or low}, {hi}]; got {n!r}")
 
 
 class Vec2(NamedTuple):

@@ -23,6 +23,7 @@ from .geometry import (
     brent_root,
     chain_perimeter,
     chain_vertices,
+    check_count,
     convex_hull_2d,
     cross3,
     dot3,
@@ -244,12 +245,11 @@ def random_convex_link(
     perimeter, skipping a hull that brackets no root there, and lifted once.
     The builder's own perimeter must match ``target_length`` to
     ``LINK_LENGTH_TOL``; raises ``LinkNotGenerated`` if no hull does within
-    ``LINK_MAX_ATTEMPTS``, and ValueError at once for n_points outside [3, ``MAX_SAMPLES``].
+    ``LINK_MAX_ATTEMPTS``, and ValueError at once unless n_points is an integer in [3, ``MAX_SAMPLES``].
     """
     if not 0.0 < target_length < LINK_TARGET_CEILING:
         raise ValueError(f"target link length must lie in (0, {LINK_TARGET_CEILING!r})")
-    if not 3 <= n_points <= MAX_SAMPLES:
-        raise ValueError(f"n_points must lie in [3, MAX_SAMPLES = {MAX_SAMPLES}]; got {n_points!r}")
+    check_count(n_points, "n_points", 3, MAX_SAMPLES, high_name="MAX_SAMPLES")
     for _ in range(LINK_MAX_ATTEMPTS):
         pts = _cap_samples(rng, n_points, LINK_CAP_ANGLE)
         w = gnomonic(pts)

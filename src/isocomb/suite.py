@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,7 +21,7 @@ from .combination import (
     vertex_events,
 )
 from .errors import AlignmentNotFound, GeometryError, PositioningNotFound
-from .geometry import MAX_SAMPLES, TAU, convex_hull_2d
+from .geometry import MAX_SAMPLES, TAU, check_count, convex_hull_2d
 from .planar import PlanarPolygon, build_polygon, dilate_to_perimeter
 from .spherical import LINK_TARGET_CEILING, LINK_TARGET_FLOOR, random_convex_link
 from .tolerances import EXTERIOR_SUM_TOL, GAUSS_BONNET_TOL, MIN_EXTERIOR_TOL, VERTEX_ANGLE_TOL
@@ -43,23 +43,24 @@ class SuiteConfig:
 
     def validate(self, kind: str = "planar") -> None:
         """ValueError unless the config can run as a suite of ``kind``,
-        "planar" or "cone"; a cone trial reads no min_vertices, so only a
-        planar suite bounds max_vertices by it."""
+        "planar" or "cone": each count by :func:`geometry.check_count` (a cone
+        trial reads no min_vertices, so only a planar suite bounds
+        max_vertices by it), and ``target_link_length`` as two numbers."""
         if kind not in ("planar", "cone"):
             raise ValueError(f"unknown trial kind {kind!r}; expected 'planar' or 'cone'")
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ValueError(f"trials must lie in [1, MAX_TRIALS = {MAX_TRIALS}]")
-        if not isinstance(self.min_vertices, numbers.Integral) or self.min_vertices < 3:
-            raise ValueError("min_vertices must be an integer >= 3")
-        low, name = (self.min_vertices, "min_vertices") if kind == "planar" else (3, "3")
-        if not low <= self.max_vertices <= MAX_VERTICES:
-            raise ValueError(f"max_vertices must lie in [{name}, MAX_VERTICES = {MAX_VERTICES}]")
-        lo, hi = self.target_link_length
-        if not (LINK_TARGET_FLOOR <= lo < hi < LINK_TARGET_CEILING):
-            raise ValueError(
-                "target_link_length must lie inside [LINK_TARGET_FLOOR = "
-                f"{LINK_TARGET_FLOOR:.3g}, LINK_TARGET_CEILING = {LINK_TARGET_CEILING:.6g})"
-            )
+        check_count(self.trials, "trials", 1, MAX_TRIALS, high_name="MAX_TRIALS")
+        check_count(self.min_vertices, "min_vertices", 3, math.inf)
+        low, name = (self.min_vertices, "min_vertices") if kind == "planar" else (3, "")
+        check_count(self.max_vertices, "max_vertices", low, MAX_VERTICES, name, "MAX_VERTICES")
+        try:
+            lo, hi = self.target_link_length
+            if LINK_TARGET_FLOOR <= lo < hi < LINK_TARGET_CEILING:
+                return
+        except (TypeError, ValueError):    # not two numbers
+            pass
+        raise ValueError(f"target_link_length must be two numbers lo < hi in [LINK_TARGET_FLOOR = "
+                         f"{LINK_TARGET_FLOOR:.3g}, LINK_TARGET_CEILING = {LINK_TARGET_CEILING:.6g}); "
+                         f"got {self.target_link_length!r}")
 
 
 @dataclass(frozen=True)
@@ -96,14 +97,11 @@ def random_convex_polygon(
 ) -> PlanarPolygon:
     """Convex hull of k uniform points in the unit disk, k in the given range,
     from its lexicographically least vertex (:func:`geometry.convex_hull_2d`).
-    A ``max_vertices`` outside [3, ``MAX_SAMPLES``] (below 3 no hull has 3
-    corners), or a ``min_vertices`` that is not an integer in [3,
-    ``max_vertices``], raises ValueError."""
-    if not 3 <= max_vertices <= MAX_SAMPLES:
-        raise ValueError(f"max_vertices must lie in [3, MAX_SAMPLES = {MAX_SAMPLES}]; got {max_vertices!r}")
-    if not isinstance(min_vertices, numbers.Integral) or not 3 <= min_vertices <= max_vertices:
-        raise ValueError(f"min_vertices must be an integer in [3, max_vertices = {max_vertices}]; "
-                         f"got {min_vertices!r}")
+    A ``max_vertices`` that is not an integer in [3, ``MAX_SAMPLES``] (below
+    3 no hull has 3 corners), or a ``min_vertices`` not one in [3,
+    ``max_vertices``], raises ValueError (:func:`geometry.check_count`)."""
+    check_count(max_vertices, "max_vertices", 3, MAX_SAMPLES, high_name="MAX_SAMPLES")
+    check_count(min_vertices, "min_vertices", 3, max_vertices, high_name="max_vertices")
     while True:
         k = int(rng.integers(min_vertices, max_vertices + 1))
         r = np.sqrt(rng.uniform(0.0, 1.0, size=k))
@@ -230,13 +228,9 @@ def run_cone_suite(config: SuiteConfig, report_path: str | None = None) -> dict:
 
 
 def replay_trial(config: SuiteConfig, kind: str, trial_id: int) -> TrialReport:
-    """Re-run a single trial of a suite from its index.
-
-    Raises:
-        ValueError: if ``kind`` is not "planar" or "cone", or the index is
-            outside the configured trials.
-    """
+    """Re-run a single trial of a suite from its index: ValueError if
+    ``config.validate(kind)`` does, or unless ``trial_id`` is an integer in
+    [0, ``trials`` - 1] (:func:`geometry.check_count`)."""
     config.validate(kind)
-    if not 0 <= trial_id < config.trials:
-        raise ValueError(f"trial_id {trial_id} outside [0, {config.trials})")
+    check_count(trial_id, "trial_id", 0, config.trials - 1, high_name="trials - 1")
     return {"planar": planar_trial, "cone": cone_trial}[kind](config, trial_id)

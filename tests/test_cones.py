@@ -734,9 +734,10 @@ def test_link_hausdorff_identity(octant):
 
 
 def test_link_hausdorff_refuses_fewer_than_one_sample(octant):
-    # n = 0 divided by zero, and a negative n scored the vertices alone
-    for n in (0, -5):
-        with pytest.raises(ValueError, match="n must be at least 1"):
+    # n = 0 divided by zero, a negative n scored the vertices alone, and
+    # n = 2.5 spaced 3 points P / 2.5 apart, not at equal arc length
+    for n in (0, -5, 2.5):
+        with pytest.raises(ValueError, match=r"n must be an integer in \[1, MAX_SAMPLES"):
             link_hausdorff(octant, octant, n=n)
     assert link_hausdorff(octant, octant, n=1) <= 1e-12
 
@@ -758,7 +759,7 @@ def test_sampling_refuses_a_step_or_count_past_the_cap(octant):
                 transform_link_pair(l1, l2, max_step=step, include_vertices=False)
             with pytest.raises(ValueError, match="max_step"):
                 position_and_combine(cone_from_link(l1), cone_from_link(l2), max_step=step)
-        with pytest.raises(ValueError, match="n must be at most MAX_SAMPLES"):
+        with pytest.raises(ValueError, match=r"n must be an integer in \[1, MAX_SAMPLES"):
             link_hausdorff(octant, octant, n=10**12)
 
 

@@ -249,12 +249,18 @@ def test_fuzzed_suite_arguments_exit_cleanly(kind, trials, seed, min_vertices, m
     pytest.param(lambda rng, n: random_convex_polygon(rng, *n), (least, most), "min_vertices",
                  id=f"polygon-min-{least}-max-{most}")
     for least, most in ((10, 5), (-5, 3), (2.5, 8), (2, 8), (3.0, 8))
+] + [
+    pytest.param(lambda rng, n: random_convex_polygon(rng, 3, n), 8.5, "max_vertices must be an integer",
+                 id="polygon-max-8.5"),
+    pytest.param(lambda rng, n: random_convex_link(rng, 3.0, n_points=n), 12.5, "n_points must be an integer",
+                 id="link-12.5"),
 ])
 def test_generators_refuse_a_point_count_past_the_cap(generate, count, match):
     # 10**12 points would ask for TiB arrays; the count is refused first.  So
     # is a least count outside [3, max_vertices] or not an integer, which
     # numpy's draw refused with its own message ("low >= high", "negative
-    # dimensions") or, for a fraction, took silently
+    # dimensions") or, for a fraction, took silently, and a fractional
+    # greatest count: 8.5 drew hulls of up to 9 points, 12.5 failed in numpy
     with pytest.raises(ValueError, match=match):
         generate(trial_rng(0, 0), count)
 

@@ -71,13 +71,13 @@ def test_only_a_planar_suite_checks_min_vertices_against_max_vertices(capsys):
     assert cli.main(["suite", "cone", *flags, "--replay", "1"]) == 0
     capsys.readouterr()
     assert cli.main(["suite", "planar", *flags]) == 1
-    assert "max_vertices must lie in [min_vertices" in capsys.readouterr().err
+    assert "max_vertices must be an integer in [min_vertices" in capsys.readouterr().err
     # the other bounds hold for both kinds
     for kind in ("planar", "cone"):
         assert cli.main(["suite", kind, "--trials", "1", "--min-vertices", "2"]) == 1
         assert cli.main(["suite", kind, "--trials", "1", "--max-vertices", str(MAX_VERTICES + 1)]) == 1
     assert cli.main(["suite", "cone", "--trials", "1", "--max-vertices", "2"]) == 1
-    assert "max_vertices must lie in [3, MAX_VERTICES" in capsys.readouterr().err
+    assert "max_vertices must be an integer in [3, MAX_VERTICES" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, bound", [("trials", MAX_TRIALS), ("max_vertices", MAX_VERTICES)])
@@ -87,11 +87,24 @@ def test_config_bounds_the_suite_size(field, bound):
     replace(config, **{field: bound}).validate()
     with pytest.raises(ValueError, match=("MAX_TRIALS" if field == "trials" else "MAX_VERTICES")):
         replace(config, **{field: bound + 1}).validate()
+    # neither kind takes a count that is not an integer: 2.5 trials failed in
+    # range(), True ran one trial, and 8.5 vertices drew hulls of up to 9
+    for value in {"trials": (2.5, True), "max_vertices": (8.5,)}[field]:
+        for kind in ("planar", "cone"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                replace(config, **{field: value}).validate(kind)
 
 
 def test_config_rejects_degenerate_link_range():
     with pytest.raises(ValueError):
         SuiteConfig(trials=1, seed=1, target_link_length=(0.5, TAU)).validate()
+    # a value that is not two numbers failed in the unpacking (TypeError for
+    # None and 3.0, a ValueError not naming the field for (1.0,)) or in the
+    # comparison (TypeError)
+    for value in (None, 3.0, ("a", "b"), (1.0,)):
+        for kind in ("planar", "cone"):
+            with pytest.raises(ValueError, match="target_link_length must be two numbers"):
+                SuiteConfig(trials=1, seed=1, target_link_length=value).validate(kind)
 
 
 class UnusedRng:
@@ -252,11 +265,13 @@ def test_trial_rng_stable():
 def test_replay_reproduces_trial():
     config = SuiteConfig(trials=6, seed=9)
     agg = run_planar_suite(config)
-    replayed = replay_trial(config, "planar", 4)
     original = agg["reports"][4]
-    assert replayed.inputs_digest == original.inputs_digest
-    assert replayed.margin == original.margin
-    assert replayed.passed == original.passed
+    # a numpy integer index replays the same trial as a Python int
+    for index in (4, np.int64(4)):
+        replayed = replay_trial(config, "planar", index)
+        assert replayed.inputs_digest == original.inputs_digest
+        assert replayed.margin == original.margin
+        assert replayed.passed == original.passed
 
 
 SMALL_HULL_SUITES = {
@@ -279,6 +294,10 @@ def test_replay_small_hull_trials_combine_convex(seed, trial_id):
 def test_replay_rejects_bad_index():
     with pytest.raises(ValueError):
         replay_trial(SuiteConfig(trials=2, seed=1), "planar", 5)
+    # 1.5 and True replayed pairs that are no trial of the suite
+    for index in (1.5, True):
+        with pytest.raises(ValueError, match=r"trial_id must be an integer in \[0, trials - 1 = 2\]"):
+            replay_trial(SuiteConfig(trials=3, seed=1), "planar", index)
 
 
 def test_replay_rejects_unknown_kind():
