@@ -39,8 +39,6 @@ from .planar import (
     ConvexityCertificate,
     PlanarPolygon,
     chain_certificate,
-    points_at,
-    points_on_edges,
     signed_area,
 )
 from .tolerances import (
@@ -117,7 +115,7 @@ def _combined(pair: MarkedPair, positions: np.ndarray, pts1: np.ndarray, pts2: n
 def combine_at(pair: MarkedPair, positions: np.ndarray) -> CombinedCurve:
     """Evaluate the combination at the given arc positions."""
     positions = np.asarray(positions, dtype=float)
-    return _combined(pair, positions, points_at(pair.F1, positions), points_at(pair.F2, positions))
+    return _combined(pair, positions, pair.F1.points_at(positions), pair.F2.points_at(positions))
 
 
 def combine(pair: MarkedPair) -> CombinedCurve:
@@ -130,7 +128,7 @@ def combine(pair: MarkedPair) -> CombinedCurve:
     the same rows from the alignment's merge instead.
     """
     positions, rows1, rows2 = merged_vertex_positions(pair.F1, pair.F2)
-    return _combined(pair, positions, points_at(pair.F1, positions), points_at(pair.F2, positions),
+    return _combined(pair, positions, pair.F1.points_at(positions), pair.F2.points_at(positions),
                      (rows1, rows2))
 
 
@@ -294,8 +292,8 @@ def combine_aligned(pair: MarkedPair) -> tuple[AlignmentResult, CombinedCurve]:
     # the old base row stays when it wins or a vertex merged into it
     first = 0 if j == 0 or not (rows1.all() and rows2.all()) else 1
     order = np.concatenate([np.arange(j, m), np.arange(first, j)])
-    pts1 = points_on_edges(pair.F1, loc1[0].take(order), loc1[1].take(order))
-    pts2 = points_on_edges(pair.F2, loc2[0].take(order), loc2[1].take(order))
+    pts1 = pair.F1.points_on_edges(loc1[0].take(order), loc1[1].take(order))
+    pts2 = pair.F2.points_on_edges(loc2[0].take(order), loc2[1].take(order))
     at = bps.take(order)
     sigma0 = float(at[0])
     rho = norm_angle(float(g[j]))

@@ -55,7 +55,6 @@ from .spherical import (
     edge_frame,
     gnomonic_inverse,
     rotate_polygon,
-    sph_points_at,
     unit_rows,
 )
 from .tolerances import (
@@ -171,7 +170,7 @@ def _sample_links(L1: SphericalPolygon, L2: SphericalPolygon, max_step: float,
     if midpoints:
         at = np.concatenate([at, 0.5 * (events + np.append(events[1:], p))])
     base_alone = all(r.all() for r in rows)
-    return events, at, firsts, sph_points_at(L1, at), sph_points_at(L2, at), base_alone
+    return events, at, firsts, L1.points_at(at), L2.points_at(at), base_alone
 
 
 def transform_link_pair(
@@ -492,7 +491,7 @@ def link_hausdorff(a: SphericalPolygon, b: SphericalPolygon, n: int = 1024) -> f
     check_count(n, "n", 1, MAX_SAMPLES, high_name="MAX_SAMPLES")
 
     def farthest(src: SphericalPolygon, dst: SphericalPolygon) -> float:
-        points = np.concatenate([sph_points_at(src, np.arange(n) * (src.perimeter / n)), src.vertices])
+        points = np.concatenate([src.points_at(np.arange(n) * (src.perimeter / n)), src.vertices])
         v = dst.vertices
         w, cross, _, _ = edge_frame(v)
         nrm = unit_rows(cross)

@@ -257,11 +257,16 @@ def brent_root(f, a: float, b: float, fa: float | None = None, fb: float | None 
 
 
 def reduce_mod(t: float, period: float) -> float:
-    """Reduce ``t`` into [0, period), exact for t already in range; ValueError if not finite."""
-    if 0.0 <= t < period:
-        return t
-    if not math.isfinite(t):
-        raise ValueError(f"base_s must be finite; got {t!r}")
+    """Reduce ``t`` into [0, period), exact for t already in range; ValueError
+    unless it is a finite real number."""
+    try:
+        if 0.0 <= t < period:
+            return t
+        finite = math.isfinite(t)
+    except TypeError:       # no real number: a str, None
+        finite = False
+    if not finite:
+        raise ValueError(f"base_s must be a finite real number; got {t!r}")
     t = math.fmod(t, period)
     if t < 0.0:
         t += period
@@ -309,9 +314,10 @@ def chain_vertices(vertices, dim: int, kind: str) -> np.ndarray:
 class ArcPolygon:
     """Arc-length core shared by planar and spherical polygons.
 
-    The fields every polygon has come first, and a subclass adds its own.
-    A query position ``s`` is measured from the marked point: ``base_s +
-    s`` is reduced modulo the perimeter, its edge is found, and a position
+    The fields every polygon has come first, and a subclass adds its own
+    and its interpolation along an edge, ``points_on_edges(idx, u)``.  A
+    query position ``s`` is measured from the marked point: ``base_s + s``
+    is reduced modulo the perimeter, its edge is found, and a position
     within ``SNAP_FACTOR * perimeter`` of a vertex is that vertex.
     """
 
@@ -373,6 +379,11 @@ class ArcPolygon:
         u = x - self.cum_lengths.take(idx)
         u[bump | (u <= snap)] = 0.0
         return idx, u
+
+    def points_at(self, ss) -> np.ndarray:
+        """The points at an array of arc positions from the marked point:
+        :meth:`locate`, then the subclass's ``points_on_edges``."""
+        return self.points_on_edges(*self.locate(ss))
 
 
 def merge_collinear(turns, lengths, base_s: float, eps: float, error, reflex: str):

@@ -2,9 +2,9 @@
 
 A :class:`PlanarPolygon` is a simple closed convex counterclockwise polygon
 together with a marked base point given as an arc-length position.  All
-curve queries (``point_at``, ``locate``) measure arc length
-counterclockwise from the base point; the base point itself may sit in the
-interior of an edge.
+curve queries (``locate``, ``points_at`` and the scalar ``point_at``)
+measure arc length counterclockwise from the base point; the base point
+itself may sit in the interior of an edge.
 """
 
 from __future__ import annotations
@@ -54,6 +54,19 @@ class PlanarPolygon(ArcPolygon):
 
     edge_dirs: np.ndarray = field(repr=False)  # (n,) direction angles
     exterior_angles: np.ndarray = field(repr=False)  # (n,) turn at each vertex, turns(edge_dirs)
+
+    def points_on_edges(self, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The points at offsets ``u`` along edges ``idx``, as :meth:`~geometry.ArcPolygon.locate`
+        gives them; at offset 0.0 the vertex's own bits."""
+        d = self.edge_dirs
+        step = np.stack([np.cos(d), np.sin(d)], axis=1).take(idx, axis=0)
+        v = self.vertices.take(idx, axis=0)
+        out = v + u[:, None] * step
+        # adding a 0.0 step keeps every coordinate but a -0.0, which turns +0.0;
+        # the masked copy doubles the cost, so it runs only where a zero can be
+        if (self.vertices == 0.0).any():
+            np.copyto(out, v, where=(u == 0.0)[:, None])
+        return out
 
 
 def _check_coordinates(verts: np.ndarray) -> float:
@@ -108,27 +121,8 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
 
 def point_at(poly: PlanarPolygon, s: float) -> Vec2:
     """Point at arc length ``s`` from the marked point (s reduced mod
-    perimeter): :func:`points_at` at one position."""
-    return Vec2(*points_at(poly, [s])[0].tolist())
-
-
-def points_at(poly: PlanarPolygon, ss: np.ndarray) -> np.ndarray:
-    """The points at an array of arc positions from the marked point."""
-    return points_on_edges(poly, *poly.locate(ss))
-
-
-def points_on_edges(poly: PlanarPolygon, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The points at offsets ``u`` along edges ``idx``, as :meth:`~geometry.ArcPolygon.locate`
-    gives them; at offset 0.0 the vertex's own bits."""
-    d = poly.edge_dirs
-    step = np.stack([np.cos(d), np.sin(d)], axis=1).take(idx, axis=0)
-    v = poly.vertices.take(idx, axis=0)
-    out = v + u[:, None] * step
-    # adding a 0.0 step keeps every coordinate but a -0.0, which turns +0.0;
-    # the masked copy doubles the cost, so it runs only where a zero can be
-    if (poly.vertices == 0.0).any():
-        np.copyto(out, v, where=(u == 0.0)[:, None])
-    return out
+    perimeter): :meth:`~geometry.ArcPolygon.points_at` at one position."""
+    return Vec2(*poly.points_at([s])[0].tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -92,6 +92,22 @@ class SphericalPolygon(ArcPolygon):
     def min_turning(self) -> float:
         return float(np.min(self.turning))
 
+    def points_on_edges(self, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The points at geodesic offsets ``u`` along edges ``idx``, as
+        :meth:`~geometry.ArcPolygon.locate` gives them: the slerp between each
+        edge's end vertices, at offset 0.0 the vertex's own bits.  Each edge's
+        length and its sine are taken once, and the slerp runs on (3, n)
+        columns: the result is their transpose, an F-ordered (n, 3) view."""
+        vt = self.vertices.T
+        a = vt.take(idx, axis=1)
+        b = vt.take(idx + 1, axis=1, mode="wrap")
+        theta = self.edge_ends() - self.cum_lengths
+        st = np.sin(theta).take(idx)
+        theta = theta.take(idx)
+        out = (np.sin(theta - u) * a + np.sin(u) * b) / st
+        np.copyto(out, a, where=u == 0.0)
+        return out.T
+
 
 def _frame(verts: np.ndarray) -> tuple:
     """A pass of :func:`build_spherical_polygon`: edge lengths, turnings, the
@@ -144,26 +160,6 @@ def build_spherical_polygon(
 
     return SphericalPolygon.from_corners(verts, lengths, perimeter, base_s, turning=turning, area=area,
                                          gauss_bonnet_residual=residual)
-
-
-def sph_points_at(poly: SphericalPolygon, ss: np.ndarray) -> np.ndarray:
-    """Vectorized point lookup by geodesic arc length from the base point.
-
-    The shared locator finds each position's edge; the point is the slerp
-    between the edge's end vertices.  Each edge's length and its sine are
-    taken once, and the slerp runs on (3, n) columns: the result is their
-    transpose, an F-ordered (n, 3) view.
-    """
-    idx, u = poly.locate(ss)
-    vt = poly.vertices.T
-    a = vt.take(idx, axis=1)
-    b = vt.take(idx + 1, axis=1, mode="wrap")
-    theta = poly.edge_ends() - poly.cum_lengths
-    st = np.sin(theta).take(idx)
-    theta = theta.take(idx)
-    out = (np.sin(theta - u) * a + np.sin(u) * b) / st
-    np.copyto(out, a, where=u == 0.0)
-    return out.T
 
 
 def centroid_direction(poly: SphericalPolygon) -> np.ndarray:
@@ -245,10 +241,16 @@ def random_convex_link(
     perimeter, skipping a hull that brackets no root there, and lifted once.
     The builder's own perimeter must match ``target_length`` to
     ``LINK_LENGTH_TOL``; raises ``LinkNotGenerated`` if no hull does within
-    ``LINK_MAX_ATTEMPTS``, and ValueError at once unless n_points is an integer in [3, ``MAX_SAMPLES``].
-    """
-    if not 0.0 < target_length < LINK_TARGET_CEILING:
-        raise ValueError(f"target link length must lie in (0, {LINK_TARGET_CEILING!r})")
+    ``LINK_MAX_ATTEMPTS``, and ValueError at once unless target_length is a
+    real number in (0, ``LINK_TARGET_CEILING``) and n_points an integer in
+    [3, ``MAX_SAMPLES``]."""
+    try:
+        in_range = 0.0 < target_length < LINK_TARGET_CEILING
+    except TypeError:       # no real number: a str, None
+        in_range = False
+    if not in_range:
+        raise ValueError(f"target link length must be a real number in (0, LINK_TARGET_CEILING = "
+                         f"{LINK_TARGET_CEILING!r}); got {target_length!r}")
     check_count(n_points, "n_points", 3, MAX_SAMPLES, high_name="MAX_SAMPLES")
     for _ in range(LINK_MAX_ATTEMPTS):
         pts = _cap_samples(rng, n_points, LINK_CAP_ANGLE)

@@ -43,12 +43,14 @@ class SuiteConfig:
 
     def validate(self, kind: str = "planar") -> None:
         """ValueError unless the config can run as a suite of ``kind``,
-        "planar" or "cone": each count by :func:`geometry.check_count` (a cone
-        trial reads no min_vertices, so only a planar suite bounds
-        max_vertices by it), and ``target_link_length`` as two numbers."""
+        "planar" or "cone": each count and the seed (any integer) by
+        :func:`geometry.check_count` (a cone trial reads no min_vertices, so
+        only a planar suite bounds max_vertices by it), and
+        ``target_link_length`` as two numbers."""
         if kind not in ("planar", "cone"):
             raise ValueError(f"unknown trial kind {kind!r}; expected 'planar' or 'cone'")
         check_count(self.trials, "trials", 1, MAX_TRIALS, high_name="MAX_TRIALS")
+        check_count(self.seed, "seed", -math.inf, math.inf)
         check_count(self.min_vertices, "min_vertices", 3, math.inf)
         low, name = (self.min_vertices, "min_vertices") if kind == "planar" else (3, "")
         check_count(self.max_vertices, "max_vertices", low, MAX_VERTICES, name, "MAX_VERTICES")

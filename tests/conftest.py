@@ -26,7 +26,6 @@ from isocomb.spherical import (
     build_spherical_polygon,
     gnomonic,
     gnomonic_inverse,
-    sph_points_at,
 )
 from isocomb.tolerances import (
     BENDING_DENOM_FLOOR,
@@ -239,7 +238,7 @@ def former_semitangent_condition(pair, scan=None):
 
 def spherical_locate(poly, ss):
     """Reference for the shared arc-length locator: the locate block that
-    ``spherical.sph_points_at`` carried before it used the shared one."""
+    the former ``spherical.sph_points_at`` carried before it used the shared one."""
     ss = np.asarray(ss, dtype=float)
     x = np.mod(poly.base_s + ss, poly.perimeter)
     x[x >= poly.perimeter] = 0.0
@@ -511,7 +510,7 @@ def former_trial_combination(pair):
     from isocomb.geometry import (
         RigidMotion2, Vec2, alignment_margins, apply_motion, apply_motion_many, compose, unwrap_turns,
     )
-    from isocomb.planar import FAILED_CERTIFICATE, _dedup_closed, convexity_certificate, points_at
+    from isocomb.planar import FAILED_CERTIFICATE, _dedup_closed, convexity_certificate
     from isocomb.tolerances import MARGIN_EPS, MARGIN_TIE_TOL
 
     F1, F2 = pair.F1, pair.F2
@@ -532,7 +531,7 @@ def former_trial_combination(pair):
     first = 0 if j == 0 or not (rows1.all() and rows2.all()) else 1
     at = bps.take(np.concatenate([np.arange(j, m), np.arange(first, j)]))
     rows1, rows2 = (np.where(r >= j, r - j, r + (m - j - first)) for r in (rows1, rows2))
-    pts1, pts2 = points_at(F1, at), points_at(F2, at)
+    pts1, pts2 = F1.points_at(at), F2.points_at(at)
     sigma0 = float(at[0])
     rho = norm_angle(float(g[j]))
     q = apply_motion(pair.motion, pts2[0])
@@ -741,8 +740,8 @@ def former_exterior_angles(dirs):
 def former_link_hausdorff(a, b, n=1024):
     """``cones.link_hausdorff`` before it measured to edges: the arccos of
     every pair of the two links' n samples, an (n, n) matrix."""
-    sa = sph_points_at(a, np.arange(n) * (a.perimeter / n))
-    sb = sph_points_at(b, np.arange(n) * (b.perimeter / n))
+    sa = a.points_at(np.arange(n) * (a.perimeter / n))
+    sb = b.points_at(np.arange(n) * (b.perimeter / n))
     dots = np.clip(sa @ sb.T, -1.0, 1.0)
     dist = np.arccos(dots)
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
@@ -756,7 +755,7 @@ def edge_distance_hausdorff(a, b, n):
     it is the distance to the nearer end."""
     far = 0.0
     for src, dst in ((a, b), (b, a)):
-        p = np.concatenate([sph_points_at(src, np.arange(n) * (src.perimeter / n)), src.vertices])
+        p = np.concatenate([src.points_at(np.arange(n) * (src.perimeter / n)), src.vertices])
         dist = np.full(len(p), np.inf)
         for v, w in zip(dst.vertices, np.roll(dst.vertices, -1, axis=0)):
             nrm = np.cross(v, w)

@@ -40,7 +40,6 @@ from isocomb.planar import (
     build_polygon,
     convexity_certificate,
     dilate_to_perimeter,
-    points_at,
 )
 from isocomb.suite import random_convex_polygon, trial_rng
 from isocomb.tolerances import BREAKPOINT_MERGE_RTOL, MARGIN_TIE_TOL, VERTEX_ANGLE_TOL
@@ -442,7 +441,7 @@ def _vertex_events_loop(pair):
         rows[0][2] = rows[0][2] if b2 is None else b2
 
     bps = np.array([row[0] for row in rows])
-    curve = points_at(pair.F1, bps) + apply_motion_many(pair.motion, points_at(pair.F2, bps))
+    curve = pair.F1.points_at(bps) + apply_motion_many(pair.motion, pair.F2.points_at(bps))
     chords = np.roll(curve, -1, axis=0) - curve
     dirs = np.arctan2(chords[:, 1], chords[:, 0])
     out = []

@@ -46,12 +46,12 @@ from isocomb.geometry import (
     unwrap_turns,
 )
 from isocomb.spherical import (
+    SphericalPolygon,
     build_spherical_polygon,
     centroid_direction,
     gnomonic_inverse,
     random_convex_link,
     rotate_polygon,
-    sph_points_at,
     unit_rows,
 )
 from isocomb.suite import trial_rng
@@ -417,8 +417,8 @@ def test_positioned_combination_matches_inverse_transform_route():
     l2 = random_convex_link(rng, 3.3)
     report = position_and_combine(cone_from_link(l1), cone_from_link(l2))
     image = transform_link_pair(report.cone1.link, report.cone2.link, max_step=l1.perimeter / 256)
-    r1 = sph_points_at(report.cone1.link, image.positions)
-    r2 = sph_points_at(report.cone2.link, image.positions)
+    r1 = report.cone1.link.points_at(image.positions)
+    r2 = report.cone2.link.points_at(image.positions)
     direct = (r1 + r2) / np.linalg.norm(r1 + r2, axis=1, keepdims=True)
     via_plane = gnomonic_inverse(image.image1 + image.image2)
     assert np.max(np.abs(direct - via_plane)) <= 1e-12
@@ -978,12 +978,14 @@ def test_positioning_merges_once_and_evaluates_each_link_once(monkeypatch):
         merges.append(args)
         return merged_vertex_positions(*args)
 
-    def counted_points(*args):
-        evaluations.append(args)
-        return sph_points_at(*args)
+    points_at = SphericalPolygon.points_at
+
+    def counted_points(link, ss):
+        evaluations.append(ss)
+        return points_at(link, ss)
 
     monkeypatch.setattr(cones, "merged_vertex_positions", counted_merge)
-    monkeypatch.setattr(cones, "sph_points_at", counted_points)
+    monkeypatch.setattr(SphericalPolygon, "points_at", counted_points)
     k1, k2 = _cone_suite_pair(7, 0)
     report = position_and_combine(k1, k2)
     assert report.candidates_tried == 1

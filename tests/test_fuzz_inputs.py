@@ -13,7 +13,9 @@ its printed summary instead), no warning (the command line would print
 it), and no NaN or Infinity token in what it prints or writes.  The random
 polygon and link generators refuse a point count past ``MAX_SAMPLES``
 before they allocate, and a dilation refuses a centre that is not 2 finite
-coordinates before it computes anything.
+coordinates before it computes anything.  A target link length or a base
+position that is not a number is refused with a ValueError, not Python's
+TypeError.
 """
 
 import contextlib
@@ -26,13 +28,14 @@ import re
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isocomb import cli
 from isocomb.geometry import MAX_SAMPLES
 from isocomb.planar import build_polygon, dilate_to_perimeter
-from isocomb.spherical import random_convex_link
+from isocomb.spherical import build_spherical_polygon, random_convex_link
 from isocomb.suite import random_convex_polygon, trial_rng
 
 KINDS = ("planar_polygon", "spherical_polygon", "digon")
@@ -263,6 +266,28 @@ def test_generators_refuse_a_point_count_past_the_cap(generate, count, match):
     # greatest count: 8.5 drew hulls of up to 9 points, 12.5 failed in numpy
     with pytest.raises(ValueError, match=match):
         generate(trial_rng(0, 0), count)
+
+
+@pytest.mark.parametrize("target", ["3.0", None], ids=["text", "none"])
+def test_link_generator_refuses_a_target_length_that_is_not_a_number(target):
+    # a bare comparison ended these in Python's TypeError
+    with pytest.raises(ValueError, match="target link length must be a real number"):
+        random_convex_link(trial_rng(0, 0), target)
+
+
+@pytest.mark.parametrize("base", [
+    pytest.param(lambda square: build_polygon(square.vertices, base_s="x"), id="build-text"),
+    pytest.param(lambda square: build_polygon(square.vertices, base_s=None), id="build-none"),
+    pytest.param(lambda square: square.with_base("1"), id="with-base-text"),
+    pytest.param(lambda square: square.with_base(math.inf), id="with-base-inf"),
+    pytest.param(lambda square: build_spherical_polygon(np.eye(3), base_s="x"), id="sphere-text"),
+])
+def test_a_base_position_that_is_not_a_number_is_refused(base):
+    # the in-range comparison of the base reduction ended all but the
+    # infinite base in Python's TypeError; that one it refused already
+    square = build_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="base_s must be a finite real number"):
+        base(square)
 
 
 @pytest.mark.parametrize("center", [(math.inf, 0.0), (0.0, math.nan), (0.5,), None, (0, 0, 0), [[0.0, 0.0]], "ab"],

@@ -27,13 +27,12 @@ from isocomb.geometry import (
 )
 
 from isocomb.combination import combine_at, make_pair
-from isocomb.planar import build_polygon, point_at, points_at
+from isocomb.planar import build_polygon, point_at
 from isocomb.spherical import (
     LINK_CAP_ANGLE,
     _cap_samples,
     gnomonic,
     random_convex_link,
-    sph_points_at,
 )
 from isocomb.suite import random_convex_polygon, trial_rng
 
@@ -334,8 +333,8 @@ def test_locate_refuses_non_finite_positions(unit_square):
     pair = make_pair(unit_square, unit_square.with_base(0.5))
     for bad in (math.nan, math.inf, -math.inf):
         for query in (lambda: point_at(unit_square, bad),
-                      lambda: points_at(unit_square, [bad, 0.5]),
-                      lambda: sph_points_at(link, [0.5, bad]),
+                      lambda: unit_square.points_at([bad, 0.5]),
+                      lambda: link.points_at([0.5, bad]),
                       lambda: combine_at(pair, [0.0, 1.0, bad, 3.0])):
             with pytest.raises(ValueError, match="finite"):
                 query()
@@ -384,14 +383,14 @@ def test_scalar_queries_follow_the_oracle_edge(unit_square):
     # coordinate included (adding a 0.0 step along its edge gives +0.0)
     rng = np.random.default_rng(58)
     signed = build_polygon([(-0.0, -0.0), (1.0, -0.0), (1.0, 1.0), (-0.0, 1.0)])
-    assert _bits(points_at(signed, [0.0])) == _bits([(-0.0, -0.0)])
+    assert _bits(signed.points_at([0.0])) == _bits([(-0.0, -0.0)])
     for poly in _rebased(unit_square) + _rebased(signed):
         for s in arc_queries(poly, rng, n_random=10):
             i, u = scalar_locate(poly, float(s))
             v, d = poly.vertices[i], poly.edge_dirs[i]
             want = (v[0], v[1]) if u == 0.0 else (v[0] + u * math.cos(d), v[1] + u * math.sin(d))
             assert _bits(point_at(poly, s)) == _bits(want)
-            assert _bits(points_at(poly, [s])) == _bits([want])
+            assert _bits(poly.points_at([s])) == _bits([want])
 
 
 def test_points_at_equal_the_former_per_position_kernels_bit_for_bit():
@@ -400,14 +399,14 @@ def test_points_at_equal_the_former_per_position_kernels_bit_for_bit():
     rng = np.random.default_rng(60)
     links = [random_convex_link(rng, t, n_points=n) for t, n in ((1.0, 6), (3.0, 12), (5.5, 24))]
     links.append(support_link(60, 0.6, {3: (0.05, 0.02)}))
-    cases = [(p, points_at, former_points_at) for p in _planar_polygons()]
-    cases += [(link, sph_points_at, former_sph_points_at) for link in links]
-    for poly, kernel, former in cases:
+    cases = [(p, former_points_at) for p in _planar_polygons()]
+    cases += [(link, former_sph_points_at) for link in links]
+    for poly, former in cases:
         for q in _rebased(poly):
             ss = arc_queries(q, rng, n_random=40)
-            assert_same_bits(kernel(q, ss), former(q, ss))
+            assert_same_bits(q.points_at(ss), former(q, ss))
         grid = np.arange(4096) * (poly.perimeter / 4096)
-        assert_same_bits(kernel(poly, grid), former(poly, grid))
+        assert_same_bits(poly.points_at(grid), former(poly, grid))
 
 
 def test_spherical_locate_equals_former_block_bit_for_bit():
@@ -427,7 +426,7 @@ def test_spherical_locate_equals_former_block_bit_for_bit():
         t = theta[ref_idx]
         want = (np.sin(t - ref_u)[:, None] * a + np.sin(ref_u)[:, None] * b) / np.sin(t)[:, None]
         want[ref_u == 0.0] = a[ref_u == 0.0]
-        assert _bits(sph_points_at(poly, ss)) == _bits(want)
+        assert _bits(poly.points_at(ss)) == _bits(want)
 
 
 @pytest.mark.parametrize("kind", ["normal", "wide", "signed_zeros", "small_integers"])

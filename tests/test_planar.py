@@ -18,7 +18,6 @@ from isocomb.planar import (
     convexity_certificate,
     dilate_to_perimeter,
     point_at,
-    points_at,
 )
 from isocomb.tolerances import COLLINEAR_EPS
 
@@ -196,7 +195,7 @@ def test_point_at_periodicity_exact(unit_square):
 
 def test_points_at_matches_scalar(unit_square):
     ss = np.linspace(-3.0, 9.0, 57)
-    bulk = points_at(unit_square, ss)
+    bulk = unit_square.points_at(ss)
     single = np.array([point_at(unit_square, s) for s in ss])
     assert np.allclose(bulk, single, atol=1e-14)
 

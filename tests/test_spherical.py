@@ -21,7 +21,6 @@ from isocomb.spherical import (
     gnomonic_inverse,
     random_convex_link,
     rotate_polygon,
-    sph_points_at,
     unit_rows,
 )
 from isocomb.suite import trial_rng
@@ -136,21 +135,21 @@ def test_rejects_perimeter_at_least_two_pi():
 
 
 def test_sph_point_at_examples(octant):
-    assert sph_points_at(octant, [0.0])[0] == pytest.approx((1, 0, 0))
-    mid = sph_points_at(octant, [math.pi / 4])[0]
+    assert octant.points_at([0.0])[0] == pytest.approx((1, 0, 0))
+    mid = octant.points_at([math.pi / 4])[0]
     assert mid == pytest.approx((math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0))
-    assert sph_points_at(octant, [octant.perimeter])[0] == pytest.approx((1, 0, 0), abs=1e-12)
+    assert octant.points_at([octant.perimeter])[0] == pytest.approx((1, 0, 0), abs=1e-12)
 
 
 def test_sph_points_at_unit_norm(octant):
     ss = np.linspace(0, octant.perimeter, 100)
-    pts = sph_points_at(octant, ss)
+    pts = octant.points_at(ss)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
 
 def test_base_inside_edge(octant):
     shifted = octant.with_base(0.2)
-    p = sph_points_at(shifted, [0.0])[0]
+    p = shifted.points_at([0.0])[0]
     assert geodesic_length(p, np.array([1.0, 0, 0])) == pytest.approx(0.2, abs=1e-12)
 
 
@@ -264,8 +263,8 @@ def test_build_spherical_polygon_equals_former_kernel_bit_for_bit():
     for verts, base_s in _kernel_inputs():
         got = _outcome(build_spherical_polygon, verts, base_s)
         want = _outcome(former_build_spherical_polygon, verts, base_s)
-        # the rows in column-major memory, as sph_points_at returns them, build
-        # the same polygon bit for bit
+        # the rows in column-major memory, as a link's ``points_at`` returns
+        # them, build the same polygon bit for bit
         cols = _outcome(build_spherical_polygon, np.asfortranarray(verts), base_s)
         if isinstance(want, type):
             assert got is want and cols is want
@@ -323,7 +322,7 @@ def test_spherical_primitives_equal_former_kernel_bit_for_bit():
             assert_same_gauss_bonnet(poly)
             assert_same_bits(centroid_direction(poly), former_centroid_direction(poly))
             ss = rng.uniform(-poly.perimeter, 2 * poly.perimeter, 50)
-            assert_same_bits(sph_points_at(poly, ss), former_sph_points_at(poly, ss))
+            assert_same_bits(poly.points_at(ss), former_sph_points_at(poly, ss))
     for n in (1, 3, 40, 500):
         w = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-6, 4, size=(n, 2))
         w[rng.random((n, 2)) < 0.2] = -0.0

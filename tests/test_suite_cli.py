@@ -87,12 +87,21 @@ def test_config_bounds_the_suite_size(field, bound):
     replace(config, **{field: bound}).validate()
     with pytest.raises(ValueError, match=("MAX_TRIALS" if field == "trials" else "MAX_VERTICES")):
         replace(config, **{field: bound + 1}).validate()
-    # neither kind takes a count that is not an integer: 2.5 trials failed in
-    # range(), True ran one trial, and 8.5 vertices drew hulls of up to 9
-    for value in {"trials": (2.5, True), "max_vertices": (8.5,)}[field]:
+    # every integer is a seed, a negative or a huge one included
+    for seed in (-3, 0, 2**70):
+        replace(config, seed=seed).validate()
+    # neither kind, nor a replay, takes a count or a seed that is not an
+    # integer: 2.5 trials failed in range(), True ran one trial, 8.5 vertices
+    # drew hulls of up to 9, seed True ran a suite other than seed 1 and
+    # reported "seed": true, and seeds 1.5 and "1" ran suites of their own
+    refused = {"trials": (2.5, True), "max_vertices": (8.5,)}[field]
+    for name, value in [(field, v) for v in refused] + [("seed", v) for v in (True, 1.5, "1")]:
+        bad = replace(config, **{name: value})
         for kind in ("planar", "cone"):
-            with pytest.raises(ValueError, match=f"{field} must be an integer"):
-                replace(config, **{field: value}).validate(kind)
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                bad.validate(kind)
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                replay_trial(bad, kind, 0)
 
 
 def test_config_rejects_degenerate_link_range():
