@@ -144,7 +144,7 @@ def semitangent_condition(pair: MarkedPair) -> Angle:
     """
     g = _row_gaps(pair)[1]
     angles = g - g[0] + norm_angle(float(g[0]))
-    return math.pi - float(np.max(np.abs(angles)))
+    return math.pi - float(np.abs(angles).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +166,7 @@ class VertexEvents:
     def law_error(self) -> float:
         """Largest |beta - (beta1 + beta2) / 2| over the vertex rows; 0 if none."""
         err = np.abs(self.beta - 0.5 * (self.beta1 + self.beta2))
-        return float(np.max(err[self.case > 0], initial=0.0))
+        return float(err[self.case > 0].max(initial=0.0))
 
 
 def vertex_events(combined: CombinedCurve) -> VertexEvents:
@@ -219,7 +219,7 @@ def _row_gaps(pair: MarkedPair) -> tuple:
     pair's motion, the row each vertex of F1 and F2 merged into, and each
     curve's one locate, at the breakpoints and then mid piece 0."""
     bps, rows1, rows2 = merged_vertex_positions(pair.F1, pair.F2)
-    at, m = np.append(bps, 0.5 * bps[1]), len(bps)
+    at, m = np.concatenate((bps, (0.5 * bps[1],))), len(bps)
     loc1, loc2 = pair.F1.locate(at), pair.F2.locate(at)
     phi1 = _row_directions(pair.F1, loc1[0][-1], rows1, m, 0.0)
     phi2 = _row_directions(pair.F2, loc2[0][-1], rows2, m, pair.motion.rotation)
@@ -282,7 +282,7 @@ def combine_aligned(pair: MarkedPair) -> tuple[AlignmentResult, CombinedCurve]:
     """
     bps, g, rows1, rows2, loc1, loc2 = _row_gaps(pair)
     margins = alignment_margins(g)
-    j = int(np.argmax(margins >= margins.max() - MARGIN_TIE_TOL))   # smallest tied sigma0
+    j = int((margins >= margins.max() - MARGIN_TIE_TOL).argmax())   # smallest tied sigma0
     margin = float(margins[j])
     if margin <= MARGIN_EPS:
         raise AlignmentNotFound(
@@ -316,12 +316,18 @@ def bending_check(combined: CombinedCurve) -> float:
     RELATIVE_TAU_FLOOR times the largest squared chord.
     """
     dr, len_r = combined.chords, combined.chord_lengths
-    dtau = roll_next(combined.tau_segments) - combined.tau_segments
-    floor_eps = RELATIVE_TAU_FLOOR * float(np.max(len_r)) ** 2 + BENDING_DENOM_FLOOR
-    p = dr * dtau
-    num = np.abs(0.0 + p[:, 0] + p[:, 1])     # np.sum(p, axis=1), as geometry.dot3
-    den = len_r * np.hypot(dtau[:, 0], dtau[:, 1]) + floor_eps
-    return float(np.max(num / den))
+    dtau = roll_next(combined.tau_segments)
+    dtau -= combined.tau_segments
+    floor_eps = RELATIVE_TAU_FLOOR * float(len_r.max()) ** 2 + BENDING_DENOM_FLOOR
+    den = np.hypot(dtau[:, 0], dtau[:, 1])
+    den *= len_r
+    den += floor_eps
+    dtau *= dr
+    num = np.add(0.0, dtau[:, 0])             # np.sum(dr * dtau, axis=1), as geometry.dot3
+    num += dtau[:, 1]
+    np.abs(num, out=num)
+    num /= den
+    return float(num.max())
 
 
 def uniform_positions(pair: MarkedPair, n: int) -> np.ndarray:

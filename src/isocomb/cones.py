@@ -92,7 +92,7 @@ def pogorelov_forward(r1, r2):
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    if not (np.min(r1[..., 0]) > HEIGHT_EPS and np.min(r2[..., 0]) > HEIGHT_EPS):  # NaN fails too
+    if not (r1[..., 0].min() > HEIGHT_EPS and r2[..., 0].min() > HEIGHT_EPS):  # NaN fails too
         raise NonPositiveHeight("a sampled point has x0 at or below the height floor")
     denom = (r1[..., 0] + r2[..., 0])[..., None]
     return r1[..., 1:] / denom, r2[..., 1:] / denom
@@ -111,10 +111,8 @@ def pogorelov_identity_check(r1, r2) -> float:
     a = gnomonic_inverse((w1 + w2)[None])[0]
     s = r1 + r2
     b = s / math.sqrt(2.0 * (1.0 + float(r1 @ r2)))
-    c = s / np.linalg.norm(s)
-    return float(
-        max(np.max(np.abs(a - b)), np.max(np.abs(b - c)), np.max(np.abs(a - c)))
-    )
+    c = s / np.sqrt(s.dot(s))       # np.linalg.norm of a 1-D vector, bit for bit
+    return float(max(np.abs(a - b).max(), np.abs(b - c).max(), np.abs(a - c).max()))
 
 
 def _refine(positions: np.ndarray, period: float, max_step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -127,15 +125,24 @@ def _refine(positions: np.ndarray, period: float, max_step: float) -> tuple[np.n
     """
     if max_step == math.inf:
         return positions, np.arange(len(positions))
-    gaps = np.append(positions[1:], period) - positions
-    counts = np.maximum(1.0, np.ceil(gaps / max_step))   # floats: no cast overflows
+    gaps = np.concatenate((positions[1:], (period,)))
+    gaps -= positions
+    counts = gaps / max_step
+    np.ceil(counts, out=counts)
+    np.maximum(counts, 1.0, out=counts)     # floats: no cast overflows
     if counts.sum() > MAX_SAMPLES:
         raise ValueError(f"max_step {max_step!r} asks for more than MAX_SAMPLES = {MAX_SAMPLES} samples")
     counts = counts.astype(np.int64)
-    firsts = np.cumsum(counts) - counts
-    k = np.repeat(counts, counts)
-    j = np.arange(len(k)) - np.repeat(firsts, counts)
-    return np.repeat(positions, counts) + np.repeat(gaps, counts) * j / k, firsts
+    firsts = counts.cumsum()
+    firsts -= counts
+    k = counts.repeat(counts)
+    j = np.arange(len(k))
+    j -= firsts.repeat(counts)
+    out = gaps.repeat(counts)
+    out *= j
+    out /= k
+    out += positions.repeat(counts)
+    return out, firsts
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +175,10 @@ def _sample_links(L1: SphericalPolygon, L2: SphericalPolygon, max_step: float,
     events, *rows = merged_vertex_positions(L1, L2) if include_vertices else (np.zeros(1),) * 2
     at, firsts = _refine(events, p, max_step)
     if midpoints:
-        at = np.concatenate([at, 0.5 * (events + np.append(events[1:], p))])
+        mid = np.concatenate((events[1:], (p,)))
+        mid += events
+        mid *= 0.5
+        at = np.concatenate((at, mid))
     base_alone = all(r.all() for r in rows)
     return events, at, firsts, L1.points_at(at), L2.points_at(at), base_alone
 
@@ -200,7 +210,7 @@ def transform_link_pair(
         events=events,
         positions=positions,
         x0_sums=r1[:, 0] + r2[:, 0],
-        projections=np.stack([r1[:, 1:], r2[:, 1:]], axis=1),
+        projections=np.concatenate((r1[:, None, 1:], r2[:, None, 1:]), axis=1),
         image1=w1,
         image2=w2,
     )
@@ -224,7 +234,7 @@ def image_polygons(image: PogorelovImage) -> tuple[PlanarPolygon, PlanarPolygon]
 
 def segment_mismatch(image: PogorelovImage) -> float:
     """Max difference of corresponding image chord lengths (isometry defect)."""
-    return float(np.max(np.abs(chain_chords(image.image1)[1] - chain_chords(image.image2)[1])))
+    return float(np.abs(chain_chords(image.image1)[1] - chain_chords(image.image2)[1]).max())
 
 
 # -- cone combination --------------------------------------------------------------
@@ -240,7 +250,7 @@ def _combined_cone(r1: np.ndarray, r2: np.ndarray, at: np.ndarray, base_alone: b
     norms = np.sqrt(dot3(sums, sums))
     if norms.min() < ANTIPODAL_EPS:
         raise AntipodalCorrespondence(
-            f"|r1 + r2| = {norms.min():.3e} at arc {at[int(np.argmin(norms))]!r}"
+            f"|r1 + r2| = {norms.min():.3e} at arc {at[int(norms.argmin())]!r}"
         )
     m = len(at) // 2
     if m < 3:
@@ -350,7 +360,7 @@ def position_and_combine(
     margins = alignment_margins(th1 - th2)
 
     tried = 0
-    for j in np.nonzero(margins > MARGIN_EPS)[0]:
+    for j in (margins > MARGIN_EPS).nonzero()[0]:
         tried += 1
         psi = norm_angle(float(th2[j] - th1[j]))
         try:
@@ -414,7 +424,7 @@ def _digon_quadrilateral(digon: Digon, eps: float) -> SphericalPolygon:
     b1 = ce * north + se * eb
     b2 = -ce * north + se * eb
     try:
-        return build_spherical_polygon(np.stack([a2, a1, b1, b2]))
+        return build_spherical_polygon(np.array([a2, a1, b1, b2]))
     except (NotConvexSpherical, DegenerateEdge, AntipodalEdge) as exc:
         raise TruncationTooDeep(
             f"cut depth {eps!r} leaves no valid quadrilateral of the digon of angle "

@@ -42,6 +42,7 @@ from .tolerances import (
 TAU = 2.0 * math.pi
 
 E0 = np.array([1.0, 0.0, 0.0])
+IDENTITY3 = np.eye(3)
 
 MAX_SAMPLES = 2**20    # most points one call generates or samples, far above any grid in use
 
@@ -109,31 +110,36 @@ def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def roll_next(a: np.ndarray) -> np.ndarray:
     """``np.roll(a, -1, axis=0)``: row i holds row i + 1, cyclically."""
-    return np.concatenate([a[1:], a[:1]])
+    return np.concatenate((a[1:], a[:1]))
 
 
 def roll_prev(a: np.ndarray) -> np.ndarray:
     """``np.roll(a, 1, axis=0)``: row i holds row i - 1, cyclically."""
-    return np.concatenate([a[-1:], a[:-1]])
+    return np.concatenate((a[-1:], a[:-1]))
 
 
 def turns(dirs: np.ndarray) -> np.ndarray:
     """Turn from edge i - 1 to edge i of a closed chain with edge directions
     ``dirs``, in (-pi, pi] by :func:`norm_angle_many` (a reversal reads +pi)."""
-    return norm_angle_many(dirs - roll_prev(dirs))
+    t = roll_prev(dirs)
+    return norm_angle_many(np.subtract(dirs, t, out=t))
 
 
 def unwrap_turns(first: float, steps: np.ndarray) -> np.ndarray:
     """Unwrapped direction over each piece of a closed chain: ``first`` over
     piece 0 plus the running sum of the turns ``steps`` at rows 1..r
     (``steps[0]``, the turn into piece 0, is not read)."""
-    return first + np.cumsum(np.concatenate([[0.0], steps[1:]]))
+    out = np.concatenate(((0.0,), steps[1:]))
+    out.cumsum(out=out)
+    out += first
+    return out
 
 
 def chain_chords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The plane's one edge measurement: the chord of a closed point chain
     from points[i] to points[i + 1], its length and its direction angle."""
-    chords = roll_next(points) - points
+    chords = roll_next(points)
+    chords -= points
     return chords, np.hypot(chords[:, 0], chords[:, 1]), np.arctan2(chords[:, 1], chords[:, 0])
 
 
@@ -155,11 +161,11 @@ def convex_hull_2d(points) -> np.ndarray:
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     keep = np.arange(len(p))
     if len(p):
-        a = p[np.argmax(OCTAGON_DIRECTIONS @ p.T, axis=1)]
+        a = p[(OCTAGON_DIRECTIONS @ p.T).argmax(axis=1)]
         e = roll_next(a) - a
         edge = (e != 0.0).any(axis=1)
         inside = e[edge, :1] * (p[:, 1] - a[edge, 1:]) > e[edge, 1:] * (p[:, 0] - a[edge, :1])
-        keep = np.flatnonzero(~inside.all(axis=0))
+        keep = (~inside.all(axis=0)).nonzero()[0]
     keep = keep[np.lexsort((p[keep, 1], p[keep, 0]))]
     px, py = p[keep, 0].tolist(), p[keep, 1].tolist()
 
@@ -256,17 +262,25 @@ def brent_root(f, a: float, b: float, fa: float | None = None, fb: float | None 
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations, value is {xcur}")
 
 
-def reduce_mod(t: float, period: float) -> float:
-    """Reduce ``t`` into [0, period), exact for t already in range; ValueError
-    unless it is a finite real number."""
+def check_base(t: float) -> None:
+    """ValueError unless the base position ``t`` is a finite real number."""
     try:
-        if 0.0 <= t < period:
-            return t
         finite = math.isfinite(t)
     except TypeError:       # no real number: a str, None
         finite = False
     if not finite:
         raise ValueError(f"base_s must be a finite real number; got {t!r}")
+
+
+def reduce_mod(t: float, period: float) -> float:
+    """Reduce ``t`` into [0, period), exact for t already in range; ValueError
+    unless it is a finite real number (:func:`check_base`)."""
+    try:
+        if 0.0 <= t < period:
+            return t
+    except TypeError:
+        pass
+    check_base(t)
     t = math.fmod(t, period)
     if t < 0.0:
         t += period
@@ -292,7 +306,7 @@ def short_edges(lengths: np.ndarray, perimeter: float) -> np.ndarray:
 def chain_perimeter(lengths: np.ndarray) -> float:
     """The perimeter of a closed chain, the sum of its edge ``lengths``;
     DegenerateEdge if it is not positive or an edge is short (:func:`short_edges`)."""
-    perimeter = float(np.sum(lengths))
+    perimeter = float(lengths.sum())
     if perimeter <= 0.0 or short_edges(lengths, perimeter).any():
         raise DegenerateEdge("consecutive vertices coincide within tolerance")
     return perimeter
@@ -330,7 +344,7 @@ class ArcPolygon:
     def from_corners(cls, vertices: np.ndarray, lengths: np.ndarray, perimeter: float, base_s: float, **own):
         """The polygon on corners whose edge ``lengths`` sum to ``perimeter``, with
         the subclass's ``own`` fields: the builders' one arc table and base reduction."""
-        cum = np.concatenate([[0.0], np.cumsum(lengths[:-1])])
+        cum = np.concatenate(((0.0,), lengths[:-1].cumsum()))
         return cls(vertices, cum, perimeter, reduce_mod(base_s, perimeter), **own)
 
     @property
@@ -340,7 +354,7 @@ class ArcPolygon:
     def vertex_positions(self) -> np.ndarray:
         """Arc positions of the vertices measured from the base point."""
         pos = self.cum_lengths - self.base_s
-        return np.where(pos < 0.0, pos + self.perimeter, pos)
+        return np.add(pos, self.perimeter, out=pos, where=pos < 0.0)
 
     def with_base(self, base_s: float):
         """Same polygon, base point moved to arc position ``base_s``."""
@@ -348,7 +362,7 @@ class ArcPolygon:
 
     def edge_ends(self) -> np.ndarray:
         """Arc length at the end of each edge; the last one ends at the perimeter."""
-        return np.append(self.cum_lengths[1:], self.perimeter)
+        return np.concatenate((self.cum_lengths[1:], (self.perimeter,)))
 
     def locate(self, ss) -> tuple[np.ndarray, np.ndarray]:
         """Edge index and offset along it for each arc position from the base.
@@ -371,7 +385,8 @@ class ArcPolygon:
             if not np.isfinite(y).all():
                 raise ValueError("arc positions must be finite")
             x[far] = np.mod(y, self.perimeter)
-        idx = np.searchsorted(self.cum_lengths, x, side="right") - 1
+        idx = self.cum_lengths.searchsorted(x, side="right")
+        idx -= 1
         snap = SNAP_FACTOR * self.perimeter
         bump = self.edge_ends().take(idx) - x <= snap
         idx += bump
@@ -404,7 +419,7 @@ def merge_collinear(turns, lengths, base_s: float, eps: float, error, reflex: st
         return None, base_s
     if keep.sum() < 3:
         raise error("fewer than 3 corners after collinear merge")
-    first_kept = int(np.argmax(keep))
+    first_kept = int(keep.argmax())
     return keep, base_s - float(lengths[:first_kept].sum())
 
 
@@ -412,7 +427,9 @@ def merge_to_corners(verts: np.ndarray, base_s: float, frame, eps: float, error,
     """The builders' one collinear-merge loop: ``frame(verts)`` measures a pass
     as ``(lengths, turns, perimeter, *kept)``, raising what a pass refuses, and
     :func:`merge_collinear` drops vertices until each is a corner.  Returns the
-    corners, the base shifted with them, and the last pass's measurement."""
+    corners, the base shifted with them, and the last pass's measurement;
+    ValueError before any pass unless ``base_s`` is a finite real number."""
+    check_base(base_s)
     while True:
         measured = frame(verts)
         keep, base_s = merge_collinear(measured[1], measured[0], base_s, eps, error, reflex)
@@ -442,11 +459,22 @@ def alignment_margins(g) -> np.ndarray:
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("alignment values must be finite")
     up = hi - g
-    reach = np.maximum(up, g - lo)
+    reach = g - lo
+    np.maximum(up, reach, out=reach)
     # read only where reach < pi: there numpy's remainder mod 2*pi is up
     # itself, and lo - g + 2*pi below 0 (its +0.0 at 0 gives the same distance)
-    near = np.maximum(math.pi - np.abs(up - math.pi), math.pi - np.abs(lo - g + TAU - math.pi))
-    return np.where(reach < math.pi, math.pi - near, math.pi - reach)
+    low = lo - g
+    low += TAU
+    low -= math.pi
+    np.abs(low, out=low)
+    np.subtract(math.pi, low, out=low)      # pi - |lo - g + 2*pi - pi|
+    up -= math.pi
+    np.abs(up, out=up)
+    np.subtract(math.pi, up, out=up)        # pi - |up - pi|
+    np.maximum(up, low, out=up)
+    np.subtract(math.pi, up, out=up)
+    # reach is not NaN, so this is every row where reach < pi fails
+    return np.subtract(math.pi, reach, out=up, where=reach >= math.pi)
 
 
 def merge_positions(pos: np.ndarray, period: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -466,12 +494,12 @@ def merge_positions(pos: np.ndarray, period: float, tol: float) -> tuple[np.ndar
     """
     keep = np.empty(len(pos), dtype=bool)
     keep[0] = True
-    keep[1:] = np.diff(pos) > tol
-    narrow = np.flatnonzero(~keep)
+    np.greater(pos[1:] - pos[:-1], tol, out=keep[1:])
+    narrow = (~keep).nonzero()[0]
     if len(narrow):
-        split = np.flatnonzero(np.diff(narrow) > 1)
-        heads = np.append(narrow[0], narrow[split + 1]) - 1
-        ends = np.append(narrow[split], narrow[-1])
+        split = (narrow[1:] - narrow[:-1] > 1).nonzero()[0]
+        heads = np.concatenate((narrow[:1], narrow[split + 1])) - 1
+        ends = np.concatenate((narrow[split], narrow[-1:]))
         wide = pos[ends] - pos[heads] > tol
         kept = []
         for head, end in zip(heads[wide].tolist(), ends[wide].tolist()):
@@ -483,7 +511,8 @@ def merge_positions(pos: np.ndarray, period: float, tol: float) -> tuple[np.ndar
                     last = x
         keep[kept] = True
     out = pos[keep]
-    rows = np.cumsum(keep) - 1
+    rows = keep.cumsum()
+    rows -= 1
     if len(out) > 1 and period - out[-1] <= tol:
         out = out[:-1]
         rows[rows == len(out)] = 0
@@ -495,8 +524,8 @@ def merged_vertex_positions(a: ArcPolygon, b: ArcPolygon) -> tuple[np.ndarray, .
     point 0, merged by :func:`merge_positions` at ``BREAKPOINT_MERGE_RTOL``
     times the first perimeter, and the row each vertex of ``a`` and ``b`` merged into."""
     p = a.perimeter
-    pos = np.concatenate([[0.0], a.vertex_positions(), b.vertex_positions()])
-    order = np.argsort(pos, kind="stable")
+    pos = np.concatenate(((0.0,), a.vertex_positions(), b.vertex_positions()))
+    order = pos.argsort(kind="stable")
     out, sorted_rows = merge_positions(pos[order], p, BREAKPOINT_MERGE_RTOL * p)
     rows = np.empty_like(sorted_rows)
     rows[order] = sorted_rows
@@ -559,26 +588,26 @@ def rotation_matrix_from_to(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
+    a = a / np.sqrt(a.dot(a))       # np.linalg.norm of a 1-D vector, bit for bit
+    b = b / np.sqrt(b.dot(b))
     axis = cross3(a, b)
-    s = float(np.linalg.norm(axis))
-    c = float(np.dot(a, b))
+    s = float(np.sqrt(axis.dot(axis)))
+    c = float(a.dot(b))
     if s < PARALLEL_EPS:
         if c > 0.0:
-            return np.eye(3)
+            return IDENTITY3.copy()
         # half turn about an axis orthogonal to a
         helper = np.array([1.0, 0.0, 0.0])
         if abs(a[0]) > 0.9:
             helper = np.array([0.0, 1.0, 0.0])
         axis = cross3(a, helper)
-        axis /= np.linalg.norm(axis)
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
+        axis /= np.sqrt(axis.dot(axis))
+        return 2.0 * (axis[:, None] * axis) - IDENTITY3     # np.outer, bit for bit
     axis /= s
     k = np.array([
         [0.0, -axis[2], axis[1]],
         [axis[2], 0.0, -axis[0]],
         [-axis[1], axis[0], 0.0],
     ])
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+    return IDENTITY3 + s * k + (1.0 - c) * (k @ k)
 

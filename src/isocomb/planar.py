@@ -45,7 +45,12 @@ def signed_area(vertices: np.ndarray) -> float:
     """Signed area of a closed vertex chain (positive = counterclockwise)."""
     x = vertices[:, 0]
     y = vertices[:, 1]
-    return 0.5 * float(np.sum(x * roll_next(y) - roll_next(x) * y))
+    area = roll_next(y)
+    area *= x
+    xy = roll_next(x)
+    xy *= y
+    area -= xy
+    return 0.5 * float(area.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +64,13 @@ class PlanarPolygon(ArcPolygon):
         """The points at offsets ``u`` along edges ``idx``, as :meth:`~geometry.ArcPolygon.locate`
         gives them; at offset 0.0 the vertex's own bits."""
         d = self.edge_dirs
-        step = np.stack([np.cos(d), np.sin(d)], axis=1).take(idx, axis=0)
+        step = np.empty((len(d), 2))
+        np.cos(d, out=step[:, 0])
+        np.sin(d, out=step[:, 1])
         v = self.vertices.take(idx, axis=0)
-        out = v + u[:, None] * step
+        out = step.take(idx, axis=0)
+        out *= u[:, None]
+        out += v
         # adding a 0.0 step keeps every coordinate but a -0.0, which turns +0.0;
         # the masked copy doubles the cost, so it runs only where a zero can be
         if (self.vertices == 0.0).any():
@@ -72,7 +81,7 @@ class PlanarPolygon(ArcPolygon):
 def _check_coordinates(verts: np.ndarray) -> float:
     """The largest coordinate magnitude, in one scan; ValueError unless every
     coordinate is finite (else the largest is not) and within ``MAX_COORDINATE``."""
-    largest = float(np.max(np.abs(verts)))
+    largest = float(np.abs(verts).max())
     if not math.isfinite(largest):
         raise ValueError("vertices must be finite")
     if largest > MAX_COORDINATE:
@@ -113,7 +122,7 @@ def build_polygon(vertices, base_s: float = 0.0, *, collinear_eps: float = COLLI
     _check_coordinates(verts)
     verts, base_s, (lengths, ext, perimeter, dirs) = merge_to_corners(
         verts, base_s, _frame, collinear_eps, NotConvex, "reflex vertex: min exterior angle")
-    total_turn = float(np.sum(ext))
+    total_turn = float(ext.sum())
     if abs(total_turn - TAU) > TOTAL_TURN_TOL:
         raise NotSimple(f"total turning {total_turn:.12f} != 2*pi; chain is not simple")
     return PlanarPolygon.from_corners(verts, lengths, perimeter, base_s, edge_dirs=dirs, exterior_angles=ext)
@@ -171,8 +180,8 @@ def _certify_chain(verts: np.ndarray, ext: np.ndarray | None = None) -> Convexit
         _, lengths, dirs = chain_chords(verts)
         chain_perimeter(lengths)
         ext = turns(dirs)
-    exterior_sum = float(np.sum(ext))
-    min_exterior = float(np.min(ext))
+    exterior_sum = float(ext.sum())
+    min_exterior = float(ext.min())
     simple_ok = signed_area(verts) > 0.0 and abs(exterior_sum - TAU) <= CERTIFICATE_TOL
     is_convex = simple_ok and min_exterior >= -CERTIFICATE_TOL
     return ConvexityCertificate(
@@ -189,7 +198,7 @@ def _dedup_closed(points: np.ndarray) -> np.ndarray:
     is below the certificate's length floor (:func:`geometry.short_edges`),
     so a run of near-duplicates keeps its first point."""
     seg = chain_chords(points)[1]
-    total = float(np.sum(seg))
+    total = float(seg.sum())
     if total == 0.0:
         return points[:1]
     # row i is kept when the edge arriving from row i - 1 is not short
@@ -202,7 +211,7 @@ def chain_certificate(curve: np.ndarray, lengths: np.ndarray, ext: np.ndarray) -
     chord directions (:func:`geometry.turns`) when no chord is short; else of
     the chain without the points short chords end at (:func:`_dedup_closed`),
     or ``FAILED_CERTIFICATE`` if that is degenerate."""
-    total = float(np.sum(lengths))
+    total = float(lengths.sum())
     if len(curve) >= 3 and total != 0.0 and not short_edges(lengths, total).any():
         return _certify_chain(curve, ext)
     pts = _dedup_closed(curve)
@@ -251,7 +260,9 @@ def dilate_to_perimeter(poly: PlanarPolygon, target: float, center) -> PlanarPol
     if c is None or c.shape != (2,) or not all(map(math.isfinite, c.tolist())):
         raise ValueError(f"center must be 2 finite coordinates; got {center!r}")
     ratio = target / poly.perimeter
-    verts = c + ratio * (poly.vertices - c)
+    verts = poly.vertices - c
+    verts *= ratio
+    verts += c
     scale = float(np.abs(c).max()) + _check_coordinates(verts)
     lengths = _frame(verts)[0]
     if DILATION_TURN_FACTOR * scale >= lengths.min() * poly.exterior_angles.min():

@@ -90,7 +90,7 @@ class SphericalPolygon(ArcPolygon):
     gauss_bonnet_residual: float
 
     def min_turning(self) -> float:
-        return float(np.min(self.turning))
+        return float(self.turning.min())
 
     def points_on_edges(self, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The points at geodesic offsets ``u`` along edges ``idx``, as
@@ -104,7 +104,10 @@ class SphericalPolygon(ArcPolygon):
         theta = self.edge_ends() - self.cum_lengths
         st = np.sin(theta).take(idx)
         theta = theta.take(idx)
-        out = (np.sin(theta - u) * a + np.sin(u) * b) / st
+        out = np.sin(theta - u) * a
+        b *= np.sin(u)
+        out += b
+        out /= st
         np.copyto(out, a, where=u == 0.0)
         return out.T
 
@@ -173,7 +176,7 @@ def centroid_direction(poly: SphericalPolygon) -> np.ndarray:
     """
     _, cross, _, lengths = edge_frame(poly.vertices)
     c = 0.5 * (lengths[:, None] * unit_rows(cross)).sum(axis=0)
-    n = np.linalg.norm(c)
+    n = np.sqrt(c.dot(c))         # np.linalg.norm of a 1-D vector, bit for bit
     if n < CENTROID_NORM_FLOOR * poly.perimeter:
         raise NotConvexSpherical("degenerate centroid direction")
     return c / n
@@ -194,7 +197,7 @@ def gnomonic(points: np.ndarray) -> np.ndarray:
 def gnomonic_inverse(w: np.ndarray) -> np.ndarray:
     """Unit vectors (1, w) / |(1, w)| over gnomonic coordinates w, in any dimension."""
     w = np.asarray(w, dtype=float)
-    scale = 1.0 / np.sqrt(1.0 + np.sum(w * w, axis=1))
+    scale = 1.0 / np.sqrt(1.0 + (w * w).sum(axis=1))
     out = np.empty((len(w), w.shape[1] + 1))
     out[:, 0] = scale
     out[:, 1:] = w * scale[:, None]
@@ -224,7 +227,11 @@ def _cap_samples(rng: np.random.Generator, n: int, cap_angle: float) -> np.ndarr
     c = rng.uniform(math.cos(cap_angle), 1.0, size=n)
     phi = rng.uniform(0.0, TAU, size=n)
     s = np.sqrt(1.0 - c * c)
-    return np.column_stack([c, s * np.cos(phi), s * np.sin(phi)])
+    out = np.empty((n, 3))
+    out[:, 0] = c
+    np.multiply(s, np.cos(phi), out=out[:, 1])
+    np.multiply(s, np.sin(phi), out=out[:, 2])
+    return out
 
 
 def random_convex_link(

@@ -108,7 +108,9 @@ def random_convex_polygon(
         k = int(rng.integers(min_vertices, max_vertices + 1))
         r = np.sqrt(rng.uniform(0.0, 1.0, size=k))
         phi = rng.uniform(0.0, TAU, size=k)
-        pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+        pts = np.empty((k, 2))
+        np.multiply(r, np.cos(phi), out=pts[:, 0])
+        np.multiply(r, np.sin(phi), out=pts[:, 1])
         hull = convex_hull_2d(pts)
         if len(hull) < 3:
             continue
@@ -198,15 +200,16 @@ def cone_trial(config: SuiteConfig, index: int) -> TrialReport:
 
 def _run_suite(config: SuiteConfig, trial_fn, kind: str, report_path: str | None) -> dict:
     config.validate(kind)
-    reports = [trial_fn(config, i) for i in range(config.trials)]
+    trials = int(config.trials)     # a numpy integer, which the count rule accepts, is no JSON
+    reports = [trial_fn(config, i) for i in range(trials)]
     passes = sum(r.passed for r in reports)
     aggregate = {
         "suite": kind,
-        "trials": config.trials,
-        "seed": config.seed,
+        "trials": trials,
+        "seed": int(config.seed),
         "passes": passes,
-        "failures": config.trials - passes,
-        "pass_rate": passes / config.trials,
+        "failures": trials - passes,
+        "pass_rate": passes / trials,
         "failed_trials": [r.trial_id for r in reports if not r.passed],
     }
     if report_path is not None:

@@ -770,6 +770,91 @@ def edge_distance_hausdorff(a, b, n):
     return far
 
 
+# -- the row kernels before they wrote into arrays they own -------------------------
+# References for the in-place rewrites: the former expression forms, each a
+# new array per operation, with only the names changed.
+
+def former_planar_points_on_edges(poly, idx, u):
+    d = poly.edge_dirs
+    step = np.stack([np.cos(d), np.sin(d)], axis=1).take(idx, axis=0)
+    v = poly.vertices.take(idx, axis=0)
+    out = v + u[:, None] * step
+    if (poly.vertices == 0.0).any():
+        np.copyto(out, v, where=(u == 0.0)[:, None])
+    return out
+
+
+def former_sph_points_on_edges(poly, idx, u):
+    vt = poly.vertices.T
+    a = vt.take(idx, axis=1)
+    b = vt.take(idx + 1, axis=1, mode="wrap")
+    theta = np.append(poly.cum_lengths[1:], poly.perimeter) - poly.cum_lengths
+    st = np.sin(theta).take(idx)
+    theta = theta.take(idx)
+    out = (np.sin(theta - u) * a + np.sin(u) * b) / st
+    np.copyto(out, a, where=u == 0.0)
+    return out.T
+
+
+def former_chain_chords(points):
+    chords = roll_next(points) - points
+    return chords, np.hypot(chords[:, 0], chords[:, 1]), np.arctan2(chords[:, 1], chords[:, 0])
+
+
+def former_turns(dirs):
+    t = np.fmod(dirs - roll_prev(dirs), TAU)
+    np.add(t, TAU, out=t, where=t <= -math.pi)
+    return np.subtract(t, TAU, out=t, where=t > math.pi)
+
+
+def former_unwrap_turns(first, steps):
+    return first + np.cumsum(np.concatenate([[0.0], steps[1:]]))
+
+
+def former_refine(positions, period, max_step):
+    if max_step == math.inf:
+        return positions, np.arange(len(positions))
+    gaps = np.append(positions[1:], period) - positions
+    counts = np.maximum(1.0, np.ceil(gaps / max_step)).astype(np.int64)
+    firsts = np.cumsum(counts) - counts
+    k = np.repeat(counts, counts)
+    j = np.arange(len(k)) - np.repeat(firsts, counts)
+    return np.repeat(positions, counts) + np.repeat(gaps, counts) * j / k, firsts
+
+
+def former_bending_rows(combined):
+    """``combination.bending_check`` on the combination's own chords, as it
+    was before it wrote into its difference rows."""
+    dr, len_r = combined.chords, combined.chord_lengths
+    dtau = roll_next(combined.tau_segments) - combined.tau_segments
+    floor_eps = RELATIVE_TAU_FLOOR * float(np.max(len_r)) ** 2 + BENDING_DENOM_FLOOR
+    p = dr * dtau
+    num = np.abs(0.0 + p[:, 0] + p[:, 1])
+    den = len_r * np.hypot(dtau[:, 0], dtau[:, 1]) + floor_eps
+    return float(np.max(num / den))
+
+
+def former_signed_area(vertices):
+    x = vertices[:, 0]
+    y = vertices[:, 1]
+    return 0.5 * float(np.sum(x * roll_next(y) - roll_next(x) * y))
+
+
+def former_dilated_vertices(poly, target, center):
+    c = np.asarray(center, dtype=float)
+    return c + (target / poly.perimeter) * (poly.vertices - c)
+
+
+def former_margin_reductions(g):
+    """``geometry.alignment_margins`` as it was before it wrote into its own rows."""
+    g = np.asarray(g, dtype=float)
+    hi, lo = g.max(), g.min()
+    up = hi - g
+    reach = np.maximum(up, g - lo)
+    near = np.maximum(math.pi - np.abs(up - math.pi), math.pi - np.abs(lo - g + TAU - math.pi))
+    return np.where(reach < math.pi, math.pi - near, math.pi - reach)
+
+
 SPHERICAL_POLYGON_FIELDS = ("vertices", "cum_lengths", "perimeter", "base_s")
 
 

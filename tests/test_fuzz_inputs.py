@@ -281,13 +281,32 @@ def test_link_generator_refuses_a_target_length_that_is_not_a_number(target):
     pytest.param(lambda square: square.with_base("1"), id="with-base-text"),
     pytest.param(lambda square: square.with_base(math.inf), id="with-base-inf"),
     pytest.param(lambda square: build_spherical_polygon(np.eye(3), base_s="x"), id="sphere-text"),
+    # a collinear vertex: the merge shifted the base by a subtraction first
+    pytest.param(lambda square: build_polygon(SQUARE_WITH_COLLINEAR, base_s="x"), id="collinear-text"),
+    pytest.param(lambda square: build_polygon(SQUARE_WITH_COLLINEAR, base_s=None), id="collinear-none"),
+    pytest.param(lambda square: build_spherical_polygon(OCTANT_WITH_COLLINEAR, base_s="x"),
+                 id="sphere-collinear-text"),
 ])
 def test_a_base_position_that_is_not_a_number_is_refused(base):
     # the in-range comparison of the base reduction ended all but the
-    # infinite base in Python's TypeError; that one it refused already
+    # infinite base in Python's TypeError; that one it refused already.  With
+    # a collinear vertex, the merge's shift of the base ended in TypeError
+    # before the reduction ran; the builders now refuse the base first
     square = build_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    with pytest.raises(ValueError, match="base_s must be a finite real number"):
+    with pytest.raises(ValueError, match=r"^base_s must be a finite real number; got "):
         base(square)
+
+
+# a square and an octant, each with one vertex on an edge, which the builders merge away
+SQUARE_WITH_COLLINEAR = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+OCTANT_WITH_COLLINEAR = [(1.0, 0.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0), (0.0, 1.0, 0.0),
+                         (0.0, 0.0, 1.0)]
+
+
+def test_the_collinear_cases_merge_with_a_number_base():
+    # the refusals above are the base's, not the shapes': with a number base both build
+    assert build_polygon(SQUARE_WITH_COLLINEAR, base_s=0.25).n_vertices == 4
+    assert build_spherical_polygon(OCTANT_WITH_COLLINEAR, base_s=0.25).n_vertices == 3
 
 
 @pytest.mark.parametrize("center", [(math.inf, 0.0), (0.0, math.nan), (0.5,), None, (0, 0, 0), [[0.0, 0.0]], "ab"],

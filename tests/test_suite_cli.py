@@ -156,6 +156,17 @@ def test_cone_suite_small_run(tmp_path):
     assert len(path.read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("run", [run_planar_suite, run_cone_suite], ids=["planar", "cone"])
+def test_a_numpy_integer_seed_and_count_write_the_report_of_the_int(tmp_path, run):
+    # the count rule accepts numpy integers, and the aggregate wrote them as
+    # given: json.dumps raised after every trial had run
+    a, b = tmp_path / "int.jsonl", tmp_path / "numpy.jsonl"
+    run(SuiteConfig(trials=2, seed=3), report_path=str(a))
+    agg = run(SuiteConfig(trials=np.int64(2), seed=np.int64(3)), report_path=str(b))
+    assert b.read_bytes() == a.read_bytes()
+    assert type(agg["seed"]) is int and type(agg["trials"]) is int
+
+
 def test_cone_suite_refuses_targets_below_every_hull_at_validation():
     # at the scale floor every hull is longer than these targets, so link
     # generation would spend LINK_MAX_ATTEMPTS hulls and raise its own error
