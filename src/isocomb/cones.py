@@ -175,10 +175,7 @@ def _sample_links(L1: SphericalPolygon, L2: SphericalPolygon, max_step: float,
     events, *rows = merged_vertex_positions(L1, L2) if include_vertices else (np.zeros(1),) * 2
     at, firsts = _refine(events, p, max_step)
     if midpoints:
-        mid = np.concatenate((events[1:], (p,)))
-        mid += events
-        mid *= 0.5
-        at = np.concatenate((at, mid))
+        at = np.concatenate((at, 0.5 * (events + np.concatenate((events[1:], (p,))))))
     base_alone = all(r.all() for r in rows)
     return events, at, firsts, L1.points_at(at), L2.points_at(at), base_alone
 

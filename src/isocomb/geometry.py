@@ -121,25 +121,20 @@ def roll_prev(a: np.ndarray) -> np.ndarray:
 def turns(dirs: np.ndarray) -> np.ndarray:
     """Turn from edge i - 1 to edge i of a closed chain with edge directions
     ``dirs``, in (-pi, pi] by :func:`norm_angle_many` (a reversal reads +pi)."""
-    t = roll_prev(dirs)
-    return norm_angle_many(np.subtract(dirs, t, out=t))
+    return norm_angle_many(dirs - roll_prev(dirs))
 
 
 def unwrap_turns(first: float, steps: np.ndarray) -> np.ndarray:
     """Unwrapped direction over each piece of a closed chain: ``first`` over
     piece 0 plus the running sum of the turns ``steps`` at rows 1..r
     (``steps[0]``, the turn into piece 0, is not read)."""
-    out = np.concatenate(((0.0,), steps[1:]))
-    out.cumsum(out=out)
-    out += first
-    return out
+    return first + np.concatenate(((0.0,), steps[1:])).cumsum()
 
 
 def chain_chords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The plane's one edge measurement: the chord of a closed point chain
     from points[i] to points[i + 1], its length and its direction angle."""
-    chords = roll_next(points)
-    chords -= points
+    chords = roll_next(points) - points
     return chords, np.hypot(chords[:, 0], chords[:, 1]), np.arctan2(chords[:, 1], chords[:, 0])
 
 
@@ -459,22 +454,11 @@ def alignment_margins(g) -> np.ndarray:
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("alignment values must be finite")
     up = hi - g
-    reach = g - lo
-    np.maximum(up, reach, out=reach)
+    reach = np.maximum(up, g - lo)
     # read only where reach < pi: there numpy's remainder mod 2*pi is up
     # itself, and lo - g + 2*pi below 0 (its +0.0 at 0 gives the same distance)
-    low = lo - g
-    low += TAU
-    low -= math.pi
-    np.abs(low, out=low)
-    np.subtract(math.pi, low, out=low)      # pi - |lo - g + 2*pi - pi|
-    up -= math.pi
-    np.abs(up, out=up)
-    np.subtract(math.pi, up, out=up)        # pi - |up - pi|
-    np.maximum(up, low, out=up)
-    np.subtract(math.pi, up, out=up)
-    # reach is not NaN, so this is every row where reach < pi fails
-    return np.subtract(math.pi, reach, out=up, where=reach >= math.pi)
+    near = np.maximum(math.pi - np.abs(up - math.pi), math.pi - np.abs(lo - g + TAU - math.pi))
+    return np.where(reach < math.pi, math.pi - near, math.pi - reach)
 
 
 def merge_positions(pos: np.ndarray, period: float, tol: float) -> tuple[np.ndarray, np.ndarray]:

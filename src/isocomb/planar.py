@@ -45,12 +45,7 @@ def signed_area(vertices: np.ndarray) -> float:
     """Signed area of a closed vertex chain (positive = counterclockwise)."""
     x = vertices[:, 0]
     y = vertices[:, 1]
-    area = roll_next(y)
-    area *= x
-    xy = roll_next(x)
-    xy *= y
-    area -= xy
-    return 0.5 * float(area.sum())
+    return 0.5 * float((x * roll_next(y) - roll_next(x) * y).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,9 +255,7 @@ def dilate_to_perimeter(poly: PlanarPolygon, target: float, center) -> PlanarPol
     if c is None or c.shape != (2,) or not all(map(math.isfinite, c.tolist())):
         raise ValueError(f"center must be 2 finite coordinates; got {center!r}")
     ratio = target / poly.perimeter
-    verts = poly.vertices - c
-    verts *= ratio
-    verts += c
+    verts = c + ratio * (poly.vertices - c)
     scale = float(np.abs(c).max()) + _check_coordinates(verts)
     lengths = _frame(verts)[0]
     if DILATION_TURN_FACTOR * scale >= lengths.min() * poly.exterior_angles.min():

@@ -796,21 +796,6 @@ def former_sph_points_on_edges(poly, idx, u):
     return out.T
 
 
-def former_chain_chords(points):
-    chords = roll_next(points) - points
-    return chords, np.hypot(chords[:, 0], chords[:, 1]), np.arctan2(chords[:, 1], chords[:, 0])
-
-
-def former_turns(dirs):
-    t = np.fmod(dirs - roll_prev(dirs), TAU)
-    np.add(t, TAU, out=t, where=t <= -math.pi)
-    return np.subtract(t, TAU, out=t, where=t > math.pi)
-
-
-def former_unwrap_turns(first, steps):
-    return first + np.cumsum(np.concatenate([[0.0], steps[1:]]))
-
-
 def former_refine(positions, period, max_step):
     if max_step == math.inf:
         return positions, np.arange(len(positions))
@@ -832,27 +817,6 @@ def former_bending_rows(combined):
     num = np.abs(0.0 + p[:, 0] + p[:, 1])
     den = len_r * np.hypot(dtau[:, 0], dtau[:, 1]) + floor_eps
     return float(np.max(num / den))
-
-
-def former_signed_area(vertices):
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    return 0.5 * float(np.sum(x * roll_next(y) - roll_next(x) * y))
-
-
-def former_dilated_vertices(poly, target, center):
-    c = np.asarray(center, dtype=float)
-    return c + (target / poly.perimeter) * (poly.vertices - c)
-
-
-def former_margin_reductions(g):
-    """``geometry.alignment_margins`` as it was before it wrote into its own rows."""
-    g = np.asarray(g, dtype=float)
-    hi, lo = g.max(), g.min()
-    up = hi - g
-    reach = np.maximum(up, g - lo)
-    near = np.maximum(math.pi - np.abs(up - math.pi), math.pi - np.abs(lo - g + TAU - math.pi))
-    return np.where(reach < math.pi, math.pi - near, math.pi - reach)
 
 
 SPHERICAL_POLYGON_FIELDS = ("vertices", "cum_lengths", "perimeter", "base_s")

@@ -15,21 +15,15 @@ import pytest
 
 from conftest import (
     former_bending_rows,
-    former_chain_chords,
-    former_dilated_vertices,
-    former_margin_reductions,
     former_planar_points_on_edges,
     former_refine,
-    former_signed_area,
     former_sph_points_on_edges,
-    former_turns,
-    former_unwrap_turns,
     support_polygon,
 )
-from isocomb.cones import _refine, _sample_links, pogorelov_forward
-from isocomb.combination import _row_gaps, bending_check, combine_aligned, make_pair
-from isocomb.geometry import alignment_margins, chain_chords, merged_vertex_positions, turns, unwrap_turns
-from isocomb.planar import build_polygon, dilate_to_perimeter, signed_area
+from isocomb.cones import _refine, _sample_links
+from isocomb.combination import bending_check, combine_aligned, make_pair
+from isocomb.geometry import merged_vertex_positions
+from isocomb.planar import build_polygon, dilate_to_perimeter
 from isocomb.spherical import build_spherical_polygon, random_convex_link
 from isocomb.suite import random_convex_polygon, trial_rng
 
@@ -137,37 +131,6 @@ def test_slerp_equals_the_former_expression():
         assert got.flags.f_contiguous        # the (3, n) columns' transpose, as before
 
 
-def _chains():
-    """Closed point chains: each pair's combined curve (suite sizes and 4k
-    rows), the signed-zero polygons, and the dense cone images."""
-    chains = [combine_aligned(pair)[1].curve for pair in PLANAR_PAIRS]
-    chains += [poly.vertices for poly in SIGNED_ZERO_POLYGONS]
-    for l1, l2 in LINK_PAIRS[:2]:
-        _, _, _, r1, r2, _ = _sample_links(l1, l2, l1.perimeter / 4096)
-        chains += list(pogorelov_forward(r1, r2))
-    return chains
-
-
-def test_chords_turns_and_unwrap_equal_the_former_expressions():
-    for points in _chains():
-        for got, want in zip(chain_chords(points), former_chain_chords(points)):
-            assert_same_rows(got, want, "chain_chords")
-        dirs = chain_chords(points)[2]
-        assert_same_rows(turns(dirs), former_turns(dirs), "turns")
-        steps = turns(dirs)
-        for first in (dirs[0], -0.0, 3.0):
-            assert_same_rows(unwrap_turns(first, steps), former_unwrap_turns(first, steps), "unwrap_turns")
-        assert_same_rows(signed_area(points), former_signed_area(points), "signed_area")
-
-
-def test_turns_at_reversals_and_the_half_turn_equal_the_former_expression():
-    # differences at and around +-pi and +-2*pi, and signed zeros
-    pi = math.pi
-    dirs = np.array([0.0, -0.0, pi, -pi, pi, 0.0, np.nextafter(pi, 0.0), -pi, 2.5, -2.5, 1e-300, -0.0])
-    assert_same_rows(turns(dirs), former_turns(dirs))
-    assert_same_rows(unwrap_turns(-0.0, turns(dirs)), former_unwrap_turns(-0.0, turns(dirs)))
-
-
 def test_refine_equals_the_former_expression():
     for l1, l2 in LINK_PAIRS:
         events, p = merged_vertex_positions(l1, l2)[0], l1.perimeter
@@ -183,30 +146,6 @@ def test_bending_check_equals_the_former_expression():
     for pair in PLANAR_PAIRS:
         combined = combine_aligned(pair)[1]
         assert_same_rows(bending_check(combined), former_bending_rows(combined))
-
-
-def test_alignment_margins_equal_the_former_expression():
-    rng = np.random.default_rng(23)
-    pi = math.pi
-    gaps = [_row_gaps(pair)[1] for pair in PLANAR_PAIRS]      # suite sizes and 4k rows
-    gaps += [
-        rng.uniform(-4.0, 4.0, 4096),                           # reach past pi both ways
-        rng.uniform(-0.5, 0.5, 4096) + pi,                      # straddling +pi
-        rng.uniform(-0.5, 0.5, 4096) - pi,                      # straddling -pi
-        np.array([-pi, pi]), np.array([0.0, pi]), np.array([-0.0, 0.0, -pi]),
-        np.array([pi, np.nextafter(pi, 0.0), -np.nextafter(pi, 0.0), 0.0]),
-        np.array([1e300, -1e300, 0.0]),                         # a reach of 2e300
-        np.array([2.0]),
-    ]
-    for g in gaps:
-        assert_same_rows(alignment_margins(g), former_margin_reductions(g))
-
-
-def test_dilated_vertices_equal_the_former_expression():
-    for pair in PLANAR_PAIRS[:3]:
-        for center in ((0.0, 0.0), (-0.0, 0.25), (3.0, -2.0)):
-            got = dilate_to_perimeter(pair.F2, 2.5, center).vertices
-            assert_same_rows(got, former_dilated_vertices(pair.F2, 2.5, center))
 
 
 # numpy's Python-level wrapper modules, by basename in numpy 1.x and 2.x:
