@@ -380,8 +380,7 @@ class ArcPolygon:
             if not np.isfinite(y).all():
                 raise ValueError("arc positions must be finite")
             x[far] = np.mod(y, self.perimeter)
-        idx = self.cum_lengths.searchsorted(x, side="right")
-        idx -= 1
+        idx = self.cum_lengths.searchsorted(x, side="right") - 1
         snap = SNAP_FACTOR * self.perimeter
         bump = self.edge_ends().take(idx) - x <= snap
         idx += bump
@@ -495,8 +494,7 @@ def merge_positions(pos: np.ndarray, period: float, tol: float) -> tuple[np.ndar
                     last = x
         keep[kept] = True
     out = pos[keep]
-    rows = keep.cumsum()
-    rows -= 1
+    rows = keep.cumsum() - 1
     if len(out) > 1 and period - out[-1] <= tol:
         out = out[:-1]
         rows[rows == len(out)] = 0
